@@ -299,7 +299,6 @@ def make_parser():
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
         if name == "certify":
             p.add_argument("trajectory")
         p.set_defaults(func=func)
@@ -308,8 +307,6 @@ def make_parser():
 
 def main(argv=None):
     args = make_parser().parse_args(argv)
-    if args.threads:
-        os.environ.setdefault("OMP_NUM_THREADS", str(args.threads))
     try:
         return args.func(args)
     except CertificationError as exc:

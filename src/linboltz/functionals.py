@@ -22,14 +22,27 @@ Degenerate arguments (kappa = 0 or p*q = 0) are resolved by the Legendre
 definitions; the resulting +inf is represented by ``math.inf`` and any
 quadrature that touches it raises :class:`InfeasibleValueError` instead of
 propagating a raw infinity through a sum.
+
+Both costs are symmetric under (p, q, xi) -> (q, p, -xi).  The pair sums
+over (x, v, v') -- the kinematic rate here and the jump-cost residual in
+:mod:`linboltz.kinetic` -- therefore evaluate each velocity pair i < j once
+and count it twice, and treat the diagonal, where an antisymmetric current
+vanishes, in O(n_x * n_v).  :func:`kinematic_rate` requires an
+antisymmetric current.  The cost kernels run in blocks of at most
+``BLOCK`` elements, so that the temporaries of their arithmetic stay in
+cache.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleValueError, UsageError
+from .errors import (
+    DomainError,
+    InfeasibleValueError,
+    NumericalQualityError,
+    UsageError,
+)
 from .spectral import gradient
 
 #: densities are clamped below at this floor inside logarithms only
@@ -42,7 +55,7 @@ NEG_TOL = 1e-10
 
 
 def _check_nonneg(name, value):
-    if np.any(np.asarray(value) < 0):
+    if np.min(value, initial=0.0) < 0:
         raise DomainError(f"{name} must be nonnegative")
 
 
@@ -51,72 +64,68 @@ def truncated_log(u, floor=LOG_FLOOR, cap=LOG_CAP):
     return np.log(np.clip(u, floor, cap))
 
 
+# ---------------------------------------------------------------------------
+# cost kernels, each on one block of equal-shape arrays; the Legendre branch
+# for alpha = 0 is patched in only at the elements where it occurs
+# ---------------------------------------------------------------------------
+
+#: elements per block: a fresh full-size temporary per ufunc costs several
+#: times the arithmetic it holds, a block's temporaries stay in cache
+BLOCK = 4096
+
+#: sqrt(x*x + a*a) neither over- nor underflows while its value stays inside
+#: this range; outside it np.hypot (about 4x slower) takes over
+_HYPOT_LO = 1e-150
+_HYPOT_HI = 1e150
+
+#: relative tolerance of the antisymmetry test (that of np.allclose)
+_ANTISYM_RTOL = 1e-5
+
+
+def _hypot(x, a, x2, a2):
+    """sqrt(x^2 + a^2) from the squares x2, a2; np.hypot where they would spoil it."""
+    h = np.sqrt(x2 + a2)
+    if h.size and not (_HYPOT_LO < h.min() and h.max() < _HYPOT_HI):
+        bad = np.nonzero(~((h > _HYPOT_LO) & (h < _HYPOT_HI)))
+        h[bad] = np.hypot(x[bad], a[bad])
+    return h
+
+
+def _degenerate(alpha):
+    """Index of the elements where alpha > 0 fails, or None if there are none."""
+    if alpha.size == 0 or alpha.min() > 0:
+        return None
+    return np.nonzero(~(alpha > 0))
+
+
 def _centered_cost(alpha, xi):
-    """xi*asinh(xi/alpha) - (sqrt(xi^2+alpha^2) - alpha), vectorized.
+    """xi*asinh(xi/alpha) - (sqrt(xi^2+alpha^2) - alpha) on one block.
 
     alpha = 0 is the degenerate Legendre limit: 0 at xi = 0, +inf otherwise.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    alpha, xi = np.broadcast_arrays(alpha, xi)
-    out = np.zeros(alpha.shape)
-    pos = alpha > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = alpha[pos]
-        x = xi[pos]
-        hyp = np.hypot(x, a)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x2 = xi * xi
+        hyp = _hypot(xi, alpha, x2, alpha * alpha)
         # sqrt(x^2+a^2) - a == x^2/(hyp + a), stable for |x| << a
-        out[pos] = x * np.arcsinh(x / a) - x * x / (hyp + a)
-    deg = ~pos
-    out[deg] = np.where(xi[deg] == 0.0, 0.0, math.inf)
+        out = xi * np.arcsinh(xi / alpha) - x2 / (hyp + alpha)
+    deg = _degenerate(alpha)
+    if deg is not None:
+        out[deg] = np.where(xi[deg] == 0.0, 0.0, math.inf)
     return out
 
 
-def psi(kappa, p, q, xi):
-    """Centered jump cost; scalar or elementwise on broadcast arrays."""
-    _check_nonneg("kappa", kappa)
-    _check_nonneg("p", p)
-    _check_nonneg("q", q)
-    kappa = np.asarray(kappa, dtype=float)
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    alpha = 2.0 * kappa * np.sqrt(p * q)
-    out = _centered_cost(alpha, xi)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def phi(kappa, p, q, xi):
-    """Jump cost of the balance-equation action; zero iff xi = kappa*(p-q)."""
-    _check_nonneg("kappa", kappa)
-    _check_nonneg("p", p)
-    _check_nonneg("q", q)
-    kappa = np.asarray(kappa, dtype=float)
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    kappa, p, q, xi = np.broadcast_arrays(kappa, p, q, xi)
+def _jump_cost(kappa, p, q, xi):
+    """phi on one block; see :func:`phi`."""
     alpha = 2.0 * kappa * np.sqrt(p * q)
     m = kappa * (p - q)
-    out = np.empty(alpha.shape)
-
-    reg = alpha > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = alpha[reg]
-        x = xi[reg]
-        mm = m[reg]
-        hx = np.hypot(x, a)
-        hm = np.hypot(mm, a)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x2, m2, a2 = xi * xi, m * m, alpha * alpha
         # sqrt(x^2+a^2) - sqrt(m^2+a^2), cancellation-free
-        bracket = (x * x - mm * mm) / (hx + hm)
-        out[reg] = x * (np.arcsinh(x / a) - np.arcsinh(mm / a)) - bracket
-
-    deg = ~reg
-    if np.any(deg):
+        bracket = (x2 - m2) / (_hypot(xi, alpha, x2, a2) + _hypot(m, alpha, m2, a2))
+        out = xi * (np.arcsinh(xi / alpha) - np.arcsinh(m / alpha)) - bracket
+    deg = _degenerate(alpha)
+    if deg is not None:
         out[deg] = _phi_degenerate(kappa[deg], p[deg], q[deg], xi[deg])
-    if out.ndim == 0:
-        return float(out)
     return out
 
 
@@ -155,6 +164,43 @@ def _phi_degenerate(kappa, p, q, xi):
     return out
 
 
+def _elementwise(kernel, *args):
+    """kernel over the broadcast of ``args``, BLOCK elements at a time."""
+    it = np.nditer(
+        [*args, None],
+        flags=["external_loop", "buffered", "zerosize_ok"],
+        op_flags=[["readonly"]] * len(args) + [["writeonly", "allocate"]],
+        op_dtypes=[np.float64] * (len(args) + 1),
+        buffersize=BLOCK,
+    )
+    with it:
+        out = it.operands[-1]
+        for *block, block_out in it:
+            block_out[...] = kernel(*block)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def psi(kappa, p, q, xi):
+    """Centered jump cost; scalar or elementwise on broadcast arrays."""
+    _check_nonneg("kappa", kappa)
+    _check_nonneg("p", p)
+    _check_nonneg("q", q)
+    return _elementwise(
+        lambda k, a, b, x: _centered_cost(2.0 * k * np.sqrt(a * b), x),
+        kappa, p, q, xi,
+    )
+
+
+def phi(kappa, p, q, xi):
+    """Jump cost of the balance-equation action; zero iff xi = kappa*(p-q)."""
+    _check_nonneg("kappa", kappa)
+    _check_nonneg("p", p)
+    _check_nonneg("q", q)
+    return _elementwise(_jump_cost, kappa, p, q, xi)
+
+
 def phi_slope_at_zero(p, q):
     """d phi / d xi at xi = 0, which equals 0.5*log(q/p)."""
     p = np.asarray(p, dtype=float)
@@ -179,32 +225,6 @@ def psi_legendre_oracle(kappa, p, q, xi, lambda_grid):
         raise DomainError("Legendre oracle requires p*q > 0")
     alpha = 2.0 * kappa * math.sqrt(p * q)
     return float(np.max(lam * xi - alpha * (np.cosh(lam) - 1.0)))
-
-
-@dataclass(frozen=True)
-class PhiEval:
-    kappa: float
-    p: float
-    q: float
-    xi: float
-    value: float
-
-    @classmethod
-    def evaluate(cls, kappa, p, q, xi):
-        return cls(kappa, p, q, xi, phi(kappa, p, q, xi))
-
-
-@dataclass(frozen=True)
-class PsiEval:
-    kappa: float
-    p: float
-    q: float
-    xi: float
-    value: float
-
-    @classmethod
-    def evaluate(cls, kappa, p, q, xi):
-        return cls(kappa, p, q, xi, psi(kappa, p, q, xi))
 
 
 # ---------------------------------------------------------------------------
@@ -247,20 +267,85 @@ def dirichlet_form(f_slice, model, dx):
     return float(dx * np.sum(2.0 * (local - cross)))
 
 
-def kinematic_rate(f_slice, eta_slice, model, dx):
-    """Instantaneous kinematic cost sum_x dx sum_ij w_i w_j psi_{S_ij}(f_i, f_j; eta_ij)."""
-    f = _clip_density(f_slice)
-    eta = np.asarray(eta_slice, dtype=float)
-    if not np.allclose(eta, -np.swapaxes(eta, -1, -2), atol=1e-12 * max(1.0, np.max(np.abs(eta), initial=0.0))):
-        raise DomainError("current must be antisymmetric in (v, v')")
-    alpha = 2.0 * model.sigma * np.sqrt(f[..., :, None] * f[..., None, :])
-    vals = _centered_cost(alpha, eta)
-    if np.any(np.isinf(vals)):
-        raise InfeasibleValueError("kinematic cost is infeasible (current on a zero-rate pair)")
+def pair_triangle(model):
+    """Velocity pairs i < j and their weights 2 w_i w_j in a sum over all i != j.
+
+    Both jump costs are symmetric under (p, q, xi) -> (q, p, -xi), so with a
+    symmetric kernel and an antisymmetric current the pair (j, i) costs the
+    same as (i, j), and each pair i < j is evaluated once and counted twice.
+    A kernel that is not exactly symmetric raises
+    :class:`NumericalQualityError`, as :meth:`VelocityModel.validate` does.
+    """
+    if not np.array_equal(model.sigma, model.sigma.T):
+        raise NumericalQualityError("scattering kernel is not exactly symmetric")
+    i, j = np.triu_indices(model.n_nodes, 1)
     w = model.weights
-    if vals.ndim == 2:
-        vals = vals[None, :, :]
-    return float(dx * np.einsum("i,j,xij->", w, w, vals))
+    return i, j, 2.0 * w[i] * w[j]
+
+
+def _pair_blocks(n_cells, n_pairs):
+    """(cells, pairs) slices that tile n_cells x n_pairs in blocks of at most BLOCK."""
+    rows = max(1, BLOCK // max(n_pairs, 1))
+    cols = max(1, min(n_pairs, BLOCK))
+    for c in range(0, n_cells, rows):
+        for s in range(0, n_pairs, cols):
+            yield slice(c, c + rows), slice(s, s + cols)
+
+
+def _check_antisymmetric(up, lo, atol):
+    """``np.allclose(eta, -eta^T, atol=atol)`` on the entries ``up`` and their mirrors ``lo``."""
+    gap = up + lo
+    if not gap.any():  # exactly antisymmetric, as the solver's own current is
+        return
+    tol = np.minimum(np.abs(up), np.abs(lo))
+    tol *= _ANTISYM_RTOL
+    tol += atol
+    if not np.all(np.abs(gap) <= tol):
+        raise DomainError("current must be antisymmetric in (v, v')")
+
+
+def kinematic_rate(f_slice, eta_slice, model, dx):
+    """Instantaneous kinematic cost sum_x dx sum_ij w_i w_j psi_{S_ij}(f_i, f_j; eta_ij).
+
+    The current must be antisymmetric in (v, v'), to the tolerance of
+    ``np.allclose`` with atol = 1e-12 * max(1, max|eta|); otherwise
+    :class:`DomainError`.  psi is evaluated on the pairs i < j only and
+    counted twice (see :func:`pair_triangle`), cells and pairs in blocks of
+    at most ``BLOCK`` elements; the diagonal costs O(n_x * n_v).  A current on
+    a zero-rate pair, the diagonal included, raises
+    :class:`InfeasibleValueError`.
+    """
+    f = np.atleast_2d(_clip_density(f_slice))
+    eta = np.asarray(eta_slice, dtype=float)
+    if eta.ndim == 2:
+        eta = eta[None, :, :]
+    n_x, n_v = f.shape
+    if n_v != model.n_nodes or eta.shape != (n_x, n_v, n_v):
+        raise UsageError("density and current shapes do not match the model")
+    atol = 1e-12 * max(1.0, np.max(eta, initial=0.0), -np.min(eta, initial=0.0))
+
+    diag = np.diagonal(eta, axis1=1, axis2=2)
+    _check_antisymmetric(diag, diag, atol)
+    i, j, weights = pair_triangle(model)
+    upper, lower = i * n_v + j, j * n_v + i
+    two_sigma = 2.0 * model.sigma[i, j]
+    flat = eta.reshape(n_x, n_v * n_v)
+    total = 0.0
+    for cells, pairs in _pair_blocks(n_x, i.size):
+        up = np.take(flat[cells], upper[pairs], axis=1)
+        _check_antisymmetric(up, np.take(flat[cells], lower[pairs], axis=1), atol)
+        fb = f[cells]
+        alpha = np.take(fb, i[pairs], axis=1)
+        alpha *= np.take(fb, j[pairs], axis=1)
+        np.sqrt(alpha, out=alpha)
+        alpha *= two_sigma[pairs]
+        total += float(np.sum(_centered_cost(alpha, up) @ weights[pairs]))
+    w = model.weights
+    alpha = 2.0 * np.diagonal(model.sigma) * np.sqrt(f * f)
+    total += float(np.sum(_centered_cost(alpha, diag) @ (w * w)))
+    if math.isinf(total):
+        raise InfeasibleValueError("kinematic cost is infeasible (current on a zero-rate pair)")
+    return float(dx * total)
 
 
 def kinematic_term(f_path, eta_path, model, dt, dx):

@@ -195,3 +195,13 @@ class TestMcEstimate:
 def test_missing_subcommand_exits():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_threads_flag_is_a_usage_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, lorentz_cfg())
+    with pytest.raises(SystemExit) as exc:
+        main(["model-info", "--config", cfg, "--threads", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--threads" in err
+    assert "Traceback" not in err

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -287,3 +289,24 @@ class TestPersistence:
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("t,entropy,dirichlet")
         assert len(lines) == 1 + traj.f.shape[0]
+
+    def test_certificate_csv_agrees_with_certificate(self, tmp_path):
+        m = build_lorentz(LorentzSpec(12))
+        traj = simulate(m, bump_rho(16), T=0.05, dt=0.01, transport="spectral")
+        cert = edi_certificate(traj, m)
+        path = tmp_path / "cert.csv"
+        write_certificate_csv(traj, m, cert, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == traj.f.shape[0]
+        # the CSV carries 12 significant digits
+        assert rows[0]["entropy"] == f"{cert.h_initial:.12g}"
+        assert rows[-1]["entropy"] == f"{cert.h_final:.12g}"
+        assert [float(r["step_residual"]) for r in rows[1:]] == [
+            float(f"{v:.12g}") for v in cert.per_step
+        ]
+        assert float(rows[0]["cumulative_r"]) == 0.0
+        assert float(rows[-1]["cumulative_r"]) == pytest.approx(
+            float(f"{cert.kinematic_value:.12g}"), rel=1e-12
+        )
+        assert cert.kinematic_value > 0.0

@@ -1,0 +1,239 @@
+"""The blocked i < j pair kernels against plain double sums over all (i, j).
+
+The references below evaluate scalar ``psi``/``phi`` once per (cell, i, j)
+and add the terms with ``math.fsum``; the library sums the pairs i < j
+twice, the diagonal apart, in blocks.  Small block sizes make the walk
+cross cell and pair boundaries even on tiny models.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from linboltz import DomainError, InfeasibleValueError, NumericalQualityError
+from linboltz import functionals
+from linboltz.functionals import kinematic_rate, phi, psi
+from linboltz.kinetic import Trajectory, edi_certificate
+from linboltz.velocity import VelocityModel
+
+REL = 1e-12
+
+# a block size of 3 splits every cell's pairs; the default packs many cells
+BLOCKS = [3, functionals.BLOCK]
+
+PROPERTY = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@pytest.fixture(params=BLOCKS, ids=lambda b: f"block{b}")
+def block(request, monkeypatch):
+    monkeypatch.setattr(functionals, "BLOCK", request.param)
+    return request.param
+
+
+@st.composite
+def cases(draw):
+    """A random small model and densities on n_x cells.
+
+    The model has symmetric rates, some pairs (the diagonal included) at
+    rate zero, and positive weights.  Some densities vanish at single
+    nodes, some on whole cells.  Hypothesis picks the sizes and which
+    degeneracies occur; a seeded generator fills in the values.
+    """
+    n_v = draw(st.integers(1, 6))
+    n_x = draw(st.integers(1, 5))
+    zero_rates = draw(st.sampled_from([0.0, 0.3]))
+    zero_nodes = draw(st.sampled_from([0.0, 0.2]))
+    zero_cells = draw(st.sampled_from([0.0, 0.4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rates = rng.uniform(0.05, 5.0, (n_v, n_v))
+    zero = rng.random((n_v, n_v)) < zero_rates
+    weights = rng.uniform(0.1, 1.0, n_v)
+    model = VelocityModel(
+        nodes=np.arange(n_v, dtype=float)[:, None],
+        weights=weights / weights.sum(),
+        drift=np.linspace(-1.0, 1.0, n_v)[:, None],
+        sigma=np.where(zero | zero.T, 0.0, rates + rates.T),
+        dim_x=1,
+    )
+    f = rng.uniform(0.01, 10.0, (n_x, n_v))
+    f[rng.random((n_x, n_v)) < zero_nodes] = 0.0
+    f[rng.random(n_x) < zero_cells] = 0.0
+    return model, f, rng
+
+
+def reference_sum(cost, kappa, f, eta, weights):
+    """sum_x sum_ij w_i w_j cost(kappa_ij, f_i, f_j; eta_ij), one scalar call per term."""
+    n_x, n_v = f.shape
+    terms = [
+        weights[i] * weights[j] * cost(kappa[i, j], f[x, i], f[x, j], eta[x, i, j])
+        for x in range(n_x)
+        for i in range(n_v)
+        for j in range(n_v)
+    ]
+    if any(math.isinf(t) for t in terms):
+        return math.inf
+    return math.fsum(terms)
+
+
+def own_current(f, sigma):
+    return sigma[None, :, :] * (f[:, :, None] - f[:, None, :])
+
+
+@given(data=st.data())
+@PROPERTY
+def test_kinematic_rate_matches_double_sum(block, data):
+    model, f, rng = data.draw(cases())
+    # a random antisymmetric current, off the zero-rate pairs; where a
+    # density vanishes it makes the cost infeasible unless it is zeroed too
+    a = rng.normal(0.0, 2.0, f.shape + (model.n_nodes,))
+    eta = (a - np.swapaxes(a, 1, 2)) * (model.sigma > 0)
+    if data.draw(st.booleans()):
+        eta *= f[:, :, None] * f[:, None, :] > 0
+    dx = data.draw(st.floats(0.01, 1.0))
+    expected = reference_sum(psi, model.sigma, f, eta, model.weights)
+    if math.isinf(expected):
+        with pytest.raises(InfeasibleValueError):
+            kinematic_rate(f, eta, model, dx)
+    else:
+        got = kinematic_rate(f, eta, model, dx)
+        assert got == pytest.approx(dx * expected, rel=REL, abs=1e-300)
+
+
+@given(data=st.data())
+@PROPERTY
+def test_certificate_sums_match_double_sums(block, data):
+    model, f0, rng = data.draw(cases())
+    f1 = f0 * rng.uniform(0.5, 2.0, f0.shape)
+    n_x = f0.shape[0]
+    scale = data.draw(st.sampled_from([1.0, 2.0, 0.5, -1.0]))
+    eps = data.draw(st.sampled_from([1.0, 0.5]))
+    dt, dx = 0.01, 1.0 / n_x
+    traj = Trajectory(times=np.array([0.0, dt]), f=np.stack([f0, f1]),
+                      dx=dx, dt=dt, epsilon=eps, transport="upwind")
+    f_mid = 0.5 * (f0 + f1)
+    eta = scale * own_current(f_mid, model.sigma)
+    factor = dt * dx / eps**2
+    r_ref = reference_sum(psi, model.sigma, f_mid, eta, model.weights)
+    if math.isinf(r_ref):
+        with pytest.raises(InfeasibleValueError):
+            edi_certificate(traj, model, current_scale=scale)
+        return
+    cert = edi_certificate(traj, model, current_scale=scale)
+    phi_ref = reference_sum(phi, model.sigma, f_mid, eta, model.weights)
+    assert cert.kinematic_value == pytest.approx(factor * r_ref, rel=REL, abs=1e-300)
+    assert cert.phi_residual == pytest.approx(factor * phi_ref, rel=REL, abs=1e-300)
+    if scale == 1.0:
+        assert cert.phi_residual == 0.0
+
+
+def test_non_antisymmetric_current_is_rejected(block):
+    model = VelocityModel(
+        nodes=np.arange(3.0)[:, None], weights=np.full(3, 1 / 3),
+        drift=np.array([[-1.0], [0.0], [1.0]]),
+        sigma=np.ones((3, 3)) - np.eye(3), dim_x=1,
+    )
+    f = np.ones((4, 3))
+    eta = np.zeros((4, 3, 3))
+    eta[2, 0, 2], eta[2, 2, 0] = 1.0, -1.0
+    assert kinematic_rate(f, eta, model, 0.25) > 0.0
+    bad = eta.copy()
+    bad[2, 2, 0] = -1.0 + 1e-3  # off by more than the relative tolerance
+    with pytest.raises(DomainError):
+        kinematic_rate(f, bad, model, 0.25)
+    bad = eta.copy()
+    bad[3, 1, 1] = 0.1  # a diagonal entry must vanish too
+    with pytest.raises(DomainError):
+        kinematic_rate(f, bad, model, 0.25)
+
+
+def test_current_on_a_zero_rate_pair_or_the_diagonal_is_infeasible(block):
+    sigma = np.ones((3, 3)) - np.eye(3)
+    sigma[0, 1] = sigma[1, 0] = 0.0
+    model = VelocityModel(
+        nodes=np.arange(3.0)[:, None], weights=np.full(3, 1 / 3),
+        drift=np.array([[-1.0], [0.0], [1.0]]), sigma=sigma, dim_x=1,
+    )
+    f = np.ones((4, 3))
+    eta = np.zeros((4, 3, 3))
+    eta[1, 0, 1], eta[1, 1, 0] = 0.5, -0.5
+    with pytest.raises(InfeasibleValueError):
+        kinematic_rate(f, eta, model, 0.25)
+    # within the antisymmetry tolerance, but sigma_ii = 0
+    eta = np.zeros((4, 3, 3))
+    eta[3, 2, 2] = 1e-14
+    with pytest.raises(InfeasibleValueError):
+        kinematic_rate(f, eta, model, 0.25)
+
+
+def test_asymmetric_kernel_is_refused():
+    # the i < j sums read only the upper triangle of sigma
+    model = VelocityModel(
+        nodes=np.arange(2.0)[:, None], weights=np.array([0.5, 0.5]),
+        drift=np.array([[1.0], [-1.0]]),
+        sigma=np.array([[0.0, 1.0], [2.0, 0.0]]), dim_x=1,
+    )
+    f = np.ones((2, 2))
+    traj = Trajectory(times=np.array([0.0, 0.1]), f=np.stack([f, f]), dx=0.5,
+                      dt=0.1, epsilon=1.0, transport="upwind")
+    with pytest.raises(NumericalQualityError):
+        kinematic_rate(f, np.zeros((2, 2, 2)), model, 0.5)
+    with pytest.raises(NumericalQualityError):
+        edi_certificate(traj, model)
+
+
+def _reference_costs(kappa, p, q, xi):
+    """psi and phi (kappa*p*q > 0) by their reference formulas in scalar math arithmetic."""
+    alpha = 2.0 * kappa * math.sqrt(p * q)
+    m = kappa * (p - q)
+    psi_ref = xi * math.asinh(xi / alpha) - xi * xi / (math.hypot(xi, alpha) + alpha)
+    bracket = (xi * xi - m * m) / (math.hypot(xi, alpha) + math.hypot(m, alpha))
+    phi_ref = xi * (math.asinh(xi / alpha) - math.asinh(m / alpha)) - bracket
+    return psi_ref, phi_ref
+
+
+@pytest.mark.parametrize("kappa, p, q, xi", [
+    (0.5, 1.0, 1.0, 1e150),         # |xi|/alpha and xi^2 near the top
+    (0.5, 1.0, 1.0, 1e153),
+    (5e-151, 1.0, 1.0, 1.0),        # alpha tiny, |xi|/alpha = 1e150
+    (5e159, 1.0, 1.0, 1.0),         # alpha^2 overflows
+    (5e199, 1.0, 1.0, 3e150),
+    (5e151, 1.0, 1.0, 1e151),
+    (2.0, 1e150, 4e150, 1e151),     # m^2 and alpha^2 beyond 1e300
+    (5e-161, 1.0, 1.0, 1e-160),     # squares are subnormal
+    (5e-171, 1.0, 1.0, 2e-171),
+    (5e-201, 1.0, 1.0, 1e-200),     # squares underflow to zero
+    (1e-3, 1e-155, 2e-155, 1e-160),
+    (1.0, 1.0, 1.0, 1e-200),
+])
+def test_cost_kernels_keep_the_reference_at_extreme_scales(kappa, p, q, xi):
+    for x in (xi, -xi):
+        psi_ref, phi_ref = _reference_costs(kappa, p, q, x)
+        assert psi(kappa, p, q, x) == pytest.approx(psi_ref, rel=REL, abs=0.0)
+        assert phi(kappa, p, q, x) == pytest.approx(phi_ref, rel=REL, abs=0.0)
+        assert phi(kappa, q, p, -x) == pytest.approx(phi_ref, rel=REL, abs=0.0)
+
+
+def test_elementwise_blocks_patch_scattered_degenerate_entries():
+    rng = np.random.default_rng(21)
+    n = 3 * functionals.BLOCK + 17
+    kappa = rng.uniform(0.1, 3.0, n)
+    p = rng.uniform(0.1, 3.0, n)
+    q = rng.uniform(0.1, 3.0, n)
+    xi = rng.normal(0.0, 2.0, n)
+    kappa[rng.integers(0, n, 40)] = 0.0
+    p[rng.integers(0, n, 40)] = 0.0
+    q[rng.integers(0, n, 40)] = 0.0
+    xi[rng.integers(0, n, 200)] = 0.0
+    got_phi = phi(kappa, p, q, xi)
+    got_psi = psi(kappa, p, q, xi)
+    for k in range(n):
+        assert got_phi[k] == phi(kappa[k], p[k], q[k], xi[k])
+        assert got_psi[k] == psi(kappa[k], p[k], q[k], xi[k])
+    assert np.isinf(got_psi).any() and np.isinf(got_phi).any()
