@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .heat import HeatFlow
+from .heat import HeatFlow, heat_current
 from .kinetic import marginals, simulate
 from .velocity import diffusion_matrix, poisson_solve
 
@@ -33,13 +33,14 @@ def default_test_bank(n_cells):
 
 
 def auto_dt(model, epsilon, T, n_cells, cfl=0.5, drift_axis=0,
-            splitting_quality=0.03):
+            splitting_quality=0.03, dt_scale=1.0):
     """Largest dt of the form T/n below both stability and accuracy caps.
 
     The CFL cap dt <= cfl * eps * dx / max|b| keeps upwind transport
     stable; the cap dt <= splitting_quality * eps^2 keeps the Strang
     splitting error (which grows like dt^2/eps^4) subdominant to the
-    physical O(eps) corrections in sweep comparisons.
+    physical O(eps) corrections in sweep comparisons.  ``dt_scale`` then
+    multiplies that step, rounded to the nearest T/n.
     """
     bmax = float(np.max(np.abs(model.drift[:, drift_axis])))
     if bmax == 0:
@@ -47,7 +48,7 @@ def auto_dt(model, epsilon, T, n_cells, cfl=0.5, drift_axis=0,
     dx = 1.0 / n_cells
     target = min(cfl * epsilon * dx / bmax, splitting_quality * epsilon**2)
     n_steps = max(1, int(np.ceil(T / target)))
-    return T / n_steps
+    return T / max(1, round(n_steps / dt_scale))
 
 
 def rescaled_run(model, rho0, epsilon, T, n_cells=64, dt=None,
@@ -90,18 +91,21 @@ class DiffusiveSweepReport:
         return all(a > b for a, b in zip(l1, l1[1:]))
 
 
+def _trapezoid(n_t, dt):
+    """Trapezoid weights of n_t equally spaced times dt apart."""
+    tw = np.full(n_t, dt)
+    tw[0] = tw[-1] = 0.5 * dt
+    return tw
+
+
 def _weak_time_pairings(traj, model, bank):
     """J(w) = int_0^T dt int j(t,x) w(x) dx per test field (trapezoid in t)."""
     n_t = traj.f.shape[0]
     j_path = np.empty((n_t, traj.f.shape[1]))
     for n in range(n_t):
         _, j_path[n] = marginals(traj, model, n)
-    tw = np.full(n_t, traj.dt)
-    tw[0] = tw[-1] = 0.5 * traj.dt
-    out = {}
-    for name, w in bank.items():
-        out[name] = float(traj.dx * tw @ (j_path @ w))
-    return out, j_path
+    tw = _trapezoid(n_t, traj.dt)
+    return {name: float(traj.dx * tw @ (j_path @ w)) for name, w in bank.items()}, j_path
 
 
 def _bonj_probe(j_path, dx, dt, bank):
@@ -112,8 +116,7 @@ def _bonj_probe(j_path, dx, dt, bank):
     while span >= 1:
         for start in range(0, n_t - span, max(span, 1)):
             seg = j_path[start : start + span + 1]
-            tw = np.full(seg.shape[0], dt)
-            tw[0] = tw[-1] = 0.5 * dt
+            tw = _trapezoid(seg.shape[0], dt)
             for w in bank.values():
                 val = abs(dx * tw @ (seg @ w)) / np.sqrt(span * dt)
                 best = max(best, val)
@@ -130,6 +133,8 @@ def sweep(model, rho0, eps_list, T, n_cells=64, transport="spectral",
     """
     eps_list = sorted((float(e) for e in eps_list), reverse=True)
     rho0 = np.asarray(rho0, dtype=float)
+    if not 0 <= drift_axis < model.drift.shape[1]:
+        raise ConfigError("drift_axis out of range for this model")
 
     sol = poisson_solve(model, tol=poisson_tol)
     D, _ = diffusion_matrix(model, sol)
@@ -140,13 +145,10 @@ def sweep(model, rho0, eps_list, T, n_cells=64, transport="spectral",
     bank = default_test_bank(n_cells)
     dx = 1.0 / n_cells
 
-    # heat-side weak pairings on the same time quadrature density
     rows = []
     for eps in eps_list:
         t0 = time.perf_counter()
-        dt = auto_dt(model, eps, T, n_cells, drift_axis=drift_axis) * dt_scale
-        n_steps = max(1, int(round(T / dt)))
-        dt = T / n_steps
+        dt = auto_dt(model, eps, T, n_cells, drift_axis=drift_axis, dt_scale=dt_scale)
         traj = rescaled_run(
             model, rho0, eps, T, n_cells=n_cells, dt=dt,
             transport=transport, drift_axis=drift_axis,
@@ -156,16 +158,13 @@ def sweep(model, rho0, eps_list, T, n_cells=64, transport="spectral",
         l2 = float(np.sqrt(dx * np.sum((rho_T - rho_heat_T) ** 2)))
 
         pair_kin, j_path = _weak_time_pairings(traj, model, bank)
-        weak_err = 0.0
-        for name, w in bank.items():
-            times = traj.times
-            vals = np.empty(times.size)
-            for n, t in enumerate(times):
-                vals[n] = dx * float(flow.current_at(t)[:, 0] @ w)
-            tw = np.full(times.size, traj.dt)
-            tw[0] = tw[-1] = 0.5 * traj.dt
-            weak_err = max(weak_err, abs(pair_kin[name] - float(tw @ vals)))
+        # heat-side weak pairings on the same time quadrature
+        j_heat = heat_current(flow, traj.times)[:, :, 0]
+        tw = _trapezoid(traj.times.size, traj.dt)
+        weak_err = max(abs(pair_kin[name] - float(tw @ (dx * (j_heat @ w))))
+                       for name, w in bank.items())
         bonj = _bonj_probe(j_path, dx, traj.dt, bank)
+        del traj  # free these frames before the next, finer run allocates its own
         rows.append(
             SweepRow(eps, l1, l2, weak_err, bonj, time.perf_counter() - t0)
         )
@@ -204,16 +203,8 @@ def write_manifest(report, config, path):
         "n_cells": report.n_cells,
         "T": report.T,
         "transport": report.transport,
-        "rows": [
-            {
-                "epsilon": r.epsilon,
-                "l1": r.l1,
-                "l2": r.l2,
-                "weak_j_err": r.weak_j_err,
-                "bonj_constant": r.bonj_constant,
-            }
-            for r in report.rows
-        ],
+        "rows": [{k: v for k, v in vars(r).items() if k != "runtime_s"}
+                 for r in report.rows],
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)

@@ -83,12 +83,14 @@ _ANTISYM_RTOL = 1e-5
 
 
 def _hypot(x, a, x2, a2):
-    """sqrt(x^2 + a^2) from the squares x2, a2; np.hypot where they would spoil it."""
+    """sqrt(x^2 + a^2) from the squares x2, a2, with np.hypot at the elements
+    where they would spoil it, and the index of those (None if there are none)."""
     h = np.sqrt(x2 + a2)
-    if h.size and not (_HYPOT_LO < h.min() and h.max() < _HYPOT_HI):
-        bad = np.nonzero(~((h > _HYPOT_LO) & (h < _HYPOT_HI)))
-        h[bad] = np.hypot(x[bad], a[bad])
-    return h
+    if not h.size or (_HYPOT_LO < h.min() and h.max() < _HYPOT_HI):
+        return h, None
+    bad = np.nonzero(~((h > _HYPOT_LO) & (h < _HYPOT_HI)))
+    h[bad] = np.hypot(x[bad], a[bad])
+    return h, bad
 
 
 def _degenerate(alpha):
@@ -105,9 +107,12 @@ def _centered_cost(alpha, xi):
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x2 = xi * xi
-        hyp = _hypot(xi, alpha, x2, alpha * alpha)
+        hyp, bad = _hypot(xi, alpha, x2, alpha * alpha)
         # sqrt(x^2+a^2) - a == x^2/(hyp + a), stable for |x| << a
-        out = xi * np.arcsinh(xi / alpha) - x2 / (hyp + alpha)
+        excess = x2 / (hyp + alpha)
+        if bad is not None:  # x^2 overflows beyond ~1.3e154
+            excess[bad] = xi[bad] * (xi[bad] / (hyp[bad] + alpha[bad]))
+        out = xi * np.arcsinh(xi / alpha) - excess
     deg = _degenerate(alpha)
     if deg is not None:
         out[deg] = np.where(xi[deg] == 0.0, 0.0, math.inf)
@@ -120,8 +125,14 @@ def _jump_cost(kappa, p, q, xi):
     m = kappa * (p - q)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x2, m2, a2 = xi * xi, m * m, alpha * alpha
+        hyp_x, bad_x = _hypot(xi, alpha, x2, a2)
+        hyp_m, bad_m = _hypot(m, alpha, m2, a2)
+        den = hyp_x + hyp_m
         # sqrt(x^2+a^2) - sqrt(m^2+a^2), cancellation-free
-        bracket = (x2 - m2) / (_hypot(xi, alpha, x2, a2) + _hypot(m, alpha, m2, a2))
+        bracket = (x2 - m2) / den
+        for bad in (bad_x, bad_m):  # x^2 or m^2 overflows beyond ~1.3e154
+            if bad is not None:
+                bracket[bad] = (xi[bad] - m[bad]) * ((xi[bad] + m[bad]) / den[bad])
         out = xi * (np.arcsinh(xi / alpha) - np.arcsinh(m / alpha)) - bracket
     deg = _degenerate(alpha)
     if deg is not None:

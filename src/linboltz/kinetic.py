@@ -28,6 +28,7 @@ blocks (see :mod:`linboltz.functionals`).
 
 import csv
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +58,7 @@ class Trajectory:
     transport: str
     drift_axis: int = 0
     model_name: str = "custom"
+    model_fingerprint: str | None = None  # VelocityModel.fingerprint
 
     @property
     def n_steps(self):
@@ -72,7 +74,7 @@ class Stepper:
             raise ConfigError(f"unknown transport scheme '{transport}'")
         if n_cells < 2 or dt <= 0 or epsilon <= 0:
             raise ConfigError("need n_cells >= 2, dt > 0, epsilon > 0")
-        if drift_axis >= model.drift.shape[1]:
+        if not 0 <= drift_axis < model.drift.shape[1]:
             raise ConfigError("drift_axis out of range for this model")
         self.model = model
         self.n_cells = int(n_cells)
@@ -156,6 +158,7 @@ def simulate(model, f0, T, dt, epsilon=1.0, transport="upwind", drift_axis=0):
         transport=transport,
         drift_axis=drift_axis,
         model_name=model.name,
+        model_fingerprint=model.fingerprint,
     )
 
 
@@ -237,16 +240,8 @@ class EdiCertificate:
         )
 
     def as_dict(self):
-        return {
-            "h_initial": self.h_initial,
-            "h_final": self.h_final,
-            "dirichlet_integral": self.dirichlet_integral,
-            "kinematic_value": self.kinematic_value,
-            "phi_residual": self.phi_residual,
-            "balance_residual": self.balance_residual,
-            "gradient_flow_residual": self.gradient_flow_residual,
-            "max_step_residual": self.max_step_residual,
-        }
+        out = {k: v for k, v in vars(self).items() if k != "per_step"}
+        return dict(out, gradient_flow_residual=self.gradient_flow_residual)
 
 
 def edi_certificate(traj, model, current_scale=1.0, tol=None):
@@ -326,8 +321,6 @@ def entropy_series(traj, model):
 
 def save_trajectory(traj, directory):
     """Persist a trajectory as a directory (meta.json + binary arrays)."""
-    import os
-
     os.makedirs(directory, exist_ok=True)
     np.save(os.path.join(directory, "f.npy"), traj.f)
     np.save(os.path.join(directory, "times.npy"), traj.times)
@@ -338,14 +331,13 @@ def save_trajectory(traj, directory):
         "transport": traj.transport,
         "drift_axis": traj.drift_axis,
         "model_name": traj.model_name,
+        "model_fingerprint": traj.model_fingerprint,
     }
     with open(os.path.join(directory, "meta.json"), "w") as fh:
         json.dump(meta, fh, sort_keys=True, indent=1)
 
 
 def load_trajectory(directory):
-    import os
-
     with open(os.path.join(directory, "meta.json")) as fh:
         meta = json.load(fh)
     return Trajectory(
@@ -357,6 +349,7 @@ def load_trajectory(directory):
         transport=meta["transport"],
         drift_axis=int(meta["drift_axis"]),
         model_name=meta.get("model_name", "custom"),
+        model_fingerprint=meta.get("model_fingerprint"),
     )
 
 

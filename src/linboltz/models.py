@@ -57,6 +57,9 @@ class RayleighSpec:
             raise ConfigError("beta must be positive")
         if self.n_angular % 2:
             raise ConfigError("angular node count must be even (v -> -v symmetry)")
+        if min(self.n_radial, self.n_angular, self.n_polar) < 1 or (
+                self.v_max is not None and self.v_max <= 0):
+            raise ConfigError("rayleigh needs quadrature nodes and a positive v_max")
 
     @property
     def cutoff_radius(self):
@@ -146,8 +149,11 @@ def rayleigh_kernel(v, w, beta, dim, diag_cutoff=0.0):
     close = dist2 <= diag_cutoff**2
     safe = np.where(close, 1.0, dist2)
     pref = (beta / (2.0 * np.pi)) ** ((1.0 - dim) / 2.0)
-    with np.errstate(over="raise"):
-        kern = pref * np.exp(0.5 * beta * gram / safe)
+    try:
+        with np.errstate(over="raise"):
+            kern = pref * np.exp(0.5 * beta * gram / safe)
+    except FloatingPointError as exc:
+        raise NumericalQualityError("rayleigh kernel overflows; lower v_max") from exc
     if dim == 3:
         kern = kern / np.sqrt(safe)
     kern[close] = 0.0
@@ -333,12 +339,14 @@ def rayleigh_xi_bound(model, tol=1e-12):
     )
 
 
+#: model kind -> (spec, builder); the spec's fields are a config's model keys
+MODELS = {"lorentz": (LorentzSpec, build_lorentz), "phonon": (PhononSpec, build_phonon),
+          "rayleigh": (RayleighSpec, build_rayleigh)}
+
+
 def build_model(name, **kwargs):
-    """Dispatch helper used by the command-line layer."""
-    if name == "lorentz":
-        return build_lorentz(LorentzSpec(**kwargs))
-    if name == "rayleigh":
-        return build_rayleigh(RayleighSpec(**kwargs))
-    if name == "phonon":
-        return build_phonon(PhononSpec(**kwargs))
-    raise ConfigError(f"unknown model '{name}'")
+    """Build the ``name`` model from its spec fields."""
+    if name not in MODELS:
+        raise ConfigError(f"unknown model '{name}'")
+    spec_cls, build = MODELS[name]
+    return build(spec_cls(**kwargs))

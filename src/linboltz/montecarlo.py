@@ -28,8 +28,8 @@ class McConfig:
     def __post_init__(self):
         if self.n_paths < self.n_batches or self.n_batches < 2:
             raise ConfigError("need n_paths >= n_batches >= 2")
-        if self.horizon <= 0:
-            raise ConfigError("horizon must be positive")
+        if self.horizon <= 0 or self.seed < 0:
+            raise ConfigError("need a positive horizon and a nonnegative seed")
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ w~_i = lambda_i w_i / <lambda>, and the diffusion matrix is
     D = sum_i w_i b_i (x) xi_i,   with  (-L) xi = b.
 """
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 
@@ -73,6 +74,12 @@ class VelocityModel:
     @property
     def n_nodes(self):
         return self.weights.size
+
+    @property
+    def fingerprint(self):
+        """sha256 of the weights, kernel and drift bytes."""
+        blob = self.weights.tobytes() + self.sigma.tobytes() + self.drift.tobytes()
+        return hashlib.sha256(blob).hexdigest()
 
     def validate(self, centering_tol=1e-12):
         """Check the structural invariants; raises on violation."""

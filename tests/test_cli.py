@@ -1,8 +1,19 @@
+import contextlib
+import copy
+import dataclasses
+import io
 import json
+import os
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+from linboltz import cli, models
 from linboltz.cli import main
+from linboltz.montecarlo import McConfig
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -51,6 +62,53 @@ class TestConfigValidation:
         assert diag["exit_code"] == 2
         assert diag["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("command, payload", [
+        ("kinetic-run", lorentz_cfg(solver={"n_cells": "abc", "dt": 0.01, "T": 0.05})),
+        ("diffusion", {"model": {"kind": "lorentz", "n_nodes": 16.0}}),
+        ("diffusive-sweep", lorentz_cfg(solver={"eps_list": "abc"})),
+        ("mc-estimate", lorentz_cfg(mc={"n_paths": "1e5"})),
+        ("kinetic-run", lorentz_cfg(solver={"T": -0.05, "dt": 0.01})),
+        ("kinetic-run", lorentz_cfg(solver={"T": float("nan"), "dt": 0.01})),
+        ("diffusion", lorentz_cfg(seed=True)),
+        ("mc-estimate", lorentz_cfg(seed=-1, mc={"n_paths": 64, "n_batches": 4})),
+        ("diffusive-sweep", lorentz_cfg(solver={"eps_list": [0.5], "drift_axis": 2})),
+        # keys that nothing reads are unknown keys
+        ("diffusion", lorentz_cfg(functional={"delta": 1e-300})),
+        ("diffusion", lorentz_cfg(functional={"cap": 1e300})),
+        ("diffusion", lorentz_cfg(output={"directory": "out", "formats": ["json"]})),
+    ])
+    def test_bad_value_is_a_config_error(self, tmp_path, capsys, command, payload):
+        cfg = write_cfg(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        diag = json.loads((out / "error.json").read_text())
+        assert (diag["exit_code"], diag["error"]) == (2, "ConfigError")
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_rayleigh_kernel_overflow(self, tmp_path):
+        cfg = write_cfg(tmp_path, {"model": {
+            "kind": "rayleigh", "v_max": 40.0, "n_radial": 12, "n_angular": 16}})
+        out = tmp_path / "out"
+        assert main(["diffusion", "--config", cfg, "--out", str(out)]) == 2
+        diag = json.loads((out / "error.json").read_text())
+        assert diag["error"] == "NumericalQualityError"
+
+    def test_block_defaults_per_subcommand(self, tmp_path):
+        cfg = write_cfg(tmp_path, lorentz_cfg(solver={"n_cells": 8}))
+        _, run = cli.load_config(cfg)
+        _, swp = cli.load_config(cfg, cli.SweepConfig)
+        assert (run.solver.n_cells, run.solver.T, run.solver.transport) == (8, 0.1, "upwind")
+        assert (swp.solver.n_cells, swp.solver.T, swp.solver.transport) == (8, 0.5, "spectral")
+        assert run.functional == cli.FunctionalConfig() and run.mc == {}
+
+    def test_json_numbers_become_the_field_type(self, tmp_path):
+        cfg = write_cfg(tmp_path, lorentz_cfg(
+            solver={"T": 1, "eps_list": [1, 0.5]}, mc={"horizon": 5}))
+        _, parsed = cli.load_config(cfg)
+        assert type(parsed.solver.T) is float and parsed.solver.eps_list == [1.0, 0.5]
+        assert all(type(e) is float for e in parsed.solver.eps_list)
+        assert type(parsed.mc["horizon"]) is float
+
 
 class TestDiffusion:
     def test_writes_matrix(self, tmp_path):
@@ -60,6 +118,19 @@ class TestDiffusion:
         payload = json.loads((out / "diffusion_lorentz.json").read_text())
         assert abs(payload["D"][0][0] - 0.1875) < 1e-3
         assert abs(payload["D"][0][1]) < 1e-8
+
+    def test_linalg_error_is_a_convergence_failure(self, tmp_path, monkeypatch):
+        from linboltz import velocity
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(velocity, "poisson_solve", singular)
+        cfg = write_cfg(tmp_path, lorentz_cfg())
+        out = tmp_path / "out"
+        assert main(["diffusion", "--config", cfg, "--out", str(out)]) == 4
+        diag = json.loads((out / "error.json").read_text())
+        assert (diag["error"], diag["exit_code"]) == ("LinAlgError", 4)
 
     def test_convergence_exit_code(self, tmp_path, monkeypatch):
         # a solver that fails to converge must surface as exit 4
@@ -108,6 +179,31 @@ class TestKineticRunAndCertify:
         assert (out1 / "certificate.csv").read_bytes() == (
             out2 / "certificate.csv"
         ).read_bytes()
+
+    @pytest.mark.parametrize("model", [
+        {"kind": "lorentz", "n_nodes": 32},
+        {"kind": "phonon", "dim": 2, "n_per_axis": 4},  # 16 nodes, like the run
+        None,  # the run's own model, but a trajectory without a fingerprint
+    ])
+    def test_certify_refuses_another_model(self, tmp_path, capsys, model):
+        run_cfg = lorentz_cfg(solver={"n_cells": 8, "dt": 0.01, "T": 0.02})
+        run = tmp_path / "run"
+        assert main(["kinetic-run", "--config", write_cfg(tmp_path, run_cfg),
+                     "--out", str(run)]) == 0
+        meta_path = run / "trajectory" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        assert len(meta["model_fingerprint"]) == 64
+        if model is None:
+            del meta["model_fingerprint"]
+            meta_path.write_text(json.dumps(meta))
+        cfg = write_cfg(tmp_path, dict(run_cfg, model=model or run_cfg["model"]), "c.json")
+        out = tmp_path / "out"
+        code = main(["certify", str(run / "trajectory"), "--config", cfg, "--out", str(out)])
+        assert code == 2
+        diag = json.loads((out / "error.json").read_text())
+        assert "not produced by this config's model" in diag["message"]
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (out / "certificate.json").exists()
 
     def test_requires_dt(self, tmp_path):
         cfg = write_cfg(tmp_path, lorentz_cfg(solver={"T": 0.05}))
@@ -205,3 +301,129 @@ def test_threads_flag_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "usage:" in err and "--threads" in err
     assert "Traceback" not in err
+
+
+def test_seed_flag_outside_mc_estimate_is_a_usage_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, lorentz_cfg())
+    with pytest.raises(SystemExit) as exc:
+        main(["diffusion", "--config", cfg, "--seed", "7"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--seed" in err
+    assert "Traceback" not in err
+
+
+# --- the config contract under fuzzing --------------------------------------
+
+SMALL_MODELS = [
+    {"kind": "lorentz", "n_nodes": 8},
+    {"kind": "rayleigh", "dim": 2, "n_radial": 4, "n_angular": 12},
+    {"kind": "phonon", "dim": 2, "n_per_axis": 3},
+]
+SMALL_RUN = {"n_cells": 8, "dt": 0.01, "T": 0.02}
+SMALL_BLOCKS = {
+    "model-info": {},
+    "diffusion": {},
+    "kinetic-run": {"solver": SMALL_RUN, "functional": {"cert_tol": 1e-3}},
+    "certify": {"solver": SMALL_RUN},
+    "diffusive-sweep": {"solver": {"n_cells": 8, "T": 0.02, "eps_list": [0.5]}},
+    "mc-estimate": {"mc": {"n_paths": 64, "horizon": 1.0, "n_batches": 4}, "seed": 3},
+}
+
+
+def _schema_keys(kind):
+    """Block -> keys the schema accepts, for a model of ``kind``."""
+    def names(cls, skip=()):
+        return [f.name for f in dataclasses.fields(cls) if f.name not in skip]
+    return {
+        None: names(cli.Config),
+        "model": ["kind"] + names(models.MODELS[kind][0]),
+        "solver": names(cli.SolverConfig),
+        "functional": names(cli.FunctionalConfig),
+        "mc": names(McConfig, skip=("seed",)),
+    }
+
+
+BAD_VALUES = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.integers(-10**6, 0),
+    st.floats(-1e6, 0.0),
+    st.floats(0.05, 3.0).filter(lambda v: not v.is_integer()),
+    st.lists(st.lists(st.integers(-2, 2), max_size=2), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(-2, 2), max_size=2),
+)
+
+
+@pytest.fixture(scope="module")
+def small_trajectory(tmp_path_factory):
+    root = tmp_path_factory.mktemp("traj")
+    cfg = write_cfg(root, dict(SMALL_BLOCKS["certify"], model=SMALL_MODELS[0]))
+    assert main(["kinetic-run", "--config", cfg, "--out", str(root / "run")]) == 0
+    return str(root / "run" / "trajectory")
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_fuzzed_configs_exit_with_a_documented_code(small_trajectory, data):
+    command = data.draw(st.sampled_from(sorted(SMALL_BLOCKS)), label="command")
+    model = SMALL_MODELS[0] if command == "certify" else data.draw(st.sampled_from(SMALL_MODELS))
+    payload = copy.deepcopy(dict(SMALL_BLOCKS[command], model=model))
+    keys = _schema_keys(model["kind"])
+    block = data.draw(st.sampled_from(sorted(keys, key=str)), label="block")
+    target = payload if block is None else payload.setdefault(block, {})
+    if data.draw(st.booleans(), label="unknown key"):
+        key = data.draw(st.text(min_size=1, max_size=6).filter(lambda k: k not in keys[block]))
+    else:
+        key = data.draw(st.sampled_from(keys[block]), label="key")
+    target[key] = data.draw(BAD_VALUES, label="value")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w") as fh:
+            json.dump(payload, fh)
+        argv = [command, "--config", cfg, "--out", os.path.join(tmp, "out")]
+        if command == "certify":
+            argv.insert(1, small_trajectory)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        event(f"exit {code}")
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+        if code:
+            with open(os.path.join(tmp, "out", "error.json")) as fh:
+                assert json.load(fh)["exit_code"] == code
+
+
+# --- the README's table of config keys is the schema ------------------------
+
+TYPE_NAMES = {int: "int", float: "float", float | None: "float", bool: "bool", str: "str",
+              list[float] | None: "list of floats", dict: "object"}
+
+
+def _readme_rows():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        text = fh.read()
+    table = text.split("<!-- config-keys -->")[1].strip().split("\n\n")[0]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        block, key, type_name = (c.strip().strip("`") for c in line.strip("|").split("|")[:3])
+        rows[block, key] = type_name
+    return rows
+
+
+def test_readme_config_table_matches_the_schema():
+    expected = {("config", f.name): TYPE_NAMES.get(f.type, "object")
+                for f in dataclasses.fields(cli.Config)}
+    expected["model", "kind"] = "str"
+    for kind, (spec, _) in models.MODELS.items():
+        expected.update({(f"model: {kind}", f.name): TYPE_NAMES[f.type]
+                         for f in dataclasses.fields(spec)})
+    for block, cls in (("solver", cli.SolverConfig), ("functional", cli.FunctionalConfig),
+                       ("mc", McConfig)):
+        expected.update({(block, f.name): TYPE_NAMES[f.type]
+                         for f in dataclasses.fields(cls) if (block, f.name) != ("mc", "seed")})
+    assert _readme_rows() == expected

@@ -189,11 +189,12 @@ def test_asymmetric_kernel_is_refused():
 
 
 def _reference_costs(kappa, p, q, xi):
-    """psi and phi (kappa*p*q > 0) by their reference formulas in scalar math arithmetic."""
+    """psi and phi (kappa*p*q > 0) by their reference formulas in scalar math
+    arithmetic, divided before squared so that no intermediate overflows."""
     alpha = 2.0 * kappa * math.sqrt(p * q)
     m = kappa * (p - q)
-    psi_ref = xi * math.asinh(xi / alpha) - xi * xi / (math.hypot(xi, alpha) + alpha)
-    bracket = (xi * xi - m * m) / (math.hypot(xi, alpha) + math.hypot(m, alpha))
+    psi_ref = xi * math.asinh(xi / alpha) - xi * (xi / (math.hypot(xi, alpha) + alpha))
+    bracket = (xi - m) * ((xi + m) / (math.hypot(xi, alpha) + math.hypot(m, alpha)))
     phi_ref = xi * (math.asinh(xi / alpha) - math.asinh(m / alpha)) - bracket
     return psi_ref, phi_ref
 
@@ -201,6 +202,9 @@ def _reference_costs(kappa, p, q, xi):
 @pytest.mark.parametrize("kappa, p, q, xi", [
     (0.5, 1.0, 1.0, 1e150),         # |xi|/alpha and xi^2 near the top
     (0.5, 1.0, 1.0, 1e153),
+    (0.5, 1.0, 1.0, 1e155),         # xi^2 overflows
+    (0.5, 1.0, 1.0, 1e300),
+    (2.0, 1.0, 3.0, 1e300),
     (5e-151, 1.0, 1.0, 1.0),        # alpha tiny, |xi|/alpha = 1e150
     (5e159, 1.0, 1.0, 1.0),         # alpha^2 overflows
     (5e199, 1.0, 1.0, 3e150),
