@@ -14,9 +14,11 @@ Each reads one JSON config, typed by :class:`Config` (see ``_typed``).
 Exit codes: 0 success; 2 configuration error (an unknown key, a value of the
 wrong type or range, a file that cannot be read or written, a model that fails
 its numerical checks, a trajectory certified against a model that did not
-produce it); 3 certification failure; 4 convergence failure (also numpy's
-``LinAlgError``).  A nonzero exit writes ``error.json`` to --out.  Stdout is human-readable; files written to --out
-are machine-readable and deterministic for a fixed (config, seed).
+produce it, a model kernel, frame or trajectory larger than physical memory,
+or any other ``MemoryError``); 3 certification failure; 4 convergence failure
+(also numpy's ``LinAlgError``).  A nonzero exit writes ``error.json`` to
+--out.  Stdout is human-readable; files written to --out are
+machine-readable and deterministic for a fixed (config, seed).
 """
 
 import argparse
@@ -32,7 +34,8 @@ import numpy as np
 from . import models as models_mod
 from . import velocity
 from .diffusive import config_hash, sweep, write_manifest, write_sweep_csv
-from .errors import CertificationError, ConfigError, ConvergenceError, LinboltzError
+from .errors import (CertificationError, ConfigError, ConvergenceError, LinboltzError,
+                     require_memory)
 from .kinetic import (edi_certificate, load_trajectory, save_trajectory, simulate,
                       write_certificate_csv)
 from .montecarlo import McConfig, estimate_D, write_mc_csv, write_mc_json
@@ -157,7 +160,8 @@ def load_config(path, schema=Config):
     return raw, _typed(raw, schema, "config")
 
 
-def _rho0(solver):
+def _rho0(solver, model):
+    require_memory((solver.n_cells, model.n_nodes), "one frame")
     x = (np.arange(solver.n_cells) + 0.5) / solver.n_cells
     return 1.0 + solver.rho0_amplitude * np.cos(2.0 * np.pi * solver.rho0_mode * x)
 
@@ -210,7 +214,7 @@ def cmd_kinetic_run(args):
     s = cfg.solver
     if s.dt is None:
         raise ConfigError("kinetic-run needs solver.dt")
-    traj = simulate(model, _rho0(s), s.T, s.dt, epsilon=s.epsilon,
+    traj = simulate(model, _rho0(s, model), s.T, s.dt, epsilon=s.epsilon,
                     transport=s.transport, drift_axis=s.drift_axis)
     out = _outdir(args)
     traj_dir = os.path.join(out, "trajectory")
@@ -246,8 +250,9 @@ def cmd_diffusive_sweep(args):
     s = cfg.solver
     if not s.eps_list:
         raise ConfigError("diffusive-sweep needs solver.eps_list")
+    model = cfg.build_model()
     report = sweep(
-        cfg.build_model(), _rho0(s), s.eps_list, s.T, n_cells=s.n_cells,
+        model, _rho0(s, model), s.eps_list, s.T, n_cells=s.n_cells,
         transport=s.transport, drift_axis=s.drift_axis, dt_scale=s.dt_scale,
         poisson_tol=cfg.functional.poisson_tol,
     )
@@ -305,7 +310,7 @@ def main(argv=None):
         return _emit_error(args, exc, EXIT_CERTIFICATION)
     except (ConvergenceError, np.linalg.LinAlgError) as exc:
         return _emit_error(args, exc, EXIT_CONVERGENCE)
-    except (LinboltzError, OSError) as exc:
+    except (LinboltzError, OSError, MemoryError) as exc:
         return _emit_error(args, exc, EXIT_CONFIG)
 
 

@@ -6,6 +6,12 @@ D = pi(b (x) (-L)^{-1} b).  The sweep runs the kinetic solver for a list
 of epsilon values, compares rho_eps(T) with the exact spectral heat
 solution in L1/L2, and compares the time-integrated currents weakly
 against a fixed bank of smooth test fields.
+
+Each run is streamed through :func:`linboltz.kinetic.evolve` and reduced
+frame by frame to its marginals: the sweep holds the current path j(t, x)
+and the final density rho(T, x), O(n_t n_x) floats, never the
+(n_t, n_x, n_v) frames.  The heat current along the same times comes
+from one batched FFT (:func:`linboltz.heat.heat_current`).
 """
 
 import hashlib
@@ -17,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .heat import HeatFlow, heat_current
-from .kinetic import marginals, simulate
+from .kinetic import evolve, frame_marginals, simulate
 from .velocity import diffusion_matrix, poisson_solve
 
 
@@ -51,14 +57,19 @@ def auto_dt(model, epsilon, T, n_cells, cfl=0.5, drift_axis=0,
     return T / max(1, round(n_steps / dt_scale))
 
 
-def rescaled_run(model, rho0, epsilon, T, n_cells=64, dt=None,
-                 transport="spectral", drift_axis=0):
-    """Run the rescaled kinetic equation from local equilibrium rho0 (x) 1."""
+def _check_rescaled(rho0, epsilon, n_cells):
     if epsilon <= 0:
         raise ConfigError("epsilon must be positive")
     rho0 = np.asarray(rho0, dtype=float)
     if rho0.ndim != 1 or rho0.size != n_cells:
         raise ConfigError("rho0 must be a 1d profile on the n_cells grid")
+    return rho0
+
+
+def rescaled_run(model, rho0, epsilon, T, n_cells=64, dt=None,
+                 transport="spectral", drift_axis=0):
+    """Run the rescaled kinetic equation from local equilibrium rho0 (x) 1."""
+    rho0 = _check_rescaled(rho0, epsilon, n_cells)
     if dt is None:
         dt = auto_dt(model, epsilon, T, n_cells, drift_axis=drift_axis)
     return simulate(
@@ -98,28 +109,21 @@ def _trapezoid(n_t, dt):
     return tw
 
 
-def _weak_time_pairings(traj, model, bank):
-    """J(w) = int_0^T dt int j(t,x) w(x) dx per test field (trapezoid in t)."""
-    n_t = traj.f.shape[0]
-    j_path = np.empty((n_t, traj.f.shape[1]))
-    for n in range(n_t):
-        _, j_path[n] = marginals(traj, model, n)
-    tw = _trapezoid(n_t, traj.dt)
-    return {name: float(traj.dx * tw @ (j_path @ w)) for name, w in bank.items()}, j_path
+def _bonj_probe(pairings, dx, dt):
+    """max over dyadic (s,t) windows of |J_{s,t}(w)| / sqrt(t-s).
 
-
-def _bonj_probe(j_path, dx, dt, bank):
-    """max over dyadic (s,t) windows of |J_{s,t}(w)| / sqrt(t-s)."""
-    n_t = j_path.shape[0]
+    Row k of ``pairings`` is j_path @ w_k, the sum of j(t_n, x) w_k(x) over
+    the cells at each time.  On each level the windows tile the path from
+    t = 0, so a window's trapezoid integral is a sum of consecutive
+    trapezoid pair terms.
+    """
+    pair = 0.5 * dt * (pairings[:, :-1] + pairings[:, 1:])
     best = 0.0
-    span = n_t - 1
+    n_pairs = span = pair.shape[1]
     while span >= 1:
-        for start in range(0, n_t - span, max(span, 1)):
-            seg = j_path[start : start + span + 1]
-            tw = _trapezoid(seg.shape[0], dt)
-            for w in bank.values():
-                val = abs(dx * tw @ (seg @ w)) / np.sqrt(span * dt)
-                best = max(best, val)
+        n_win = n_pairs // span
+        windows = pair[:, : n_win * span].reshape(len(pair), n_win, span).sum(axis=2)
+        best = max(best, float(np.max(np.abs(dx * windows))) / np.sqrt(span * dt))
         span //= 2
     return best
 
@@ -129,7 +133,9 @@ def sweep(model, rho0, eps_list, T, n_cells=64, transport="spectral",
     """Compare the rescaled kinetic flow against the heat reference.
 
     ``dt_scale`` < 1 refines every auto-selected time step by that factor
-    (used by the discretization-convergence check).
+    (used by the discretization-convergence check).  Each run is streamed:
+    only its current path j(t, x) and its last density are kept, never its
+    frames.
     """
     eps_list = sorted((float(e) for e in eps_list), reverse=True)
     rho0 = np.asarray(rho0, dtype=float)
@@ -148,23 +154,25 @@ def sweep(model, rho0, eps_list, T, n_cells=64, transport="spectral",
     rows = []
     for eps in eps_list:
         t0 = time.perf_counter()
+        _check_rescaled(rho0, eps, n_cells)
         dt = auto_dt(model, eps, T, n_cells, drift_axis=drift_axis, dt_scale=dt_scale)
-        traj = rescaled_run(
-            model, rho0, eps, T, n_cells=n_cells, dt=dt,
-            transport=transport, drift_axis=drift_axis,
-        )
-        rho_T, _ = marginals(traj, model, traj.f.shape[0] - 1)
+        n_steps, frames = evolve(model, rho0, T, dt, epsilon=eps,
+                                 transport=transport, drift_axis=drift_axis)
+        j_path = np.empty((n_steps + 1, n_cells))
+        for n, f in enumerate(frames):
+            rho_T, j_path[n] = frame_marginals(f, model, eps, drift_axis)
         l1 = float(dx * np.sum(np.abs(rho_T - rho_heat_T)))
         l2 = float(np.sqrt(dx * np.sum((rho_T - rho_heat_T) ** 2)))
 
-        pair_kin, j_path = _weak_time_pairings(traj, model, bank)
-        # heat-side weak pairings on the same time quadrature
-        j_heat = heat_current(flow, traj.times)[:, :, 0]
-        tw = _trapezoid(traj.times.size, traj.dt)
-        weak_err = max(abs(pair_kin[name] - float(tw @ (dx * (j_heat @ w))))
-                       for name, w in bank.items())
-        bonj = _bonj_probe(j_path, dx, traj.dt, bank)
-        del traj  # free these frames before the next, finer run allocates its own
+        # J(w) = int_0^T dt int j(t,x) w(x) dx, kinetic and heat, on the same
+        # trapezoid time quadrature
+        times = dt * np.arange(n_steps + 1)
+        j_heat = heat_current(flow, times)[:, :, 0]
+        tw = _trapezoid(times.size, dt)
+        pairings = np.stack([j_path @ w for w in bank.values()])
+        weak_err = max(abs(float(dx * tw @ p) - float(tw @ (dx * (j_heat @ w))))
+                       for p, w in zip(pairings, bank.values()))
+        bonj = _bonj_probe(pairings, dx, dt)
         rows.append(
             SweepRow(eps, l1, l2, weak_err, bonj, time.perf_counter() - t0)
         )

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all linboltz modules."""
+"""Exception hierarchy shared by all linboltz modules, and the memory guard."""
+
+import os
 
 
 class LinboltzError(Exception):
@@ -40,3 +42,21 @@ class NumericalQualityError(LinboltzError):
 
 class InfeasibleValueError(LinboltzError):
     """A quadrature sum touched the +inf sentinel of a convex cost."""
+
+
+def require_memory(shape, what):
+    """Refuse a float64 array of ``shape`` larger than physical memory.
+
+    Called before ``what`` is allocated, so that an oversized config is a
+    :class:`ConfigError` instead of a ``MemoryError`` or a swapping machine.
+    ``shape`` is any iterable of sizes; the product is exact and stops as
+    soon as it is too large.
+    """
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    nbytes = 8
+    for n in shape:
+        nbytes *= int(n)
+        if nbytes > physical:
+            raise ConfigError(
+                f"{what} would exceed the {physical / 2**30:.3g} GiB of physical memory"
+            )

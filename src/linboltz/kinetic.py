@@ -9,9 +9,12 @@ evolution
 is integrated by Strang splitting: half collision step with the exact
 matrix exponential (positivity- and mass-preserving, entropy-decreasing),
 full transport step per velocity node, half collision step.  Transport is
-first-order upwind by default; the spectral variant translates the
-trigonometric interpolant exactly and is meant for smooth studies (it is
-not positivity-preserving in general).
+first-order upwind by default, one shifted copy of the grid per
+direction; the spectral variant translates the trigonometric interpolant
+exactly with phases built once per run, and is meant for smooth studies
+(it is not positivity-preserving in general).  :func:`evolve` yields the
+frames one at a time; :func:`simulate` stores them all, after checking
+that they fit in physical memory.
 
 Certification assembles the entropy balance and the gradient-flow
 inequality
@@ -34,7 +37,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import CertificationError, ConfigError, DomainError, UsageError
+from .errors import (
+    CertificationError,
+    ConfigError,
+    DomainError,
+    UsageError,
+    require_memory,
+)
 from .functionals import (
     dirichlet_form,
     kinematic_rate,
@@ -43,7 +52,7 @@ from .functionals import (
     relative_entropy,
     truncated_log,
 )
-from .spectral import shift
+from .spectral import shift, shift_phase
 
 TRANSPORT_SCHEMES = ("upwind", "spectral")
 
@@ -91,22 +100,26 @@ class Stepper:
             )
         gen = model.sigma * model.weights[None, :] - np.diag(model.rates)
         self.half_collision = expm((0.5 * dt / epsilon**2) * gen)
+        if transport == "spectral":
+            self.phase = shift_phase(
+                (self.n_cells, model.n_nodes), self.dt * self.speeds[None, :], axis=0
+            )
+        else:
+            self.courant = self.dt * self.speeds / self.dx
+            self.from_left = self.speeds >= 0  # the upwind neighbour is x - dx
 
     def collide_half(self, f):
         return f @ self.half_collision.T
 
     def advect_full(self, f):
         if self.transport == "spectral":
-            return shift(f, self.dt * self.speeds[None, :], axis=0)
-        out = np.empty_like(f)
-        for i, c in enumerate(self.speeds):
-            col = f[:, i]
-            nu = self.dt * c / self.dx
-            if c >= 0:
-                out[:, i] = col - nu * (col - np.roll(col, 1))
-            else:
-                out[:, i] = col - nu * (np.roll(col, -1) - col)
-        return out
+            return shift(f, self.phase, axis=0)
+        nu = self.courant
+        return np.where(
+            self.from_left,
+            f - nu * (f - np.roll(f, 1, axis=0)),
+            f - nu * (np.roll(f, -1, axis=0) - f),
+        )
 
     def step(self, f):
         return self.collide_half(self.advect_full(self.collide_half(f)))
@@ -118,12 +131,14 @@ def local_equilibrium(rho0, model):
     return np.repeat(rho0[:, None], model.n_nodes, axis=1)
 
 
-def simulate(model, f0, T, dt, epsilon=1.0, transport="upwind", drift_axis=0):
-    """Integrate to time T and return the full trajectory.
+def evolve(model, f0, T, dt, epsilon=1.0, transport="upwind", drift_axis=0):
+    """The step count n and an iterator over the frames f(0), f(dt), ..., f(n dt = T).
 
     ``f0`` is either a full (n_x, n_v) array or a 1d density rho0(x), in
     which case the run starts from the local equilibrium rho0 (x) 1.  The
-    initial datum is normalized to unit mass.
+    initial datum is checked and normalized to unit mass before this
+    returns.  Each frame is computed when the iterator reaches it; keeping
+    it is up to the caller.
     """
     f0 = np.asarray(f0, dtype=float)
     if f0.ndim == 1:
@@ -143,16 +158,33 @@ def simulate(model, f0, T, dt, epsilon=1.0, transport="upwind", drift_axis=0):
     if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
         raise ConfigError("T must be an integer multiple of dt")
     stepper = Stepper(model, n_cells, dt, epsilon, transport, drift_axis)
-    frames = np.empty((n_steps + 1, n_cells, model.n_nodes))
-    frames[0] = f0
-    f = f0
-    for n in range(n_steps):
+    return n_steps, _frames(stepper, f0, n_steps)
+
+
+def _frames(stepper, f, n_steps):
+    yield f
+    for _ in range(n_steps):
         f = stepper.step(f)
-        frames[n + 1] = f
+        yield f
+
+
+def simulate(model, f0, T, dt, epsilon=1.0, transport="upwind", drift_axis=0):
+    """Integrate to time T and return the full trajectory (see :func:`evolve`).
+
+    A trajectory larger than physical memory is refused with
+    :class:`ConfigError` before it is allocated.
+    """
+    n_steps, frames = evolve(model, f0, T, dt, epsilon, transport, drift_axis)
+    n_cells = np.shape(f0)[0]
+    shape = (n_steps + 1, n_cells, model.n_nodes)
+    require_memory(shape, "the trajectory")
+    f = np.empty(shape)
+    for n, frame in enumerate(frames):
+        f[n] = frame
     return Trajectory(
         times=dt * np.arange(n_steps + 1),
-        f=frames,
-        dx=dx,
+        f=f,
+        dx=1.0 / n_cells,
         dt=dt,
         epsilon=epsilon,
         transport=transport,
@@ -172,9 +204,13 @@ def current_of(f_slice, model):
 
 def marginals(traj, model, t_index):
     """Density rho(x) and rescaled current j(x) = (1/eps) pi(f b) at a slice."""
-    f = traj.f[t_index]
+    return frame_marginals(traj.f[t_index], model, traj.epsilon, traj.drift_axis)
+
+
+def frame_marginals(f, model, epsilon, drift_axis=0):
+    """:func:`marginals` of one frame f(x, v_i) of a run at ``epsilon``."""
     rho = f @ model.weights
-    j = (f @ (model.weights * model.drift[:, traj.drift_axis])) / traj.epsilon
+    j = (f @ (model.weights * model.drift[:, drift_axis])) / epsilon
     return rho, j
 
 

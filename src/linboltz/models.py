@@ -17,11 +17,12 @@ certify boundedness of the Poisson solution xi = (-L)^{-1} b.
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ConfigError, DomainError, NumericalQualityError
+from .errors import ConfigError, DomainError, NumericalQualityError, require_memory
 from .velocity import VelocityModel, poisson_solve
 
 
@@ -38,6 +39,7 @@ class LorentzSpec:
     def __post_init__(self):
         if self.n_nodes < 4 or self.n_nodes % 2:
             raise ConfigError("lorentz needs an even node count >= 4")
+        require_memory((self.n_nodes, self.n_nodes), "the lorentz kernel")
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,8 @@ class RayleighSpec:
         if min(self.n_radial, self.n_angular, self.n_polar) < 1 or (
                 self.v_max is not None and self.v_max <= 0):
             raise ConfigError("rayleigh needs quadrature nodes and a positive v_max")
+        n = self.n_radial * self.n_angular * (self.n_polar if self.dim == 3 else 1)
+        require_memory((n, n), "the rayleigh kernel")
 
     @property
     def cutoff_radius(self):
@@ -87,6 +91,8 @@ class PhononSpec:
             )
         if self.n_per_axis < 2:
             raise ConfigError("need at least 2 nodes per axis")
+        # n_per_axis**dim nodes squared, without forming n_per_axis**(2 dim)
+        require_memory(repeat(self.n_per_axis, 2 * self.dim), "the phonon kernel")
 
 
 def build_lorentz(spec):

@@ -220,35 +220,34 @@ def diffusion_matrix(model, solution, psd_tol=1e-10):
 def spectral_gap_probe(model, tol=1e-12, seed=0):
     """Second-largest (signed) eigenvalue of K and the resulting gap.
 
-    Works matrix-free on the symmetrized operator sqrt(w~) K / sqrt(w~)
-    with the constant mode deflated, using a Krylov (Lanczos) iteration --
-    plain power iteration stalls when the top of the mean-zero spectrum is
-    clustered.  Returns (lambda_2, gap, c0_proxy) with gap = 1 - lambda_2
-    and c0_proxy = 1/gap.
+    Works on the symmetrized operator sqrt(w~) K / sqrt(w~) with the
+    constant mode deflated: for n <= 1024 nodes it forms that matrix and
+    solves it densely, above that it runs matrix-free with a Krylov
+    (Lanczos) iteration -- plain power iteration stalls when the top of the
+    mean-zero spectrum is clustered.  Returns (lambda_2, gap, c0_proxy)
+    with gap = 1 - lambda_2 and c0_proxy = 1/gap.
     """
-    from scipy.sparse.linalg import LinearOperator, eigsh
-
     tilted = TiltedMeasure.of(model)
+    if np.any(model.rates <= 0):
+        raise DomainError("K undefined at a node with lambda = 0")
     n = model.n_nodes
     sqw = np.sqrt(tilted.weights)
 
-    def matvec(u):
-        u = np.asarray(u, dtype=float).ravel()
-        coef = u @ sqw
-        g = np.divide(u, sqw, out=np.zeros_like(u), where=sqw > 0)
-        out = sqw * apply_k(model, g)
-        # shift the constant mode (eigenvalue 1) to -2, strictly below the
-        # rest of the spectrum, so the top eigenvalue is lambda_2 itself
-        return out - 3.0 * coef * sqw
-
+    # the constant mode (eigenvalue 1) is shifted to -2, strictly below the
+    # rest of the spectrum, so the top eigenvalue is lambda_2 itself
     if n <= 1024:
-        dense = np.empty((n, n))
-        eye = np.eye(n)
-        for j in range(n):
-            dense[:, j] = matvec(eye[j])
-        lam2 = float(np.linalg.eigvalsh(0.5 * (dense + dense.T))[-1])
+        K = model.sigma * model.weights[None, :] / model.rates[:, None]
+        inv_sqw = np.divide(1.0, sqw, out=np.zeros_like(sqw), where=sqw > 0)
+        sym = sqw[:, None] * K * inv_sqw[None, :] - 3.0 * np.outer(sqw, sqw)
+        lam2 = float(np.linalg.eigvalsh(0.5 * (sym + sym.T))[-1])
     else:
-        from scipy.sparse.linalg import ArpackNoConvergence
+        def matvec(u):
+            u = np.asarray(u, dtype=float).ravel()
+            coef = u @ sqw
+            g = np.divide(u, sqw, out=np.zeros_like(u), where=sqw > 0)
+            return sqw * apply_k(model, g) - 3.0 * coef * sqw
+
+        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
         rng = np.random.default_rng(seed)
         op = LinearOperator((n, n), matvec=matvec, dtype=float)
@@ -286,8 +285,9 @@ def to_file(model, path):
         "rates": model.rates.tolist(),
         "meta": model.meta,
     }
+    # json.dumps, unlike json.dump, uses the C encoder (without indent)
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
+        fh.write(json.dumps(payload, sort_keys=True))
 
 
 def from_file(path):

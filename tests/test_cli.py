@@ -288,6 +288,47 @@ class TestMcEstimate:
         assert payload["seed"] == 7
 
 
+class TestMemoryGuard:
+    # Without the guard each of these would fail inside numpy at its first
+    # allocation (a MemoryError, or a ValueError for an array too big to
+    # index), so a ConfigError shows that the guard ran first.
+    @pytest.mark.parametrize("command, payload", [
+        ("model-info", {"model": {"kind": "lorentz", "n_nodes": 10**12}}),
+        ("diffusion", {"model": {"kind": "rayleigh", "n_radial": 10**5, "n_angular": 10**5}}),
+        ("diffusion", {"model": {"kind": "phonon", "dim": 40}}),
+        ("kinetic-run", lorentz_cfg(solver={"n_cells": 10**20, "dt": 0.01, "T": 0.02})),
+        ("diffusive-sweep", lorentz_cfg(solver={"n_cells": 10**20, "eps_list": [0.5]})),
+        ("kinetic-run", lorentz_cfg(solver={"n_cells": 8, "dt": 1e-3, "T": 1e10})),
+    ])
+    def test_oversized_config_is_refused(self, tmp_path, capsys, monkeypatch,
+                                         command, payload):
+        kind = payload["model"]["kind"]
+        if kind != "lorentz" or "solver" not in payload:
+            def build(spec):
+                raise AssertionError("the model was built")
+            monkeypatch.setitem(models.MODELS, kind, (models.MODELS[kind][0], build))
+        cfg = write_cfg(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        diag = json.loads((out / "error.json").read_text())
+        assert diag["error"] == "ConfigError"
+        assert "physical memory" in diag["message"]
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_memory_error_is_a_config_exit(self, tmp_path, monkeypatch):
+        from linboltz import velocity
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 TiB")
+
+        monkeypatch.setattr(velocity, "spectral_gap_probe", exhausted)
+        cfg = write_cfg(tmp_path, lorentz_cfg())
+        out = tmp_path / "out"
+        assert main(["model-info", "--config", cfg, "--out", str(out)]) == 2
+        diag = json.loads((out / "error.json").read_text())
+        assert (diag["error"], diag["exit_code"]) == ("MemoryError", 2)
+
+
 def test_missing_subcommand_exits():
     with pytest.raises(SystemExit):
         main([])

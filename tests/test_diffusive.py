@@ -5,6 +5,7 @@ import pytest
 
 from linboltz import ConfigError, LorentzSpec, build_lorentz
 from linboltz.diffusive import (
+    _trapezoid,
     auto_dt,
     config_hash,
     default_test_bank,
@@ -13,7 +14,9 @@ from linboltz.diffusive import (
     write_manifest,
     write_sweep_csv,
 )
-from linboltz.velocity import VelocityModel
+from linboltz.heat import HeatFlow
+from linboltz.kinetic import marginals
+from linboltz.velocity import VelocityModel, diffusion_matrix, poisson_solve
 
 
 def two_node_model(s=3.0, u=1.0):
@@ -120,6 +123,50 @@ class TestSweep:
             n_cells=16,
         )
         assert rep.d_axis == pytest.approx(0.1875, abs=1e-3)
+
+
+def frame_holding_rows(model, rho0, eps_list, T, n_cells, transport, drift_axis):
+    """(l1, l2, weak_j_err, bonj_constant) per epsilon from whole trajectories,
+    the per-time heat current and a loop over every dyadic window."""
+    D, _ = diffusion_matrix(model, poisson_solve(model))
+    flow = HeatFlow(rho0, D[drift_axis:drift_axis + 1, drift_axis:drift_axis + 1])
+    rho_heat_T = flow.rho_at(T)
+    bank = default_test_bank(n_cells)
+    rows = []
+    for eps in sorted(eps_list, reverse=True):
+        traj = rescaled_run(model, rho0, eps, T, n_cells=n_cells,
+                            transport=transport, drift_axis=drift_axis)
+        dx, dt, n_t = traj.dx, traj.dt, traj.times.size
+        rho_T, _ = marginals(traj, model, n_t - 1)
+        j_path = np.stack([marginals(traj, model, n)[1] for n in range(n_t)])
+        j_heat = np.stack([flow.current_at(t) for t in traj.times])[:, :, 0]
+        tw = _trapezoid(n_t, dt)
+        weak = max(abs(float(dx * tw @ (j_path @ w)) - float(tw @ (dx * (j_heat @ w))))
+                   for w in bank.values())
+        bonj, span = 0.0, n_t - 1
+        while span >= 1:
+            for start in range(0, n_t - span, span):
+                seg = j_path[start:start + span + 1]
+                for w in bank.values():
+                    val = abs(dx * _trapezoid(span + 1, dt) @ (seg @ w))
+                    bonj = max(bonj, val / np.sqrt(span * dt))
+            span //= 2
+        rows.append((float(dx * np.sum(np.abs(rho_T - rho_heat_T))),
+                     float(np.sqrt(dx * np.sum((rho_T - rho_heat_T) ** 2))), weak, bonj))
+    return rows
+
+
+@pytest.mark.parametrize("transport, drift_axis", [
+    ("spectral", 0), ("spectral", 1), ("upwind", 0), ("upwind", 1)])
+def test_streamed_sweep_equals_the_frame_holding_reference(transport, drift_axis):
+    model = build_lorentz(LorentzSpec(8))
+    rho0 = bump_rho(16)
+    rep = sweep(model, rho0, [0.2, 0.5], T=0.05, n_cells=16, transport=transport,
+                drift_axis=drift_axis)
+    ref = frame_holding_rows(model, rho0, [0.2, 0.5], 0.05, 16, transport, drift_axis)
+    for row, (l1, l2, weak, bonj) in zip(rep.rows, ref):
+        assert (row.l1, row.l2, row.weak_j_err) == (l1, l2, weak)
+        assert row.bonj_constant == pytest.approx(bonj, rel=1e-12, abs=0.0)
 
 
 class TestBank:

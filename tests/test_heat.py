@@ -94,6 +94,22 @@ class TestHeatSolve:
         j = heat_current(flow, times)
         assert j.shape == (3, 32, 1)
 
+    @pytest.mark.parametrize("rho0, D", [
+        (cos_rho(64), np.array([[0.1875]])),
+        (cos_rho(17, amp=0.3, mode=2), np.array([[1.3]])),
+        (np.random.default_rng(4).uniform(0.5, 2.0, (8, 12)),
+         np.array([[0.3, 0.1], [0.1, 0.2]])),
+    ])
+    def test_batched_current_equals_stacked_current_at(self, rho0, D):
+        flow = HeatFlow(rho0, D)
+        times = 7.5e-5 * np.arange(400)
+        stacked = np.stack([flow.current_at(t) for t in times])
+        assert np.array_equal(heat_current(flow, times), stacked)
+
+    def test_current_rejects_negative_time(self):
+        with pytest.raises(UsageError):
+            heat_current(HeatFlow(cos_rho(8), np.eye(1)), [0.0, -0.1])
+
 
 class TestEntropy:
     def test_uniform_density_zero(self):

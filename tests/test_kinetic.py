@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from linboltz import (
@@ -15,6 +17,7 @@ from linboltz.kinetic import (
     Stepper,
     current_of,
     edi_certificate,
+    evolve,
     entropy_balance_check,
     entropy_series,
     load_trajectory,
@@ -24,6 +27,7 @@ from linboltz.kinetic import (
     simulate,
     write_certificate_csv,
 )
+from linboltz.spectral import shift
 from linboltz.velocity import VelocityModel, apply_generator
 
 
@@ -118,7 +122,91 @@ class TestStepper:
         assert np.max(np.abs(a.f[-1] - b.f[-1])) < 5e-3
 
 
+def loop_upwind(f, speeds, dt, dx):
+    """The upwind transport step, one velocity column at a time."""
+    out = np.empty_like(f)
+    for i, c in enumerate(speeds):
+        col = f[:, i]
+        nu = dt * c / dx
+        if c >= 0:
+            out[:, i] = col - nu * (col - np.roll(col, 1))
+        else:
+            out[:, i] = col - nu * (np.roll(col, -1) - col)
+    return out
+
+
+class TestTransportStep:
+    @staticmethod
+    def per_step_shift(f, amounts):
+        """Translation with the phases built for this call alone."""
+        kk = np.fft.fftfreq(f.shape[0], d=1.0 / f.shape[0])[:, None]
+        phase = np.exp(-2j * np.pi * kk * amounts)
+        return np.real(np.fft.ifft(np.fft.fft(f, axis=0) * phase, axis=0))
+
+    def test_precomputed_phase_equals_per_step_shift(self):
+        m = build_lorentz(LorentzSpec(16))
+        st_ = Stepper(m, n_cells=32, dt=0.003, epsilon=0.5, transport="spectral",
+                      drift_axis=1)
+        f = np.random.default_rng(3).uniform(0.5, 2.0, (32, 16))
+        expected = self.per_step_shift(f, st_.dt * st_.speeds[None, :])
+        assert np.array_equal(st_.advect_full(f), expected)
+        assert np.array_equal(shift(f, st_.phase), expected)
+
+    def test_spectral_frames_equal_per_step_shift(self):
+        m = build_lorentz(LorentzSpec(8))
+        traj = simulate(m, bump_rho(16), T=0.02, dt=0.002, transport="spectral")
+        st_ = Stepper(m, n_cells=16, dt=0.002, transport="spectral")
+        for n in range(traj.n_steps):
+            moved = self.per_step_shift(st_.collide_half(traj.f[n]),
+                                        0.002 * st_.speeds[None, :])
+            assert np.array_equal(traj.f[n + 1], st_.collide_half(moved))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_vectorized_upwind_equals_the_loop(self, data):
+        n_x = data.draw(st.integers(2, 12), label="n_x")
+        dt = 0.01
+        c_max = (1.0 / n_x) / dt  # the speed at CFL = 1
+        speed = st.one_of(st.sampled_from([0.0, -0.0, c_max, -c_max]),
+                          st.floats(-c_max, c_max))
+        speeds = np.array(data.draw(st.lists(speed, min_size=1, max_size=6), label="speeds"))
+        n_v = speeds.size
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        sigma = rng.uniform(0.0, 2.0, (n_v, n_v))
+        m = VelocityModel(nodes=np.arange(n_v)[:, None], weights=np.full(n_v, 1.0 / n_v),
+                          drift=speeds[:, None], sigma=sigma + sigma.T, dim_x=1)
+        st_ = Stepper(m, n_cells=n_x, dt=dt)
+        f = rng.uniform(0.0, 2.0, (n_x, n_v))
+        assert np.array_equal(st_.advect_full(f), loop_upwind(f, st_.speeds, dt, st_.dx))
+        n_steps, frames = evolve(m, f, T=3 * dt, dt=dt)
+        g = next(frames)
+        for frame in frames:
+            g = st_.collide_half(loop_upwind(st_.collide_half(g), st_.speeds, dt, st_.dx))
+            assert np.array_equal(frame, g)
+
+
 class TestSimulate:
+    def test_evolve_streams_the_frames_of_simulate(self):
+        m = build_lorentz(LorentzSpec(8))
+        for transport in ("upwind", "spectral"):
+            traj = simulate(m, 3.0 * bump_rho(16), T=0.02, dt=0.002, transport=transport)
+            n_steps, frames = evolve(m, 3.0 * bump_rho(16), T=0.02, dt=0.002,
+                                     transport=transport)
+            assert n_steps == traj.n_steps == 10
+            assert np.array_equal(np.stack(list(frames)), traj.f)
+
+    def test_evolve_checks_before_returning(self):
+        with pytest.raises(ConfigError):
+            evolve(two_node_model(), bump_rho(8), T=0.05, dt=0.02)
+        with pytest.raises(DomainError):
+            evolve(two_node_model(), bump_rho(8) - 2.0, T=0.02, dt=0.01)
+
+    def test_refuses_a_trajectory_larger_than_memory(self):
+        # 1e15 steps of a 2x8 grid: had np.empty come first, this would be a
+        # MemoryError, not the guard's ConfigError
+        with pytest.raises(ConfigError, match="physical memory"):
+            simulate(two_node_model(), bump_rho(8), T=1e13, dt=0.01)
+
     def test_normalizes_initial_mass(self):
         m = two_node_model()
         traj = simulate(m, 3.0 * bump_rho(8), T=0.02, dt=0.01)

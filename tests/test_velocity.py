@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from linboltz import (
     NumericalQualityError,
     UsageError,
     build_lorentz,
+    build_model,
 )
 from linboltz.velocity import (
     TiltedMeasure,
@@ -235,3 +238,51 @@ class TestSpectralGap:
         sym = sq[:, None] * K / sq[None, :] - 3.0 * np.outer(sq, sq)
         dense = np.linalg.eigvalsh(0.5 * (sym + sym.T))[-1]
         assert lam2 == pytest.approx(dense, abs=1e-8)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("two-node", {}),
+        ("lorentz", {"n_nodes": 64}),
+        ("rayleigh", {"dim": 2, "n_radial": 10, "n_angular": 12}),
+        ("phonon", {"dim": 2, "n_per_axis": 8}),
+    ])
+    def test_direct_matrix_matches_the_matvec_built_one(self, kind, params):
+        model = two_node_model() if kind == "two-node" else build_model(kind, **params)
+        sqw = np.sqrt(TiltedMeasure.of(model).weights)
+        cols = []
+        for u in np.eye(model.n_nodes):
+            g = np.divide(u, sqw, out=np.zeros_like(u), where=sqw > 0)
+            cols.append(sqw * apply_k(model, g) - 3.0 * (u @ sqw) * sqw)
+        dense = np.column_stack(cols)
+        expected = np.linalg.eigvalsh(0.5 * (dense + dense.T))[-1]
+        lam2, _, _ = spectral_gap_probe(model)
+        assert lam2 == pytest.approx(expected, abs=1e-12, rel=1e-12)
+
+    def test_zero_rate_is_a_domain_error(self):
+        m = VelocityModel(
+            nodes=np.zeros((3, 1)),
+            weights=np.full(3, 1.0 / 3.0),
+            drift=np.array([[1.0], [-1.0], [0.0]]),
+            sigma=np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+            dim_x=1,
+        )
+        with pytest.raises(DomainError):
+            spectral_gap_probe(m)
+
+
+def test_model_file_is_compact_json_of_the_same_payload(tmp_path):
+    model = build_model("rayleigh", dim=2, n_radial=10, n_angular=12)
+    path = tmp_path / "model.json"
+    to_file(model, path)
+    text = path.read_text()
+    assert "\n" not in text
+    assert json.loads(text) == {
+        "name": model.name, "dim_x": model.dim_x, "nodes": model.nodes.tolist(),
+        "weights": model.weights.tolist(), "drift": model.drift.tolist(),
+        "sigma": model.sigma.tolist(), "rates": model.rates.tolist(),
+        "meta": model.meta,
+    }
+    back = from_file(path)
+    for name in ("nodes", "weights", "drift", "sigma", "rates"):
+        assert np.array_equal(getattr(back, name), getattr(model, name))
+    assert (back.name, back.dim_x, back.meta) == (model.name, model.dim_x, model.meta)
+    assert back.fingerprint == model.fingerprint
