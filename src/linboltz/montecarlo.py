@@ -7,6 +7,18 @@ and estimates D_hat = E[X_T (x) X_T] / (2T).  Uncertainty comes from batch
 means; reproducibility from deterministic per-batch substreams of the
 seed, with a fixed round-major draw layout inside each batch so the result
 never depends on scheduling.
+
+Each round draws one exponential hold and one uniform u for every path of
+the batch, running or not.  A jump from node i goes to the first j with
+u <= cumP[i, j], i.e. to count(cumP[i] < u) (capped at n - 1).  That count
+comes from a guide table ("indexed search", Chen & Asau 1974; Devroye 1986
+sec. III.2.4): ``g[i, m] = count(cumP[i] < m/K)`` for a power of two K ~ 2n
+is looked up at m = floor(u K) and finished by a few comparisons, O(1)
+expected instead of the O(n) scan of the row, and exactly the scan's
+count because the rows are nondecreasing.  Alias tables (Walker 1977; Vose
+1991) would also be O(1), but they map u to a different node, so every
+estimate would change with them; the guide table keeps every result bit
+for bit.
 """
 
 import csv
@@ -15,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError, require_memory
 
 
 @dataclass(frozen=True)
@@ -45,6 +57,58 @@ def _transition_cumulatives(model):
     return np.cumsum(P, axis=1)
 
 
+@dataclass(frozen=True)
+class _JumpTable:
+    """Guide table of the jump chain's cumulative rows (Chen & Asau 1974).
+
+    guide:  (n_rows * K,) int32, row-major ``g[i, m] = count(cum[i] < m/K)``
+    padded: (n_rows * (n_cols + 1),) the rows of ``cum``, each ended by +inf
+    """
+
+    guide: np.ndarray
+    padded: np.ndarray
+    K: int
+    n_cols: int
+
+
+def _jump_table(cum):
+    """The guide table of the nondecreasing rows of ``cum``.
+
+    K is the power of two in [2 n, 4 n), so ``u * K`` and ``m / K`` are exact
+    and a bucket holds half an entry on average.
+    """
+    if np.any(np.diff(cum, axis=1) < 0):
+        raise DomainError("the jump chain needs nonnegative transition probabilities")
+    n_rows, n_cols = cum.shape
+    # the guide (up to 4 n int32 per row) and the padded rows
+    require_memory((n_rows, 3 * n_cols + 1), "the jump chain's guide table")
+    K = 1 << (2 * n_cols - 1).bit_length()
+    edges = np.arange(K) / K
+    guide = np.empty((n_rows, K), dtype=np.int32)
+    for i, row in enumerate(cum):
+        guide[i] = np.searchsorted(row, edges)
+    padded = np.full((n_rows, n_cols + 1), np.inf)
+    padded[:, :n_cols] = cum
+    return _JumpTable(guide.ravel(), padded.ravel(), K, n_cols)
+
+
+def _count_below(table, rows, u):
+    """``count(cum[rows[k]] < u[k])`` for each k, with u in [0, 1).
+
+    The guide entry at bucket floor(u K) counts the row entries below the
+    bucket's lower edge; the count is then finished by comparing the next
+    entry with u, only for the draws it has not resolved yet.
+    """
+    stride = table.n_cols + 1
+    base = rows * stride
+    pos = base + table.guide.take(rows * table.K + (u * table.K).astype(np.intp))
+    pending = np.flatnonzero(table.padded.take(pos) < u)
+    while pending.size:
+        pos[pending] += 1
+        pending = pending[table.padded.take(pos[pending]) < u[pending]]
+    return pos - base
+
+
 def sample_path(model, T, rng):
     """Single trajectory; returns (X_T, jump_count).  Reference version."""
     cumw = np.cumsum(model.weights)
@@ -66,44 +130,57 @@ def sample_path(model, T, rng):
         jumps += 1
 
 
-def _run_batch(model, T, n, rng):
-    """Vectorized batch of n paths with a fixed round-major draw layout."""
-    cumw = np.cumsum(model.weights)
-    cumP = _transition_cumulatives(model)
-    d = model.drift.shape[1]
-    idx = np.searchsorted(cumw, rng.random(n))
-    np.clip(idx, 0, model.n_nodes - 1, out=idx)
-    x = np.zeros((n, d))
-    t_rem = np.full(n, T)
-    active = np.ones(n, dtype=bool)
-    while np.any(active):
+def _run_batch(model, T, n, rng, table=None):
+    """Vectorized batch of n paths with a fixed round-major draw layout.
+
+    ``table`` is the guide table of the model's transition rows, built here
+    when not given.
+    """
+    if table is None:
+        table = _jump_table(_transition_cumulatives(model))
+    last = model.n_nodes - 1
+    node = np.searchsorted(np.cumsum(model.weights), rng.random(n))
+    np.clip(node, 0, last, out=node)
+    x = np.zeros((n, model.drift.shape[1]))
+    # the running paths: their ids, nodes, remaining times and displacements
+    live, t_rem, x_live = np.arange(n), np.full(n, T), x.copy()
+    while live.size:
         # draws happen for every path each round, finished or not, so the
         # stream layout is independent of which paths finish first
-        holds = rng.exponential(size=n) / model.rates[idx]
+        holds = rng.exponential(size=n)
         u_jump = rng.random(n)
-        step = np.where(active, np.minimum(holds, t_rem), 0.0)
-        x += step[:, None] * model.drift[idx]
-        will_jump = active & (holds < t_rem)
+        if live.size < n:
+            holds, u_jump = holds[live], u_jump[live]
+        holds /= model.rates.take(node)
+        step = np.minimum(holds, t_rem)
+        x_live += step[:, None] * np.take(model.drift, node, axis=0)
+        # a path jumps iff its hold ends before its time; then t_rem - hold > 0 and
+        # it runs on, else it has used up its time
+        jump = holds < t_rem
         t_rem -= step
-        active = t_rem > 0
-        if np.any(will_jump):
-            rows = cumP[idx[will_jump]]
-            nxt = (rows < u_jump[will_jump, None]).sum(axis=1)
-            idx[will_jump] = np.minimum(nxt, model.n_nodes - 1)
+        if not jump.all():
+            done = ~jump
+            x[live[done]] = x_live[done]
+            live, node, t_rem, x_live = live[jump], node[jump], t_rem[jump], x_live[jump]
+            u_jump = u_jump[jump]
+        np.minimum(_count_below(table, node, u_jump), last, out=node)
     return x
 
 
 def estimate_D(model, config):
     """Batch-means estimate of D with per-entry standard errors."""
-    ss = np.random.SeedSequence(config.seed)
-    children = ss.spawn(config.n_batches)
     base, extra = divmod(config.n_paths, config.n_batches)
     d = model.drift.shape[1]
+    # x, its running copy, the drift gathered for it and ~8 per-path vectors
+    require_memory((base + (extra > 0), 3 * d + 8), "one Monte Carlo batch")
+    require_memory((config.n_batches, d, d), "the Monte Carlo batch estimates")
+    table = _jump_table(_transition_cumulatives(model))
     batch_D = np.empty((config.n_batches, d, d))
     for b in range(config.n_batches):
         n = base + (1 if b < extra else 0)
-        rng = np.random.default_rng(children[b])
-        x = _run_batch(model, config.horizon, n, rng)
+        # the b-th child of SeedSequence(seed).spawn(n_batches), made alone
+        child = np.random.SeedSequence(config.seed, spawn_key=(b,))
+        x = _run_batch(model, config.horizon, n, np.random.default_rng(child), table)
         batch_D[b] = (x.T @ x) / (n * 2.0 * config.horizon)
     d_hat = batch_D.mean(axis=0)
     d_hat = 0.5 * (d_hat + d_hat.T)

@@ -27,6 +27,7 @@ from .errors import (
     DomainError,
     NumericalQualityError,
     UsageError,
+    require_memory,
 )
 
 
@@ -217,77 +218,62 @@ def diffusion_matrix(model, solution, psd_tol=1e-10):
     return D, asym
 
 
-def spectral_gap_probe(model, tol=1e-12, seed=0):
+def spectral_gap_probe(model):
     """Second-largest (signed) eigenvalue of K and the resulting gap.
 
-    Works on the symmetrized operator sqrt(w~) K / sqrt(w~) with the
-    constant mode deflated: for n <= 1024 nodes it forms that matrix and
-    solves it densely, above that it runs matrix-free with a Krylov
-    (Lanczos) iteration -- plain power iteration stalls when the top of the
-    mean-zero spectrum is clustered.  Returns (lambda_2, gap, c0_proxy)
+    Forms the symmetrized operator sqrt(w~) K / sqrt(w~) with the constant
+    mode deflated and solves it densely.  Returns (lambda_2, gap, c0_proxy)
     with gap = 1 - lambda_2 and c0_proxy = 1/gap.
     """
     tilted = TiltedMeasure.of(model)
     if np.any(model.rates <= 0):
         raise DomainError("K undefined at a node with lambda = 0")
     n = model.n_nodes
+    # K, sym and the temporaries of the expressions that build them
+    require_memory((4, n, n), "the spectral gap probe's dense matrix")
     sqw = np.sqrt(tilted.weights)
-
     # the constant mode (eigenvalue 1) is shifted to -2, strictly below the
     # rest of the spectrum, so the top eigenvalue is lambda_2 itself
-    if n <= 1024:
-        K = model.sigma * model.weights[None, :] / model.rates[:, None]
-        inv_sqw = np.divide(1.0, sqw, out=np.zeros_like(sqw), where=sqw > 0)
-        sym = sqw[:, None] * K * inv_sqw[None, :] - 3.0 * np.outer(sqw, sqw)
-        lam2 = float(np.linalg.eigvalsh(0.5 * (sym + sym.T))[-1])
-    else:
-        def matvec(u):
-            u = np.asarray(u, dtype=float).ravel()
-            coef = u @ sqw
-            g = np.divide(u, sqw, out=np.zeros_like(u), where=sqw > 0)
-            return sqw * apply_k(model, g) - 3.0 * coef * sqw
-
-        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-
-        rng = np.random.default_rng(seed)
-        op = LinearOperator((n, n), matvec=matvec, dtype=float)
-        try:
-            vals = eigsh(
-                op, k=1, which="LA", tol=max(tol, 1e-10),
-                maxiter=50 * n, v0=rng.standard_normal(n),
-                return_eigenvectors=False,
-            )
-            lam2 = float(vals[0])
-        except ArpackNoConvergence as exc:
-            import warnings
-
-            if len(exc.eigenvalues):
-                lam2 = float(exc.eigenvalues[-1])
-                warnings.warn("gap probe did not fully converge; "
-                              "returning the best Krylov estimate")
-            else:
-                raise ConvergenceError(
-                    "spectral gap probe failed to converge"
-                ) from exc
+    K = model.sigma * model.weights[None, :] / model.rates[:, None]
+    inv_sqw = np.divide(1.0, sqw, out=np.zeros_like(sqw), where=sqw > 0)
+    sym = sqw[:, None] * K * inv_sqw[None, :] - 3.0 * np.outer(sqw, sqw)
+    del K
+    lam2 = float(np.linalg.eigvalsh(0.5 * (sym + sym.T))[-1])
     gap = 1.0 - lam2
     return lam2, gap, (1.0 / gap if gap > 0 else np.inf)
 
 
 def to_file(model, path):
-    """Serialize a model to a self-describing JSON file."""
+    """Serialize a model to a self-describing JSON file.
+
+    The bytes are those of ``json.dumps(payload, sort_keys=True)``, written
+    one top-level key and one row of ``sigma`` at a time, so neither the
+    whole text nor the nested list of the n x n kernel is ever held.
+    ``json.dumps`` uses the C encoder, which ``json.dump`` and ``indent`` do not.
+    """
     payload = {
         "name": model.name,
         "dim_x": model.dim_x,
-        "nodes": model.nodes.tolist(),
-        "weights": model.weights.tolist(),
-        "drift": model.drift.tolist(),
-        "sigma": model.sigma.tolist(),
-        "rates": model.rates.tolist(),
+        "nodes": model.nodes,
+        "weights": model.weights,
+        "drift": model.drift,
+        "sigma": model.sigma,
+        "rates": model.rates,
         "meta": model.meta,
     }
-    # json.dumps, unlike json.dump, uses the C encoder (without indent)
     with open(path, "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True))
+        for k, key in enumerate(sorted(payload)):
+            fh.write(("{" if k == 0 else ", ") + json.dumps(key) + ": ")
+            value = payload[key]
+            if key == "sigma":
+                fh.write("[")
+                for i, row in enumerate(value):
+                    fh.write((", " if i else "") + json.dumps(row.tolist()))
+                fh.write("]")
+            else:
+                value = value.tolist() if isinstance(value, np.ndarray) else value
+                fh.write(json.dumps(value, sort_keys=True))
+        fh.write("}")
 
 
 def from_file(path):

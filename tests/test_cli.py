@@ -315,6 +315,20 @@ class TestMemoryGuard:
         assert "physical memory" in diag["message"]
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mc", [
+        {"n_paths": 10**13},
+        {"n_paths": 10**30},
+        {"n_paths": 10**13, "n_batches": 10**12},
+    ])
+    def test_oversized_mc_estimate_is_refused(self, tmp_path, capsys, mc):
+        cfg = write_cfg(tmp_path, lorentz_cfg(mc=mc))
+        out = tmp_path / "out"
+        assert main(["mc-estimate", "--config", cfg, "--out", str(out)]) == 2
+        diag = json.loads((out / "error.json").read_text())
+        assert diag["error"] == "ConfigError"
+        assert "physical memory" in diag["message"]
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_memory_error_is_a_config_exit(self, tmp_path, monkeypatch):
         from linboltz import velocity
 

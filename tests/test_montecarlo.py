@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from linboltz import ConfigError, LorentzSpec, build_lorentz
+from linboltz import ConfigError, DomainError, LorentzSpec, build_lorentz, build_model
 from linboltz.montecarlo import (
     McConfig,
+    _count_below,
+    _jump_table,
     _run_batch,
     estimate_D,
     sample_path,
@@ -134,3 +138,142 @@ class TestOutputs:
         write_mc_json(est, cfg, ja)
         write_mc_json(est, cfg, jb)
         assert ja.read_bytes() == jb.read_bytes()
+
+
+def reference_run_batch(model, T, n, rng):
+    """The batch runner before the guide table: an O(n_v) scan per jump."""
+    cumw = np.cumsum(model.weights)
+    cumP = np.cumsum(model.sigma * model.weights[None, :] / model.rates[:, None], axis=1)
+    d = model.drift.shape[1]
+    idx = np.searchsorted(cumw, rng.random(n))
+    np.clip(idx, 0, model.n_nodes - 1, out=idx)
+    x = np.zeros((n, d))
+    t_rem = np.full(n, T)
+    active = np.ones(n, dtype=bool)
+    while np.any(active):
+        holds = rng.exponential(size=n) / model.rates[idx]
+        u_jump = rng.random(n)
+        step = np.where(active, np.minimum(holds, t_rem), 0.0)
+        x += step[:, None] * model.drift[idx]
+        will_jump = active & (holds < t_rem)
+        t_rem -= step
+        active = t_rem > 0
+        if np.any(will_jump):
+            rows = cumP[idx[will_jump]]
+            nxt = (rows < u_jump[will_jump, None]).sum(axis=1)
+            idx[will_jump] = np.minimum(nxt, model.n_nodes - 1)
+    return x
+
+
+def reference_batch_estimates(model, config):
+    children = np.random.SeedSequence(config.seed).spawn(config.n_batches)
+    base, extra = divmod(config.n_paths, config.n_batches)
+    out = []
+    for b in range(config.n_batches):
+        n = base + (1 if b < extra else 0)
+        x = reference_run_batch(model, config.horizon, n, np.random.default_rng(children[b]))
+        out.append((x.T @ x) / (n * 2.0 * config.horizon))
+    return np.array(out)
+
+
+ONE_ULP_BELOW_1 = np.nextafter(1.0, 0.0)
+ONE_ULP_ABOVE_1 = np.nextafter(1.0, 2.0)
+
+
+class TopUniforms:
+    """A generator whose uniforms are all 1 - 2**-53, so that a jump from a
+    row summing to less lands past its end and is capped at node n - 1."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def random(self, n):
+        return np.full(n, ONE_ULP_BELOW_1)
+
+    def exponential(self, size):
+        return self.rng.exponential(size=size)
+
+
+SAMPLER_MODELS = {
+    "two-node": two_node_model,
+    "lorentz-64": lambda: build_model("lorentz", n_nodes=64),
+    "rayleigh-2d-120": lambda: build_model("rayleigh", dim=2, n_radial=10, n_angular=12),
+    "phonon-2d-36": lambda: build_model("phonon", dim=2, n_per_axis=6),
+}
+
+
+class TestGuideTableSampler:
+    @pytest.mark.parametrize("name", sorted(SAMPLER_MODELS))
+    @pytest.mark.parametrize("T", [0.0, 0.7, 6.0])
+    def test_batch_is_bit_identical_to_the_scan(self, name, T):
+        m = SAMPLER_MODELS[name]()
+        new = _run_batch(m, T, 517, np.random.default_rng(21))
+        ref = reference_run_batch(m, T, 517, np.random.default_rng(21))
+        assert np.array_equal(new, ref)
+
+    @pytest.mark.parametrize("name", sorted(SAMPLER_MODELS))
+    def test_draws_past_the_row_end_are_capped_like_the_scan(self, name):
+        m = SAMPLER_MODELS[name]()
+        new = _run_batch(m, 3.0, 64, TopUniforms(2))
+        assert np.array_equal(new, reference_run_batch(m, 3.0, 64, TopUniforms(2)))
+
+    @pytest.mark.parametrize("name", sorted(SAMPLER_MODELS))
+    def test_estimate_is_bit_identical_to_the_scan(self, name):
+        m = SAMPLER_MODELS[name]()
+        cfg = McConfig(n_paths=1003, horizon=4.0, seed=5, n_batches=8)
+        assert np.array_equal(estimate_D(m, cfg).batch_estimates,
+                              reference_batch_estimates(m, cfg))
+
+    def test_decreasing_cumulatives_are_refused(self):
+        # the guide table's count equals the scan's only on nondecreasing rows
+        m = VelocityModel(
+            nodes=np.zeros((3, 1)), weights=np.full(3, 1.0 / 3.0),
+            drift=np.array([[1.0], [-1.0], [0.0]]),
+            sigma=np.array([[0.0, 2.0, -1.0], [2.0, 0.0, 1.0], [-1.0, 1.0, 3.0]]),
+            dim_x=1,
+        )
+        with pytest.raises(DomainError):
+            estimate_D(m, McConfig(n_paths=8, horizon=1.0, n_batches=2))
+
+    def test_table_layout(self):
+        table = _jump_table(np.cumsum(np.full((3, 5), 0.2), axis=1))
+        assert table.K == 16 and table.guide.dtype == np.int32
+        assert table.guide.size == 3 * 16 and table.padded.size == 3 * 6
+        assert np.all(np.isinf(table.padded.reshape(3, 6)[:, -1]))
+
+
+@st.composite
+def cumulative_rows(draw):
+    """Nondecreasing rows with zero entries, repeated values and a last entry
+    at, just below or just above 1, plus draws u that include the bucket
+    edges m/K and the row entries themselves."""
+    n_rows, n_cols = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    increment = st.sampled_from([0.0, 1e-300, 1e-17, 0.01, 0.25, 1.0]) | st.floats(0, 1)
+    rows = []
+    for _ in range(n_rows):
+        row = np.cumsum(draw(st.lists(increment, min_size=n_cols, max_size=n_cols)))
+        if row[-1] > 0:
+            row = row / row[-1]
+        row[-1] = draw(st.sampled_from([ONE_ULP_BELOW_1, 1.0, ONE_ULP_ABOVE_1,
+                                        1.0 - 1e-9, row[-1]]))
+        rows.append(np.maximum.accumulate(row))
+    cum = np.array(rows)
+    K = _jump_table(cum).K
+    entries = [float(v) for v in cum.ravel() if v < 1.0]
+    below = [float(np.nextafter(v, 0.0)) for v in entries]
+    u = st.floats(0, 1, exclude_max=True) | st.integers(0, K - 1).map(lambda m: m / K)
+    if entries:
+        u = u | st.sampled_from(entries + below)
+    us = np.array(draw(st.lists(u, min_size=1, max_size=30)))
+    picks = np.array(draw(st.lists(st.integers(0, n_rows - 1),
+                                   min_size=us.size, max_size=us.size)))
+    return cum, picks, us
+
+
+@settings(max_examples=300, deadline=None)
+@given(cumulative_rows())
+def test_guide_table_count_equals_the_scan(case):
+    cum, rows, u = case
+    assert np.all(np.diff(cum, axis=1) >= 0)
+    count = _count_below(_jump_table(cum), rows, u)
+    assert np.array_equal(count, (cum[rows] < u[:, None]).sum(axis=1))

@@ -244,6 +244,7 @@ class TestSpectralGap:
         ("lorentz", {"n_nodes": 64}),
         ("rayleigh", {"dim": 2, "n_radial": 10, "n_angular": 12}),
         ("phonon", {"dim": 2, "n_per_axis": 8}),
+        ("lorentz", {"n_nodes": 1040}),
     ])
     def test_direct_matrix_matches_the_matvec_built_one(self, kind, params):
         model = two_node_model() if kind == "two-node" else build_model(kind, **params)
@@ -270,19 +271,20 @@ class TestSpectralGap:
 
 
 def test_model_file_is_compact_json_of_the_same_payload(tmp_path):
-    model = build_model("rayleigh", dim=2, n_radial=10, n_angular=12)
-    path = tmp_path / "model.json"
-    to_file(model, path)
-    text = path.read_text()
-    assert "\n" not in text
-    assert json.loads(text) == {
-        "name": model.name, "dim_x": model.dim_x, "nodes": model.nodes.tolist(),
-        "weights": model.weights.tolist(), "drift": model.drift.tolist(),
-        "sigma": model.sigma.tolist(), "rates": model.rates.tolist(),
-        "meta": model.meta,
-    }
-    back = from_file(path)
-    for name in ("nodes", "weights", "drift", "sigma", "rates"):
-        assert np.array_equal(getattr(back, name), getattr(model, name))
-    assert (back.name, back.dim_x, back.meta) == (model.name, model.dim_x, model.meta)
-    assert back.fingerprint == model.fingerprint
+    # the streamed file has the bytes of one json.dumps of the whole payload
+    for model in (two_node_model(), build_model("lorentz", n_nodes=64),
+                  build_model("rayleigh", dim=2, n_radial=10, n_angular=12)):
+        path = tmp_path / "model.json"
+        to_file(model, path)
+        payload = {
+            "name": model.name, "dim_x": model.dim_x, "nodes": model.nodes.tolist(),
+            "weights": model.weights.tolist(), "drift": model.drift.tolist(),
+            "sigma": model.sigma.tolist(), "rates": model.rates.tolist(),
+            "meta": model.meta,
+        }
+        assert path.read_bytes() == json.dumps(payload, sort_keys=True).encode()
+        back = from_file(path)
+        for name in ("nodes", "weights", "drift", "sigma", "rates"):
+            assert np.array_equal(getattr(back, name), getattr(model, name))
+        assert (back.name, back.dim_x, back.meta) == (model.name, model.dim_x, model.meta)
+        assert back.fingerprint == model.fingerprint
