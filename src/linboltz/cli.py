@@ -14,10 +14,10 @@ Each reads one JSON config, typed by :class:`Config` (see ``_typed``).
 Exit codes: 0 success; 2 configuration error (an unknown key, a value of the
 wrong type or range, a file that cannot be read or written, a model that fails
 its numerical checks, a trajectory certified against a model that did not
-produce it, a model kernel, frame, trajectory or Monte Carlo batch larger than
-physical memory, or any other ``MemoryError``); 3 certification failure; 4 convergence failure
-(also numpy's ``LinAlgError``).  A nonzero exit writes ``error.json`` to
---out.  Stdout is human-readable; files written to --out are
+produce it, a model kernel, frame, trajectory, sweep current path or Monte Carlo
+batch larger than physical memory, or any other ``MemoryError``); 3 certification
+failure; 4 convergence failure (also numpy's ``LinAlgError``).  A nonzero exit
+writes ``error.json`` to --out.  Stdout is human-readable; files written to --out are
 machine-readable and deterministic for a fixed (config, seed).
 """
 

@@ -7,11 +7,13 @@ of epsilon values, compares rho_eps(T) with the exact spectral heat
 solution in L1/L2, and compares the time-integrated currents weakly
 against a fixed bank of smooth test fields.
 
-Each run is streamed through :func:`linboltz.kinetic.evolve` and reduced
-frame by frame to its marginals: the sweep holds the current path j(t, x)
-and the final density rho(T, x), O(n_t n_x) floats, never the
-(n_t, n_x, n_v) frames.  The heat current along the same times comes
-from one batched FFT (:func:`linboltz.heat.heat_current`).
+Each run, upwind or spectral, is stepped on the rfft modes of f by
+:func:`linboltz.kinetic.mode_marginals`: the same Strang steps as the
+frames of :func:`linboltz.kinetic.evolve`, one real matmul each and no
+FFT.  The sweep holds the current path j(t, x), its modes and the final
+density rho(T, x), O(n_t n_x) floats, never the (n_t, n_x, n_v) frames.
+The heat current along the same times comes from one batched FFT
+(:func:`linboltz.heat.heat_current`).
 """
 
 import hashlib
@@ -21,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_memory
 from .heat import HeatFlow, heat_current
-from .kinetic import evolve, frame_marginals, simulate
+from .kinetic import mode_marginals, simulate
 from .velocity import diffusion_matrix, poisson_solve
 
 
@@ -133,14 +135,24 @@ def sweep(model, rho0, eps_list, T, n_cells=64, transport="spectral",
     """Compare the rescaled kinetic flow against the heat reference.
 
     ``dt_scale`` < 1 refines every auto-selected time step by that factor
-    (used by the discretization-convergence check).  Each run is streamed:
-    only its current path j(t, x) and its last density are kept, never its
-    frames.
+    (used by the discretization-convergence check).  Each run is stepped on
+    the modes of f: only its current path j(t, x), the modes of that path
+    and its last density are kept, never its frames.  Every run's paths
+    are checked against physical memory before the first one starts.
     """
     eps_list = sorted((float(e) for e in eps_list), reverse=True)
     rho0 = np.asarray(rho0, dtype=float)
     if not 0 <= drift_axis < model.drift.shape[1]:
         raise ConfigError("drift_axis out of range for this model")
+    dts = []
+    for eps in eps_list:
+        _check_rescaled(rho0, eps, n_cells)
+        dt = auto_dt(model, eps, T, n_cells, drift_axis=drift_axis, dt_scale=dt_scale)
+        # per time: the modes of j (n_cells // 2 + 1 complex), j itself and
+        # the heat current
+        require_memory((round(T / dt) + 1, 2 * (n_cells // 2 + 1) + 2 * n_cells),
+                       f"the current paths of the eps={eps:g} run")
+        dts.append(dt)
 
     sol = poisson_solve(model, tol=poisson_tol)
     D, _ = diffusion_matrix(model, sol)
@@ -152,15 +164,11 @@ def sweep(model, rho0, eps_list, T, n_cells=64, transport="spectral",
     dx = 1.0 / n_cells
 
     rows = []
-    for eps in eps_list:
+    for eps, dt in zip(eps_list, dts):
         t0 = time.perf_counter()
-        _check_rescaled(rho0, eps, n_cells)
-        dt = auto_dt(model, eps, T, n_cells, drift_axis=drift_axis, dt_scale=dt_scale)
-        n_steps, frames = evolve(model, rho0, T, dt, epsilon=eps,
-                                 transport=transport, drift_axis=drift_axis)
-        j_path = np.empty((n_steps + 1, n_cells))
-        for n, f in enumerate(frames):
-            rho_T, j_path[n] = frame_marginals(f, model, eps, drift_axis)
+        j_path, rho_T = mode_marginals(model, rho0, T, dt, epsilon=eps,
+                                       transport=transport, drift_axis=drift_axis)
+        n_steps = len(j_path) - 1
         l1 = float(dx * np.sum(np.abs(rho_T - rho_heat_T)))
         l2 = float(np.sqrt(dx * np.sum((rho_T - rho_heat_T) ** 2)))
 

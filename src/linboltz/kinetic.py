@@ -16,6 +16,14 @@ exactly with phases built once per run, and is meant for smooth studies
 frames one at a time; :func:`simulate` stores them all, after checking
 that they fit in physical memory.
 
+Both split operators act on each spatial Fourier mode alone (the
+transport as a multiplier per mode and node, the collision on the
+velocity axis), so :func:`mode_marginals` takes the same Strang steps on
+the n_x/2 + 1 rfft modes of f, one real matmul per step and no FFT, for
+callers that need only the marginals j(t, x) and rho(T, x), such as the
+diffusive sweep.  Positive frames, which the certificates need, come only
+from :func:`evolve`.
+
 Certification assembles the entropy balance and the gradient-flow
 inequality
 
@@ -41,6 +49,7 @@ from .errors import (
     CertificationError,
     ConfigError,
     DomainError,
+    NumericalQualityError,
     UsageError,
     require_memory,
 )
@@ -124,6 +133,29 @@ class Stepper:
     def step(self, f):
         return self.collide_half(self.advect_full(self.collide_half(f)))
 
+    def mode_multiplier(self):
+        """The transport step on the rfft modes, shape (n_cells // 2 + 1, n_v).
+
+        ``irfft(m * rfft(f, axis=0), n_cells, axis=0)`` is ``advect_full(f)``:
+        the phase exp(-2 pi i k dt b / eps) for spectral transport, and for
+        upwind 1 - nu (1 - e^{-2 pi i k / n}), or 1 + nu - nu e^{2 pi i k / n}
+        for negative speeds.  On the Nyquist mode of an even grid only the
+        real part is kept, as ``advect_full`` keeps only the real part of its
+        result there, so that repeated steps on the modes stay those on the
+        frames.
+        """
+        k = np.arange(self.n_cells // 2 + 1)[:, None]
+        if self.transport == "spectral":
+            mult = np.exp(-2j * np.pi * k * (self.dt * self.speeds[None, :]))
+        else:
+            nu = self.courant
+            behind = np.exp(-2j * np.pi * k / self.n_cells)  # the mode of f(x - dx)
+            mult = np.where(self.from_left, 1.0 - nu * (1.0 - behind),
+                            1.0 + nu - nu * behind.conj())
+        if self.n_cells % 2 == 0:
+            mult[-1] = mult[-1].real
+        return mult
+
 
 def local_equilibrium(rho0, model):
     """f0(x, v) = rho0(x) for every node (collision-invariant profile)."""
@@ -131,15 +163,9 @@ def local_equilibrium(rho0, model):
     return np.repeat(rho0[:, None], model.n_nodes, axis=1)
 
 
-def evolve(model, f0, T, dt, epsilon=1.0, transport="upwind", drift_axis=0):
-    """The step count n and an iterator over the frames f(0), f(dt), ..., f(n dt = T).
-
-    ``f0`` is either a full (n_x, n_v) array or a 1d density rho0(x), in
-    which case the run starts from the local equilibrium rho0 (x) 1.  The
-    initial datum is checked and normalized to unit mass before this
-    returns.  Each frame is computed when the iterator reaches it; keeping
-    it is up to the caller.
-    """
+def _prepare(model, f0, T, dt, epsilon, transport, drift_axis):
+    """The checked, unit-mass initial datum, the step count and the Stepper
+    of a run of :func:`evolve` or :func:`mode_marginals`."""
     f0 = np.asarray(f0, dtype=float)
     if f0.ndim == 1:
         f0 = local_equilibrium(f0, model)
@@ -158,6 +184,19 @@ def evolve(model, f0, T, dt, epsilon=1.0, transport="upwind", drift_axis=0):
     if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
         raise ConfigError("T must be an integer multiple of dt")
     stepper = Stepper(model, n_cells, dt, epsilon, transport, drift_axis)
+    return f0, n_steps, stepper
+
+
+def evolve(model, f0, T, dt, epsilon=1.0, transport="upwind", drift_axis=0):
+    """The step count n and an iterator over the frames f(0), f(dt), ..., f(n dt = T).
+
+    ``f0`` is either a full (n_x, n_v) array or a 1d density rho0(x), in
+    which case the run starts from the local equilibrium rho0 (x) 1.  The
+    initial datum is checked and normalized to unit mass before this
+    returns.  Each frame is computed when the iterator reaches it; keeping
+    it is up to the caller.
+    """
+    f0, n_steps, stepper = _prepare(model, f0, T, dt, epsilon, transport, drift_axis)
     return n_steps, _frames(stepper, f0, n_steps)
 
 
@@ -166,6 +205,49 @@ def _frames(stepper, f, n_steps):
     for _ in range(n_steps):
         f = stepper.step(f)
         yield f
+
+
+def mode_marginals(model, f0, T, dt, epsilon=1.0, transport="upwind", drift_axis=0):
+    """The current path j(t_n, x) at every step t_n = n dt and the density
+    rho(T, x) of the run :func:`evolve` steps, computed on the rfft modes of f.
+
+    Both split operators act on each spatial mode alone: the transport as
+    :meth:`Stepper.mode_multiplier` P, the collision on the velocity axis.
+    The state is g = C_half f^ after the first half collision, with the
+    real and imaginary parts of the n_x // 2 + 1 modes side by side, so
+    that a step is one complex product and one real matmul:
+
+        h = P g,   j^ = (w b / eps) . C_half h,   g = C_half^2 h.
+
+    One batched ``irfft`` then turns the modes of j into j_path.  Only
+    j_path, its modes and a few (n_v, n_modes) arrays are held, never a frame.
+    """
+    f0, n_steps, stepper = _prepare(model, f0, T, dt, epsilon, transport, drift_axis)
+    n_cells = f0.shape[0]
+    half = stepper.half_collision
+    to_j = model.weights * model.drift[:, drift_axis] / epsilon
+    # (n_v, n_modes) complex arrays; their float views (n_v, 2 n_modes) hold
+    # the [Re, Im] parts of every mode, so a real matmul acts on both at once
+    f_parts = np.ascontiguousarray(np.fft.rfft(f0, axis=0).T).view(float)
+    mult = np.ascontiguousarray(stepper.mode_multiplier().T)
+    j_hat = np.empty((n_steps + 1, f_parts.shape[1]))
+    np.matmul(to_j, f_parts, out=j_hat[0])
+    g = (half @ f_parts).view(complex)
+    h = np.empty_like(g)
+    g_parts, h_parts = g.view(float), h.view(float)
+    full = half @ half
+    to_j = to_j @ half
+    for n in range(1, n_steps + 1):
+        np.multiply(g, mult, out=h)
+        np.matmul(to_j, h_parts, out=j_hat[n])
+        np.matmul(full, h_parts, out=g_parts)
+    if n_steps:
+        rho_hat = (model.weights @ half) @ h_parts
+    else:
+        rho_hat = model.weights @ f_parts
+    rho_T = np.fft.irfft(rho_hat.view(complex), n_cells)
+    j_path = np.fft.irfft(j_hat.view(complex), n_cells, axis=1)
+    return j_path, rho_T
 
 
 def simulate(model, f0, T, dt, epsilon=1.0, transport="upwind", drift_axis=0):
@@ -204,13 +286,9 @@ def current_of(f_slice, model):
 
 def marginals(traj, model, t_index):
     """Density rho(x) and rescaled current j(x) = (1/eps) pi(f b) at a slice."""
-    return frame_marginals(traj.f[t_index], model, traj.epsilon, traj.drift_axis)
-
-
-def frame_marginals(f, model, epsilon, drift_axis=0):
-    """:func:`marginals` of one frame f(x, v_i) of a run at ``epsilon``."""
+    f = traj.f[t_index]
     rho = f @ model.weights
-    j = (f @ (model.weights * model.drift[:, drift_axis])) / epsilon
+    j = (f @ (model.weights * model.drift[:, traj.drift_axis])) / traj.epsilon
     return rho, j
 
 
@@ -227,11 +305,16 @@ def entropy_balance_check(traj, model, delta=1e-300, cap=1e300):
     For each sub-interval the change of H is compared with the midpoint
     quadrature of (1/2) sum w_i w_j eta (log f' - log f), evaluated at the
     midpoint slice with the trajectory's own current and the truncated
-    logarithm as safeguard.  The collision strength carries the 1/eps^2
+    logarithm as safeguard.  With the symmetric kernel the pairing is
+    2 sum_x [<f w, S (w log f)> - sum_i w_i lambda_i f_i log f_i], two BLAS
+    products as in :func:`~linboltz.functionals.dirichlet_form`, so the
+    current is never formed.  The collision strength carries the 1/eps^2
     factor of rescaled runs.
     """
     if traj.f.shape[0] < 2:
         raise UsageError("need at least two time slices")
+    if not np.array_equal(model.sigma, model.sigma.T):
+        raise NumericalQualityError("scattering kernel is not exactly symmetric")
     scale = 1.0 / traj.epsilon**2
     w = model.weights
     residuals = np.empty(traj.n_steps)
@@ -239,12 +322,10 @@ def entropy_balance_check(traj, model, delta=1e-300, cap=1e300):
     for n in range(traj.n_steps):
         h_next = relative_entropy(traj.f[n + 1], model, traj.dx, delta, cap)
         f_mid = 0.5 * (traj.f[n] + traj.f[n + 1])
-        eta = current_of(f_mid, model)
         lg = truncated_log(f_mid, delta, cap)
-        pairing = np.einsum(
-            "i,j,xij,xij->", w, w, eta, lg[:, None, :] - lg[:, :, None],
-            optimize=True,
-        )
+        fw = f_mid * w
+        pairing = 2.0 * (np.vdot(fw @ model.sigma, lg * w)
+                         - np.vdot(fw, lg * model.rates))
         dissipation = 0.5 * scale * traj.dx * pairing
         residuals[n] = (h_next - h_prev) - traj.dt * dissipation
         h_prev = h_next

@@ -299,6 +299,12 @@ class TestMemoryGuard:
         ("kinetic-run", lorentz_cfg(solver={"n_cells": 10**20, "dt": 0.01, "T": 0.02})),
         ("diffusive-sweep", lorentz_cfg(solver={"n_cells": 10**20, "eps_list": [0.5]})),
         ("kinetic-run", lorentz_cfg(solver={"n_cells": 8, "dt": 1e-3, "T": 1e10})),
+        # epsilon so small that the sweep's step count makes its current paths
+        # too big to index (1e-9) or merely too big to allocate (1e-6)
+        ("diffusive-sweep", {"model": {"kind": "lorentz", "n_nodes": 8},
+                             "solver": {"n_cells": 16, "eps_list": [1e-9]}}),
+        ("diffusive-sweep", {"model": {"kind": "lorentz", "n_nodes": 8},
+                             "solver": {"n_cells": 16, "eps_list": [1e-6]}}),
     ])
     def test_oversized_config_is_refused(self, tmp_path, capsys, monkeypatch,
                                          command, payload):

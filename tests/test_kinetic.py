@@ -11,6 +11,7 @@ from linboltz import (
     ConfigError,
     DomainError,
     LorentzSpec,
+    NumericalQualityError,
     build_lorentz,
 )
 from linboltz.kinetic import (
@@ -20,13 +21,16 @@ from linboltz.kinetic import (
     evolve,
     entropy_balance_check,
     entropy_series,
+    Trajectory,
     load_trajectory,
     local_equilibrium,
     marginals,
+    mode_marginals,
     save_trajectory,
     simulate,
     write_certificate_csv,
 )
+from linboltz.functionals import relative_entropy, truncated_log
 from linboltz.spectral import shift
 from linboltz.velocity import VelocityModel, apply_generator
 
@@ -185,6 +189,85 @@ class TestTransportStep:
             assert np.array_equal(frame, g)
 
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_mode_multiplier_is_the_real_space_step(self, data):
+        n_x = data.draw(st.integers(2, 16), label="n_x")
+        dt = 0.01
+        c_max = (1.0 / n_x) / dt  # the speed at CFL = 1
+        speed = st.one_of(st.sampled_from([0.0, -0.0, c_max, -c_max]),
+                          st.floats(-c_max, c_max))
+        n_v = data.draw(st.integers(1, 6), label="n_v")
+        speeds = np.array(data.draw(st.lists(speed, min_size=2 * n_v, max_size=2 * n_v),
+                                    label="speeds")).reshape(n_v, 2)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        sigma = rng.uniform(0.0, 2.0, (n_v, n_v))
+        m = VelocityModel(nodes=np.arange(n_v)[:, None], weights=np.full(n_v, 1.0 / n_v),
+                          drift=speeds, sigma=sigma + sigma.T, dim_x=2)
+        f = rng.uniform(0.0, 2.0, (n_x, n_v))
+        for transport in ("upwind", "spectral"):
+            for axis in (0, 1):
+                st_ = Stepper(m, n_cells=n_x, dt=dt, transport=transport, drift_axis=axis)
+                moved = np.fft.irfft(st_.mode_multiplier() * np.fft.rfft(f, axis=0), n_x,
+                                     axis=0)
+                assert np.max(np.abs(moved - st_.advect_full(f))) <= 1e-15 * np.max(f)
+
+
+class TestModeMarginals:
+    @staticmethod
+    def frame_marginals(model, f0, T, dt, epsilon, transport, drift_axis):
+        n_steps, frames = evolve(model, f0, T, dt, epsilon, transport, drift_axis)
+        f = np.stack(list(frames))
+        return (f @ (model.weights * model.drift[:, drift_axis]) / epsilon,
+                f[-1] @ model.weights)
+
+    @pytest.mark.parametrize("transport", ["upwind", "spectral"])
+    @pytest.mark.parametrize("n_cells", [16, 15])
+    def test_modes_give_the_marginals_of_the_frames(self, transport, n_cells):
+        m = build_lorentz(LorentzSpec(8))
+        f0 = np.random.default_rng(n_cells).uniform(0.5, 2.0, (n_cells, 8))
+        for T, dt in ((0.02, 0.002), (1e-12, 0.002)):  # ten steps, and none
+            j_path, rho_T = mode_marginals(m, f0, T, dt, 0.5, transport, 1)
+            j_ref, rho_ref = self.frame_marginals(m, f0, T, dt, 0.5, transport, 1)
+            assert j_path.shape == j_ref.shape
+            assert np.max(np.abs(j_path - j_ref)) < 1e-14
+            assert np.max(np.abs(rho_T - rho_ref)) < 1e-14
+
+    def test_checks_like_evolve(self):
+        with pytest.raises(ConfigError):
+            mode_marginals(two_node_model(), bump_rho(8), T=0.05, dt=0.02)
+        with pytest.raises(DomainError):
+            mode_marginals(two_node_model(), -bump_rho(8), T=0.04, dt=0.02)
+        with pytest.raises(ConfigError):  # CFL
+            mode_marginals(two_node_model(u=2.0), bump_rho(8), T=0.5, dt=0.5)
+
+    def test_strang_converges_at_second_order_to_the_exact_propagator(self):
+        # each rfft mode k evolves exactly by exp(t A_k),
+        # A_k = L / eps^2 - 2 pi i k diag(b) / eps
+        m = build_lorentz(LorentzSpec(8))
+        n_cells, eps, T = 16, 0.5, 0.1
+        b = m.drift[:, 0]
+        x = (np.arange(n_cells) + 0.5) / n_cells
+        f0 = (1.0 + 0.5 * np.cos(2 * np.pi * x)[:, None]
+              + 0.3 * b[None, :] * np.sin(4 * np.pi * x)[:, None])
+        f0 /= np.mean(f0 @ m.weights)  # unit mass, as the run normalizes it
+        gen = m.sigma * m.weights[None, :] - np.diag(m.rates)
+        f_hat = np.fft.rfft(f0, axis=0)
+        exact = np.stack([
+            expm(T * (gen / eps**2 - 2j * np.pi * k * np.diag(b) / eps)) @ f_hat[k]
+            for k in range(len(f_hat))])
+        rho_exact = np.fft.irfft(exact @ m.weights, n_cells)
+        j_exact = np.fft.irfft(exact @ (m.weights * b) / eps, n_cells)
+        dts = [T / n for n in (5, 10, 20, 40)]
+        errors = []
+        for dt in dts:
+            j_path, rho_T = mode_marginals(m, f0, T, dt, eps, "spectral")
+            errors.append(max(np.max(np.abs(rho_T - rho_exact)),
+                              np.max(np.abs(j_path[-1] - j_exact))))
+        order = np.polyfit(np.log(dts), np.log(errors), 1)[0]
+        assert 1.8 <= order <= 2.2, (order, errors)
+
+
 class TestSimulate:
     def test_evolve_streams_the_frames_of_simulate(self):
         m = build_lorentz(LorentzSpec(8))
@@ -309,6 +392,41 @@ class TestEntropyBalance:
         traj = simulate(m, bump_rho(64), T=0.05, dt=0.005, transport="spectral")
         res = entropy_balance_check(traj, m)
         assert res.total_residual < 1e-10
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_pairing_equals_the_einsum_form(self, data):
+        # random frames, so that the residual is the size of its terms
+        n_v = data.draw(st.integers(1, 6), label="n_v")
+        n_x = data.draw(st.integers(1, 5), label="n_x")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        sigma = rng.uniform(0.0, 2.0, (n_v, n_v))
+        w = rng.uniform(0.1, 1.0, n_v)
+        m = VelocityModel(nodes=np.arange(n_v)[:, None], weights=w / w.sum(),
+                          drift=rng.normal(size=(n_v, 1)), sigma=sigma + sigma.T, dim_x=1)
+        f = rng.uniform(0.0, 2.0, (3, n_x, n_v))
+        f[0, 0, 0] = 0.0  # the truncated logarithm's floor
+        traj = Trajectory(times=0.1 * np.arange(3), f=f, dx=1.0 / n_x, dt=0.1,
+                          epsilon=0.7, transport="upwind")
+        got = entropy_balance_check(traj, m).per_step
+        w = m.weights
+        for n in range(2):
+            f_mid = 0.5 * (f[n] + f[n + 1])
+            lg = truncated_log(f_mid, 1e-300, 1e300)
+            pairing = np.einsum("i,j,xij,xij->", w, w, current_of(f_mid, m),
+                                lg[:, None, :] - lg[:, :, None])
+            want = (relative_entropy(f[n + 1], m, traj.dx) - relative_entropy(f[n], m, traj.dx)
+                    - 0.1 * 0.5 / 0.7**2 * traj.dx * pairing)
+            assert got[n] == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    def test_refuses_an_asymmetric_kernel(self):
+        m = VelocityModel(nodes=np.zeros((2, 1)), weights=np.array([0.5, 0.5]),
+                          drift=np.array([[1.0], [-1.0]]),
+                          sigma=np.array([[0.0, 1.0], [2.0, 0.0]]), dim_x=1)
+        traj = simulate(m, np.ones(4), T=0.02, dt=0.01)
+        with pytest.raises(NumericalQualityError):
+            entropy_balance_check(traj, m)
 
 
 class TestEdiCertificate:

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linboltz import (
     ConvergenceError,
@@ -220,6 +222,59 @@ class TestDiffusionMatrix:
         bad = type(fake)(xi=-fake.xi, residual=0.0, iterations=1)
         with pytest.raises(NumericalQualityError):
             diffusion_matrix(m, bad)
+
+
+@st.composite
+def small_models(draw):
+    """2 to 8 nodes, 1 to 3 drift axes: a symmetric kernel bounded away from
+    zero (so the Poisson iteration has a gap), positive weights and a drift
+    centred in them."""
+    n, dim = draw(st.integers(2, 8)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sigma = rng.uniform(0.05, 1.0, (n, n))
+    w = rng.uniform(0.05, 1.0, n)
+    w /= w.sum()
+    b = rng.normal(size=(n, dim))
+    return VelocityModel(nodes=np.arange(n)[:, None], weights=w, drift=b - w @ b,
+                         sigma=sigma + sigma.T, dim_x=dim)
+
+
+class TestOperatorProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(small_models(), st.integers(0, 2**32 - 1))
+    def test_generator_self_adjoint_in_w(self, m, seed):
+        f, g = np.random.default_rng(seed).normal(size=(2, m.n_nodes))
+        a = m.weights @ (f * apply_generator(m, g))
+        b = m.weights @ (apply_generator(m, f) * g)
+        assert a == pytest.approx(b, rel=1e-12, abs=1e-12 * np.max(m.rates))
+
+    @settings(max_examples=50, deadline=None)
+    @given(small_models(), st.integers(0, 2**32 - 1))
+    def test_k_self_adjoint_in_tilted_measure(self, m, seed):
+        f, g = np.random.default_rng(seed).normal(size=(2, m.n_nodes))
+        t = TiltedMeasure.of(m)
+        assert t.inner(apply_k(m, f), g) == pytest.approx(t.inner(f, apply_k(m, g)),
+                                                          rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(small_models())
+    def test_diffusion_matrix_symmetric_and_psd(self, m):
+        sol = poisson_solve(m, tol=1e-12)
+        raw = np.einsum("i,ia,ib->ab", m.weights, m.drift, sol.xi)
+        scale = np.max(np.abs(raw))
+        assert np.max(np.abs(raw - raw.T)) <= 1e-12 * scale
+        D, _ = diffusion_matrix(m, sol)
+        assert np.min(np.linalg.eigvalsh(D)) >= -1e-12 * scale
+
+    @settings(max_examples=50, deadline=None)
+    @given(small_models())
+    def test_poisson_residual_below_its_tolerance(self, m):
+        # the stopping increment theta |u| in the tilted norm bounds
+        # |-L xi - b|_i <= lambda_i |u|_inf <= max lambda tol / (theta sqrt(min w~))
+        tol, theta = 1e-10, 0.5
+        sol = poisson_solve(m, tol=tol, damping=theta)
+        tilted = TiltedMeasure.of(m).weights
+        assert sol.residual <= np.max(m.rates) * tol / (theta * np.sqrt(np.min(tilted)))
 
 
 class TestSpectralGap:
