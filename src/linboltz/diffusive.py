@@ -149,8 +149,8 @@ def sweep(model, rho0, eps_list, T, n_cells=64, transport="spectral",
         _check_rescaled(rho0, eps, n_cells)
         dt = auto_dt(model, eps, T, n_cells, drift_axis=drift_axis, dt_scale=dt_scale)
         # per time: the modes of j (n_cells // 2 + 1 complex), j itself and
-        # the heat current
-        require_memory((round(T / dt) + 1, 2 * (n_cells // 2 + 1) + 2 * n_cells),
+        # the heat current, whose FFTs peak at about 7 floats per cell
+        require_memory((round(T / dt) + 1, 2 * (n_cells // 2 + 1) + 8 * n_cells),
                        f"the current paths of the eps={eps:g} run")
         dts.append(dt)
 
