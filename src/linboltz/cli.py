@@ -14,11 +14,13 @@ Each reads one JSON config, typed by :class:`Config` (see ``_typed``).
 Exit codes: 0 success; 2 configuration error (an unknown key, a value of the
 wrong type or range, a file that cannot be read or written, a model that fails
 its numerical checks, a trajectory certified against a model that did not
-produce it, a model kernel, frame, trajectory, sweep current path or Monte Carlo
-batch larger than physical memory, or any other ``MemoryError``); 3 certification
-failure; 4 convergence failure (also numpy's ``LinAlgError``).  A nonzero exit
-writes ``error.json`` to --out.  Stdout is human-readable; files written to --out are
-machine-readable and deterministic for a fixed (config, seed).
+produce it or is malformed, a model kernel, frame, trajectory, sweep current path
+or Monte Carlo batch larger than physical memory, or any other ``MemoryError``);
+3 certification failure; 4 convergence failure (also numpy's ``LinAlgError``).  A
+nonzero exit writes ``error.json`` to --out.  Stdout is human-readable; files
+written to --out are machine-readable and deterministic for a fixed (config, seed).
+The README's table of outputs lists them; ``model-info`` writes the model as a JSON
+header ``model_<name>.json`` and its arrays as ``model_<name>.npz``.
 """
 
 import argparse
@@ -241,6 +243,9 @@ def cmd_certify(args):
     if traj.model_fingerprint != model.fingerprint:
         raise ConfigError(f"{args.trajectory} was not produced by this config's model "
                           f"(its model fingerprint: {traj.model_fingerprint})")
+    if traj.f.shape[2] != model.n_nodes:
+        raise ConfigError(f"{args.trajectory} has {traj.f.shape[2]} velocity nodes, "
+                          f"its model {model.n_nodes}")
     _certify(traj, model, cfg, raw, _outdir(args))
     return EXIT_OK
 

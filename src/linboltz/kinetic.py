@@ -455,16 +455,50 @@ def save_trajectory(traj, directory):
 
 
 def load_trajectory(directory):
-    with open(os.path.join(directory, "meta.json")) as fh:
-        meta = json.load(fh)
+    """Read a trajectory written by :func:`save_trajectory`.
+
+    Raises ConfigError when ``meta.json`` or the arrays do not describe a
+    trajectory: ``dx``, ``dt`` and ``epsilon`` must be positive numbers,
+    ``transport`` a known scheme and ``drift_axis`` an int; ``f`` must hold
+    at least two frames on ``n_x = 1/dx`` cells, with one time per frame.
+    """
+    try:
+        with open(os.path.join(directory, "meta.json")) as fh:
+            meta = json.load(fh)
+        f = np.load(os.path.join(directory, "f.npy"))
+        times = np.load(os.path.join(directory, "times.npy"))
+    except ValueError as exc:  # JSONDecodeError, or not an array file
+        raise ConfigError(f"cannot read the trajectory {directory}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ConfigError(f"{directory}/meta.json must be an object")
+    for key in ("dx", "dt", "epsilon"):
+        value = meta.get(key)
+        if type(value) not in (int, float) or not 0 < value < np.inf:
+            raise ConfigError(f"{directory}/meta.json: {key} must be a positive number, "
+                              f"not {json.dumps(value)}")
+    if meta.get("transport") not in TRANSPORT_SCHEMES:
+        raise ConfigError(f"{directory}/meta.json: transport must be one of "
+                          f"{TRANSPORT_SCHEMES}, not {json.dumps(meta.get('transport'))}")
+    if type(meta.get("drift_axis")) is not int:
+        raise ConfigError(f"{directory}/meta.json: drift_axis must be an int, "
+                          f"not {json.dumps(meta.get('drift_axis'))}")
+    if f.ndim != 3 or f.shape[0] < 2 or f.dtype.kind != "f":
+        raise ConfigError(f"{directory}/f.npy must be a float (n_t, n_x, n_v) array "
+                          f"of at least 2 frames, not {f.dtype} of shape {f.shape}")
+    if times.shape != (f.shape[0],):
+        raise ConfigError(f"{directory}/times.npy has shape {times.shape}, "
+                          f"not one time per frame of f.npy ({f.shape[0]})")
+    if meta["dx"] != 1.0 / f.shape[1]:
+        raise ConfigError(f"{directory}/meta.json: dx = {meta['dx']!r} is not 1/n_x "
+                          f"for the {f.shape[1]} cells of f.npy")
     return Trajectory(
-        times=np.load(os.path.join(directory, "times.npy")),
-        f=np.load(os.path.join(directory, "f.npy")),
+        times=times,
+        f=f,
         dx=float(meta["dx"]),
         dt=float(meta["dt"]),
         epsilon=float(meta["epsilon"]),
         transport=meta["transport"],
-        drift_axis=int(meta["drift_axis"]),
+        drift_axis=meta["drift_axis"],
         model_name=meta.get("model_name", "custom"),
         model_fingerprint=meta.get("model_fingerprint"),
     )

@@ -18,11 +18,13 @@ w~_i = lambda_i w_i / <lambda>, and the diffusion matrix is
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     ConvergenceError,
     DomainError,
     NumericalQualityError,
@@ -243,48 +245,61 @@ def spectral_gap_probe(model):
     return lam2, gap, (1.0 / gap if gap > 0 else np.inf)
 
 
-def to_file(model, path):
-    """Serialize a model to a self-describing JSON file.
+MODEL_SCHEMA = "model-v2"
+MODEL_ARRAYS = ("nodes", "weights", "drift", "sigma")
 
-    The bytes are those of ``json.dumps(payload, sort_keys=True)``, written
-    one top-level key and one row of ``sigma`` at a time, so neither the
-    whole text nor the nested list of the n x n kernel is ever held.
-    ``json.dumps`` uses the C encoder, which ``json.dump`` and ``indent`` do not.
+
+def to_file(model, path):
+    """Write a model as a small JSON header at ``path`` and a binary sidecar.
+
+    The header holds ``schema`` (``"model-v2"``), ``name``, ``dim_x``,
+    ``meta``, ``fingerprint`` and ``arrays``, the base name of the sidecar:
+    ``path`` with its suffix replaced by ``.npz``, in the same directory.  The
+    sidecar is an uncompressed ``np.savez`` of ``nodes``, ``weights``,
+    ``drift`` and ``sigma``; ``rates`` is not stored, as the model derives it.
+    Both files are deterministic: ``zipfile`` stamps every entry 1980-01-01.
     """
-    payload = {
+    sidecar = os.path.splitext(path)[0] + ".npz"
+    np.savez(sidecar, **{key: getattr(model, key) for key in MODEL_ARRAYS})
+    header = {
+        "schema": MODEL_SCHEMA,
         "name": model.name,
         "dim_x": model.dim_x,
-        "nodes": model.nodes,
-        "weights": model.weights,
-        "drift": model.drift,
-        "sigma": model.sigma,
-        "rates": model.rates,
         "meta": model.meta,
+        "fingerprint": model.fingerprint,
+        "arrays": os.path.basename(sidecar),
     }
     with open(path, "w") as fh:
-        for k, key in enumerate(sorted(payload)):
-            fh.write(("{" if k == 0 else ", ") + json.dumps(key) + ": ")
-            value = payload[key]
-            if key == "sigma":
-                fh.write("[")
-                for i, row in enumerate(value):
-                    fh.write((", " if i else "") + json.dumps(row.tolist()))
-                fh.write("]")
-            else:
-                value = value.tolist() if isinstance(value, np.ndarray) else value
-                fh.write(json.dumps(value, sort_keys=True))
-        fh.write("}")
+        json.dump(header, fh, sort_keys=True, indent=1)
 
 
 def from_file(path):
-    with open(path) as fh:
-        payload = json.load(fh)
-    return VelocityModel(
-        nodes=np.array(payload["nodes"], dtype=float),
-        weights=np.array(payload["weights"], dtype=float),
-        drift=np.array(payload["drift"], dtype=float),
-        sigma=np.array(payload["sigma"], dtype=float),
-        dim_x=int(payload["dim_x"]),
-        name=payload.get("name", "custom"),
-        meta=payload.get("meta", {}),
-    )
+    """Read a model written by :func:`to_file`.
+
+    Raises ConfigError for a file that is not a ``model-v2`` header, a
+    sidecar that lacks one of the arrays, or arrays whose fingerprint is not
+    the header's (a sidecar of another model).
+    """
+    try:
+        with open(path) as fh:
+            header = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"cannot read model file {path}: {exc}") from exc
+    keys = ("schema", "name", "dim_x", "meta", "fingerprint", "arrays")
+    if not isinstance(header, dict) or header.get("schema") != MODEL_SCHEMA:
+        raise ConfigError(f"{path} is not a {MODEL_SCHEMA} model file")
+    missing = sorted(set(keys) - set(header))
+    if missing:
+        raise ConfigError(f"model file {path} lacks the keys {missing}")
+    sidecar = os.path.join(os.path.dirname(path), header["arrays"])
+    with np.load(sidecar, allow_pickle=False) as npz:
+        missing = sorted(set(MODEL_ARRAYS) - set(npz.files))
+        if missing:
+            raise ConfigError(f"model arrays {sidecar} lack {missing}")
+        arrays = {key: npz[key] for key in MODEL_ARRAYS}
+    model = VelocityModel(**arrays, dim_x=int(header["dim_x"]), name=header["name"],
+                          meta=header["meta"])
+    if model.fingerprint != header["fingerprint"]:
+        raise ConfigError(f"the arrays in {sidecar} are not those of the model {path} "
+                          f"describes (fingerprint {model.fingerprint})")
+    return model

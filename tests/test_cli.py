@@ -4,7 +4,9 @@ import dataclasses
 import io
 import json
 import os
+import shutil
 import tempfile
+import zipfile
 
 import numpy as np
 import pytest
@@ -157,6 +159,16 @@ class TestModelInfo:
         text = capsys.readouterr().out
         assert "spectral gap probe" in text
         assert (out / "model_lorentz.json").exists()
+
+    def test_reruns_write_identical_files(self, tmp_path):
+        cfg = write_cfg(tmp_path, lorentz_cfg())
+        for name in ("a", "b"):
+            assert main(["model-info", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        for name in ("model_lorentz.json", "model_lorentz.npz"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        # the sidecar's bytes do not depend on the clock either
+        with zipfile.ZipFile(tmp_path / "a" / "model_lorentz.npz") as npz:
+            assert {info.date_time for info in npz.infolist()} == {(1980, 1, 1, 0, 0, 0)}
 
 
 class TestKineticRunAndCertify:
@@ -458,22 +470,69 @@ def test_fuzzed_configs_exit_with_a_documented_code(small_trajectory, data):
                 assert json.load(fh)["exit_code"] == code
 
 
-# --- the README's table of config keys is the schema ------------------------
+@pytest.mark.parametrize("name, damage", [
+    ("meta.json", lambda meta: {k: v for k, v in meta.items() if k != "dx"}),
+    ("meta.json", None),  # not JSON
+    ("f.npy", lambda f: f[:, :, :5]),  # 5 of the model's 8 nodes
+    ("times.npy", lambda times: times[:-1]),
+    ("f.npy", lambda f: f[:1]),
+], ids=["no dx", "bad meta", "5 nodes", "short times", "one frame"])
+def test_certify_refuses_a_malformed_trajectory(tmp_path, capsys, small_trajectory,
+                                                name, damage):
+    traj = tmp_path / "trajectory"
+    shutil.copytree(small_trajectory, traj)
+    path = traj / name
+    if name == "meta.json":
+        path.write_text("{" if damage is None else json.dumps(damage(json.loads(path.read_text()))))
+    else:
+        np.save(path, damage(np.load(path)))
+    cfg = write_cfg(tmp_path, dict(SMALL_BLOCKS["certify"], model=SMALL_MODELS[0]))
+    out = tmp_path / "out"
+    assert main(["certify", str(traj), "--config", cfg, "--out", str(out)]) == 2
+    diag = json.loads((out / "error.json").read_text())
+    assert (diag["exit_code"], diag["error"]) == (2, "ConfigError")
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (out / "certificate.json").exists()
 
-TYPE_NAMES = {int: "int", float: "float", float | None: "float", bool: "bool", str: "str",
-              list[float] | None: "list of floats", dict: "object"}
+
+# --- the README's tables are the schema and the outputs ----------------------
+
+ON_ERROR = "any, on a nonzero exit"
 
 
-def _readme_rows():
+def _readme_table(marker):
+    """The rows of the README table after ``<!-- marker -->``, as lists of cells."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "README.md")) as fh:
         text = fh.read()
-    table = text.split("<!-- config-keys -->")[1].strip().split("\n\n")[0]
-    rows = {}
-    for line in table.splitlines()[2:]:
-        block, key, type_name = (c.strip().strip("`") for c in line.strip("|").split("|")[:3])
-        rows[block, key] = type_name
-    return rows
+    table = text.split(f"<!-- {marker} -->")[1].strip().split("\n\n")[0]
+    return [[c.strip() for c in line.strip("|").split("|")]
+            for line in table.splitlines()[2:]]
+
+
+def test_readme_outputs_table_lists_what_each_subcommand_writes(tmp_path, small_trajectory):
+    rows = {command.strip("`"): {name.strip().strip("`") for name in files.split(",")}
+            for command, files in _readme_table("outputs")}
+    assert set(rows) == set(SMALL_BLOCKS) | {ON_ERROR}
+    model = SMALL_MODELS[0]
+    runs = {row: (row, dict(SMALL_BLOCKS[row], model=model), 0) for row in SMALL_BLOCKS}
+    # without cert_tol, so that the certificate passes
+    runs["kinetic-run"] = ("kinetic-run", dict(SMALL_BLOCKS["certify"], model=model), 0)
+    runs[ON_ERROR] = ("diffusion", lorentz_cfg(oops=1), 2)
+    for row, (command, payload, code) in runs.items():
+        cfg = write_cfg(tmp_path, payload)
+        out = tmp_path / command / str(code)
+        argv = [command, "--config", cfg, "--out", str(out)]
+        if command == "certify":
+            argv.insert(1, small_trajectory)
+        assert main(argv) == code
+        written = {os.path.relpath(os.path.join(d, f), out)
+                   for d, _, files in os.walk(out) for f in files}
+        assert written == {name.replace("<name>", "lorentz") for name in rows[row]}
+
+
+TYPE_NAMES = {int: "int", float: "float", float | None: "float", bool: "bool", str: "str",
+              list[float] | None: "list of floats", dict: "object"}
 
 
 def test_readme_config_table_matches_the_schema():
@@ -487,4 +546,6 @@ def test_readme_config_table_matches_the_schema():
                        ("mc", McConfig)):
         expected.update({(block, f.name): TYPE_NAMES[f.type]
                          for f in dataclasses.fields(cls) if (block, f.name) != ("mc", "seed")})
-    assert _readme_rows() == expected
+    rows = {(block, key.strip("`")): type_name
+            for block, key, type_name, _ in _readme_table("config-keys")}
+    assert rows == expected

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linboltz import (
+    ConfigError,
     ConvergenceError,
     DomainError,
     LorentzSpec,
@@ -326,20 +327,35 @@ class TestSpectralGap:
 
 
 def test_model_file_is_compact_json_of_the_same_payload(tmp_path):
-    # the streamed file has the bytes of one json.dumps of the whole payload
+    # a small JSON header of the scalars, the arrays in an .npz beside it
     for model in (two_node_model(), build_model("lorentz", n_nodes=64),
                   build_model("rayleigh", dim=2, n_radial=10, n_angular=12)):
         path = tmp_path / "model.json"
         to_file(model, path)
-        payload = {
-            "name": model.name, "dim_x": model.dim_x, "nodes": model.nodes.tolist(),
-            "weights": model.weights.tolist(), "drift": model.drift.tolist(),
-            "sigma": model.sigma.tolist(), "rates": model.rates.tolist(),
-            "meta": model.meta,
+        assert json.loads(path.read_text()) == {
+            "schema": "model-v2", "name": model.name, "dim_x": model.dim_x,
+            "meta": model.meta, "fingerprint": model.fingerprint, "arrays": "model.npz",
         }
-        assert path.read_bytes() == json.dumps(payload, sort_keys=True).encode()
+        with np.load(tmp_path / "model.npz", allow_pickle=False) as npz:
+            assert sorted(npz.files) == ["drift", "nodes", "sigma", "weights"]
         back = from_file(path)
         for name in ("nodes", "weights", "drift", "sigma", "rates"):
             assert np.array_equal(getattr(back, name), getattr(model, name))
         assert (back.name, back.dim_x, back.meta) == (model.name, model.dim_x, model.meta)
         assert back.fingerprint == model.fingerprint
+
+
+@pytest.mark.parametrize("tamper", ["swapped", "missing"])
+def test_model_file_refuses_arrays_that_are_not_its_model(tmp_path, tamper):
+    model = build_model("lorentz", n_nodes=8)
+    to_file(model, tmp_path / "model_lorentz.json")
+    arrays = tmp_path / "model_lorentz.npz"
+    if tamper == "swapped":
+        to_file(two_node_model(), tmp_path / "other.json")
+        (tmp_path / "other.npz").replace(arrays)
+    else:
+        with np.load(arrays) as npz:
+            kept = {k: npz[k] for k in npz.files if k != "drift"}
+        np.savez(arrays, **kept)
+    with pytest.raises(ConfigError, match="fingerprint" if tamper == "swapped" else "lack"):
+        from_file(tmp_path / "model_lorentz.json")
