@@ -8,9 +8,12 @@ evolution
 
 is integrated by Strang splitting: half collision step with the exact
 matrix exponential (positivity- and mass-preserving, entropy-decreasing),
-full transport step per velocity node, half collision step.  Transport is
-first-order upwind by default, one shifted copy of the grid per
-direction; the spectral variant translates the trigonometric interpolant
+full transport step per velocity node, half collision step.  The
+exponential exp(t L) of the jump generator L = S W - Lambda is summed by
+:func:`collision_propagator` from nonnegative terms only (uniformization),
+so its entries are nonnegative exactly and numpy is all it needs.
+Transport is first-order upwind by default, one shifted copy of the grid
+per direction; the spectral variant translates the trigonometric interpolant
 exactly with phases built once per run, and is meant for smooth studies
 (it is not positivity-preserving in general).  :func:`evolve` yields the
 frames one at a time; :func:`simulate` stores them all, after checking
@@ -38,12 +41,14 @@ blocks (see :mod:`linboltz.functionals`).
 """
 
 import csv
+import itertools
 import json
+import math
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     CertificationError,
@@ -83,8 +88,69 @@ class Trajectory:
         return self.times.size - 1
 
 
+def collision_propagator(model, t):
+    """exp(t L) for the jump generator L = S W - Lambda, by uniformization.
+
+    With c = max lambda, M = I + L / c is nonnegative with rows summing to
+    1, and exp(t L) = e^{-ct} sum_k (ct)^k M^k / k!.  The time is halved s
+    times, for the smallest s with y = c t / 2^s <= 1/2; the series in y is
+    summed until y^k / k! < 1e-17 (the entries of M^k are at most 1), and
+    the sum is squared s times.  Every term is nonnegative, so the result
+    is nonnegative exactly.  Each square doubles the rows' deviation from
+    the sum 1 that exp(t L) has exactly, so each is divided by its row sums.
+    An all-zero kernel gives the identity.
+    """
+    n = model.n_nodes
+    c = float(model.rates.max())
+    ct = c * t
+    if not 0.0 <= ct < math.inf:
+        raise ConfigError(f"the collision time t * max lambda = {ct!r} "
+                          "is not a finite nonnegative number")
+    if c == 0.0:
+        return np.eye(n)
+    M = model.sigma * model.weights[None, :] - np.diag(model.rates)
+    M /= c
+    M[np.diag_indices(n)] += 1.0  # in [0, 1], as lambda_i <= c
+    s = 0
+    while math.ldexp(ct, -s) > 0.5:
+        s += 1
+    y = math.ldexp(ct, -s)
+    P = np.eye(n)
+    term = np.eye(n)
+    coef = 1.0
+    for k in itertools.count(1):
+        coef *= y / k
+        if coef < 1e-17:
+            break
+        term = term @ M
+        term *= y / k
+        P += term
+    P *= math.exp(-y)
+    for _ in range(s):
+        P = P @ P
+        P /= P.sum(axis=1, keepdims=True)
+    return P
+
+
+def _half_collision_time(dt, epsilon):
+    """0.5 dt / eps^2; ConfigError when eps^2 underflows (is below the
+    smallest normal float) or the time is not finite."""
+    if epsilon**2 < sys.float_info.min or not math.isfinite(0.5 * dt / epsilon**2):
+        raise ConfigError(f"epsilon = {epsilon!r} is too small for dt = {dt!r}: epsilon**2 "
+                          "underflows or 0.5 dt / epsilon**2 overflows")
+    return 0.5 * dt / epsilon**2
+
+
 class Stepper:
-    """Precomputed split-step propagator for one (model, grid, dt, eps)."""
+    """Precomputed split-step propagator for one (model, grid, dt, eps).
+
+    The half collision step is the matrix ``half_collision`` =
+    exp(0.5 dt L / eps^2) of :func:`collision_propagator`: nonnegative
+    exactly, with rows summing to 1 and w^T C = w^T to rounding, so it
+    keeps f nonnegative and conserves its mass.  An epsilon whose square
+    underflows, or for which 0.5 dt / eps^2 * max lambda is not finite,
+    is a :class:`ConfigError`.
+    """
 
     def __init__(self, model, n_cells, dt, epsilon=1.0, transport="upwind",
                  drift_axis=0):
@@ -92,6 +158,7 @@ class Stepper:
             raise ConfigError(f"unknown transport scheme '{transport}'")
         if n_cells < 2 or dt <= 0 or epsilon <= 0:
             raise ConfigError("need n_cells >= 2, dt > 0, epsilon > 0")
+        tau = _half_collision_time(dt, epsilon)
         if not 0 <= drift_axis < model.drift.shape[1]:
             raise ConfigError("drift_axis out of range for this model")
         self.model = model
@@ -107,8 +174,7 @@ class Stepper:
             raise ConfigError(
                 f"CFL violated: dt*max|b|/(eps*dx) = {cfl:.3f} > 1"
             )
-        gen = model.sigma * model.weights[None, :] - np.diag(model.rates)
-        self.half_collision = expm((0.5 * dt / epsilon**2) * gen)
+        self.half_collision = collision_propagator(model, tau)
         if transport == "spectral":
             self.phase = shift_phase(
                 (self.n_cells, model.n_nodes), self.dt * self.speeds[None, :], axis=0
@@ -458,7 +524,8 @@ def load_trajectory(directory):
     """Read a trajectory written by :func:`save_trajectory`.
 
     Raises ConfigError when ``meta.json`` or the arrays do not describe a
-    trajectory: ``dx``, ``dt`` and ``epsilon`` must be positive numbers,
+    trajectory: ``dx``, ``dt`` and ``epsilon`` must be positive numbers, with
+    ``epsilon**2`` a normal float and ``0.5 dt / epsilon**2`` finite,
     ``transport`` a known scheme and ``drift_axis`` an int; ``f`` must hold
     at least two frames on ``n_x = 1/dx`` cells, with one time per frame.
     """
@@ -476,6 +543,10 @@ def load_trajectory(directory):
         if type(value) not in (int, float) or not 0 < value < np.inf:
             raise ConfigError(f"{directory}/meta.json: {key} must be a positive number, "
                               f"not {json.dumps(value)}")
+    try:
+        _half_collision_time(meta["dt"], meta["epsilon"])
+    except ConfigError as exc:
+        raise ConfigError(f"{directory}/meta.json: {exc}") from None
     if meta.get("transport") not in TRANSPORT_SCHEMES:
         raise ConfigError(f"{directory}/meta.json: transport must be one of "
                           f"{TRANSPORT_SCHEMES}, not {json.dumps(meta.get('transport'))}")

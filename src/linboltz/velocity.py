@@ -32,6 +32,9 @@ from .errors import (
     require_memory,
 )
 
+MODEL_SCHEMA = "model-v3"
+MODEL_ARRAYS = ("nodes", "weights", "drift", "sigma")
+
 
 @dataclass(frozen=True)
 class VelocityModel:
@@ -80,9 +83,14 @@ class VelocityModel:
 
     @property
     def fingerprint(self):
-        """sha256 of the weights, kernel and drift bytes."""
-        blob = self.weights.tobytes() + self.sigma.tobytes() + self.drift.tobytes()
-        return hashlib.sha256(blob).hexdigest()
+        """sha256 of the name, shape and bytes of each of the model's arrays
+        (``MODEL_ARRAYS``: nodes, weights, drift and kernel)."""
+        digest = hashlib.sha256()
+        for key in MODEL_ARRAYS:
+            arr = getattr(self, key)
+            digest.update(f"{key}{arr.shape}".encode())
+            digest.update(arr.tobytes())
+        return digest.hexdigest()
 
     def validate(self, centering_tol=1e-12):
         """Check the structural invariants; raises on violation."""
@@ -245,14 +253,10 @@ def spectral_gap_probe(model):
     return lam2, gap, (1.0 / gap if gap > 0 else np.inf)
 
 
-MODEL_SCHEMA = "model-v2"
-MODEL_ARRAYS = ("nodes", "weights", "drift", "sigma")
-
-
 def to_file(model, path):
     """Write a model as a small JSON header at ``path`` and a binary sidecar.
 
-    The header holds ``schema`` (``"model-v2"``), ``name``, ``dim_x``,
+    The header holds ``schema`` (``"model-v3"``), ``name``, ``dim_x``,
     ``meta``, ``fingerprint`` and ``arrays``, the base name of the sidecar:
     ``path`` with its suffix replaced by ``.npz``, in the same directory.  The
     sidecar is an uncompressed ``np.savez`` of ``nodes``, ``weights``,
@@ -276,7 +280,8 @@ def to_file(model, path):
 def from_file(path):
     """Read a model written by :func:`to_file`.
 
-    Raises ConfigError for a file that is not a ``model-v2`` header, a
+    Raises ConfigError for a file that is not a ``model-v3`` header (a
+    ``model-v2`` one included, as its fingerprint did not cover ``nodes``), a
     sidecar that lacks one of the arrays, or arrays whose fingerprint is not
     the header's (a sidecar of another model).
     """

@@ -5,6 +5,8 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import zipfile
 
@@ -78,6 +80,12 @@ class TestConfigValidation:
         ("diffusion", lorentz_cfg(functional={"delta": 1e-300})),
         ("diffusion", lorentz_cfg(functional={"cap": 1e300})),
         ("diffusion", lorentz_cfg(output={"directory": "out", "formats": ["json"]})),
+        # spectral transport has no CFL bound to stop these first: 1e-200
+        # squared is 0.0, 1e-160 squared is subnormal
+        ("kinetic-run", lorentz_cfg(solver={"dt": 0.01, "T": 0.02, "epsilon": 1e-200,
+                                            "transport": "spectral"})),
+        ("kinetic-run", lorentz_cfg(solver={"dt": 0.01, "T": 0.02, "epsilon": 1e-160,
+                                            "transport": "spectral"})),
     ])
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, command, payload):
         cfg = write_cfg(tmp_path, payload)
@@ -476,7 +484,8 @@ def test_fuzzed_configs_exit_with_a_documented_code(small_trajectory, data):
     ("f.npy", lambda f: f[:, :, :5]),  # 5 of the model's 8 nodes
     ("times.npy", lambda times: times[:-1]),
     ("f.npy", lambda f: f[:1]),
-], ids=["no dx", "bad meta", "5 nodes", "short times", "one frame"])
+    ("meta.json", lambda meta: dict(meta, epsilon=1e-200)),  # epsilon**2 == 0.0
+], ids=["no dx", "bad meta", "5 nodes", "short times", "one frame", "tiny epsilon"])
 def test_certify_refuses_a_malformed_trajectory(tmp_path, capsys, small_trajectory,
                                                 name, damage):
     traj = tmp_path / "trajectory"
@@ -493,6 +502,16 @@ def test_certify_refuses_a_malformed_trajectory(tmp_path, capsys, small_trajecto
     assert (diag["exit_code"], diag["error"]) == (2, "ConfigError")
     assert "Traceback" not in capsys.readouterr().err
     assert not (out / "certificate.json").exists()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # the library needs numpy only; scipy is a test oracle, not a dependency
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import sys, linboltz, linboltz.cli; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True, timeout=120)
+    assert done.stdout.strip() == "[]"
 
 
 # --- the README's tables are the schema and the outputs ----------------------

@@ -1,5 +1,6 @@
 import csv
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from linboltz import (
 )
 from linboltz.kinetic import (
     Stepper,
+    collision_propagator,
     current_of,
     edi_certificate,
     evolve,
@@ -124,6 +126,79 @@ class TestStepper:
         a = simulate(m, bump_rho(128), T=0.05, dt=1e-4, transport="upwind")
         b = simulate(m, bump_rho(128), T=0.05, dt=1e-4, transport="spectral")
         assert np.max(np.abs(a.f[-1] - b.f[-1])) < 5e-3
+
+
+@st.composite
+def small_kernels(draw):
+    """A model on 2-6 nodes whose symmetric kernel has zero-rate pairs."""
+    n = draw(st.integers(2, 6), label="n_v")
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    upper = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 10.0)),
+                          min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+    sigma = np.zeros((n, n))
+    sigma[np.triu_indices(n)] = upper
+    return VelocityModel(nodes=np.zeros((n, 1)), weights=weights / weights.sum(),
+                         drift=np.zeros((n, 1)), sigma=sigma + np.triu(sigma, 1).T,
+                         dim_x=1)
+
+
+class TestCollisionPropagator:
+    LOG_T = st.floats(-8.0, 4.0)  # t from 1e-8 to 1e4
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=small_kernels(), log_t=LOG_T)
+    def test_stochastic_semigroup_and_scipy_oracle(self, m, log_t):
+        t = 10.0**log_t
+        P = collision_propagator(m, t)
+        assert P.min() >= 0.0  # exactly: uniformization adds nonnegative terms only
+        assert np.max(np.abs(P.sum(axis=1) - 1.0)) <= 1e-14
+        assert np.max(np.abs(m.weights @ P - m.weights)) <= 1e-14
+        assert np.max(np.abs(P @ P - collision_propagator(m, 2.0 * t))) <= 1e-14
+        # exp(tL) has rows summing to 1 exactly; scipy's scaling and squaring
+        # drifts from that as c t grows (to ~4e-12 at c t ~ 1e5), and the
+        # drift is a lower bound on its own error, so it is allowed on top
+        E = expm(t * (m.sigma * m.weights[None, :] - np.diag(m.rates)))
+        oracle_drift = np.max(np.abs(E.sum(axis=1) - 1.0))
+        assert np.max(np.abs(P - E)) <= 1e-13 + oracle_drift
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=small_kernels(), log_t=LOG_T)
+    def test_matches_a_40_digit_reference(self, m, log_t):
+        t = 10.0**log_t
+        n = m.n_nodes
+        with mpmath.workdps(40):
+            gen = mpmath.matrix(n, n)
+            for i in range(n):
+                for j in range(n):
+                    if i != j:
+                        gen[i, j] = mpmath.mpf(m.sigma[i, j]) * mpmath.mpf(m.weights[j])
+                gen[i, i] = -mpmath.fsum(gen[i, j] for j in range(n) if j != i)
+            ref = np.array(mpmath.expm(gen * t).tolist(), dtype=float)
+        assert np.max(np.abs(collision_propagator(m, t) - ref)) <= 1e-14
+
+    def test_zero_kernel_or_zero_time_gives_the_identity(self):
+        m = VelocityModel(nodes=np.zeros((3, 1)), weights=np.full(3, 1 / 3),
+                          drift=np.zeros((3, 1)), sigma=np.zeros((3, 3)), dim_x=1)
+        for t in (0.0, 1e-8, 1.0, 1e4):
+            assert np.array_equal(collision_propagator(m, t), np.eye(3))
+        assert np.array_equal(collision_propagator(two_node_model(), 0.0), np.eye(2))
+
+    def test_huge_time_gives_the_stationary_chain(self):
+        # c t = 1.5e308: about a thousand squarings, every row tends to w
+        P = collision_propagator(two_node_model(), 1e308)
+        assert np.max(np.abs(P - 0.5)) <= 1e-15
+
+    @pytest.mark.parametrize("t", [-1e-3, np.inf, np.nan, 1.7e308])
+    def test_refuses_a_time_that_is_not_finite_and_nonnegative(self, t):
+        with pytest.raises(ConfigError, match="collision time"):
+            collision_propagator(two_node_model(), t)  # max lambda = 1.5
+
+    def test_stepper_refuses_a_collision_time_that_overflows(self):
+        # eps^2 is a normal float and 0.5 dt / eps^2 = 2.2e305 is finite, but
+        # not its product with the rate 5e3
+        with pytest.raises(ConfigError, match="collision time"):
+            Stepper(two_node_model(s=1e4), n_cells=8, dt=0.01, epsilon=1.5e-154,
+                    transport="spectral")
 
 
 def loop_upwind(f, speeds, dt, dx):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -16,6 +17,7 @@ from linboltz import (
     build_model,
 )
 from linboltz.velocity import (
+    MODEL_ARRAYS,
     TiltedMeasure,
     VelocityModel,
     apply_generator,
@@ -333,7 +335,7 @@ def test_model_file_is_compact_json_of_the_same_payload(tmp_path):
         path = tmp_path / "model.json"
         to_file(model, path)
         assert json.loads(path.read_text()) == {
-            "schema": "model-v2", "name": model.name, "dim_x": model.dim_x,
+            "schema": "model-v3", "name": model.name, "dim_x": model.dim_x,
             "meta": model.meta, "fingerprint": model.fingerprint, "arrays": "model.npz",
         }
         with np.load(tmp_path / "model.npz", allow_pickle=False) as npz:
@@ -345,7 +347,7 @@ def test_model_file_is_compact_json_of_the_same_payload(tmp_path):
         assert back.fingerprint == model.fingerprint
 
 
-@pytest.mark.parametrize("tamper", ["swapped", "missing"])
+@pytest.mark.parametrize("tamper", ["swapped", "missing", "nodes"])
 def test_model_file_refuses_arrays_that_are_not_its_model(tmp_path, tamper):
     model = build_model("lorentz", n_nodes=8)
     to_file(model, tmp_path / "model_lorentz.json")
@@ -355,7 +357,38 @@ def test_model_file_refuses_arrays_that_are_not_its_model(tmp_path, tamper):
         (tmp_path / "other.npz").replace(arrays)
     else:
         with np.load(arrays) as npz:
-            kept = {k: npz[k] for k in npz.files if k != "drift"}
+            kept = dict(npz)
+        if tamper == "missing":
+            del kept["drift"]
+        else:
+            kept["nodes"] = np.full_like(kept["nodes"], 7.0)
         np.savez(arrays, **kept)
-    with pytest.raises(ConfigError, match="fingerprint" if tamper == "swapped" else "lack"):
+    with pytest.raises(ConfigError, match="lack" if tamper == "missing" else "fingerprint"):
         from_file(tmp_path / "model_lorentz.json")
+
+
+def test_fingerprint_covers_nodes_and_array_shapes():
+    a = VelocityModel(nodes=np.arange(8.0).reshape(4, 2), weights=np.full(4, 0.25),
+                      drift=np.array([1.0, -1.0, 2.0, -2.0]), sigma=np.ones((4, 4)),
+                      dim_x=1)
+    same = VelocityModel(nodes=a.nodes.copy(), weights=a.weights, drift=a.drift,
+                         sigma=a.sigma, dim_x=1)
+    assert same.fingerprint == a.fingerprint
+    other_nodes = dataclasses.replace(a, nodes=a.nodes + 1.0)
+    # the same bytes in the same order, split between the arrays differently
+    stream = np.concatenate([a.nodes.ravel(), a.weights, a.drift.ravel()])
+    shifted = VelocityModel(nodes=stream[:4, None], weights=stream[4:8],
+                            drift=stream[8:].reshape(4, 2), sigma=a.sigma, dim_x=2)
+    assert b"".join(getattr(shifted, k).tobytes() for k in MODEL_ARRAYS) == b"".join(
+        getattr(a, k).tobytes() for k in MODEL_ARRAYS)
+    assert len({a.fingerprint, other_nodes.fingerprint, shifted.fingerprint}) == 3
+
+
+def test_model_file_of_the_previous_schema_is_refused(tmp_path):
+    # a model-v2 fingerprint does not cover nodes, so its header is not trusted
+    path = tmp_path / "model_lorentz.json"
+    to_file(build_model("lorentz", n_nodes=8), path)
+    header = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(header, schema="model-v2")))
+    with pytest.raises(ConfigError, match="not a model-v3 model file"):
+        from_file(path)
