@@ -28,11 +28,23 @@ over (x, v, v') -- the kinematic rate here and the jump-cost residual in
 :mod:`linboltz.kinetic` -- therefore evaluate each velocity pair i < j once
 and count it twice, and treat the diagonal, where an antisymmetric current
 vanishes, in O(n_x * n_v).  :func:`kinematic_rate` requires an
-antisymmetric current.  The cost kernels run in blocks of at most
-``BLOCK`` elements, so that the temporaries of their arithmetic stay in
-cache.
+antisymmetric current.
+
+The cost kernels run in blocks of at most ``BLOCK`` (16384) elements and do
+their arithmetic in place, in scratch arrays allocated once per call, so a
+block makes about 10 (psi) or 25 (phi) passes over data that stays in cache
+and no ufunc allocates.  They divide the formulas above through by alpha and
+see it only through xi/alpha and m/alpha, with alpha = 2*kappa*sqrt(p)*sqrt(q);
+only the squares of those ratios can overflow, and the elements where they do
+fall back to np.hypot.  On the ``certify`` benchmark config (Rayleigh-120, 64
+cells, 457k pair elements per call; 2-core Xeon, one thread) a
+:func:`kinematic_rate` call takes about 11 ms, 24 ns per pair element with
+its gathers and antisymmetry check, and a :func:`phi` call about 14 ms,
+30 ns per element.  The kernels use no threads: two threads running
+np.arcsinh on separate blocks ran no faster than one there.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -69,74 +81,115 @@ def truncated_log(u, floor=LOG_FLOOR, cap=LOG_CAP):
 # for alpha = 0 is patched in only at the elements where it occurs
 # ---------------------------------------------------------------------------
 
-#: elements per block: a fresh full-size temporary per ufunc costs several
-#: times the arithmetic it holds, a block's temporaries stay in cache
-BLOCK = 4096
-
-#: sqrt(x*x + a*a) neither over- nor underflows while its value stays inside
-#: this range; outside it np.hypot (about 4x slower) takes over
-_HYPOT_LO = 1e-150
-_HYPOT_HI = 1e150
+#: elements per block, read at call time; a call allocates its scratch arrays
+#: of this size once.  Per call on the certify config (see above), at 4096 /
+#: 16384 / 65536 / 262144: kinematic_rate 14.3 / 10.5 / 10.2 / 14.5 ms, phi
+#: 15.1 / 14.5 / 14.9 / 18.9 ms.
+BLOCK = 16384
 
 #: relative tolerance of the antisymmetry test (that of np.allclose)
 _ANTISYM_RTOL = 1e-5
 
 
-def _hypot(x, a, x2, a2):
-    """sqrt(x^2 + a^2) from the squares x2, a2, with np.hypot at the elements
-    where they would spoil it, and the index of those (None if there are none)."""
-    h = np.sqrt(x2 + a2)
-    if not h.size or (_HYPOT_LO < h.min() and h.max() < _HYPOT_HI):
-        return h, None
-    bad = np.nonzero(~((h > _HYPOT_LO) & (h < _HYPOT_HI)))
-    h[bad] = np.hypot(x[bad], a[bad])
-    return h, bad
+def _scratch(n_buffers, size):
+    """Flat scratch arrays of ``size`` elements, viewed in a block's shape by :func:`_view`."""
+    return [np.empty(size) for _ in range(n_buffers)]
 
 
-def _degenerate(alpha):
-    """Index of the elements where alpha > 0 fails, or None if there are none."""
-    if alpha.size == 0 or alpha.min() > 0:
-        return None
-    return np.nonzero(~(alpha > 0))
+def _view(buffer, shape):
+    return buffer[:math.prod(shape)].reshape(shape)
 
 
-def _centered_cost(alpha, xi):
-    """xi*asinh(xi/alpha) - (sqrt(xi^2+alpha^2) - alpha) on one block.
-
-    alpha = 0 is the degenerate Legendre limit: 0 at xi = 0, +inf otherwise.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x2 = xi * xi
-        hyp, bad = _hypot(xi, alpha, x2, alpha * alpha)
-        # sqrt(x^2+a^2) - a == x^2/(hyp + a), stable for |x| << a
-        excess = x2 / (hyp + alpha)
-        if bad is not None:  # x^2 overflows beyond ~1.3e154
-            excess[bad] = xi[bad] * (xi[bad] / (hyp[bad] + alpha[bad]))
-        out = xi * np.arcsinh(xi / alpha) - excess
-    deg = _degenerate(alpha)
-    if deg is not None:
-        out[deg] = np.where(xi[deg] == 0.0, 0.0, math.inf)
+def _alpha(kappa, p, q, out, t):
+    """alpha = 2*kappa*sqrt(p)*sqrt(q) into ``out``; ``t`` is scratch.  The
+    product p*q would underflow for positive densities below ~1e-162."""
+    np.sqrt(p, out=out)
+    np.sqrt(q, out=t)
+    out *= t
+    out *= kappa
+    out *= 2.0
     return out
 
 
-def _jump_cost(kappa, p, q, xi):
-    """phi on one block; see :func:`phi`."""
-    alpha = 2.0 * kappa * np.sqrt(p * q)
-    m = kappa * (p - q)
+def _out_of_range(r2):
+    """Index of the elements where r2 = (xi/alpha)^2 overflowed or is nan (alpha
+    = 0 included), or None if there are none."""
+    if not r2.size or r2.max() < math.inf:
+        return None
+    return np.nonzero(~(r2 < math.inf))
+
+
+def _centered_cost(alpha, xi, out, t):
+    """psi = xi*asinh(r) - xi*r/(sqrt(1+r^2)+1), r = xi/alpha, into ``out``.
+
+    The form is that of the reference xi*asinh(xi/alpha) - (sqrt(xi^2+alpha^2)
+    - alpha) divided through by alpha, so that nothing but r^2 can overflow.
+    ``t`` is scratch of the same shape.  alpha = 0 is the degenerate Legendre
+    limit: 0 at xi = 0, +inf otherwise.
+    """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x2, m2, a2 = xi * xi, m * m, alpha * alpha
-        hyp_x, bad_x = _hypot(xi, alpha, x2, a2)
-        hyp_m, bad_m = _hypot(m, alpha, m2, a2)
-        den = hyp_x + hyp_m
-        # sqrt(x^2+a^2) - sqrt(m^2+a^2), cancellation-free
-        bracket = (x2 - m2) / den
-        for bad in (bad_x, bad_m):  # x^2 or m^2 overflows beyond ~1.3e154
-            if bad is not None:
-                bracket[bad] = (xi[bad] - m[bad]) * ((xi[bad] + m[bad]) / den[bad])
-        out = xi * (np.arcsinh(xi / alpha) - np.arcsinh(m / alpha)) - bracket
-    deg = _degenerate(alpha)
-    if deg is not None:
-        out[deg] = _phi_degenerate(kappa[deg], p[deg], q[deg], xi[deg])
+        np.divide(xi, alpha, out=out)
+        np.multiply(out, out, out=t)
+        bad = _out_of_range(t)
+        t += 1.0
+        np.sqrt(t, out=t)
+        t += 1.0
+        np.divide(out, t, out=t)
+        np.arcsinh(out, out=out)
+        out -= t
+        out *= xi
+        if bad is not None:  # r^2 overflows: the reference formula, with np.hypot
+            x, a = xi[bad], alpha[bad]
+            out[bad] = np.where(a > 0,
+                                x * np.arcsinh(x / a) - x * (x / (np.hypot(x, a) + a)),
+                                np.where(x == 0.0, 0.0, math.inf))
+    return out
+
+
+def _jump_cost(kappa, p, q, xi, out, work):
+    """phi on one block into ``out``; ``work`` holds five scratch arrays of
+    its shape.  See :func:`phi`.
+
+    With rx = xi/alpha and rm = m/alpha, sx = sqrt(1+rx^2), sm = sqrt(1+rm^2):
+
+        phi = xi*(asinh rx - asinh rm) - (xi - m)*(rx + rm)/(sx + sm),
+
+    the reference form divided through by alpha.  At xi == m both terms
+    vanish exactly.
+    """
+    alpha, m, rm, t, u = work
+    _alpha(kappa, p, q, alpha, t)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.subtract(p, q, out=m)
+        m *= kappa
+        np.divide(xi, alpha, out=out)
+        np.divide(m, alpha, out=rm)
+        np.multiply(out, out, out=t)
+        t += 1.0
+        np.sqrt(t, out=t)
+        np.multiply(rm, rm, out=u)
+        u += 1.0
+        np.sqrt(u, out=u)
+        t += u
+        bad = _out_of_range(t)  # catches rx^2 or rm^2 overflowing, and alpha = 0
+        np.add(out, rm, out=u)
+        u /= t
+        np.subtract(xi, m, out=t)
+        u *= t  # (xi - m)*(rx + rm)/(sx + sm)
+        np.arcsinh(out, out=out)
+        np.arcsinh(rm, out=rm)
+        out -= rm
+        out *= xi
+        out -= u
+        if bad is not None:  # the reference formula, with np.hypot
+            x, mb, a = xi[bad], m[bad], alpha[bad]
+            den = np.hypot(x, a) + np.hypot(mb, a)
+            out[bad] = (x * (np.arcsinh(x / a) - np.arcsinh(mb / a))
+                        - (x - mb) * ((x + mb) / den))
+            deg = ~(a > 0)
+            if deg.any():
+                idx = tuple(b[deg] for b in bad)
+                out[idx] = _phi_degenerate(kappa[idx], p[idx], q[idx], xi[idx])
     return out
 
 
@@ -175,8 +228,17 @@ def _phi_degenerate(kappa, p, q, xi):
     return out
 
 
-def _elementwise(kernel, *args):
-    """kernel over the broadcast of ``args``, BLOCK elements at a time."""
+def _psi_block(kappa, p, q, xi, out, work):
+    alpha, t = work
+    return _centered_cost(_alpha(kappa, p, q, alpha, t), xi, out, t)
+
+
+def _elementwise(kernel, n_work, *args):
+    """kernel over the broadcast of ``args``, BLOCK elements at a time.
+
+    The kernel writes each block into the output and uses ``n_work`` scratch
+    arrays, allocated once per call.
+    """
     it = np.nditer(
         [*args, None],
         flags=["external_loop", "buffered", "zerosize_ok"],
@@ -184,10 +246,11 @@ def _elementwise(kernel, *args):
         op_dtypes=[np.float64] * (len(args) + 1),
         buffersize=BLOCK,
     )
+    scratch = _scratch(n_work, min(BLOCK, it.itersize))
     with it:
         out = it.operands[-1]
-        for *block, block_out in it:
-            block_out[...] = kernel(*block)
+        for *block, block_out in it:  # buffered: at most BLOCK elements each
+            kernel(*block, block_out, [_view(w, block_out.shape) for w in scratch])
     if out.ndim == 0:
         return float(out)
     return out
@@ -198,10 +261,7 @@ def psi(kappa, p, q, xi):
     _check_nonneg("kappa", kappa)
     _check_nonneg("p", p)
     _check_nonneg("q", q)
-    return _elementwise(
-        lambda k, a, b, x: _centered_cost(2.0 * k * np.sqrt(a * b), x),
-        kappa, p, q, xi,
-    )
+    return _elementwise(_psi_block, 2, kappa, p, q, xi)
 
 
 def phi(kappa, p, q, xi):
@@ -209,7 +269,7 @@ def phi(kappa, p, q, xi):
     _check_nonneg("kappa", kappa)
     _check_nonneg("p", p)
     _check_nonneg("q", q)
-    return _elementwise(_jump_cost, kappa, p, q, xi)
+    return _elementwise(_jump_cost, 5, kappa, p, q, xi)
 
 
 def phi_slope_at_zero(p, q):
@@ -303,14 +363,16 @@ def _pair_blocks(n_cells, n_pairs):
             yield slice(c, c + rows), slice(s, s + cols)
 
 
-def _check_antisymmetric(up, lo, atol):
-    """``np.allclose(eta, -eta^T, atol=atol)`` on the entries ``up`` and their mirrors ``lo``."""
-    gap = up + lo
+def _check_antisymmetric(up, lo, atol, gap):
+    """``np.allclose(eta, -eta^T, atol=atol())`` on the entries ``up`` and their
+    mirrors ``lo``; ``gap`` is scratch of their shape.  ``atol`` is called only
+    where the two are not exactly opposite."""
+    np.add(up, lo, out=gap)
     if not gap.any():  # exactly antisymmetric, as the solver's own current is
         return
     tol = np.minimum(np.abs(up), np.abs(lo))
     tol *= _ANTISYM_RTOL
-    tol += atol
+    tol += atol()
     if not np.all(np.abs(gap) <= tol):
         raise DomainError("current must be antisymmetric in (v, v')")
 
@@ -333,38 +395,38 @@ def kinematic_rate(f_slice, eta_slice, model, dx):
     n_x, n_v = f.shape
     if n_v != model.n_nodes or eta.shape != (n_x, n_v, n_v):
         raise UsageError("density and current shapes do not match the model")
-    atol = 1e-12 * max(1.0, np.max(eta, initial=0.0), -np.min(eta, initial=0.0))
+    # max|eta| costs two passes over eta; only an inexact current needs it
+    atol = functools.cache(lambda: 1e-12 * max(1.0, np.max(eta, initial=0.0),
+                                                -np.min(eta, initial=0.0)))
 
     diag = np.diagonal(eta, axis1=1, axis2=2)
-    _check_antisymmetric(diag, diag, atol)
+    _check_antisymmetric(diag, diag, atol, np.empty(diag.shape))
     i, j, weights = pair_triangle(model)
     upper, lower = i * n_v + j, j * n_v + i
+    sq = np.sqrt(f)
     two_sigma = 2.0 * model.sigma[i, j]
     flat = eta.reshape(n_x, n_v * n_v)
+    buffers = _scratch(4, min(BLOCK, n_x * i.size))
     total = 0.0
     for cells, pairs in _pair_blocks(n_x, i.size):
-        up = np.take(flat[cells], upper[pairs], axis=1)
-        _check_antisymmetric(up, np.take(flat[cells], lower[pairs], axis=1), atol)
-        fb = f[cells]
-        alpha = np.take(fb, i[pairs], axis=1)
-        alpha *= np.take(fb, j[pairs], axis=1)
-        np.sqrt(alpha, out=alpha)
+        sb = sq[cells]
+        shape = (sb.shape[0], len(upper[pairs]))
+        up, lo, alpha, t = (_view(b, shape) for b in buffers)
+        np.take(flat[cells], upper[pairs], axis=1, out=up, mode="clip")
+        np.take(flat[cells], lower[pairs], axis=1, out=lo, mode="clip")
+        _check_antisymmetric(up, lo, atol, alpha)
+        np.take(sb, i[pairs], axis=1, out=alpha, mode="clip")
+        alpha *= np.take(sb, j[pairs], axis=1, out=t, mode="clip")
         alpha *= two_sigma[pairs]
-        total += float(np.sum(_centered_cost(alpha, up) @ weights[pairs]))
+        _centered_cost(alpha, up, lo, t)
+        total += float(np.sum(lo @ weights[pairs]))
     w = model.weights
-    alpha = 2.0 * np.diagonal(model.sigma) * np.sqrt(f * f)
-    total += float(np.sum(_centered_cost(alpha, diag) @ (w * w)))
+    alpha = 2.0 * np.diagonal(model.sigma) * f  # sqrt(f)*sqrt(f), exactly
+    psi_diag = _centered_cost(alpha, diag, np.empty(f.shape), np.empty(f.shape))
+    total += float(np.sum(psi_diag @ (w * w)))
     if math.isinf(total):
         raise InfeasibleValueError("kinematic cost is infeasible (current on a zero-rate pair)")
     return float(dx * total)
-
-
-def kinematic_term(f_path, eta_path, model, dt, dx):
-    """Time quadrature (rectangle on the supplied slices) of the kinematic rate."""
-    total = 0.0
-    for f, eta in zip(f_path, eta_path):
-        total += kinematic_rate(f, eta, model, dx)
-    return dt * total
 
 
 def dirichlet_lower_bound(f_slice, model, dx, phi_test):

@@ -451,7 +451,8 @@ def edi_certificate(traj, model, current_scale=1.0, tol=None):
     for n in range(traj.n_steps):
         f_mid = 0.5 * (traj.f[n] + traj.f[n + 1])
         eta = current_of(f_mid, model)
-        eta *= current_scale
+        if current_scale != 1.0:
+            eta *= current_scale
         e_val = scale * dirichlet_form(f_mid, model, traj.dx)
         r_val = scale * kinematic_rate(f_mid, eta, model, traj.dx)
         # Phi over the pairs i < j, counted twice; the diagonal of the

@@ -282,8 +282,9 @@ def from_file(path):
 
     Raises ConfigError for a file that is not a ``model-v3`` header (a
     ``model-v2`` one included, as its fingerprint did not cover ``nodes``), a
-    sidecar that lacks one of the arrays, or arrays whose fingerprint is not
-    the header's (a sidecar of another model).
+    sidecar that lacks one of the arrays, arrays or a ``dim_x`` that make no
+    model (mismatched shapes, say), or arrays whose fingerprint is not the
+    header's (a sidecar of another model).
     """
     try:
         with open(path) as fh:
@@ -302,8 +303,11 @@ def from_file(path):
         if missing:
             raise ConfigError(f"model arrays {sidecar} lack {missing}")
         arrays = {key: npz[key] for key in MODEL_ARRAYS}
-    model = VelocityModel(**arrays, dim_x=int(header["dim_x"]), name=header["name"],
-                          meta=header["meta"])
+    try:
+        model = VelocityModel(**arrays, dim_x=int(header["dim_x"]), name=header["name"],
+                              meta=header["meta"])
+    except (UsageError, ValueError, TypeError) as exc:
+        raise ConfigError(f"model file {path} does not describe a model: {exc}") from exc
     if model.fingerprint != header["fingerprint"]:
         raise ConfigError(f"the arrays in {sidecar} are not those of the model {path} "
                           f"describes (fingerprint {model.fingerprint})")

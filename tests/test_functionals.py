@@ -11,7 +11,6 @@ from linboltz.functionals import (
     heat_kinematic,
     kinematic_lower_bound,
     kinematic_rate,
-    kinematic_term,
     phi,
     phi_slope_at_zero,
     psi,
@@ -196,20 +195,6 @@ class TestEntropyAndForms:
         with pytest.raises(InfeasibleValueError):
             kinematic_rate(f, eta, model, 1.0)
 
-    def test_kinematic_term_sums_slices(self):
-        model = two_node_model()
-        rng = np.random.default_rng(11)
-        f_path = rng.uniform(0.5, 2.0, (3, 2, 2))
-        z = rng.normal(size=(3, 2))
-        eta_path = np.zeros((3, 2, 2, 2))
-        eta_path[..., 0, 1] = z
-        eta_path[..., 1, 0] = -z
-        total = kinematic_term(f_path, eta_path, model, 0.1, 0.5)
-        manual = 0.1 * sum(
-            kinematic_rate(f_path[t], eta_path[t], model, 0.5) for t in range(3)
-        )
-        assert total == pytest.approx(manual, rel=1e-14)
-
 
 class TestVariationalProbes:
     def test_dirichlet_lower_bound_never_exceeds(self):
@@ -241,7 +226,7 @@ class TestVariationalProbes:
         eta_path[..., 0, 1] = amp
         eta_path[..., 1, 0] = -amp
         dt, dx = 0.05, 1.0 / 3
-        top = kinematic_term(f_path, eta_path, model, dt, dx)
+        top = dt * sum(kinematic_rate(f, eta, model, dx) for f, eta in zip(f_path, eta_path))
         for seed in range(5):
             z = np.random.default_rng(100 + seed).normal(size=(4, 3)) * 0.4
             zeta = np.zeros_like(eta_path)

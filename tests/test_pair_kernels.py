@@ -21,8 +21,9 @@ from linboltz.velocity import VelocityModel
 
 REL = 1e-12
 
-# a block size of 3 splits every cell's pairs; the default packs many cells
-BLOCKS = [3, functionals.BLOCK]
+# a block size of 3 splits every cell's pairs; 4096 and the default pack
+# different numbers of cells into a block
+BLOCKS = [3, 4096, functionals.BLOCK]
 
 PROPERTY = settings(
     max_examples=60,
@@ -241,3 +242,77 @@ def test_elementwise_blocks_patch_scattered_degenerate_entries():
         assert got_phi[k] == phi(kappa[k], p[k], q[k], xi[k])
         assert got_psi[k] == psi(kappa[k], p[k], q[k], xi[k])
     assert np.isinf(got_psi).any() and np.isinf(got_phi).any()
+
+
+def test_blocks_with_extreme_entries_keep_the_reference():
+    """Of several blocks only one holds entries that leave the kernels' safe
+    range, |xi| = 1e155 or alpha near 1e-151; that block falls back to
+    np.hypot, the others keep the fast path."""
+    rng = np.random.default_rng(22)
+    n = 3 * functionals.BLOCK + 17
+    kappa = rng.uniform(0.1, 3.0, n)
+    p = rng.uniform(0.1, 3.0, n)
+    q = rng.uniform(0.1, 3.0, n)
+    xi = rng.normal(0.0, 2.0, n)
+    extreme = functionals.BLOCK + rng.choice(functionals.BLOCK, 6, replace=False)
+    xi[extreme[:2]] = [1e155, -1e155]
+    kappa[extreme[2:]] = 5e-152  # alpha = 2*kappa*sqrt(p*q) near 1e-151
+    xi[extreme[4:]] = [1e4, -1.0]  # |xi|/alpha beyond 1e154, and not
+    got = phi(kappa, p, q, xi)
+    for k in range(n):
+        assert got[k] == phi(kappa[k], p[k], q[k], xi[k])
+    for k in extreme:
+        ref = _reference_costs(kappa[k], p[k], q[k], xi[k])[1]
+        assert got[k] == pytest.approx(ref, rel=REL, abs=0.0)
+
+    # 40 nodes, so 780 pairs and 21 cells per block: 4 blocks on 64 cells,
+    # the second of which holds cell 30 with a density of 1e-302 at node 3
+    n_v, n_x = 40, 64
+    a = rng.uniform(0.1, 2.0, (n_v, n_v))
+    weights = rng.uniform(0.1, 1.0, n_v)
+    model = VelocityModel(
+        nodes=np.arange(n_v, dtype=float)[:, None], weights=weights / weights.sum(),
+        drift=np.linspace(-1.0, 1.0, n_v)[:, None], sigma=a + a.T, dim_x=1,
+    )
+    f = rng.uniform(0.5, 2.0, (n_x, n_v))
+    eta = own_current(f, model.sigma)
+    f[30, 3] = 1e-302
+    eta[30, 3, 7], eta[30, 7, 3] = 1e4, -1e4  # |eta|/alpha beyond 1e154
+    reference = []
+    for x in range(n_x):
+        for i in range(n_v):
+            for j in range(i + 1, n_v):
+                alpha = 2.0 * model.sigma[i, j] * math.sqrt(f[x, i]) * math.sqrt(f[x, j])
+                e = eta[x, i, j]
+                psi_ref = e * math.asinh(e / alpha) - e * (e / (math.hypot(e, alpha) + alpha))
+                reference.append(2.0 * model.weights[i] * model.weights[j] * psi_ref)
+    got = kinematic_rate(f, eta, model, 1.0 / n_x)
+    assert got == pytest.approx(math.fsum(reference) / n_x, rel=REL, abs=0.0)
+    eta[30, 3, 7], eta[30, 7, 3] = 1e155, -1e155
+    big = kinematic_rate(f, eta, model, 1.0 / n_x)
+    alpha = 2.0 * model.sigma[3, 7] * math.sqrt(f[30, 3]) * math.sqrt(f[30, 7])
+    assert big == pytest.approx(2.0 * model.weights[3] * model.weights[7] / n_x
+                                * 1e155 * (math.asinh(1e155 / alpha) - 1.0), rel=REL)
+
+
+@pytest.mark.parametrize("cost, args", [(psi, (1.0, 1.0, 2.0, -1.0)),
+                                        (phi, (1.0, 1.0, 2.0, -2.0)),
+                                        (phi, (0.7, 3.0, 0.5, 1.0))])
+def test_costs_stay_one_homogeneous_where_p_times_q_underflows(cost, args):
+    kappa, p, q, xi = args
+    c = 1e-170  # p*q underflows to zero; sqrt(p)*sqrt(q) does not
+    small = cost(kappa, c * p, c * q, c * xi)
+    assert small == pytest.approx(c * cost(kappa, p, q, xi), rel=1e-12, abs=0.0)
+
+
+def test_kinematic_rate_at_densities_whose_product_underflows():
+    model = VelocityModel(
+        nodes=np.arange(2.0)[:, None], weights=np.full(2, 0.5),
+        drift=np.array([[-1.0], [1.0]]), sigma=np.ones((2, 2)) - np.eye(2), dim_x=1,
+    )
+    c = 1e-170
+    f = np.array([[1.0, 2.0]])
+    small = kinematic_rate(c * f, own_current(c * f, model.sigma), model, 1.0)
+    assert math.isfinite(small)
+    assert small == pytest.approx(
+        c * kinematic_rate(f, own_current(f, model.sigma), model, 1.0), rel=1e-12, abs=0.0)

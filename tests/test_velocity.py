@@ -367,6 +367,23 @@ def test_model_file_refuses_arrays_that_are_not_its_model(tmp_path, tamper):
         from_file(tmp_path / "model_lorentz.json")
 
 
+@pytest.mark.parametrize("tamper", ["nodes_shape", "dim_x"])
+def test_model_file_that_makes_no_model_is_a_config_error(tmp_path, tamper):
+    path = tmp_path / "model_lorentz.json"
+    to_file(build_model("lorentz", n_nodes=8), path)
+    if tamper == "nodes_shape":
+        arrays = tmp_path / "model_lorentz.npz"
+        with np.load(arrays) as npz:
+            kept = dict(npz)
+        kept["nodes"] = kept["nodes"].reshape(1, 8)
+        np.savez(arrays, **kept)
+    else:
+        header = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(header, dim_x="one")))
+    with pytest.raises(ConfigError, match="does not describe a model"):
+        from_file(path)
+
+
 def test_fingerprint_covers_nodes_and_array_shapes():
     a = VelocityModel(nodes=np.arange(8.0).reshape(4, 2), weights=np.full(4, 0.25),
                       drift=np.array([1.0, -1.0, 2.0, -2.0]), sigma=np.ones((4, 4)),
