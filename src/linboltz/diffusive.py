@@ -10,10 +10,13 @@ against a fixed bank of smooth test fields.
 Each run, upwind or spectral, is stepped on the rfft modes of f by
 :func:`linboltz.kinetic.mode_marginals`: the same Strang steps as the
 frames of :func:`linboltz.kinetic.evolve`, one real matmul each and no
-FFT.  The sweep holds the current path j(t, x), its modes and the final
-density rho(T, x), O(n_t n_x) floats, never the (n_t, n_x, n_v) frames.
-The heat current along the same times comes from one batched FFT
-(:func:`linboltz.heat.heat_current`).
+FFT.  The sweep holds the rfft modes of the current path j(t, x) and the
+final density rho(T, x), never j(t, x) itself or the (n_t, n_x, n_v)
+frames.  It pairs those modes with the test fields through the
+half-spectrum Parseval identity, and the heat current's closed-form modes
+(:meth:`linboltz.heat.HeatFlow.current_modes`) through the same identity,
+as one (n_t, n_x // 2 + 1) decay matrix times one coefficient per mode and
+field.
 """
 
 import hashlib
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, require_memory
-from .heat import HeatFlow, heat_current
+from .heat import HeatFlow
 from .kinetic import mode_marginals, simulate
 from .velocity import diffusion_matrix, poisson_solve
 
@@ -38,6 +41,37 @@ def default_test_bank(n_cells):
         "sin1": np.sin(2.0 * np.pi * x),
         "cos2": np.cos(4.0 * np.pi * x),
     }
+
+
+def _parseval_weights(fields, n_cells):
+    """The rfft modes of ``fields`` (rows), weighted so that a real field j
+    with rfft modes J pairs with row w as sum_x j(x) w(x) = sum_k Re(J_k conj W_k).
+
+    This is the half-spectrum Parseval identity: the weight is 1/n at the
+    DC mode and at the Nyquist mode of an even grid and 2/n at every other
+    mode.  At those two modes W is real, so only the real part of J counts,
+    as in ``irfft``.
+    """
+    w_hat = np.fft.rfft(np.asarray(fields, dtype=float), axis=1)
+    scale = np.full(w_hat.shape[1], 2.0 / n_cells)
+    scale[[0, -1] if n_cells % 2 == 0 else 0] = 1.0 / n_cells
+    return w_hat * scale
+
+
+def _current_pairings(j_modes, weights):
+    """sum_x j(t, x) w(x) for each row w of :func:`_parseval_weights` (rows)
+    and each time t (columns), from the rfft modes ``j_modes`` of j(t, .)."""
+    return weights.view(float) @ j_modes.view(float).T
+
+
+def _heat_current_pairings(flow, times, weights):
+    """sum_x j(t, x) w(x) of the heat current of the 1-d ``flow``, as
+    :func:`_current_pairings`: the (n_t, n_modes) decay matrix times one
+    coefficient per mode and field."""
+    modes, rates = flow.current_modes()
+    decay = np.multiply.outer(np.asarray(times, dtype=float), -rates)
+    np.exp(decay, out=decay)
+    return (weights.conj() * modes).real @ decay.T
 
 
 def auto_dt(model, epsilon, T, n_cells, cfl=0.5, drift_axis=0,
@@ -136,21 +170,23 @@ def sweep(model, rho0, eps_list, T, n_cells=64, transport="spectral",
 
     ``dt_scale`` < 1 refines every auto-selected time step by that factor
     (used by the discretization-convergence check).  Each run is stepped on
-    the modes of f: only its current path j(t, x), the modes of that path
-    and its last density are kept, never its frames.  Every run's paths
-    are checked against physical memory before the first one starts.
+    the modes of f: only the modes of its current path j(t, x) and its last
+    density are kept, never its frames.  Every run's paths are checked
+    against physical memory before the first one starts.
     """
     eps_list = sorted((float(e) for e in eps_list), reverse=True)
     rho0 = np.asarray(rho0, dtype=float)
     if not 0 <= drift_axis < model.drift.shape[1]:
         raise ConfigError("drift_axis out of range for this model")
+    bank = default_test_bank(n_cells)
     dts = []
     for eps in eps_list:
         _check_rescaled(rho0, eps, n_cells)
         dt = auto_dt(model, eps, T, n_cells, drift_axis=drift_axis, dt_scale=dt_scale)
-        # per time: the modes of j (n_cells // 2 + 1 complex), j itself and
-        # the heat current, whose FFTs peak at about 7 floats per cell
-        require_memory((round(T / dt) + 1, 2 * (n_cells // 2 + 1) + 8 * n_cells),
+        # per time: the modes of j (n_cells // 2 + 1 complex), which the heat
+        # decay matrix (n_cells // 2 + 1 floats) replaces, and per test field
+        # the pairings and _bonj_probe's window sums (at most 5 floats)
+        require_memory((round(T / dt) + 1, 2 * (n_cells // 2 + 1) + 5 * len(bank)),
                        f"the current paths of the eps={eps:g} run")
         dts.append(dt)
 
@@ -160,27 +196,27 @@ def sweep(model, rho0, eps_list, T, n_cells=64, transport="spectral",
 
     flow = HeatFlow(rho0, np.array([[d_axis]]))
     rho_heat_T = flow.rho_at(T)
-    bank = default_test_bank(n_cells)
+    weights = _parseval_weights(list(bank.values()), n_cells)
     dx = 1.0 / n_cells
 
     rows = []
     for eps, dt in zip(eps_list, dts):
         t0 = time.perf_counter()
-        j_path, rho_T = mode_marginals(model, rho0, T, dt, epsilon=eps,
-                                       transport=transport, drift_axis=drift_axis)
-        n_steps = len(j_path) - 1
+        j_modes, rho_T = mode_marginals(model, rho0, T, dt, epsilon=eps,
+                                        transport=transport, drift_axis=drift_axis)
         l1 = float(dx * np.sum(np.abs(rho_T - rho_heat_T)))
         l2 = float(np.sqrt(dx * np.sum((rho_T - rho_heat_T) ** 2)))
 
         # J(w) = int_0^T dt int j(t,x) w(x) dx, kinetic and heat, on the same
         # trapezoid time quadrature
-        times = dt * np.arange(n_steps + 1)
-        j_heat = heat_current(flow, times)[:, :, 0]
-        tw = _trapezoid(times.size, dt)
-        pairings = np.stack([j_path @ w for w in bank.values()])
-        weak_err = max(abs(float(dx * tw @ p) - float(tw @ (dx * (j_heat @ w))))
-                       for p, w in zip(pairings, bank.values()))
+        times = dt * np.arange(len(j_modes))
+        pairings = _current_pairings(j_modes, weights)
+        del j_modes
         bonj = _bonj_probe(pairings, dx, dt)
+        heat = _heat_current_pairings(flow, times, weights)
+        tw = _trapezoid(times.size, dt)
+        weak_err = max(abs(float(dx * tw @ p) - float(tw @ (dx * h)))
+                       for p, h in zip(pairings, heat))
         rows.append(
             SweepRow(eps, l1, l2, weak_err, bonj, time.perf_counter() - t0)
         )

@@ -36,12 +36,13 @@ block makes about 10 (psi) or 25 (phi) passes over data that stays in cache
 and no ufunc allocates.  They divide the formulas above through by alpha and
 see it only through xi/alpha and m/alpha, with alpha = 2*kappa*sqrt(p)*sqrt(q);
 only the squares of those ratios can overflow, and the elements where they do
-fall back to np.hypot.  On the ``certify`` benchmark config (Rayleigh-120, 64
-cells, 457k pair elements per call; 2-core Xeon, one thread) a
-:func:`kinematic_rate` call takes about 11 ms, 24 ns per pair element with
-its gathers and antisymmetry check, and a :func:`phi` call about 14 ms,
-30 ns per element.  The kernels use no threads: two threads running
-np.arcsinh on separate blocks ran no faster than one there.
+fall back to np.hypot, with asinh(y) = log 2|y| where y itself overflows.  On
+the ``certify`` benchmark config (Rayleigh-120, 64 cells, 457k pair elements
+per call; 2-core Xeon, one thread) a :func:`kinematic_rate` call takes
+about 11 ms, 24 ns per pair element with its gathers and antisymmetry
+check, and a :func:`phi` call about 14 ms, 30 ns per element.  The kernels
+use no threads: two threads running np.arcsinh on separate blocks ran no
+faster than one there.
 """
 
 import functools
@@ -119,6 +120,18 @@ def _out_of_range(r2):
     return np.nonzero(~(r2 < math.inf))
 
 
+def _asinh_ratio(x, a):
+    """asinh(x/a), taken as copysign(log 2 + log|x| - log a, x) where x/a
+    overflows; there asinh(y) = log 2|y| to far below rounding."""
+    r = x / a
+    out = np.arcsinh(r)
+    big = np.isinf(r)
+    if big.any():
+        xb = x[big]
+        out[big] = np.copysign(math.log(2.0) + np.log(np.abs(xb)) - np.log(a[big]), xb)
+    return out
+
+
 def _centered_cost(alpha, xi, out, t):
     """psi = xi*asinh(r) - xi*r/(sqrt(1+r^2)+1), r = xi/alpha, into ``out``.
 
@@ -141,7 +154,7 @@ def _centered_cost(alpha, xi, out, t):
         if bad is not None:  # r^2 overflows: the reference formula, with np.hypot
             x, a = xi[bad], alpha[bad]
             out[bad] = np.where(a > 0,
-                                x * np.arcsinh(x / a) - x * (x / (np.hypot(x, a) + a)),
+                                x * _asinh_ratio(x, a) - x * (x / (np.hypot(x, a) + a)),
                                 np.where(x == 0.0, 0.0, math.inf))
     return out
 
@@ -184,7 +197,7 @@ def _jump_cost(kappa, p, q, xi, out, work):
         if bad is not None:  # the reference formula, with np.hypot
             x, mb, a = xi[bad], m[bad], alpha[bad]
             den = np.hypot(x, a) + np.hypot(mb, a)
-            out[bad] = (x * (np.arcsinh(x / a) - np.arcsinh(mb / a))
+            out[bad] = (x * (_asinh_ratio(x, a) - _asinh_ratio(mb, a))
                         - (x - mb) * ((x + mb) / den))
             deg = ~(a > 0)
             if deg.any():

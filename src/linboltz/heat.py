@@ -10,8 +10,10 @@ only matters for the quadrature of the gradient-flow functionals
     H(rho(T)) + int_0^T E(rho) dt + R(rho, j)  =  H(rho(0)),
 
 which holds with equality (to quadrature order) exactly when j = -D grad rho.
-``heat_current`` evaluates the current along a whole time path in one
-batched transform, for the weak pairings of the diffusive sweep.
+The current is as closed-form as the density: on a 1-d grid its rfft modes
+are j_hat(t, k) = -D 2 pi i k rho_hat(0, k) exp(-4 pi^2 t D k^2)
+(:meth:`HeatFlow.current_modes`), which the diffusive sweep pairs with its
+test fields without forming j(t, x).
 """
 
 from dataclasses import dataclass
@@ -69,6 +71,22 @@ class HeatFlow:
         )
         return -grads @ self.D.T
 
+    def current_modes(self):
+        """The rfft modes of the current of a 1-d flow at t = 0 and their
+        decay rates: j_hat(t, k) = modes[k] * exp(-rates[k] * t).
+
+        ``irfft(j_hat(t), n)`` is ``current_at(t)[:, 0]``: the spectral
+        derivative keeps no Nyquist mode, so on an even grid that entry is 0.
+        """
+        if self.rho0.ndim != 1:
+            raise UsageError("current_modes needs a 1-d flow")
+        n = self.rho0.size
+        k = np.arange(n // 2 + 1)
+        modes = -self.D[0, 0] * (2j * np.pi * k) * self._rho0_hat[: k.size]
+        if n % 2 == 0:
+            modes[-1] = 0.0
+        return modes, 4.0 * np.pi**2 * self._kdk[: k.size]
+
 
 def heat_solve(rho0, D, T, dt):
     """Sampled trajectory (times, rho_path) of the exact flow."""
@@ -79,23 +97,6 @@ def heat_solve(rho0, D, T, dt):
     times = dt * np.arange(n_steps + 1)
     rho_path = np.stack([flow.rho_at(t) for t in times])
     return flow, times, rho_path
-
-
-def heat_current(flow, times):
-    """j = -D grad rho at each of ``times``, shape (n_t,) + rho.shape + (d,).
-
-    One batched FFT over the whole time path; every slice equals
-    ``flow.current_at`` at its time.
-    """
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise UsageError("t must be nonnegative")
-    d = flow.rho0.ndim
-    t = times.reshape((-1,) + (1,) * d)
-    decay = np.exp(-4.0 * np.pi**2 * t * flow._kdk)
-    rho = np.real(np.fft.ifftn(flow._rho0_hat * decay, axes=tuple(range(1, d + 1))))
-    grads = np.stack([gradient(rho, axis=a + 1) for a in range(d)], axis=-1)
-    return -grads @ flow.D.T
 
 
 def spatial_entropy(rho, floor=RHO_FLOOR):

@@ -23,9 +23,9 @@ Both split operators act on each spatial Fourier mode alone (the
 transport as a multiplier per mode and node, the collision on the
 velocity axis), so :func:`mode_marginals` takes the same Strang steps on
 the n_x/2 + 1 rfft modes of f, one real matmul per step and no FFT, for
-callers that need only the marginals j(t, x) and rho(T, x), such as the
-diffusive sweep.  Positive frames, which the certificates need, come only
-from :func:`evolve`.
+callers that need only the rfft modes of the current j(t, x) and the final
+density rho(T, x), such as the diffusive sweep.  Positive frames, which the
+certificates need, come only from :func:`evolve`.
 
 Certification assembles the entropy balance and the gradient-flow
 inequality
@@ -274,8 +274,9 @@ def _frames(stepper, f, n_steps):
 
 
 def mode_marginals(model, f0, T, dt, epsilon=1.0, transport="upwind", drift_axis=0):
-    """The current path j(t_n, x) at every step t_n = n dt and the density
-    rho(T, x) of the run :func:`evolve` steps, computed on the rfft modes of f.
+    """The rfft modes of the current path j(t_n, x) at every step t_n = n dt
+    and the density rho(T, x) of the run :func:`evolve` steps, computed on the
+    rfft modes of f.
 
     Both split operators act on each spatial mode alone: the transport as
     :meth:`Stepper.mode_multiplier` P, the collision on the velocity axis.
@@ -285,8 +286,9 @@ def mode_marginals(model, f0, T, dt, epsilon=1.0, transport="upwind", drift_axis
 
         h = P g,   j^ = (w b / eps) . C_half h,   g = C_half^2 h.
 
-    One batched ``irfft`` then turns the modes of j into j_path.  Only
-    j_path, its modes and a few (n_v, n_modes) arrays are held, never a frame.
+    The modes of j come back as a complex (n_steps + 1, n_x // 2 + 1) array,
+    whose ``irfft`` along axis 1 is j_path; rho(T) is one ``irfft``.  Only
+    those modes and a few (n_v, n_modes) arrays are held, never a frame.
     """
     f0, n_steps, stepper = _prepare(model, f0, T, dt, epsilon, transport, drift_axis)
     n_cells = f0.shape[0]
@@ -312,8 +314,7 @@ def mode_marginals(model, f0, T, dt, epsilon=1.0, transport="upwind", drift_axis
     else:
         rho_hat = model.weights @ f_parts
     rho_T = np.fft.irfft(rho_hat.view(complex), n_cells)
-    j_path = np.fft.irfft(j_hat.view(complex), n_cells, axis=1)
-    return j_path, rho_T
+    return j_hat.view(complex), rho_T
 
 
 def simulate(model, f0, T, dt, epsilon=1.0, transport="upwind", drift_axis=0):

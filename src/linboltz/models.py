@@ -27,9 +27,10 @@ from .velocity import VelocityModel, poisson_solve
 
 
 def _exact_symmetrize(mat):
-    """Force exact S_ij = S_ji by mirroring the upper triangle."""
-    upper = np.triu(mat, 1)
-    return upper + upper.T + np.diag(np.diag(mat))
+    """Force exact S_ij = S_ji by mirroring the upper triangle, in place."""
+    lower = np.tri(mat.shape[0], k=-1, dtype=bool)
+    np.copyto(mat, mat.T, where=lower)
+    return mat
 
 
 @dataclass(frozen=True)
@@ -141,27 +142,39 @@ def rayleigh_kernel(v, w, beta, dim, diag_cutoff=0.0):
     """Closed-form symmetric scattering kernel between node sets v and w.
 
     ``v``: (n, d), ``w``: (m, d).  Pairs closer than ``diag_cutoff`` get 0
-    (the diagonal-zero convention for the d=3 singular prefactor).
+    (the diagonal-zero convention for the d=3 singular prefactor).  The
+    (n, m) arithmetic is done in place, in three (n, m) arrays at most.
     """
     v = np.atleast_2d(v)
     w = np.atleast_2d(w)
     n2v = np.einsum("id,id->i", v, v)
     n2w = np.einsum("jd,jd->j", w, w)
     dot = v @ w.T
-    gram = np.outer(n2v, n2w) - dot * dot
-    np.clip(gram, 0.0, None, out=gram)
-    dist2 = n2v[:, None] + n2w[None, :] - 2.0 * dot
-    np.clip(dist2, 0.0, None, out=dist2)
-    close = dist2 <= diag_cutoff**2
-    safe = np.where(close, 1.0, dist2)
+    # |v|^2 + |w|^2 - 2 v.w, with the doubling of dot undone exactly
+    safe = np.add(n2v[:, None], n2w[None, :])
+    dot *= 2.0
+    safe -= dot
+    dot *= 0.5
+    np.clip(safe, 0.0, None, out=safe)
+    # the gram determinant |v|^2 |w|^2 - (v.w)^2, over dot's storage
+    np.multiply(dot, dot, out=dot)
+    kern = np.outer(n2v, n2w)
+    kern -= dot
+    del dot
+    np.clip(kern, 0.0, None, out=kern)
+    close = safe <= diag_cutoff**2
+    np.copyto(safe, 1.0, where=close)
     pref = (beta / (2.0 * np.pi)) ** ((1.0 - dim) / 2.0)
     try:
         with np.errstate(over="raise"):
-            kern = pref * np.exp(0.5 * beta * gram / safe)
+            kern *= 0.5 * beta
+            kern /= safe
+            np.exp(kern, out=kern)
+            kern *= pref
     except FloatingPointError as exc:
         raise NumericalQualityError("rayleigh kernel overflows; lower v_max") from exc
     if dim == 3:
-        kern = kern / np.sqrt(safe)
+        kern /= np.sqrt(safe, out=safe)
     kern[close] = 0.0
     return kern
 

@@ -239,16 +239,24 @@ def spectral_gap_probe(model):
     if np.any(model.rates <= 0):
         raise DomainError("K undefined at a node with lambda = 0")
     n = model.n_nodes
-    # K, sym and the temporaries of the expressions that build them
-    require_memory((4, n, n), "the spectral gap probe's dense matrix")
+    # sym, its symmetric part and eigvalsh's copy of that
+    require_memory((3, n, n), "the spectral gap probe's dense matrix")
     sqw = np.sqrt(tilted.weights)
-    # the constant mode (eigenvalue 1) is shifted to -2, strictly below the
-    # rest of the spectrum, so the top eigenvalue is lambda_2 itself
-    K = model.sigma * model.weights[None, :] / model.rates[:, None]
     inv_sqw = np.divide(1.0, sqw, out=np.zeros_like(sqw), where=sqw > 0)
-    sym = sqw[:, None] * K * inv_sqw[None, :] - 3.0 * np.outer(sqw, sqw)
-    del K
-    lam2 = float(np.linalg.eigvalsh(0.5 * (sym + sym.T))[-1])
+    # sqrt(w~) K / sqrt(w~), K = S w / lambda, built in place; the constant
+    # mode (eigenvalue 1) is shifted to -2, strictly below the rest of the
+    # spectrum, so the top eigenvalue is lambda_2 itself
+    sym = np.multiply(model.sigma, model.weights[None, :])
+    sym /= model.rates[:, None]
+    sym *= sqw[:, None]
+    sym *= inv_sqw[None, :]
+    part = np.outer(sqw, sqw)
+    part *= 3.0
+    sym -= part
+    np.add(sym, sym.T, out=part)
+    del sym
+    part *= 0.5
+    lam2 = float(np.linalg.eigvalsh(part)[-1])
     gap = 1.0 - lam2
     return lam2, gap, (1.0 / gap if gap > 0 else np.inf)
 

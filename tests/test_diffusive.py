@@ -5,6 +5,8 @@ import pytest
 
 from linboltz import ConfigError, LorentzSpec, build_lorentz
 from linboltz.diffusive import (
+    _current_pairings,
+    _parseval_weights,
     _trapezoid,
     auto_dt,
     config_hash,
@@ -15,7 +17,7 @@ from linboltz.diffusive import (
     write_sweep_csv,
 )
 from linboltz.heat import HeatFlow
-from linboltz.kinetic import marginals
+from linboltz.kinetic import marginals, mode_marginals
 from linboltz.velocity import VelocityModel, diffusion_matrix, poisson_solve
 
 
@@ -173,6 +175,25 @@ def test_streamed_sweep_equals_the_frame_holding_reference(transport, drift_axis
             assert row.l2 == pytest.approx(l2, rel=0.0, abs=1e-13)
             assert row.weak_j_err == pytest.approx(weak, rel=0.0, abs=1e-13)
             assert row.bonj_constant == pytest.approx(bonj, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("transport", ["upwind", "spectral"])
+@pytest.mark.parametrize("n_cells", [16, 15])
+def test_mode_pairings_equal_the_pairings_of_the_irfft_path(transport, n_cells):
+    fields = np.vstack([*default_test_bank(n_cells).values(),
+                        np.random.default_rng(n_cells).normal(size=(2, n_cells))])
+    weights = _parseval_weights(fields, n_cells)
+    j_modes, _ = mode_marginals(build_lorentz(LorentzSpec(8)), bump_rho(n_cells),
+                                T=0.05, dt=0.005, epsilon=0.5, transport=transport,
+                                drift_axis=1)
+    # and modes with imaginary parts at DC and Nyquist, which irfft ignores
+    rng = np.random.default_rng(7)
+    noise = rng.normal(size=j_modes.shape) + 1j * rng.normal(size=j_modes.shape)
+    for modes in (j_modes, noise):
+        ref = fields @ np.fft.irfft(modes, n_cells, axis=1).T
+        got = _current_pairings(modes, weights)
+        assert got.shape == ref.shape == (6, 11)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestBank:

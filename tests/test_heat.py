@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+from linboltz.diffusive import (
+    _heat_current_pairings,
+    _parseval_weights,
+    default_test_bank,
+)
 from linboltz.errors import DomainError, UsageError
 from linboltz.heat import (
     HeatFlow,
-    heat_current,
     heat_gradient_flow_check,
     heat_solve,
     spatial_entropy,
@@ -90,25 +94,44 @@ class TestHeatSolve:
             heat_solve(cos_rho(16), np.eye(1), T=0.05, dt=0.02)
 
     def test_current_stack(self):
-        flow, times, _ = heat_solve(cos_rho(32), 0.1 * np.eye(1), T=0.1, dt=0.05)
-        j = heat_current(flow, times)
-        assert j.shape == (3, 32, 1)
+        # the closed-form modes, stacked over times, are those of current_at
+        rho0 = np.random.default_rng(3).uniform(0.5, 2.0, 32)
+        flow, times, _ = heat_solve(rho0, 0.1 * np.eye(1), T=0.1, dt=0.05)
+        modes, rates = flow.current_modes()
+        assert modes.shape == rates.shape == (17,)
+        assert modes[0] == 0.0 and modes[-1] == 0.0  # no DC, no Nyquist
+        j_hat = modes * np.exp(-np.outer(times, rates))
+        stacked = np.stack([flow.current_at(t)[:, 0] for t in times])
+        assert np.max(np.abs(j_hat - np.fft.rfft(stacked, axis=1))) < 1e-12
+        j = np.fft.irfft(j_hat, 32, axis=1)
+        assert j.shape == (3, 32)
+        assert np.max(np.abs(j - stacked)) < 1e-13
 
     @pytest.mark.parametrize("rho0, D", [
         (cos_rho(64), np.array([[0.1875]])),
         (cos_rho(17, amp=0.3, mode=2), np.array([[1.3]])),
-        (np.random.default_rng(4).uniform(0.5, 2.0, (8, 12)),
-         np.array([[0.3, 0.1], [0.1, 0.2]])),
+        (np.random.default_rng(4).uniform(0.5, 2.0, 12), np.array([[0.3]])),
     ])
-    def test_batched_current_equals_stacked_current_at(self, rho0, D):
+    def test_closed_form_pairings_equal_stacked_current_at(self, rho0, D):
         flow = HeatFlow(rho0, D)
+        n = rho0.size
         times = 7.5e-5 * np.arange(400)
-        stacked = np.stack([flow.current_at(t) for t in times])
-        assert np.array_equal(heat_current(flow, times), stacked)
+        fields = np.vstack([*default_test_bank(n).values(),
+                            np.random.default_rng(n).normal(size=(2, n))])
+        stacked = np.stack([flow.current_at(t)[:, 0] for t in times])
+        ref = fields @ stacked.T
+        got = _heat_current_pairings(flow, times, _parseval_weights(fields, n))
+        assert got.shape == ref.shape == (6, 400)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_current_rejects_negative_time(self):
         with pytest.raises(UsageError):
-            heat_current(HeatFlow(cos_rho(8), np.eye(1)), [0.0, -0.1])
+            HeatFlow(cos_rho(8), np.eye(1)).current_at(-0.1)
+
+    def test_current_modes_need_a_1d_flow(self):
+        flow = HeatFlow(np.random.default_rng(4).uniform(0.5, 2.0, (8, 12)), np.eye(2))
+        with pytest.raises(UsageError):
+            flow.current_modes()
 
 
 class TestEntropy:

@@ -1,0 +1,143 @@
+"""Memory budgets, and the in-place n_v x n_v builders against the formulas they replaced.
+
+``rayleigh_kernel``, ``_exact_symmetrize`` and ``spectral_gap_probe`` do
+their (n_v, n_v) arithmetic in place; the expression forms they replaced
+are kept below, and the in-place forms must equal them bit for bit.  The
+budgets are tracemalloc peaks: numpy reports its array data to tracemalloc.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from linboltz import build_model
+from linboltz.diffusive import sweep
+from linboltz.errors import DomainError
+from linboltz.models import _exact_symmetrize, rayleigh_kernel
+from linboltz.velocity import TiltedMeasure, spectral_gap_probe
+
+
+def expression_rayleigh_kernel(v, w, beta, dim, diag_cutoff=0.0):
+    v = np.atleast_2d(v)
+    w = np.atleast_2d(w)
+    n2v = np.einsum("id,id->i", v, v)
+    n2w = np.einsum("jd,jd->j", w, w)
+    dot = v @ w.T
+    gram = np.outer(n2v, n2w) - dot * dot
+    np.clip(gram, 0.0, None, out=gram)
+    dist2 = n2v[:, None] + n2w[None, :] - 2.0 * dot
+    np.clip(dist2, 0.0, None, out=dist2)
+    close = dist2 <= diag_cutoff**2
+    safe = np.where(close, 1.0, dist2)
+    pref = (beta / (2.0 * np.pi)) ** ((1.0 - dim) / 2.0)
+    kern = pref * np.exp(0.5 * beta * gram / safe)
+    if dim == 3:
+        kern = kern / np.sqrt(safe)
+    kern[close] = 0.0
+    return kern
+
+
+def expression_symmetrize(mat):
+    upper = np.triu(mat, 1)
+    return upper + upper.T + np.diag(np.diag(mat))
+
+
+def expression_gap_probe(model):
+    tilted = TiltedMeasure.of(model)
+    if np.any(model.rates <= 0):
+        raise DomainError("K undefined at a node with lambda = 0")
+    sqw = np.sqrt(tilted.weights)
+    K = model.sigma * model.weights[None, :] / model.rates[:, None]
+    inv_sqw = np.divide(1.0, sqw, out=np.zeros_like(sqw), where=sqw > 0)
+    sym = sqw[:, None] * K * inv_sqw[None, :] - 3.0 * np.outer(sqw, sqw)
+    lam2 = float(np.linalg.eigvalsh(0.5 * (sym + sym.T))[-1])
+    gap = 1.0 - lam2
+    return lam2, gap, (1.0 / gap if gap > 0 else np.inf)
+
+
+MODELS = {
+    "rayleigh-10x12": ("rayleigh", {"dim": 2, "n_radial": 10, "n_angular": 12}),
+    "rayleigh-24x32": ("rayleigh", {"dim": 2, "n_radial": 24, "n_angular": 32}),
+    "lorentz-256": ("lorentz", {"n_nodes": 256}),
+    "phonon-16x16": ("phonon", {"dim": 2, "n_per_axis": 16}),
+}
+
+
+@pytest.fixture(scope="module", params=list(MODELS))
+def model(request):
+    kind, params = MODELS[request.param]
+    return build_model(kind, **params)
+
+
+def unsymmetrized_kernel(model):
+    """The model's kernel as its builder forms it before mirroring."""
+    if model.name == "rayleigh":
+        sigma = rayleigh_kernel(model.nodes, model.nodes, model.meta["beta"], model.dim_x)
+        np.fill_diagonal(sigma, 0.0)
+        return sigma
+    if model.name == "lorentz":
+        theta = model.nodes[:, 0]
+        return np.pi * np.abs(np.sin(0.5 * (theta[:, None] - theta[None, :])))
+    s2 = np.sin(np.pi * model.nodes) ** 2
+    return s2 @ s2.T
+
+
+def test_in_place_builders_equal_the_expression_forms(model):
+    raw = unsymmetrized_kernel(model)
+    assert np.array_equal(_exact_symmetrize(raw.copy()), expression_symmetrize(raw))
+    assert np.array_equal(_exact_symmetrize(raw.copy()), model.sigma)
+    assert spectral_gap_probe(model) == expression_gap_probe(model)
+    if model.name == "rayleigh":
+        beta, dim = model.meta["beta"], model.dim_x
+        assert np.array_equal(rayleigh_kernel(model.nodes, model.nodes, beta, dim),
+                              expression_rayleigh_kernel(model.nodes, model.nodes, beta, dim))
+
+
+def test_rayleigh_kernel_in_place_in_3d_with_a_cutoff():
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=(40, 3))
+    v[7] = v[3]  # one pair inside the cutoff off the diagonal
+    w = np.vstack([v[:20], rng.normal(size=(5, 3))])
+    for beta in (1.0, 2.5):
+        got = rayleigh_kernel(v, w, beta, 3, diag_cutoff=1e-6)
+        assert np.array_equal(got, expression_rayleigh_kernel(v, w, beta, 3, 1e-6))
+        assert got[7, 3] == got[3, 3] == 0.0
+
+
+def test_exact_symmetrize_mirrors_the_upper_triangle_in_place():
+    mat = np.random.default_rng(6).uniform(0.0, 1.0, (9, 9))
+    expected = expression_symmetrize(mat)
+    assert _exact_symmetrize(mat) is mat
+    assert np.array_equal(mat, expected)
+
+
+def traced_peak(fn):
+    """(result, tracemalloc peak in bytes) of ``fn()``."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_rayleigh_768_build_and_gap_probe_stay_within_their_budgets():
+    # the build's budget includes the model's own kernel
+    model, build_peak = traced_peak(
+        lambda: build_model("rayleigh", n_radial=24, n_angular=32))
+    n2_bytes = 8.0 * model.n_nodes**2
+    assert build_peak <= 3.2 * n2_bytes, build_peak / n2_bytes
+    _, probe_peak = traced_peak(lambda: spectral_gap_probe(model))
+    assert probe_peak <= 2.5 * n2_bytes, probe_peak / n2_bytes
+
+
+def test_benchmark_sweep_stays_within_its_budget():
+    # the diffusive-sweep job of the benchmark's diffusion workload
+    model = build_model("lorentz", n_nodes=64)
+    x = (np.arange(64) + 0.5) / 64
+    rho0 = 1.0 + 0.45 * np.cos(2.0 * np.pi * x)
+    report, peak = traced_peak(lambda: sweep(model, rho0, [0.4, 0.2, 0.1, 0.05], T=0.5,
+                                             n_cells=64, transport="spectral"))
+    assert report.errors_decreasing()
+    assert peak < 12e6, peak / 1e6

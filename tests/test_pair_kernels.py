@@ -8,6 +8,7 @@ cross cell and pair boundaries even on tiny models.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -316,3 +317,49 @@ def test_kinematic_rate_at_densities_whose_product_underflows():
     assert math.isfinite(small)
     assert small == pytest.approx(
         c * kinematic_rate(f, own_current(f, model.sigma), model, 1.0), rel=1e-12, abs=0.0)
+
+
+def _mpmath_costs(kappa, p, q, xi):
+    """psi and phi by their reference formulas at 50 digits."""
+    with mpmath.workdps(50):
+        kappa, p, q, xi = (mpmath.mpf(v) for v in (kappa, p, q, xi))
+        alpha = 2 * kappa * mpmath.sqrt(p * q)
+        m = kappa * (p - q)
+        root = mpmath.sqrt(xi**2 + alpha**2)
+        psi_ref = xi * mpmath.asinh(xi / alpha) - (root - alpha)
+        phi_ref = (xi * (mpmath.asinh(xi / alpha) - mpmath.asinh(m / alpha))
+                   - (root - mpmath.sqrt(m**2 + alpha**2)))
+        return float(psi_ref), float(phi_ref)
+
+
+@pytest.mark.parametrize("kappa, p, q, xi", [
+    (5e-301, 1.0, 1.0, 1e10),       # xi/alpha = 1e310 overflows
+    (1e-160, 1.0, 1.0, 1e160),      # xi/alpha = 5e319
+    (5e-301, 1.0, 4.0, 1e10),       # and m/alpha = -0.75 does not
+    (5e-301, 4.0, 1.0, 1e10),
+    (0.5, 1e-300, 1e-300, 1e10),    # alpha from tiny densities
+])
+def test_costs_where_xi_over_alpha_overflows_match_mpmath(kappa, p, q, xi):
+    for x in (xi, -xi):
+        psi_ref, phi_ref = _mpmath_costs(kappa, p, q, x)
+        assert math.isfinite(psi_ref) and math.isfinite(phi_ref)
+        assert psi(kappa, p, q, x) == pytest.approx(psi_ref, rel=1e-14, abs=0.0)
+        assert phi(kappa, p, q, x) == pytest.approx(phi_ref, rel=1e-14, abs=0.0)
+    assert psi(5e-301, 1.0, 1.0, 1e10) == pytest.approx(7134945260087.1411, rel=1e-14)
+    # the same entries inside a block of ordinary ones
+    kappas, xis = np.array([1.0, kappa, 2.0]), np.array([0.5, xi, -3.0])
+    got = psi(kappas, p, q, xis)
+    assert got[1] == pytest.approx(_mpmath_costs(kappa, p, q, xi)[0], rel=1e-14, abs=0.0)
+    assert got[0] == psi(1.0, p, q, 0.5) and got[2] == psi(2.0, p, q, -3.0)
+
+
+def test_kinematic_rate_of_a_current_whose_ratio_overflows_is_finite():
+    model = VelocityModel(
+        nodes=np.arange(2.0)[:, None], weights=np.full(2, 0.5),
+        drift=np.array([[-1.0], [1.0]]), sigma=np.ones((2, 2)) - np.eye(2), dim_x=1,
+    )
+    f = np.full((1, 2), 1e-300)
+    eta = np.zeros((1, 2, 2))
+    eta[0, 0, 1], eta[0, 1, 0] = 1e10, -1e10  # eta/alpha = 5e309
+    expected = 2.0 * 0.25 * _mpmath_costs(1.0, 1e-300, 1e-300, 1e10)[0]
+    assert kinematic_rate(f, eta, model, 1.0) == pytest.approx(expected, rel=1e-14, abs=0.0)
