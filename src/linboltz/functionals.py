@@ -62,6 +62,8 @@ from .spectral import gradient
 LOG_FLOOR = 1e-300
 #: and above at this cap (the truncated-log safeguard)
 LOG_CAP = 1e300
+#: heat densities are clamped below at this floor (spatial entropy, kinematic action)
+RHO_FLOOR = 1e-14
 
 #: negative values above this (relative) threshold are treated as roundoff
 NEG_TOL = 1e-10
@@ -324,14 +326,14 @@ def _clip_density(f, what="density"):
     return np.clip(f, 0.0, None)
 
 
-def relative_entropy(f, model, dx, floor=LOG_FLOOR, cap=LOG_CAP):
+def relative_entropy(f, model, dx):
     """Relative entropy of f*dx*pi against dx*pi: sum dx*w_i * f log f.
 
     ``f`` has shape (n_x, n_v); 0*log(0) = 0 by convention, the floor/cap
-    act inside the logarithm only.
+    of :func:`truncated_log` act inside the logarithm only.
     """
     f = _clip_density(f)
-    flogf = np.where(f > 0, f * truncated_log(f, floor, cap), 0.0)
+    flogf = np.where(f > 0, f * truncated_log(f), 0.0)
     return float(dx * np.sum(flogf @ model.weights))
 
 
@@ -497,48 +499,43 @@ def kinematic_lower_bound(f_path, eta_path, model, dt, dx, zeta, alpha_test=None
 # ---------------------------------------------------------------------------
 
 
-def _as_matrix(D, ndim):
-    D = np.atleast_2d(np.asarray(D, dtype=float))
-    if D.shape != (ndim, ndim):
-        raise DomainError(f"diffusion matrix must be {ndim}x{ndim}")
-    if not np.allclose(D, D.T):
-        raise DomainError("diffusion matrix must be symmetric")
-    evals = np.linalg.eigvalsh(D)
-    if np.min(evals) <= 0:
-        raise DomainError("diffusion matrix must be positive definite")
-    return D
+def _diffusivity(D):
+    """The one positive finite number that ``D`` holds (a number, or an array
+    of one entry); otherwise :class:`DomainError`."""
+    D = np.asarray(D, dtype=float)
+    if D.size != 1 or not 0.0 < D.item() < math.inf:
+        raise DomainError("the diffusivity must be one positive finite number")
+    return D.item()
 
 
 def fisher_information(rho, D, dx=None):
-    """Fisher information 2 * int grad(sqrt rho) . D grad(sqrt rho) dx.
+    """Fisher information 2 * D * int (d sqrt(rho)/dx)^2 dx of a 1-d density.
 
-    ``rho`` lives on a uniform periodic grid (1d or 2d); derivatives are
-    spectral.  ``dx`` defaults to 1/n per axis.
+    ``rho`` lives on a uniform periodic grid; the derivative is spectral.
+    ``dx`` defaults to 1/n.
     """
     rho = _clip_density(rho, "rho")
-    D = _as_matrix(D, rho.ndim)
+    if rho.ndim != 1:
+        raise UsageError("fisher_information needs a 1-d density")
+    D = _diffusivity(D)
     if dx is None:
-        dx = 1.0 / rho.shape[0]
-    cell = dx ** rho.ndim
-    sq = np.sqrt(rho)
-    grads = [gradient(sq, axis=a) for a in range(rho.ndim)]
-    total = 0.0
-    for a in range(rho.ndim):
-        for b in range(rho.ndim):
-            total += D[a, b] * np.sum(grads[a] * grads[b])
-    return float(2.0 * cell * total)
+        dx = 1.0 / rho.size
+    grad = gradient(np.sqrt(rho))
+    return float(2.0 * dx * (D * np.sum(grad * grad)))
 
 
-def heat_kinematic(rho_path, j_path, D, dt, dx=None, rho_floor=1e-14):
-    """Kinematic action 0.5 * int dt int j . D^{-1} j / rho dx."""
+def heat_kinematic(rho_path, j_path, D, dt, dx=None):
+    """Kinematic action 0.5 * int dt int j^2 / (D rho) dx of a 1-d path.
+
+    ``rho_path`` and ``j_path`` are (n_t, n) arrays; densities are floored
+    at ``RHO_FLOOR``.
+    """
     rho_path = np.asarray(rho_path, dtype=float)
     j_path = np.asarray(j_path, dtype=float)
-    ndim = rho_path.ndim - 1
-    D = _as_matrix(D, ndim)
-    Dinv = np.linalg.inv(D)
+    if rho_path.ndim != 2 or j_path.shape != rho_path.shape:
+        raise UsageError("heat_kinematic needs (n_t, n) density and current paths")
+    D = _diffusivity(D)
     if dx is None:
         dx = 1.0 / rho_path.shape[1]
-    cell = dx**ndim
-    rho = np.clip(rho_path, rho_floor, None)
-    quad = np.einsum("ab,t...a,t...b->t...", Dinv, j_path, j_path)
-    return float(0.5 * dt * cell * np.sum(quad / rho))
+    rho = np.clip(rho_path, RHO_FLOOR, None)
+    return float(0.5 * dt * dx * np.sum(j_path * j_path / rho) / D)

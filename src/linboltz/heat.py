@@ -1,17 +1,18 @@
-"""Reference heat flow on the periodic unit interval/torus.
+"""Reference heat flow on the periodic unit interval.
 
-The density is propagated exactly in Fourier space,
+The density is propagated exactly on its rfft modes (the library's one
+Fourier convention, see :mod:`linboltz.spectral`),
 
-    rho_hat(t, k) = rho_hat(0, k) * exp(-4 pi^2 t k.Dk),
+    rho_hat(t, k) = rho_hat(0, k) * exp(-4 pi^2 D k^2 t),   k = 0, ..., n // 2,
 
 so refining dt changes nothing about the density path; time resolution
 only matters for the quadrature of the gradient-flow functionals
 
     H(rho(T)) + int_0^T E(rho) dt + R(rho, j)  =  H(rho(0)),
 
-which holds with equality (to quadrature order) exactly when j = -D grad rho.
-The current is as closed-form as the density: on a 1-d grid its rfft modes
-are j_hat(t, k) = -D 2 pi i k rho_hat(0, k) exp(-4 pi^2 t D k^2)
+which holds with equality (to quadrature order) exactly when j = -D d rho/dx.
+The current is as closed-form as the density: its rfft modes are
+j_hat(t, k) = -D 2 pi i k rho_hat(0, k) exp(-4 pi^2 D k^2 t)
 (:meth:`HeatFlow.current_modes`), which the diffusive sweep pairs with its
 test fields without forming j(t, x).
 """
@@ -21,92 +22,75 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .functionals import _as_matrix, fisher_information, heat_kinematic
-from .spectral import gradient, wavenumbers
-
-RHO_FLOOR = 1e-14
+from .functionals import RHO_FLOOR, _diffusivity, fisher_information, heat_kinematic
+from .spectral import gradient
 
 
 @dataclass(frozen=True)
 class HeatFlow:
-    """Exact spectral solution with initial datum rho0 on a uniform grid."""
+    """Exact spectral solution with initial datum rho0 on a uniform 1-d grid.
+
+    ``D`` is one positive finite diffusivity: a number, or an array of one
+    entry such as a 1x1 diffusion matrix.  A density of another rank is a
+    :class:`UsageError`.
+    """
 
     rho0: np.ndarray
-    D: np.ndarray
+    D: float
 
     def __post_init__(self):
         rho0 = np.asarray(self.rho0, dtype=float)
+        if rho0.ndim != 1:
+            raise UsageError("the heat flow needs a 1-d density")
         if np.any(rho0 < 0):
             raise DomainError("initial density must be nonnegative")
-        D = _as_matrix(self.D, rho0.ndim)
-        cell = (1.0 / rho0.shape[0]) ** rho0.ndim
-        mass = cell * rho0.sum()
+        D = _diffusivity(self.D)
+        mass = (1.0 / rho0.size) * rho0.sum()
         if mass <= 0:
             raise DomainError("initial density has no mass")
         rho0 = rho0 / mass
+        k = np.arange(rho0.size // 2 + 1)
+        rates = 4.0 * np.pi**2 * (D * k * k)
+        rates.setflags(write=False)
         object.__setattr__(self, "rho0", rho0)
         object.__setattr__(self, "D", D)
-        object.__setattr__(self, "_rho0_hat", np.fft.fftn(rho0))
-        ks = np.meshgrid(
-            *[wavenumbers(n) for n in rho0.shape], indexing="ij"
-        )
-        kdk = np.zeros(rho0.shape)
-        for a in range(rho0.ndim):
-            for b in range(rho0.ndim):
-                kdk += D[a, b] * ks[a] * ks[b]
-        object.__setattr__(self, "_kdk", kdk)
-        object.__setattr__(self, "_ks", ks)
+        object.__setattr__(self, "_rho0_hat", np.fft.rfft(rho0))
+        object.__setattr__(self, "_rates", rates)
 
     def rho_at(self, t):
         if t < 0:
             raise UsageError("t must be nonnegative")
-        decay = np.exp(-4.0 * np.pi**2 * t * self._kdk)
-        return np.real(np.fft.ifftn(self._rho0_hat * decay))
+        return np.fft.irfft(self._rho0_hat * np.exp(-t * self._rates), self.rho0.size)
 
     def current_at(self, t):
-        """j = -D grad rho, shape rho.shape + (d,)."""
-        rho = self.rho_at(t)
-        grads = np.stack(
-            [gradient(rho, axis=a) for a in range(rho.ndim)], axis=-1
-        )
-        return -grads @ self.D.T
+        """j = -D d rho/dx, shape (n,)."""
+        return -self.D * gradient(self.rho_at(t))
 
     def current_modes(self):
-        """The rfft modes of the current of a 1-d flow at t = 0 and their
-        decay rates: j_hat(t, k) = modes[k] * exp(-rates[k] * t).
+        """The rfft modes of the current at t = 0 and their decay rates:
+        j_hat(t, k) = modes[k] * exp(-rates[k] * t).
 
-        ``irfft(j_hat(t), n)`` is ``current_at(t)[:, 0]``: the spectral
-        derivative keeps no Nyquist mode, so on an even grid that entry is 0.
+        ``irfft(j_hat(t), n)`` is ``current_at(t)``: the spectral derivative
+        keeps no Nyquist mode, so on an even grid that entry is 0.
         """
-        if self.rho0.ndim != 1:
-            raise UsageError("current_modes needs a 1-d flow")
         n = self.rho0.size
         k = np.arange(n // 2 + 1)
-        modes = -self.D[0, 0] * (2j * np.pi * k) * self._rho0_hat[: k.size]
+        modes = -self.D * (2j * np.pi * k) * self._rho0_hat
         if n % 2 == 0:
             modes[-1] = 0.0
-        return modes, 4.0 * np.pi**2 * self._kdk[: k.size]
+        return modes, self._rates
 
 
-def heat_solve(rho0, D, T, dt):
-    """Sampled trajectory (times, rho_path) of the exact flow."""
-    flow = HeatFlow(rho0, np.atleast_2d(D))
-    n_steps = int(round(T / dt))
-    if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
-        raise UsageError("T must be an integer multiple of dt")
-    times = dt * np.arange(n_steps + 1)
-    rho_path = np.stack([flow.rho_at(t) for t in times])
-    return flow, times, rho_path
-
-
-def spatial_entropy(rho, floor=RHO_FLOOR):
+def spatial_entropy(rho):
+    """int rho log rho dx of a 1-d density on a uniform periodic grid."""
     rho = np.asarray(rho, dtype=float)
+    if rho.ndim != 1:
+        raise UsageError("spatial_entropy needs a 1-d density")
     if np.any(rho < -1e-12):
         raise DomainError("negative density in entropy")
-    cell = (1.0 / rho.shape[0]) ** rho.ndim
     r = np.clip(rho, 0.0, None)
-    val = np.where(r > 0, r * np.log(np.clip(r, floor, None)), 0.0)
-    return float(cell * val.sum())
+    val = np.where(r > 0, r * np.log(np.clip(r, RHO_FLOOR, None)), 0.0)
+    return float((1.0 / rho.size) * val.sum())
 
 
 def heat_gradient_flow_check(flow, times, current_factor=1.0):
@@ -142,7 +126,5 @@ def heat_gradient_flow_check(flow, times, current_factor=1.0):
         fisher += dt * fisher_information(rho, flow.D)
         rho_mid.append(rho)
         j_mid.append(current_factor * flow.current_at(t))
-    kin = heat_kinematic(
-        np.stack(rho_mid), np.stack(j_mid), flow.D, dt, rho_floor=RHO_FLOOR
-    )
+    kin = heat_kinematic(np.stack(rho_mid), np.stack(j_mid), flow.D, dt)
     return h_T + fisher + kin - h_0

@@ -12,19 +12,19 @@ full transport step per velocity node, half collision step.  The
 exponential exp(t L) of the jump generator L = S W - Lambda is summed by
 :func:`collision_propagator` from nonnegative terms only (uniformization),
 so its entries are nonnegative exactly and numpy is all it needs.
-Transport is first-order upwind by default, one shifted copy of the grid
-per direction; the spectral variant translates the trigonometric interpolant
-exactly with phases built once per run, and is meant for smooth studies
-(it is not positivity-preserving in general).  :func:`evolve` yields the
-frames one at a time; :func:`simulate` stores them all, after checking
-that they fit in physical memory.
-
-Both split operators act on each spatial Fourier mode alone (the
-transport as a multiplier per mode and node, the collision on the
-velocity axis), so :func:`mode_marginals` takes the same Strang steps on
-the n_x/2 + 1 rfft modes of f, one real matmul per step and no FFT, for
-callers that need only the rfft modes of the current j(t, x) and the final
-density rho(T, x), such as the diffusive sweep.  Positive frames, which the
+Both split operators act on each spatial Fourier mode alone: the transport
+as :attr:`Stepper.multiplier`, one factor per rfft mode and node built once
+per run, the collision on the velocity axis.  Upwind transport, the default,
+steps the frames in x as a convex combination of each cell and its upwind
+neighbour, which keeps f nonnegative; spectral transport applies the
+multiplier between one ``rfft`` and one ``irfft``, an exact translation of
+the trigonometric interpolant meant for smooth studies (it is not
+positivity-preserving in general).  :func:`evolve` yields the frames one at
+a time; :func:`simulate` stores them all, after checking that they fit in
+physical memory.  :func:`mode_marginals` takes the same Strang steps on the
+n_x/2 + 1 rfft modes of f, one real matmul per step and no FFT, for callers
+that need only the modes of the current j(t, x) and the final density
+rho(T, x), such as the diffusive sweep.  Positive frames, which the
 certificates need, come only from :func:`evolve`.
 
 Certification assembles the entropy balance and the gradient-flow
@@ -66,7 +66,7 @@ from .functionals import (
     relative_entropy,
     truncated_log,
 )
-from .spectral import shift, shift_phase
+from .spectral import shift
 
 TRANSPORT_SCHEMES = ("upwind", "spectral")
 
@@ -150,6 +150,13 @@ class Stepper:
     keeps f nonnegative and conserves its mass.  An epsilon whose square
     underflows, or for which 0.5 dt / eps^2 * max lambda is not finite,
     is a :class:`ConfigError`.
+
+    ``multiplier`` (n_cells // 2 + 1, n_v) is the transport step on the rfft
+    modes, ``advect_full`` = ``shift(., multiplier)`` (upwind: to rounding):
+    exp(-2 pi i k dt b / eps) for spectral transport; for upwind
+    1 - nu (1 - e^{-2 pi i k / n}), or 1 + nu - nu e^{2 pi i k / n} for
+    negative speeds.  Its Nyquist entry on an even grid keeps only its real
+    part, as ``irfft`` does, so steps on the modes stay those on the frames.
     """
 
     def __init__(self, model, n_cells, dt, epsilon=1.0, transport="upwind",
@@ -175,20 +182,25 @@ class Stepper:
                 f"CFL violated: dt*max|b|/(eps*dx) = {cfl:.3f} > 1"
             )
         self.half_collision = collision_propagator(model, tau)
+        k = np.arange(self.n_cells // 2 + 1)[:, None]
         if transport == "spectral":
-            self.phase = shift_phase(
-                (self.n_cells, model.n_nodes), self.dt * self.speeds[None, :], axis=0
-            )
+            mult = np.exp(-2j * np.pi * k * (self.dt * self.speeds[None, :]))
         else:
-            self.courant = self.dt * self.speeds / self.dx
+            nu = self.courant = self.dt * self.speeds / self.dx
             self.from_left = self.speeds >= 0  # the upwind neighbour is x - dx
+            behind = np.exp(-2j * np.pi * k / self.n_cells)  # the mode of f(x - dx)
+            mult = np.where(self.from_left, 1.0 - nu * (1.0 - behind),
+                            1.0 + nu - nu * behind.conj())
+        if self.n_cells % 2 == 0:
+            mult[-1] = mult[-1].real
+        self.multiplier = mult
 
     def collide_half(self, f):
         return f @ self.half_collision.T
 
     def advect_full(self, f):
         if self.transport == "spectral":
-            return shift(f, self.phase, axis=0)
+            return shift(f, self.multiplier)
         nu = self.courant
         return np.where(
             self.from_left,
@@ -198,29 +210,6 @@ class Stepper:
 
     def step(self, f):
         return self.collide_half(self.advect_full(self.collide_half(f)))
-
-    def mode_multiplier(self):
-        """The transport step on the rfft modes, shape (n_cells // 2 + 1, n_v).
-
-        ``irfft(m * rfft(f, axis=0), n_cells, axis=0)`` is ``advect_full(f)``:
-        the phase exp(-2 pi i k dt b / eps) for spectral transport, and for
-        upwind 1 - nu (1 - e^{-2 pi i k / n}), or 1 + nu - nu e^{2 pi i k / n}
-        for negative speeds.  On the Nyquist mode of an even grid only the
-        real part is kept, as ``advect_full`` keeps only the real part of its
-        result there, so that repeated steps on the modes stay those on the
-        frames.
-        """
-        k = np.arange(self.n_cells // 2 + 1)[:, None]
-        if self.transport == "spectral":
-            mult = np.exp(-2j * np.pi * k * (self.dt * self.speeds[None, :]))
-        else:
-            nu = self.courant
-            behind = np.exp(-2j * np.pi * k / self.n_cells)  # the mode of f(x - dx)
-            mult = np.where(self.from_left, 1.0 - nu * (1.0 - behind),
-                            1.0 + nu - nu * behind.conj())
-        if self.n_cells % 2 == 0:
-            mult[-1] = mult[-1].real
-        return mult
 
 
 def local_equilibrium(rho0, model):
@@ -279,7 +268,7 @@ def mode_marginals(model, f0, T, dt, epsilon=1.0, transport="upwind", drift_axis
     rfft modes of f.
 
     Both split operators act on each spatial mode alone: the transport as
-    :meth:`Stepper.mode_multiplier` P, the collision on the velocity axis.
+    :attr:`Stepper.multiplier` P, the collision on the velocity axis.
     The state is g = C_half f^ after the first half collision, with the
     real and imaginary parts of the n_x // 2 + 1 modes side by side, so
     that a step is one complex product and one real matmul:
@@ -297,7 +286,7 @@ def mode_marginals(model, f0, T, dt, epsilon=1.0, transport="upwind", drift_axis
     # (n_v, n_modes) complex arrays; their float views (n_v, 2 n_modes) hold
     # the [Re, Im] parts of every mode, so a real matmul acts on both at once
     f_parts = np.ascontiguousarray(np.fft.rfft(f0, axis=0).T).view(float)
-    mult = np.ascontiguousarray(stepper.mode_multiplier().T)
+    mult = np.ascontiguousarray(stepper.multiplier.T)
     j_hat = np.empty((n_steps + 1, f_parts.shape[1]))
     np.matmul(to_j, f_parts, out=j_hat[0])
     g = (half @ f_parts).view(complex)
@@ -366,7 +355,7 @@ class EntropyBalanceResult:
     per_step: np.ndarray
 
 
-def entropy_balance_check(traj, model, delta=1e-300, cap=1e300):
+def entropy_balance_check(traj, model):
     """Residual of the entropy balance along the trajectory.
 
     For each sub-interval the change of H is compared with the midpoint
@@ -385,11 +374,11 @@ def entropy_balance_check(traj, model, delta=1e-300, cap=1e300):
     scale = 1.0 / traj.epsilon**2
     w = model.weights
     residuals = np.empty(traj.n_steps)
-    h_prev = relative_entropy(traj.f[0], model, traj.dx, delta, cap)
+    h_prev = relative_entropy(traj.f[0], model, traj.dx)
     for n in range(traj.n_steps):
-        h_next = relative_entropy(traj.f[n + 1], model, traj.dx, delta, cap)
+        h_next = relative_entropy(traj.f[n + 1], model, traj.dx)
         f_mid = 0.5 * (traj.f[n] + traj.f[n + 1])
-        lg = truncated_log(f_mid, delta, cap)
+        lg = truncated_log(f_mid)
         fw = f_mid * w
         pairing = 2.0 * (np.vdot(fw @ model.sigma, lg * w)
                          - np.vdot(fw, lg * model.rates))
@@ -413,6 +402,7 @@ class EdiCertificate:
     balance_residual: float
     max_step_residual: float
     per_step: np.ndarray = field(repr=False)
+    entropy: np.ndarray = field(repr=False)  # H of every frame, (n_steps + 1,)
 
     @property
     def gradient_flow_residual(self):
@@ -424,7 +414,7 @@ class EdiCertificate:
         )
 
     def as_dict(self):
-        out = {k: v for k, v in vars(self).items() if k != "per_step"}
+        out = {k: v for k, v in vars(self).items() if k not in ("per_step", "entropy")}
         return dict(out, gradient_flow_residual=self.gradient_flow_residual)
 
 
@@ -441,14 +431,13 @@ def edi_certificate(traj, model, current_scale=1.0, tol=None):
     i, j, pair_weights = pair_triangle(model)
     kappa = model.sigma[i, j]
     upper = i * model.n_nodes + j
-    h0 = relative_entropy(traj.f[0], model, traj.dx)
-    hT = relative_entropy(traj.f[-1], model, traj.dx)
+    entropy = np.empty(traj.n_steps + 1)
+    entropy[0] = relative_entropy(traj.f[0], model, traj.dx)
 
     dirichlet = 0.0
     kinematic = 0.0
     phi_total = 0.0
     per_step = np.empty(traj.n_steps)
-    h_prev = h0
     for n in range(traj.n_steps):
         f_mid = 0.5 * (traj.f[n] + traj.f[n + 1])
         eta = current_of(f_mid, model)
@@ -457,21 +446,19 @@ def edi_certificate(traj, model, current_scale=1.0, tol=None):
         e_val = scale * dirichlet_form(f_mid, model, traj.dx)
         r_val = scale * kinematic_rate(f_mid, eta, model, traj.dx)
         # Phi over the pairs i < j, counted twice; the diagonal of the
-        # antisymmetric current is zero, where phi(kappa, p, p; 0) = 0
-        phi_vals = phi(
-            kappa,
-            np.take(f_mid, i, axis=1),
-            np.take(f_mid, j, axis=1),
-            np.take(eta.reshape(len(f_mid), -1), upper, axis=1),
-        )
+        # antisymmetric current is zero, where phi(kappa, p, p; 0) = 0.  The
+        # (n_x, n_v, n_v) current is released before phi allocates its output
+        xi = np.take(eta.reshape(len(f_mid), -1), upper, axis=1)
+        del eta
+        phi_vals = phi(kappa, np.take(f_mid, i, axis=1), np.take(f_mid, j, axis=1), xi)
         phi_val = scale * traj.dx * float(np.sum(phi_vals @ pair_weights))
         dirichlet += traj.dt * e_val
         kinematic += traj.dt * r_val
         phi_total += traj.dt * phi_val
-        h_next = relative_entropy(traj.f[n + 1], model, traj.dx)
-        per_step[n] = (h_next - h_prev) + traj.dt * (e_val + r_val)
-        h_prev = h_next
+        entropy[n + 1] = relative_entropy(traj.f[n + 1], model, traj.dx)
+        per_step[n] = (entropy[n + 1] - entropy[n]) + traj.dt * (e_val + r_val)
 
+    h0, hT = float(entropy[0]), float(entropy[-1])
     cert = EdiCertificate(
         h_initial=h0,
         h_final=hT,
@@ -481,6 +468,7 @@ def edi_certificate(traj, model, current_scale=1.0, tol=None):
         balance_residual=float(abs(hT + dirichlet + kinematic - h0)),
         max_step_residual=float(np.max(np.abs(per_step))),
         per_step=per_step,
+        entropy=entropy,
     )
     if tol is not None and (
         cert.balance_residual > tol or abs(cert.phi_residual) > tol
@@ -491,12 +479,6 @@ def edi_certificate(traj, model, current_scale=1.0, tol=None):
             certificate=cert,
         )
     return cert
-
-
-def entropy_series(traj, model):
-    return np.array(
-        [relative_entropy(f, model, traj.dx) for f in traj.f]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +560,9 @@ def load_trajectory(directory):
 
 
 def write_certificate_csv(traj, model, cert, path):
-    """One row per time slice: t, H, E, cumulative R, per-step residual."""
-    h_vals = entropy_series(traj, model)
+    """One row per time slice: t, H, E, cumulative R, per-step residual.
+
+    H is the certificate's own per-frame entropy."""
     scale = 1.0 / traj.epsilon**2
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -595,6 +578,6 @@ def write_certificate_csv(traj, model, cert, path):
                     f_mid, current_of(f_mid, model), model, traj.dx
                 ))
             writer.writerow([
-                f"{t:.12g}", f"{h_vals[n]:.12g}", f"{e_val:.12g}",
+                f"{t:.12g}", f"{cert.entropy[n]:.12g}", f"{e_val:.12g}",
                 f"{cum_r:.12g}", f"{res:.12g}",
             ])

@@ -104,9 +104,13 @@ def build_lorentz(spec):
     drift = np.column_stack([np.cos(theta), np.sin(theta)])
     # kill roundoff so the antipodal cancellation in pi(b) is exact
     drift[np.abs(drift) < 1e-15] = 0.0
-    diff = theta[:, None] - theta[None, :]
-    sigma = np.pi * np.abs(np.sin(0.5 * diff))
-    sigma = _exact_symmetrize(sigma)
+    # pi |sin((theta_i - theta_j) / 2)|, in place in one n x n array
+    sigma = np.subtract.outer(theta, theta)
+    sigma *= 0.5
+    np.sin(sigma, out=sigma)
+    np.abs(sigma, out=sigma)
+    sigma *= np.pi
+    _exact_symmetrize(sigma)
     model = VelocityModel(
         nodes=theta[:, None],
         weights=weights,
@@ -241,7 +245,7 @@ def build_rayleigh(spec):
     ratio = model.rates / np.maximum(chi * np.linalg.norm(nodes, axis=1), 1e-300)
     model.meta["min_rate_ratio"] = float(ratio.min())
     model.meta["min_rate_ratio_interior"] = float(ratio[interior].min())
-    model.validate(centering_tol=1e-12)
+    model.validate()
     if model.meta["min_rate_ratio_interior"] < 1.0:
         raise NumericalQualityError(
             "rayleigh rate fell below chi*|v| away from the truncation edge; "

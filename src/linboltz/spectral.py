@@ -1,55 +1,33 @@
-"""Small FFT helpers for periodic grids on the unit torus.
+"""Fourier helpers for real periodic samples on the unit interval.
 
-All routines assume uniform grids with cell size 1/n and use the
-convention that wavenumber k corresponds to the mode exp(2*pi*i*k*x).
-A translation by a is the phase exp(-2*pi*i*k*a) on mode k: ``shift_phase``
-builds the phases once for fixed amounts (the kinetic stepper does so in
-its constructor), and ``shift`` applies them between one ``fft`` and one
-``ifft``.
+One convention throughout the library: ``rfft``/``irfft`` along axis 0 of
+real samples on a uniform grid of n cells of size 1/n, with the modes
+k = 0, ..., n // 2 standing for exp(2*pi*i*k*x).  An operator that acts on
+each mode alone is a multiplier per mode; a translation by a is the
+multiplier exp(-2*pi*i*k*a).  The kinetic stepper builds its transport
+multiplier once per run, and ``shift`` applies it between one ``rfft`` and
+one ``irfft``.
 """
 
 import numpy as np
 
 
-def wavenumbers(n):
-    """Integer wavenumbers matching numpy's fft layout."""
-    return np.fft.fftfreq(n, d=1.0 / n)
+def gradient(field):
+    """Spectral derivative of real periodic samples along axis 0.
 
-
-def gradient(field, axis=0):
-    """Spectral derivative of a periodic field along one axis."""
-    n = field.shape[axis]
-    k = wavenumbers(n)
-    shape = [1] * field.ndim
-    shape[axis] = n
-    fac = (2j * np.pi * k).reshape(shape)
-    return np.real(np.fft.ifft(fac * np.fft.fft(field, axis=axis), axis=axis))
-
-
-def shift_phase(shape, amounts, axis=0):
-    """Phases exp(-2 pi i k a) translating fields of ``shape`` by ``amounts``.
-
-    ``amounts`` is either a scalar or an array broadcastable against the
-    axes of ``shape`` other than ``axis`` (one amount per slice).
+    The Nyquist mode of an even grid is dropped: its coefficient is real, so
+    its derivative 2*pi*i*(n/2) times it is imaginary, and ``irfft`` discards
+    the imaginary part of that mode.
     """
-    n = shape[axis]
-    kshape = [1] * len(shape)
-    kshape[axis] = n
-    kk = wavenumbers(n).reshape(kshape)
-    amounts = np.asarray(amounts, dtype=float)
-    if amounts.ndim:
-        # per-slice shifts: amounts indexed by the other axes
-        exp_shape = list(shape)
-        exp_shape[axis] = 1
-        amounts = amounts.reshape(exp_shape)
-    return np.exp(-2j * np.pi * kk * amounts)
+    n = field.shape[0]
+    fac = (2j * np.pi * np.arange(n // 2 + 1)).reshape((-1,) + (1,) * (field.ndim - 1))
+    return np.fft.irfft(fac * np.fft.rfft(field, axis=0), n, axis=0)
 
 
-def shift(field, phase, axis=0):
-    """Translate periodic samples by the amounts ``phase`` was built for.
+def shift(field, multiplier):
+    """Apply a per-mode ``multiplier`` (rfft modes along axis 0) to ``field``.
 
-    ``phase`` is :func:`shift_phase` of the field's shape.  The translation
-    is exact for the trigonometric interpolant of the samples.
+    With a translation's multiplier the result is the trigonometric
+    interpolant of the samples, translated exactly.
     """
-    fh = np.fft.fft(field, axis=axis)
-    return np.real(np.fft.ifft(fh * phase, axis=axis))
+    return np.fft.irfft(np.fft.rfft(field, axis=0) * multiplier, field.shape[0], axis=0)

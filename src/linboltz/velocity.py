@@ -34,6 +34,8 @@ from .errors import (
 
 MODEL_SCHEMA = "model-v3"
 MODEL_ARRAYS = ("nodes", "weights", "drift", "sigma")
+CENTERING_TOL = 1e-12  # largest |pi(b)| that VelocityModel.validate accepts
+PSD_TOL = 1e-10  # relative tolerance of diffusion_matrix's semidefiniteness test
 
 
 @dataclass(frozen=True)
@@ -92,7 +94,7 @@ class VelocityModel:
             digest.update(arr.tobytes())
         return digest.hexdigest()
 
-    def validate(self, centering_tol=1e-12):
+    def validate(self):
         """Check the structural invariants; raises on violation."""
         if abs(self.weights.sum() - 1.0) > 1e-12:
             raise NumericalQualityError("weights do not sum to 1")
@@ -105,9 +107,9 @@ class VelocityModel:
         if np.max(np.abs(self.rates - self.sigma @ self.weights)) > 1e-12:
             raise NumericalQualityError("rate vector inconsistent with kernel")
         centering = np.max(np.abs(self.weights @ self.drift))
-        if centering > centering_tol:
+        if centering > CENTERING_TOL:
             raise NumericalQualityError(
-                f"drift not centered: |pi(b)| = {centering:.3e} > {centering_tol:.3e}"
+                f"drift not centered: |pi(b)| = {centering:.3e} > {CENTERING_TOL:.3e}"
             )
         return True
 
@@ -127,9 +129,6 @@ class TiltedMeasure:
         w = model.rates * model.weights / mean_rate
         w.setflags(write=False)
         return cls(w, mean_rate)
-
-    def mean(self, g):
-        return np.tensordot(self.weights, g, axes=(0, 0))
 
     def inner(self, f, g):
         prod = np.asarray(f, dtype=float) * np.asarray(g, dtype=float)
@@ -215,13 +214,13 @@ def poisson_solve_dense(model):
     return PoissonSolution(xi, residual, n)
 
 
-def diffusion_matrix(model, solution, psd_tol=1e-10):
+def diffusion_matrix(model, solution):
     """D = sum_i w_i b_i (x) xi_i, symmetrized; PSD checked."""
     raw = np.einsum("i,ia,ib->ab", model.weights, model.drift, solution.xi)
     D = 0.5 * (raw + raw.T)
     asym = float(np.max(np.abs(raw - raw.T)))
     evals = np.linalg.eigvalsh(D)
-    if evals.min() < -psd_tol * max(1.0, evals.max()):
+    if evals.min() < -PSD_TOL * max(1.0, evals.max()):
         raise NumericalQualityError(
             f"diffusion matrix not positive semidefinite: min eig {evals.min():.3e}"
         )

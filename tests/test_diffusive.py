@@ -51,7 +51,7 @@ class TestAutoDt:
     def test_respects_cfl_cap(self):
         m = two_node_model(u=2.0)
         eps, n = 0.5, 32
-        dt = auto_dt(m, eps, T=1.0, n_cells=n, cfl=0.5)
+        dt = auto_dt(m, eps, T=1.0, n_cells=n)
         assert dt <= 0.5 * eps * (1.0 / n) / 2.0 + 1e-15
 
     def test_respects_splitting_cap(self):
@@ -141,7 +141,7 @@ def frame_holding_rows(model, rho0, eps_list, T, n_cells, transport, drift_axis)
         dx, dt, n_t = traj.dx, traj.dt, traj.times.size
         rho_T, _ = marginals(traj, model, n_t - 1)
         j_path = np.stack([marginals(traj, model, n)[1] for n in range(n_t)])
-        j_heat = np.stack([flow.current_at(t) for t in traj.times])[:, :, 0]
+        j_heat = np.stack([flow.current_at(t) for t in traj.times])
         tw = _trapezoid(n_t, dt)
         weak = max(abs(float(dx * tw @ (j_path @ w)) - float(tw @ (dx * (j_heat @ w))))
                    for w in bank.values())

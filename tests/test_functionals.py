@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from linboltz import DomainError, InfeasibleValueError, build_lorentz, LorentzSpec
+from linboltz import DomainError, InfeasibleValueError, UsageError, build_lorentz, LorentzSpec
 from linboltz.functionals import (
     dirichlet_form,
     dirichlet_lower_bound,
@@ -262,16 +262,27 @@ class TestHeatFunctionals:
         assert fisher_information(rho, 1.0) == pytest.approx(ref, rel=1e-4)
 
     def test_fisher_requires_pd_matrix(self):
-        rho = np.ones((8, 8))
-        with pytest.raises(DomainError):
-            fisher_information(rho, np.array([[1.0, 2.0], [2.0, 1.0]]))
+        rho = np.ones(8)
+        for D in (np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([[-1.0]]), 0.0):
+            with pytest.raises(DomainError):
+                fisher_information(rho, D)
 
     def test_heat_kinematic_uniform_density(self):
         rho = np.ones((3, 16))
-        j = np.full((3, 16, 1), 0.5)
+        j = np.full((3, 16), 0.5)
         # 0.5 * j^2 / (D rho) integrated: 0.5*0.25/2 per unit time
         val = heat_kinematic(rho, j, np.array([[2.0]]), dt=0.1)
         assert val == pytest.approx(3 * 0.1 * 0.5 * 0.25 / 2.0, rel=1e-12)
+
+    def test_heat_functionals_refuse_input_of_the_wrong_rank(self):
+        with pytest.raises(UsageError):
+            fisher_information(np.ones((8, 8)), 1.0)
+        with pytest.raises(UsageError):  # the old (n_t, n, 1) current
+            heat_kinematic(np.ones((3, 16)), np.full((3, 16, 1), 0.5), 2.0, dt=0.1)
+        with pytest.raises(UsageError):
+            heat_kinematic(np.ones(16), np.ones(16), 2.0, dt=0.1)
+        with pytest.raises(DomainError):
+            heat_kinematic(np.ones((3, 16)), np.ones((3, 16)), np.eye(2), dt=0.1)
 
 
 def test_truncated_log_clipping():

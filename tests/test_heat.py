@@ -7,12 +7,7 @@ from linboltz.diffusive import (
     default_test_bank,
 )
 from linboltz.errors import DomainError, UsageError
-from linboltz.heat import (
-    HeatFlow,
-    heat_gradient_flow_check,
-    heat_solve,
-    spatial_entropy,
-)
+from linboltz.heat import HeatFlow, heat_gradient_flow_check, spatial_entropy
 
 
 def grid(n):
@@ -54,7 +49,7 @@ class TestHeatFlow:
         flow = HeatFlow(cos_rho(64), d * np.eye(1))
         decay = np.exp(-4.0 * np.pi**2 * d * t)
         expected = d * np.pi * decay * np.sin(2.0 * np.pi * grid(64))
-        assert np.max(np.abs(flow.current_at(t)[:, 0] - expected)) < 1e-12
+        assert np.max(np.abs(flow.current_at(t) - expected)) < 1e-12
 
     def test_semigroup_property(self):
         flow = HeatFlow(cos_rho(32), 0.1 * np.eye(1))
@@ -65,16 +60,22 @@ class TestHeatFlow:
         flow = HeatFlow(cos_rho(32), 0.1 * np.eye(1))
         assert flow.rho_at(1.7).mean() == pytest.approx(1.0, abs=1e-13)
 
-    def test_anisotropic_2d(self):
-        # a pure x1-mode only feels D[0,0]
-        n = 16
-        x = grid(n)
-        rho = 1.0 + 0.3 * np.cos(2.0 * np.pi * x)[:, None] * np.ones(n)[None, :]
-        D = np.array([[0.2, 0.05], [0.05, 0.4]])
-        flow = HeatFlow(rho, D)
-        decay = np.exp(-4.0 * np.pi**2 * 0.2 * 0.25)
-        expected = 1.0 + 0.3 * decay * np.cos(2.0 * np.pi * x)[:, None]
-        assert np.max(np.abs(flow.rho_at(0.25) - expected)) < 1e-12
+    def test_refuses_a_density_that_is_not_1d(self):
+        with pytest.raises(UsageError):
+            HeatFlow(np.random.default_rng(4).uniform(0.5, 2.0, (8, 12)), 0.2)
+        with pytest.raises(UsageError):
+            HeatFlow(np.array(1.0), 0.2)
+
+    @pytest.mark.parametrize("D", [np.eye(2), [0.1, 0.2], 0.0, -0.1, np.array([[-0.2]]),
+                                   np.inf, np.nan, []])
+    def test_refuses_a_diffusivity_that_is_not_one_positive_number(self, D):
+        with pytest.raises(DomainError):
+            HeatFlow(cos_rho(16), D)
+
+    @pytest.mark.parametrize("D", [0.2, np.float64(0.2), [0.2], np.array([[0.2]])])
+    def test_takes_the_diffusivity_from_its_one_entry(self, D):
+        flow = HeatFlow(cos_rho(16), D)
+        assert type(flow.D) is float and flow.D == 0.2
 
     def test_rejects_negative_time(self):
         flow = HeatFlow(cos_rho(16), np.eye(1))
@@ -83,25 +84,17 @@ class TestHeatFlow:
 
 
 class TestHeatSolve:
-    def test_path_shape_and_endpoints(self):
-        flow, times, path = heat_solve(cos_rho(32), 0.1 * np.eye(1), T=0.2, dt=0.05)
-        assert times.shape == (5,)
-        assert np.max(np.abs(path[0] - flow.rho0)) < 1e-13
-        assert np.array_equal(path[-1], flow.rho_at(0.2))
-
-    def test_rejects_bad_horizon(self):
-        with pytest.raises(UsageError):
-            heat_solve(cos_rho(16), np.eye(1), T=0.05, dt=0.02)
+    """The flow's current over a time grid: closed-form modes against current_at."""
 
     def test_current_stack(self):
         # the closed-form modes, stacked over times, are those of current_at
         rho0 = np.random.default_rng(3).uniform(0.5, 2.0, 32)
-        flow, times, _ = heat_solve(rho0, 0.1 * np.eye(1), T=0.1, dt=0.05)
+        flow, times = HeatFlow(rho0, 0.1), np.array([0.0, 0.05, 0.1])
         modes, rates = flow.current_modes()
         assert modes.shape == rates.shape == (17,)
         assert modes[0] == 0.0 and modes[-1] == 0.0  # no DC, no Nyquist
         j_hat = modes * np.exp(-np.outer(times, rates))
-        stacked = np.stack([flow.current_at(t)[:, 0] for t in times])
+        stacked = np.stack([flow.current_at(t) for t in times])
         assert np.max(np.abs(j_hat - np.fft.rfft(stacked, axis=1))) < 1e-12
         j = np.fft.irfft(j_hat, 32, axis=1)
         assert j.shape == (3, 32)
@@ -118,7 +111,7 @@ class TestHeatSolve:
         times = 7.5e-5 * np.arange(400)
         fields = np.vstack([*default_test_bank(n).values(),
                             np.random.default_rng(n).normal(size=(2, n))])
-        stacked = np.stack([flow.current_at(t)[:, 0] for t in times])
+        stacked = np.stack([flow.current_at(t) for t in times])
         ref = fields @ stacked.T
         got = _heat_current_pairings(flow, times, _parseval_weights(fields, n))
         assert got.shape == ref.shape == (6, 400)
@@ -127,11 +120,6 @@ class TestHeatSolve:
     def test_current_rejects_negative_time(self):
         with pytest.raises(UsageError):
             HeatFlow(cos_rho(8), np.eye(1)).current_at(-0.1)
-
-    def test_current_modes_need_a_1d_flow(self):
-        flow = HeatFlow(np.random.default_rng(4).uniform(0.5, 2.0, (8, 12)), np.eye(2))
-        with pytest.raises(UsageError):
-            flow.current_modes()
 
 
 class TestEntropy:
@@ -146,6 +134,11 @@ class TestEntropy:
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
             spatial_entropy(np.array([1.0, -0.5]))
+
+    def test_refuses_a_density_that_is_not_1d(self):
+        # a (8, 12) grid has cells of 1/96, not (1/8)^2
+        with pytest.raises(UsageError):
+            spatial_entropy(np.full((8, 12), 2.0))
 
 
 class TestGradientFlowCheck:

@@ -22,7 +22,6 @@ from linboltz.kinetic import (
     edi_certificate,
     evolve,
     entropy_balance_check,
-    entropy_series,
     Trajectory,
     load_trajectory,
     local_equilibrium,
@@ -118,7 +117,8 @@ class TestStepper:
     def test_entropy_monotone_upwind(self):
         m = two_node_model()
         traj = simulate(m, bump_rho(16), T=0.2, dt=0.01)
-        H = entropy_series(traj, m)
+        H = edi_certificate(traj, m).entropy
+        assert np.array_equal(H, [relative_entropy(f, m, traj.dx) for f in traj.f])
         assert np.all(np.diff(H) <= 1e-12)
 
     def test_spectral_matches_upwind_in_smooth_limit(self):
@@ -215,29 +215,30 @@ def loop_upwind(f, speeds, dt, dx):
 
 
 class TestTransportStep:
-    @staticmethod
-    def per_step_shift(f, amounts):
-        """Translation with the phases built for this call alone."""
-        kk = np.fft.fftfreq(f.shape[0], d=1.0 / f.shape[0])[:, None]
-        phase = np.exp(-2j * np.pi * kk * amounts)
-        return np.real(np.fft.ifft(np.fft.fft(f, axis=0) * phase, axis=0))
-
-    def test_precomputed_phase_equals_per_step_shift(self):
+    @pytest.mark.parametrize("n_x", [32, 33])
+    def test_spectral_step_is_the_analytic_translate_of_a_band_limited_field(self, n_x):
         m = build_lorentz(LorentzSpec(16))
-        st_ = Stepper(m, n_cells=32, dt=0.003, epsilon=0.5, transport="spectral",
+        st_ = Stepper(m, n_cells=n_x, dt=0.003, epsilon=0.5, transport="spectral",
                       drift_axis=1)
-        f = np.random.default_rng(3).uniform(0.5, 2.0, (32, 16))
-        expected = self.per_step_shift(f, st_.dt * st_.speeds[None, :])
-        assert np.array_equal(st_.advect_full(f), expected)
-        assert np.array_equal(shift(f, st_.phase), expected)
+        rng = np.random.default_rng(n_x)
+        amp, phase = rng.uniform(0.1, 0.5, (3, 16)), rng.uniform(0.0, 2 * np.pi, (3, 16))
 
-    def test_spectral_frames_equal_per_step_shift(self):
+        def field(x):  # f(x[:, v], v): modes 1-3, all below the Nyquist mode
+            k = np.arange(1, 4)[:, None, None]
+            return 1.0 + np.sum(amp[:, None, :] * np.cos(2 * np.pi * k * x + phase[:, None, :]),
+                                axis=0)
+
+        x = np.arange(n_x)[:, None] / n_x
+        translate = field(x - st_.dt * st_.speeds[None, :])  # f(x - dt c_v, v)
+        f = field(np.broadcast_to(x, translate.shape))
+        assert np.max(np.abs(st_.advect_full(f) - translate)) < 1e-14
+
+    def test_spectral_frames_are_the_split_step_on_the_multiplier(self):
         m = build_lorentz(LorentzSpec(8))
         traj = simulate(m, bump_rho(16), T=0.02, dt=0.002, transport="spectral")
         st_ = Stepper(m, n_cells=16, dt=0.002, transport="spectral")
         for n in range(traj.n_steps):
-            moved = self.per_step_shift(st_.collide_half(traj.f[n]),
-                                        0.002 * st_.speeds[None, :])
+            moved = shift(st_.collide_half(traj.f[n]), st_.multiplier)
             assert np.array_equal(traj.f[n + 1], st_.collide_half(moved))
 
     @settings(max_examples=80, deadline=None)
@@ -280,12 +281,10 @@ class TestTransportStep:
         m = VelocityModel(nodes=np.arange(n_v)[:, None], weights=np.full(n_v, 1.0 / n_v),
                           drift=speeds, sigma=sigma + sigma.T, dim_x=2)
         f = rng.uniform(0.0, 2.0, (n_x, n_v))
-        for transport in ("upwind", "spectral"):
-            for axis in (0, 1):
-                st_ = Stepper(m, n_cells=n_x, dt=dt, transport=transport, drift_axis=axis)
-                moved = np.fft.irfft(st_.mode_multiplier() * np.fft.rfft(f, axis=0), n_x,
-                                     axis=0)
-                assert np.max(np.abs(moved - st_.advect_full(f))) <= 1e-15 * np.max(f)
+        for axis in (0, 1):
+            st_ = Stepper(m, n_cells=n_x, dt=dt, drift_axis=axis)
+            moved = shift(f, st_.multiplier)
+            assert np.max(np.abs(moved - st_.advect_full(f))) <= 1e-15 * np.max(f)
 
 
 class TestModeMarginals:
@@ -522,6 +521,14 @@ class TestEdiCertificate:
         cert = edi_certificate(traj, m)
         assert cert.dirichlet_integral >= 0.0
         assert cert.kinematic_value >= 0.0
+
+    def test_per_step_residuals_sum_to_the_gradient_flow_residual(self):
+        m = two_node_model(s=2.0)
+        traj = simulate(m, bump_rho(16), T=0.1, dt=0.005)
+        cert = edi_certificate(traj, m)
+        assert (cert.entropy[0], cert.entropy[-1]) == (cert.h_initial, cert.h_final)
+        assert cert.per_step.sum() == pytest.approx(cert.gradient_flow_residual,
+                                                    rel=1e-9, abs=1e-15)
 
     def test_relaxation_balance_order(self):
         m = two_node_model(s=2.0)

@@ -1,9 +1,10 @@
 """Memory budgets, and the in-place n_v x n_v builders against the formulas they replaced.
 
-``rayleigh_kernel``, ``_exact_symmetrize`` and ``spectral_gap_probe`` do
-their (n_v, n_v) arithmetic in place; the expression forms they replaced
-are kept below, and the in-place forms must equal them bit for bit.  The
-budgets are tracemalloc peaks: numpy reports its array data to tracemalloc.
+``rayleigh_kernel``, ``_exact_symmetrize``, ``spectral_gap_probe`` and the
+Lorentz kernel of ``build_lorentz`` do their (n_v, n_v) arithmetic in place;
+the expression forms they replaced are kept below, and the in-place forms
+must equal them bit for bit.  The budgets are tracemalloc peaks: numpy
+reports its array data to tracemalloc.
 """
 
 import tracemalloc
@@ -36,6 +37,11 @@ def expression_rayleigh_kernel(v, w, beta, dim, diag_cutoff=0.0):
         kern = kern / np.sqrt(safe)
     kern[close] = 0.0
     return kern
+
+
+def expression_lorentz_kernel(theta):
+    diff = theta[:, None] - theta[None, :]
+    return np.pi * np.abs(np.sin(0.5 * diff))
 
 
 def expression_symmetrize(mat):
@@ -77,8 +83,7 @@ def unsymmetrized_kernel(model):
         np.fill_diagonal(sigma, 0.0)
         return sigma
     if model.name == "lorentz":
-        theta = model.nodes[:, 0]
-        return np.pi * np.abs(np.sin(0.5 * (theta[:, None] - theta[None, :])))
+        return expression_lorentz_kernel(model.nodes[:, 0])
     s2 = np.sin(np.pi * model.nodes) ** 2
     return s2 @ s2.T
 
@@ -130,6 +135,14 @@ def test_rayleigh_768_build_and_gap_probe_stay_within_their_budgets():
     assert build_peak <= 3.2 * n2_bytes, build_peak / n2_bytes
     _, probe_peak = traced_peak(lambda: spectral_gap_probe(model))
     assert probe_peak <= 2.5 * n2_bytes, probe_peak / n2_bytes
+
+
+def test_lorentz_256_build_stays_within_its_budget():
+    # the build's budget includes the model's own kernel
+    model, peak = traced_peak(lambda: build_model("lorentz", n_nodes=256))
+    assert np.array_equal(model.sigma, expression_symmetrize(
+        expression_lorentz_kernel(model.nodes[:, 0])))
+    assert peak <= 2.2 * 8.0 * model.n_nodes**2, peak / (8.0 * model.n_nodes**2)
 
 
 def test_benchmark_sweep_stays_within_its_budget():
