@@ -287,18 +287,6 @@ def phi(kappa, p, q, xi):
     return _elementwise(_jump_cost, 5, kappa, p, q, xi)
 
 
-def phi_slope_at_zero(p, q):
-    """d phi / d xi at xi = 0, which equals 0.5*log(q/p)."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if np.any(p <= 0) or np.any(q <= 0):
-        raise DomainError("phi_slope_at_zero requires p > 0 and q > 0")
-    out = 0.5 * np.log(q / p)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def psi_legendre_oracle(kappa, p, q, xi, lambda_grid):
     """Discrete supremum of lam*xi - 2*kappa*sqrt(pq)*(cosh(lam) - 1).
 

@@ -73,9 +73,10 @@ TRANSPORT_SCHEMES = ("upwind", "spectral")
 
 @dataclass(frozen=True)
 class Trajectory:
-    times: np.ndarray          # (n_t,)
+    """The frames f(n dt), n = 0 ... n_steps, of one run on the periodic unit
+    interval; the cell size, the times and the step count follow from them."""
+
     f: np.ndarray              # (n_t, n_x, n_v)
-    dx: float
     dt: float
     epsilon: float
     transport: str
@@ -85,7 +86,15 @@ class Trajectory:
 
     @property
     def n_steps(self):
-        return self.times.size - 1
+        return len(self.f) - 1
+
+    @property
+    def dx(self):
+        return 1.0 / self.f.shape[1]
+
+    @property
+    def times(self):
+        return self.dt * np.arange(len(self.f))
 
 
 def collision_propagator(model, t):
@@ -320,9 +329,7 @@ def simulate(model, f0, T, dt, epsilon=1.0, transport="upwind", drift_axis=0):
     for n, frame in enumerate(frames):
         f[n] = frame
     return Trajectory(
-        times=dt * np.arange(n_steps + 1),
         f=f,
-        dx=1.0 / n_cells,
         dt=dt,
         epsilon=epsilon,
         transport=transport,
@@ -338,14 +345,6 @@ def current_of(f_slice, model):
     eta = f[:, :, None] - f[:, None, :]
     eta *= model.sigma
     return eta
-
-
-def marginals(traj, model, t_index):
-    """Density rho(x) and rescaled current j(x) = (1/eps) pi(f b) at a slice."""
-    f = traj.f[t_index]
-    rho = f @ model.weights
-    j = (f @ (model.weights * model.drift[:, traj.drift_axis])) / traj.epsilon
-    return rho, j
 
 
 @dataclass(frozen=True)
@@ -487,12 +486,10 @@ def edi_certificate(traj, model, current_scale=1.0, tol=None):
 
 
 def save_trajectory(traj, directory):
-    """Persist a trajectory as a directory (meta.json + binary arrays)."""
+    """Persist a trajectory as a directory: ``meta.json`` and ``f.npy``."""
     os.makedirs(directory, exist_ok=True)
     np.save(os.path.join(directory, "f.npy"), traj.f)
-    np.save(os.path.join(directory, "times.npy"), traj.times)
     meta = {
-        "dx": traj.dx,
         "dt": traj.dt,
         "epsilon": traj.epsilon,
         "transport": traj.transport,
@@ -507,22 +504,23 @@ def save_trajectory(traj, directory):
 def load_trajectory(directory):
     """Read a trajectory written by :func:`save_trajectory`.
 
-    Raises ConfigError when ``meta.json`` or the arrays do not describe a
-    trajectory: ``dx``, ``dt`` and ``epsilon`` must be positive numbers, with
+    Raises ConfigError when ``meta.json`` or ``f.npy`` do not describe a
+    trajectory: ``dt`` and ``epsilon`` must be positive numbers, with
     ``epsilon**2`` a normal float and ``0.5 dt / epsilon**2`` finite,
-    ``transport`` a known scheme and ``drift_axis`` an int; ``f`` must hold
-    at least two frames on ``n_x = 1/dx`` cells, with one time per frame.
+    ``transport`` a known scheme and ``drift_axis`` an int; ``f`` must be a
+    float array of at least two frames, every value finite.  A ``times.npy``
+    or a ``dx`` key, which older runs wrote, is ignored: both follow from
+    ``dt`` and the shape of ``f``.
     """
     try:
         with open(os.path.join(directory, "meta.json")) as fh:
             meta = json.load(fh)
         f = np.load(os.path.join(directory, "f.npy"))
-        times = np.load(os.path.join(directory, "times.npy"))
     except ValueError as exc:  # JSONDecodeError, or not an array file
         raise ConfigError(f"cannot read the trajectory {directory}: {exc}") from exc
     if not isinstance(meta, dict):
         raise ConfigError(f"{directory}/meta.json must be an object")
-    for key in ("dx", "dt", "epsilon"):
+    for key in ("dt", "epsilon"):
         value = meta.get(key)
         if type(value) not in (int, float) or not 0 < value < np.inf:
             raise ConfigError(f"{directory}/meta.json: {key} must be a positive number, "
@@ -537,19 +535,13 @@ def load_trajectory(directory):
     if type(meta.get("drift_axis")) is not int:
         raise ConfigError(f"{directory}/meta.json: drift_axis must be an int, "
                           f"not {json.dumps(meta.get('drift_axis'))}")
-    if f.ndim != 3 or f.shape[0] < 2 or f.dtype.kind != "f":
-        raise ConfigError(f"{directory}/f.npy must be a float (n_t, n_x, n_v) array "
+    if f.ndim != 3 or f.shape[0] < 2 or f.size == 0 or f.dtype.kind != "f":
+        raise ConfigError(f"{directory}/f.npy must be a nonempty float (n_t, n_x, n_v) array "
                           f"of at least 2 frames, not {f.dtype} of shape {f.shape}")
-    if times.shape != (f.shape[0],):
-        raise ConfigError(f"{directory}/times.npy has shape {times.shape}, "
-                          f"not one time per frame of f.npy ({f.shape[0]})")
-    if meta["dx"] != 1.0 / f.shape[1]:
-        raise ConfigError(f"{directory}/meta.json: dx = {meta['dx']!r} is not 1/n_x "
-                          f"for the {f.shape[1]} cells of f.npy")
+    if not np.isfinite(f).all():
+        raise ConfigError(f"{directory}/f.npy holds a value that is not finite")
     return Trajectory(
-        times=times,
         f=f,
-        dx=float(meta["dx"]),
         dt=float(meta["dt"]),
         epsilon=float(meta["epsilon"]),
         transport=meta["transport"],

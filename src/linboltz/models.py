@@ -116,7 +116,6 @@ def build_lorentz(spec):
         weights=weights,
         drift=drift,
         sigma=sigma,
-        dim_x=2,
         name="lorentz",
         meta={"n_nodes": n},
     )
@@ -228,7 +227,6 @@ def build_rayleigh(spec):
         weights=weights,
         drift=nodes.copy(),
         sigma=sigma,
-        dim_x=d,
         name="rayleigh",
         meta={
             "beta": beta,
@@ -271,7 +269,6 @@ def build_phonon(spec):
         weights=weights,
         drift=drift,
         sigma=sigma,
-        dim_x=d,
         name="phonon",
         meta={
             "nu": spec.nu,

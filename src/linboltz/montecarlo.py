@@ -48,7 +48,6 @@ class McConfig:
 class McEstimate:
     d_hat: np.ndarray
     stderr: np.ndarray
-    n_paths: int
     batch_estimates: np.ndarray
 
 
@@ -109,35 +108,11 @@ def _count_below(table, rows, u):
     return pos - base
 
 
-def sample_path(model, T, rng):
-    """Single trajectory; returns (X_T, jump_count).  Reference version."""
-    cumw = np.cumsum(model.weights)
-    cumP = _transition_cumulatives(model)
-    i = int(np.searchsorted(cumw, rng.random()))
-    x = np.zeros(model.drift.shape[1])
-    t = 0.0
-    jumps = 0
-    while True:
-        hold = rng.exponential() / model.rates[i]
-        if t + hold >= T:
-            x += (T - t) * model.drift[i]
-            return x, jumps
-        x += hold * model.drift[i]
-        t += hold
-        i = min(
-            int(np.searchsorted(cumP[i], rng.random())), model.n_nodes - 1
-        )
-        jumps += 1
-
-
-def _run_batch(model, T, n, rng, table=None):
+def _run_batch(model, T, n, rng, table):
     """Vectorized batch of n paths with a fixed round-major draw layout.
 
-    ``table`` is the guide table of the model's transition rows, built here
-    when not given.
+    ``table`` is the :func:`_jump_table` of the model's transition rows.
     """
-    if table is None:
-        table = _jump_table(_transition_cumulatives(model))
     last = model.n_nodes - 1
     node = np.searchsorted(np.cumsum(model.weights), rng.random(n))
     np.clip(node, 0, last, out=node)
@@ -185,12 +160,7 @@ def estimate_D(model, config):
     d_hat = batch_D.mean(axis=0)
     d_hat = 0.5 * (d_hat + d_hat.T)
     stderr = batch_D.std(axis=0, ddof=1) / np.sqrt(config.n_batches)
-    return McEstimate(
-        d_hat=d_hat,
-        stderr=stderr,
-        n_paths=config.n_paths,
-        batch_estimates=batch_D,
-    )
+    return McEstimate(d_hat=d_hat, stderr=stderr, batch_estimates=batch_D)
 
 
 def write_mc_csv(estimate, path):
@@ -208,7 +178,7 @@ def write_mc_json(estimate, config, path):
     payload = {
         "d_hat": estimate.d_hat.tolist(),
         "stderr": estimate.stderr.tolist(),
-        "n_paths": estimate.n_paths,
+        "n_paths": config.n_paths,
         "horizon": config.horizon,
         "seed": config.seed,
         "n_batches": config.n_batches,

@@ -44,16 +44,14 @@ class VelocityModel:
 
     nodes:   (n_v, n_c) model-specific coordinates (n_c columns)
     weights: (n_v,) probability weights, sum to 1
-    drift:   (n_v, d) drift vectors b_i
+    drift:   (n_v, d) drift vectors b_i, d the spatial dimension ``dim_x``
     sigma:   (n_v, n_v) symmetric nonnegative kernel S_ij
-    dim_x:   spatial dimension d
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     drift: np.ndarray
     sigma: np.ndarray
-    dim_x: int
     name: str = "custom"
     meta: dict = field(default_factory=dict)
     rates: np.ndarray = field(init=False)
@@ -84,6 +82,10 @@ class VelocityModel:
         return self.weights.size
 
     @property
+    def dim_x(self):
+        return self.drift.shape[1]
+
+    @property
     def fingerprint(self):
         """sha256 of the name, shape and bytes of each of the model's arrays
         (``MODEL_ARRAYS``: nodes, weights, drift and kernel)."""
@@ -104,8 +106,6 @@ class VelocityModel:
             raise NumericalQualityError("scattering kernel is not exactly symmetric")
         if np.any(self.sigma < 0):
             raise NumericalQualityError("negative scattering kernel entry")
-        if np.max(np.abs(self.rates - self.sigma @ self.weights)) > 1e-12:
-            raise NumericalQualityError("rate vector inconsistent with kernel")
         centering = np.max(np.abs(self.weights @ self.drift))
         if centering > CENTERING_TOL:
             raise NumericalQualityError(
@@ -289,9 +289,10 @@ def from_file(path):
 
     Raises ConfigError for a file that is not a ``model-v3`` header (a
     ``model-v2`` one included, as its fingerprint did not cover ``nodes``), a
-    sidecar that lacks one of the arrays, arrays or a ``dim_x`` that make no
-    model (mismatched shapes, say), or arrays whose fingerprint is not the
-    header's (a sidecar of another model).
+    sidecar that lacks one of the arrays, arrays that make no model
+    (mismatched shapes, say), arrays whose fingerprint is not the header's (a
+    sidecar of another model), a ``dim_x`` other than the drift's number of
+    columns, or a model that fails :meth:`VelocityModel.validate`.
     """
     try:
         with open(path) as fh:
@@ -311,11 +312,18 @@ def from_file(path):
             raise ConfigError(f"model arrays {sidecar} lack {missing}")
         arrays = {key: npz[key] for key in MODEL_ARRAYS}
     try:
-        model = VelocityModel(**arrays, dim_x=int(header["dim_x"]), name=header["name"],
-                              meta=header["meta"])
+        model = VelocityModel(**arrays, name=header["name"], meta=header["meta"])
     except (UsageError, ValueError, TypeError) as exc:
         raise ConfigError(f"model file {path} does not describe a model: {exc}") from exc
     if model.fingerprint != header["fingerprint"]:
         raise ConfigError(f"the arrays in {sidecar} are not those of the model {path} "
                           f"describes (fingerprint {model.fingerprint})")
+    if type(header["dim_x"]) is not int or header["dim_x"] != model.dim_x:
+        raise ConfigError(f"model file {path} does not describe a model: dim_x "
+                          f"{json.dumps(header['dim_x'])} is not the {model.dim_x} "
+                          "columns of its drift")
+    try:
+        model.validate()
+    except NumericalQualityError as exc:
+        raise ConfigError(f"model file {path} does not describe a model: {exc}") from exc
     return model

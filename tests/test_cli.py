@@ -478,14 +478,23 @@ def test_fuzzed_configs_exit_with_a_documented_code(small_trajectory, data):
                 assert json.load(fh)["exit_code"] == code
 
 
+def with_value(f, value):
+    f = f.copy()
+    f[1, 2, 3] = value
+    return f
+
+
 @pytest.mark.parametrize("name, damage", [
-    ("meta.json", lambda meta: {k: v for k, v in meta.items() if k != "dx"}),
+    ("meta.json", lambda meta: {k: v for k, v in meta.items() if k != "dt"}),
     ("meta.json", None),  # not JSON
     ("f.npy", lambda f: f[:, :, :5]),  # 5 of the model's 8 nodes
-    ("times.npy", lambda times: times[:-1]),
     ("f.npy", lambda f: f[:1]),
+    ("f.npy", lambda f: f[:, :0]),
+    ("f.npy", lambda f: with_value(f, np.nan)),
+    ("f.npy", lambda f: with_value(f, -np.inf)),
     ("meta.json", lambda meta: dict(meta, epsilon=1e-200)),  # epsilon**2 == 0.0
-], ids=["no dx", "bad meta", "5 nodes", "short times", "one frame", "tiny epsilon"])
+], ids=["no dt", "bad meta", "5 nodes", "one frame", "no cells", "nan frame", "inf frame",
+        "tiny epsilon"])
 def test_certify_refuses_a_malformed_trajectory(tmp_path, capsys, small_trajectory,
                                                 name, damage):
     traj = tmp_path / "trajectory"
@@ -502,6 +511,25 @@ def test_certify_refuses_a_malformed_trajectory(tmp_path, capsys, small_trajecto
     assert (diag["exit_code"], diag["error"]) == (2, "ConfigError")
     assert "Traceback" not in capsys.readouterr().err
     assert not (out / "certificate.json").exists()
+
+
+def test_a_trajectory_in_the_older_layout_certifies_byte_for_byte_the_same(
+        tmp_path, small_trajectory):
+    # older runs also wrote times.npy and a dx key, both of which follow from
+    # dt and the shape of f.npy; the reader ignores them
+    old = tmp_path / "old"
+    shutil.copytree(small_trajectory, old)
+    meta = json.loads((old / "meta.json").read_text())
+    f = np.load(old / "f.npy")
+    np.save(old / "times.npy", meta["dt"] * np.arange(len(f)))
+    (old / "meta.json").write_text(json.dumps(dict(meta, dx=1.0 / f.shape[1]),
+                                              sort_keys=True, indent=1))
+    cfg = write_cfg(tmp_path, dict(SMALL_BLOCKS["certify"], model=SMALL_MODELS[0]))
+    for traj, out in ((small_trajectory, "out_new"), (old, "out_old")):
+        assert main(["certify", str(traj), "--config", cfg, "--out", str(tmp_path / out)]) == 0
+    for name in ("certificate.json", "certificate.csv"):
+        assert (tmp_path / "out_old" / name).read_bytes() == (
+            tmp_path / "out_new" / name).read_bytes()
 
 
 def test_importing_the_cli_loads_no_scipy():

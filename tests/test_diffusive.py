@@ -17,7 +17,7 @@ from linboltz.diffusive import (
     write_sweep_csv,
 )
 from linboltz.heat import HeatFlow
-from linboltz.kinetic import marginals, mode_marginals
+from linboltz.kinetic import mode_marginals
 from linboltz.velocity import VelocityModel, diffusion_matrix, poisson_solve
 
 
@@ -27,7 +27,6 @@ def two_node_model(s=3.0, u=1.0):
         weights=np.array([0.5, 0.5]),
         drift=np.array([[u], [-u]]),
         sigma=np.array([[0.0, s], [s, 0.0]]),
-        dim_x=1,
     )
 
 
@@ -66,7 +65,6 @@ class TestAutoDt:
             weights=np.array([0.5, 0.5]),
             drift=np.zeros((2, 1)),
             sigma=np.array([[0.0, 1.0], [1.0, 0.0]]),
-            dim_x=1,
         )
         with pytest.raises(ConfigError):
             auto_dt(m, 0.1, 1.0, 16)
@@ -139,8 +137,8 @@ def frame_holding_rows(model, rho0, eps_list, T, n_cells, transport, drift_axis)
         traj = rescaled_run(model, rho0, eps, T, n_cells=n_cells,
                             transport=transport, drift_axis=drift_axis)
         dx, dt, n_t = traj.dx, traj.dt, traj.times.size
-        rho_T, _ = marginals(traj, model, n_t - 1)
-        j_path = np.stack([marginals(traj, model, n)[1] for n in range(n_t)])
+        rho_T = traj.f[-1] @ model.weights
+        j_path = traj.f @ (model.weights * model.drift[:, drift_axis]) / eps
         j_heat = np.stack([flow.current_at(t) for t in traj.times])
         tw = _trapezoid(n_t, dt)
         weak = max(abs(float(dx * tw @ (j_path @ w)) - float(tw @ (dx * (j_heat @ w))))

@@ -12,7 +12,6 @@ from linboltz.functionals import (
     kinematic_lower_bound,
     kinematic_rate,
     phi,
-    phi_slope_at_zero,
     psi,
     psi_legendre_oracle,
     relative_entropy,
@@ -36,7 +35,6 @@ def two_node_model(s=3.0, u=1.0):
         weights=np.array([0.5, 0.5]),
         drift=np.array([[u], [-u]]),
         sigma=np.array([[0.0, s], [s, 0.0]]),
-        dim_x=1,
     )
 
 
@@ -73,7 +71,7 @@ class TestPhi:
             q = rng.uniform(0.1, 5.0)
             h = 1e-6
             fd = (phi(kappa, p, q, h) - phi(kappa, p, q, -h)) / (2 * h)
-            assert fd == pytest.approx(phi_slope_at_zero(p, q), abs=1e-7)
+            assert fd == pytest.approx(0.5 * np.log(q / p), abs=1e-7)  # d phi/d xi at 0
 
     def test_degenerate_rate(self):
         assert phi(0.0, 1.0, 2.0, 0.0) == 0.0

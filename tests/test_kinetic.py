@@ -25,7 +25,6 @@ from linboltz.kinetic import (
     Trajectory,
     load_trajectory,
     local_equilibrium,
-    marginals,
     mode_marginals,
     save_trajectory,
     simulate,
@@ -42,7 +41,6 @@ def two_node_model(s=3.0, u=1.0):
         weights=np.array([0.5, 0.5]),
         drift=np.array([[u], [-u]]),
         sigma=np.array([[0.0, s], [s, 0.0]]),
-        dim_x=1,
     )
 
 
@@ -138,8 +136,7 @@ def small_kernels(draw):
     sigma = np.zeros((n, n))
     sigma[np.triu_indices(n)] = upper
     return VelocityModel(nodes=np.zeros((n, 1)), weights=weights / weights.sum(),
-                         drift=np.zeros((n, 1)), sigma=sigma + np.triu(sigma, 1).T,
-                         dim_x=1)
+                         drift=np.zeros((n, 1)), sigma=sigma + np.triu(sigma, 1).T)
 
 
 class TestCollisionPropagator:
@@ -178,7 +175,7 @@ class TestCollisionPropagator:
 
     def test_zero_kernel_or_zero_time_gives_the_identity(self):
         m = VelocityModel(nodes=np.zeros((3, 1)), weights=np.full(3, 1 / 3),
-                          drift=np.zeros((3, 1)), sigma=np.zeros((3, 3)), dim_x=1)
+                          drift=np.zeros((3, 1)), sigma=np.zeros((3, 3)))
         for t in (0.0, 1e-8, 1.0, 1e4):
             assert np.array_equal(collision_propagator(m, t), np.eye(3))
         assert np.array_equal(collision_propagator(two_node_model(), 0.0), np.eye(2))
@@ -254,7 +251,7 @@ class TestTransportStep:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         sigma = rng.uniform(0.0, 2.0, (n_v, n_v))
         m = VelocityModel(nodes=np.arange(n_v)[:, None], weights=np.full(n_v, 1.0 / n_v),
-                          drift=speeds[:, None], sigma=sigma + sigma.T, dim_x=1)
+                          drift=speeds[:, None], sigma=sigma + sigma.T)
         st_ = Stepper(m, n_cells=n_x, dt=dt)
         f = rng.uniform(0.0, 2.0, (n_x, n_v))
         assert np.array_equal(st_.advect_full(f), loop_upwind(f, st_.speeds, dt, st_.dx))
@@ -279,7 +276,7 @@ class TestTransportStep:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         sigma = rng.uniform(0.0, 2.0, (n_v, n_v))
         m = VelocityModel(nodes=np.arange(n_v)[:, None], weights=np.full(n_v, 1.0 / n_v),
-                          drift=speeds, sigma=sigma + sigma.T, dim_x=2)
+                          drift=speeds, sigma=sigma + sigma.T)
         f = rng.uniform(0.0, 2.0, (n_x, n_v))
         for axis in (0, 1):
             st_ = Stepper(m, n_cells=n_x, dt=dt, drift_axis=axis)
@@ -409,7 +406,8 @@ class TestCurrentAndMarginals:
     def test_marginals_uniform(self):
         m = two_node_model()
         traj = simulate(m, np.ones(8), T=0.02, dt=0.01)
-        rho, j = marginals(traj, m, 0)
+        rho = traj.f[0] @ m.weights
+        j = traj.f[0] @ (m.weights * m.drift[:, 0]) / traj.epsilon
         assert np.max(np.abs(rho - 1.0)) < 1e-12
         assert np.max(np.abs(j)) < 1e-12
 
@@ -463,7 +461,6 @@ class TestEntropyBalance:
             weights=np.array([0.5, 0.5]),
             drift=np.array([[1.0], [-1.0]]),
             sigma=np.zeros((2, 2)),
-            dim_x=1,
         )
         traj = simulate(m, bump_rho(64), T=0.05, dt=0.005, transport="spectral")
         res = entropy_balance_check(traj, m)
@@ -480,11 +477,10 @@ class TestEntropyBalance:
         sigma = rng.uniform(0.0, 2.0, (n_v, n_v))
         w = rng.uniform(0.1, 1.0, n_v)
         m = VelocityModel(nodes=np.arange(n_v)[:, None], weights=w / w.sum(),
-                          drift=rng.normal(size=(n_v, 1)), sigma=sigma + sigma.T, dim_x=1)
+                          drift=rng.normal(size=(n_v, 1)), sigma=sigma + sigma.T)
         f = rng.uniform(0.0, 2.0, (3, n_x, n_v))
         f[0, 0, 0] = 0.0  # the truncated logarithm's floor
-        traj = Trajectory(times=0.1 * np.arange(3), f=f, dx=1.0 / n_x, dt=0.1,
-                          epsilon=0.7, transport="upwind")
+        traj = Trajectory(f=f, dt=0.1, epsilon=0.7, transport="upwind")
         got = entropy_balance_check(traj, m).per_step
         w = m.weights
         for n in range(2):
@@ -499,7 +495,7 @@ class TestEntropyBalance:
     def test_refuses_an_asymmetric_kernel(self):
         m = VelocityModel(nodes=np.zeros((2, 1)), weights=np.array([0.5, 0.5]),
                           drift=np.array([[1.0], [-1.0]]),
-                          sigma=np.array([[0.0, 1.0], [2.0, 0.0]]), dim_x=1)
+                          sigma=np.array([[0.0, 1.0], [2.0, 0.0]]))
         traj = simulate(m, np.ones(4), T=0.02, dt=0.01)
         with pytest.raises(NumericalQualityError):
             entropy_balance_check(traj, m)

@@ -9,8 +9,8 @@ from linboltz.montecarlo import (
     _count_below,
     _jump_table,
     _run_batch,
+    _transition_cumulatives,
     estimate_D,
-    sample_path,
     write_mc_csv,
     write_mc_json,
 )
@@ -23,8 +23,11 @@ def two_node_model(s=3.0, u=1.0):
         weights=np.array([0.5, 0.5]),
         drift=np.array([[u], [-u]]),
         sigma=np.array([[0.0, s], [s, 0.0]]),
-        dim_x=1,
     )
+
+
+def run_batch(model, T, n, rng):
+    return _run_batch(model, T, n, rng, _jump_table(_transition_cumulatives(model)))
 
 
 class TestConfig:
@@ -37,49 +40,19 @@ class TestConfig:
             McConfig(horizon=0.0)
 
 
-class TestSamplePath:
-    def test_zero_drift_never_moves(self):
-        m = VelocityModel(
-            nodes=np.zeros((2, 1)),
-            weights=np.array([0.5, 0.5]),
-            drift=np.zeros((2, 1)),
-            sigma=np.array([[0.0, 2.0], [2.0, 0.0]]),
-            dim_x=1,
-        )
-        x, jumps = sample_path(m, 5.0, np.random.default_rng(0))
-        assert x[0] == 0.0
-        assert jumps > 0
-
-    def test_jump_rate_matches_lambda(self):
-        # constant lambda = s/2: jump count over [0, T] averages lambda T
-        s, T, n = 3.0, 10.0, 2000
-        m = two_node_model(s=s)
-        rng = np.random.default_rng(1)
-        counts = np.array([sample_path(m, T, rng)[1] for _ in range(n)])
-        lam = 0.5 * s
-        assert abs(counts.mean() - lam * T) < 3.0 * np.sqrt(lam * T / n)
-
-    def test_displacement_bounded_by_speed(self):
-        m = two_node_model(u=1.0)
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            x, _ = sample_path(m, 4.0, rng)
-            assert abs(x[0]) <= 4.0 + 1e-12
-
-
 class TestBatch:
     def test_occupation_matches_reference_measure(self):
         # start-node draws follow the weights; chi-square over 1e4 paths
         m = build_lorentz(LorentzSpec(8))
         rng = np.random.default_rng(3)
-        x = _run_batch(m, 0.0, 10000, rng)
+        x = run_batch(m, 0.0, 10000, rng)
         assert np.max(np.abs(x)) == 0.0  # T = 0: no displacement
 
     def test_agrees_with_scalar_reference_in_law(self):
         m = two_node_model(s=2.0, u=1.0)
         rng = np.random.default_rng(4)
         ref = np.array([sample_path(m, 8.0, rng)[0][0] for _ in range(4000)])
-        vec = _run_batch(m, 8.0, 4000, np.random.default_rng(5))[:, 0]
+        vec = run_batch(m, 8.0, 4000, np.random.default_rng(5))[:, 0]
         # same second moment within sampling error
         m_ref, m_vec = np.mean(ref**2), np.mean(vec**2)
         pooled = np.sqrt(np.var(ref**2) / 4000 + np.var(vec**2) / 4000)
@@ -138,6 +111,55 @@ class TestOutputs:
         write_mc_json(est, cfg, ja)
         write_mc_json(est, cfg, jb)
         assert ja.read_bytes() == jb.read_bytes()
+
+
+def sample_path(model, T, rng):
+    """Single trajectory; returns (X_T, jump_count).  The scalar reference of
+    the batch runner."""
+    cumw = np.cumsum(model.weights)
+    cumP = np.cumsum(model.sigma * model.weights[None, :] / model.rates[:, None], axis=1)
+    i = int(np.searchsorted(cumw, rng.random()))
+    x = np.zeros(model.drift.shape[1])
+    t = 0.0
+    jumps = 0
+    while True:
+        hold = rng.exponential() / model.rates[i]
+        if t + hold >= T:
+            x += (T - t) * model.drift[i]
+            return x, jumps
+        x += hold * model.drift[i]
+        t += hold
+        i = min(int(np.searchsorted(cumP[i], rng.random())), model.n_nodes - 1)
+        jumps += 1
+
+
+class TestSamplePath:
+    def test_zero_drift_never_moves(self):
+        m = VelocityModel(
+            nodes=np.zeros((2, 1)),
+            weights=np.array([0.5, 0.5]),
+            drift=np.zeros((2, 1)),
+            sigma=np.array([[0.0, 2.0], [2.0, 0.0]]),
+        )
+        x, jumps = sample_path(m, 5.0, np.random.default_rng(0))
+        assert x[0] == 0.0
+        assert jumps > 0
+
+    def test_jump_rate_matches_lambda(self):
+        # constant lambda = s/2: jump count over [0, T] averages lambda T
+        s, T, n = 3.0, 10.0, 2000
+        m = two_node_model(s=s)
+        rng = np.random.default_rng(1)
+        counts = np.array([sample_path(m, T, rng)[1] for _ in range(n)])
+        lam = 0.5 * s
+        assert abs(counts.mean() - lam * T) < 3.0 * np.sqrt(lam * T / n)
+
+    def test_displacement_bounded_by_speed(self):
+        m = two_node_model(u=1.0)
+        rng = np.random.default_rng(2)
+        for _ in range(50):
+            x, _ = sample_path(m, 4.0, rng)
+            assert abs(x[0]) <= 4.0 + 1e-12
 
 
 def reference_run_batch(model, T, n, rng):
@@ -207,14 +229,14 @@ class TestGuideTableSampler:
     @pytest.mark.parametrize("T", [0.0, 0.7, 6.0])
     def test_batch_is_bit_identical_to_the_scan(self, name, T):
         m = SAMPLER_MODELS[name]()
-        new = _run_batch(m, T, 517, np.random.default_rng(21))
+        new = run_batch(m, T, 517, np.random.default_rng(21))
         ref = reference_run_batch(m, T, 517, np.random.default_rng(21))
         assert np.array_equal(new, ref)
 
     @pytest.mark.parametrize("name", sorted(SAMPLER_MODELS))
     def test_draws_past_the_row_end_are_capped_like_the_scan(self, name):
         m = SAMPLER_MODELS[name]()
-        new = _run_batch(m, 3.0, 64, TopUniforms(2))
+        new = run_batch(m, 3.0, 64, TopUniforms(2))
         assert np.array_equal(new, reference_run_batch(m, 3.0, 64, TopUniforms(2)))
 
     @pytest.mark.parametrize("name", sorted(SAMPLER_MODELS))
@@ -230,7 +252,6 @@ class TestGuideTableSampler:
             nodes=np.zeros((3, 1)), weights=np.full(3, 1.0 / 3.0),
             drift=np.array([[1.0], [-1.0], [0.0]]),
             sigma=np.array([[0.0, 2.0, -1.0], [2.0, 0.0, 1.0], [-1.0, 1.0, 3.0]]),
-            dim_x=1,
         )
         with pytest.raises(DomainError):
             estimate_D(m, McConfig(n_paths=8, horizon=1.0, n_batches=2))

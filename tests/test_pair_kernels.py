@@ -62,7 +62,6 @@ def cases(draw):
         weights=weights / weights.sum(),
         drift=np.linspace(-1.0, 1.0, n_v)[:, None],
         sigma=np.where(zero | zero.T, 0.0, rates + rates.T),
-        dim_x=1,
     )
     f = rng.uniform(0.01, 10.0, (n_x, n_v))
     f[rng.random((n_x, n_v)) < zero_nodes] = 0.0
@@ -117,8 +116,7 @@ def test_certificate_sums_match_double_sums(block, data):
     scale = data.draw(st.sampled_from([1.0, 2.0, 0.5, -1.0]))
     eps = data.draw(st.sampled_from([1.0, 0.5]))
     dt, dx = 0.01, 1.0 / n_x
-    traj = Trajectory(times=np.array([0.0, dt]), f=np.stack([f0, f1]),
-                      dx=dx, dt=dt, epsilon=eps, transport="upwind")
+    traj = Trajectory(f=np.stack([f0, f1]), dt=dt, epsilon=eps, transport="upwind")
     f_mid = 0.5 * (f0 + f1)
     eta = scale * own_current(f_mid, model.sigma)
     factor = dt * dx / eps**2
@@ -139,7 +137,7 @@ def test_non_antisymmetric_current_is_rejected(block):
     model = VelocityModel(
         nodes=np.arange(3.0)[:, None], weights=np.full(3, 1 / 3),
         drift=np.array([[-1.0], [0.0], [1.0]]),
-        sigma=np.ones((3, 3)) - np.eye(3), dim_x=1,
+        sigma=np.ones((3, 3)) - np.eye(3),
     )
     f = np.ones((4, 3))
     eta = np.zeros((4, 3, 3))
@@ -160,7 +158,7 @@ def test_current_on_a_zero_rate_pair_or_the_diagonal_is_infeasible(block):
     sigma[0, 1] = sigma[1, 0] = 0.0
     model = VelocityModel(
         nodes=np.arange(3.0)[:, None], weights=np.full(3, 1 / 3),
-        drift=np.array([[-1.0], [0.0], [1.0]]), sigma=sigma, dim_x=1,
+        drift=np.array([[-1.0], [0.0], [1.0]]), sigma=sigma,
     )
     f = np.ones((4, 3))
     eta = np.zeros((4, 3, 3))
@@ -179,11 +177,10 @@ def test_asymmetric_kernel_is_refused():
     model = VelocityModel(
         nodes=np.arange(2.0)[:, None], weights=np.array([0.5, 0.5]),
         drift=np.array([[1.0], [-1.0]]),
-        sigma=np.array([[0.0, 1.0], [2.0, 0.0]]), dim_x=1,
+        sigma=np.array([[0.0, 1.0], [2.0, 0.0]]),
     )
     f = np.ones((2, 2))
-    traj = Trajectory(times=np.array([0.0, 0.1]), f=np.stack([f, f]), dx=0.5,
-                      dt=0.1, epsilon=1.0, transport="upwind")
+    traj = Trajectory(f=np.stack([f, f]), dt=0.1, epsilon=1.0, transport="upwind")
     with pytest.raises(NumericalQualityError):
         kinematic_rate(f, np.zeros((2, 2, 2)), model, 0.5)
     with pytest.raises(NumericalQualityError):
@@ -273,7 +270,7 @@ def test_blocks_with_extreme_entries_keep_the_reference():
     weights = rng.uniform(0.1, 1.0, n_v)
     model = VelocityModel(
         nodes=np.arange(n_v, dtype=float)[:, None], weights=weights / weights.sum(),
-        drift=np.linspace(-1.0, 1.0, n_v)[:, None], sigma=a + a.T, dim_x=1,
+        drift=np.linspace(-1.0, 1.0, n_v)[:, None], sigma=a + a.T,
     )
     f = rng.uniform(0.5, 2.0, (n_x, n_v))
     eta = own_current(f, model.sigma)
@@ -309,7 +306,7 @@ def test_costs_stay_one_homogeneous_where_p_times_q_underflows(cost, args):
 def test_kinematic_rate_at_densities_whose_product_underflows():
     model = VelocityModel(
         nodes=np.arange(2.0)[:, None], weights=np.full(2, 0.5),
-        drift=np.array([[-1.0], [1.0]]), sigma=np.ones((2, 2)) - np.eye(2), dim_x=1,
+        drift=np.array([[-1.0], [1.0]]), sigma=np.ones((2, 2)) - np.eye(2),
     )
     c = 1e-170
     f = np.array([[1.0, 2.0]])
@@ -356,7 +353,7 @@ def test_costs_where_xi_over_alpha_overflows_match_mpmath(kappa, p, q, xi):
 def test_kinematic_rate_of_a_current_whose_ratio_overflows_is_finite():
     model = VelocityModel(
         nodes=np.arange(2.0)[:, None], weights=np.full(2, 0.5),
-        drift=np.array([[-1.0], [1.0]]), sigma=np.ones((2, 2)) - np.eye(2), dim_x=1,
+        drift=np.array([[-1.0], [1.0]]), sigma=np.ones((2, 2)) - np.eye(2),
     )
     f = np.full((1, 2), 1e-300)
     eta = np.zeros((1, 2, 2))

@@ -37,7 +37,6 @@ def two_node_model(s=3.0, u=1.0):
         weights=np.array([0.5, 0.5]),
         drift=np.array([[u], [-u]]),
         sigma=np.array([[0.0, s], [s, 0.0]]),
-        dim_x=1,
         name="two-node",
     )
 
@@ -58,7 +57,6 @@ class TestVelocityModel:
                 weights=np.array([0.5, 0.5]),
                 drift=np.zeros((2, 1)),
                 sigma=np.zeros((2, 2)),
-                dim_x=1,
             )
 
     def test_asymmetric_kernel_rejected(self):
@@ -67,7 +65,6 @@ class TestVelocityModel:
             weights=np.array([0.5, 0.5]),
             drift=np.array([[1.0], [-1.0]]),
             sigma=np.array([[0.0, 1.0], [2.0, 0.0]]),
-            dim_x=1,
         )
         with pytest.raises(NumericalQualityError):
             m.validate()
@@ -78,7 +75,6 @@ class TestVelocityModel:
             weights=np.array([0.5, 0.5]),
             drift=np.array([[1.0], [0.0]]),
             sigma=np.array([[0.0, 1.0], [1.0, 0.0]]),
-            dim_x=1,
         )
         with pytest.raises(NumericalQualityError):
             m.validate()
@@ -112,7 +108,6 @@ class TestTiltedMeasure:
                 [0.0, 0.0, 0.0],
                 [2.0, 0.0, 0.0],
             ]),
-            dim_x=1,
         )
         t = TiltedMeasure.of(m)
         assert t.weights[1] == 0.0
@@ -170,7 +165,6 @@ class TestOperators:
                 [0.0, 0.0, 0.0],
                 [2.0, 0.0, 0.0],
             ]),
-            dim_x=1,
         )
         with pytest.raises(DomainError):
             apply_k(m, np.ones(3))
@@ -239,7 +233,7 @@ def small_models(draw):
     w /= w.sum()
     b = rng.normal(size=(n, dim))
     return VelocityModel(nodes=np.arange(n)[:, None], weights=w, drift=b - w @ b,
-                         sigma=sigma + sigma.T, dim_x=dim)
+                         sigma=sigma + sigma.T)
 
 
 class TestOperatorProperties:
@@ -322,7 +316,6 @@ class TestSpectralGap:
             weights=np.full(3, 1.0 / 3.0),
             drift=np.array([[1.0], [-1.0], [0.0]]),
             sigma=np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
-            dim_x=1,
         )
         with pytest.raises(DomainError):
             spectral_gap_probe(m)
@@ -367,35 +360,40 @@ def test_model_file_refuses_arrays_that_are_not_its_model(tmp_path, tamper):
         from_file(tmp_path / "model_lorentz.json")
 
 
-@pytest.mark.parametrize("tamper", ["nodes_shape", "dim_x"])
+@pytest.mark.parametrize("tamper", ["nodes_shape", "dim_x", "dim_x_7", "negative_weights",
+                                    "asymmetric_kernel"])
 def test_model_file_that_makes_no_model_is_a_config_error(tmp_path, tamper):
     path = tmp_path / "model_lorentz.json"
-    to_file(build_model("lorentz", n_nodes=8), path)
+    model = build_model("lorentz", n_nodes=8)
+    if tamper == "negative_weights":  # summing to -1, under their own fingerprint
+        model = dataclasses.replace(model, weights=-model.weights)
+    elif tamper == "asymmetric_kernel":
+        model = dataclasses.replace(model, sigma=model.sigma + np.triu(model.sigma))
+    to_file(model, path)
     if tamper == "nodes_shape":
         arrays = tmp_path / "model_lorentz.npz"
         with np.load(arrays) as npz:
             kept = dict(npz)
         kept["nodes"] = kept["nodes"].reshape(1, 8)
         np.savez(arrays, **kept)
-    else:
+    elif tamper.startswith("dim_x"):
         header = json.loads(path.read_text())
-        path.write_text(json.dumps(dict(header, dim_x="one")))
+        path.write_text(json.dumps(dict(header, dim_x=7 if tamper == "dim_x_7" else "one")))
     with pytest.raises(ConfigError, match="does not describe a model"):
         from_file(path)
 
 
 def test_fingerprint_covers_nodes_and_array_shapes():
     a = VelocityModel(nodes=np.arange(8.0).reshape(4, 2), weights=np.full(4, 0.25),
-                      drift=np.array([1.0, -1.0, 2.0, -2.0]), sigma=np.ones((4, 4)),
-                      dim_x=1)
+                      drift=np.array([1.0, -1.0, 2.0, -2.0]), sigma=np.ones((4, 4)))
     same = VelocityModel(nodes=a.nodes.copy(), weights=a.weights, drift=a.drift,
-                         sigma=a.sigma, dim_x=1)
+                         sigma=a.sigma)
     assert same.fingerprint == a.fingerprint
     other_nodes = dataclasses.replace(a, nodes=a.nodes + 1.0)
     # the same bytes in the same order, split between the arrays differently
     stream = np.concatenate([a.nodes.ravel(), a.weights, a.drift.ravel()])
     shifted = VelocityModel(nodes=stream[:4, None], weights=stream[4:8],
-                            drift=stream[8:].reshape(4, 2), sigma=a.sigma, dim_x=2)
+                            drift=stream[8:].reshape(4, 2), sigma=a.sigma)
     assert b"".join(getattr(shifted, k).tobytes() for k in MODEL_ARRAYS) == b"".join(
         getattr(a, k).tobytes() for k in MODEL_ARRAYS)
     assert len({a.fingerprint, other_nodes.fingerprint, shifted.fingerprint}) == 3
