@@ -11,11 +11,12 @@ Subcommands:
 
 Each reads one JSON config, typed by :class:`Config` (see ``_typed``).
 
-Exit codes: 0 success; 2 configuration error (an unknown key, a value of the
-wrong type or range, a file that cannot be read or written, a model that fails
-its numerical checks, a trajectory certified against a model that did not
-produce it or is malformed, a model kernel, frame, trajectory, sweep current path
-or Monte Carlo batch larger than physical memory, or any other ``MemoryError``);
+Exit codes: 0 success; 2 configuration error (an unknown key, a ``solver`` key
+that the subcommand does not read, a value of the wrong type or range, a file
+that cannot be read or written, a model that fails its numerical checks, a
+trajectory certified against a model that did not produce it or is malformed, a
+model kernel, frame, trajectory, certificate working set, sweep current path or
+Monte Carlo batch larger than physical memory, or any other ``MemoryError``);
 3 certification failure; 4 convergence failure (also numpy's ``LinAlgError``).  A
 nonzero exit writes ``error.json`` to --out.  Stdout is human-readable; files
 written to --out are machine-readable and deterministic for a fixed (config, seed).
@@ -38,8 +39,8 @@ from . import velocity
 from .diffusive import config_hash, sweep, write_manifest, write_sweep_csv
 from .errors import (CertificationError, ConfigError, ConvergenceError, LinboltzError,
                      require_memory)
-from .kinetic import (edi_certificate, load_trajectory, save_trajectory, simulate,
-                      write_certificate_csv)
+from .kinetic import (edi_certificate, load_trajectory, require_certificate_memory,
+                      save_trajectory, simulate, write_certificate_csv)
 from .montecarlo import McConfig, estimate_D, write_mc_csv, write_mc_json
 
 EXIT_OK = 0
@@ -162,6 +163,14 @@ def load_config(path, schema=Config):
     return raw, _typed(raw, schema, "config")
 
 
+def _refuse_solver_keys(raw, keys, command):
+    """ConfigError naming the first of ``keys`` in the file's solver block,
+    which ``command`` would otherwise silently ignore."""
+    for key in keys:
+        if key in raw.get("solver", {}):
+            raise ConfigError(f"{command} does not read solver.{key}")
+
+
 def _rho0(solver, model):
     require_memory((solver.n_cells, model.n_nodes), "one frame")
     x = (np.arange(solver.n_cells) + 0.5) / solver.n_cells
@@ -212,10 +221,12 @@ def cmd_diffusion(args):
 
 def cmd_kinetic_run(args):
     raw, cfg = load_config(args.config)
+    _refuse_solver_keys(raw, ("eps_list", "dt_scale"), "kinetic-run")
     model = cfg.build_model()
     s = cfg.solver
     if s.dt is None:
         raise ConfigError("kinetic-run needs solver.dt")
+    require_certificate_memory(s.n_cells, model.n_nodes)
     traj = simulate(model, _rho0(s, model), s.T, s.dt, epsilon=s.epsilon,
                     transport=s.transport, drift_axis=s.drift_axis)
     out = _outdir(args)
@@ -252,6 +263,7 @@ def cmd_certify(args):
 
 def cmd_diffusive_sweep(args):
     raw, cfg = load_config(args.config, SweepConfig)
+    _refuse_solver_keys(raw, ("dt", "epsilon"), "diffusive-sweep")
     s = cfg.solver
     if not s.eps_list:
         raise ConfigError("diffusive-sweep needs solver.eps_list")

@@ -44,6 +44,11 @@ class InfeasibleValueError(LinboltzError):
     """A quadrature sum touched the +inf sentinel of a convex cost."""
 
 
+def physical_memory():
+    """The machine's physical memory in bytes."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def require_memory(shape, what):
     """Refuse a float64 array of ``shape`` larger than physical memory.
 
@@ -52,7 +57,7 @@ def require_memory(shape, what):
     ``shape`` is any iterable of sizes; the product is exact and stops as
     soon as it is too large.
     """
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    physical = physical_memory()
     nbytes = 8
     for n in shape:
         nbytes *= int(n)

@@ -37,7 +37,15 @@ own trajectory with the current eta = sigma (f - f'); the independent
 jump-cost residual int Phi_sigma(f, f'; eta) vanishes exactly for that
 current and is strictly positive for any other.  Both pair costs are
 summed over the velocity pairs i < j only, counted twice, in cache-sized
-blocks (see :mod:`linboltz.functionals`).
+blocks (see :mod:`linboltz.functionals`).  The certificate's working set
+beyond the trajectory is allocated once per call and reused every step: one
+(n_x, n_v, n_v) current, filled in place by :func:`current_of`, and two
+(n_x, n_v (n_v - 1) / 2) pair arrays, xi and phi's output; the pair
+densities f_i and f_j live in the current's storage once xi is gathered
+from it.  That is n_x n_v (2 n_v - 1) floats, 14.7 MB for Rayleigh-120 on
+64 cells, and :func:`require_certificate_memory` refuses a certificate whose
+working set exceeds physical memory before anything is allocated (the
+``kinetic-run`` CLI checks it before it simulates).
 """
 
 import csv
@@ -69,6 +77,11 @@ from .functionals import (
 from .spectral import shift
 
 TRANSPORT_SCHEMES = ("upwind", "spectral")
+
+#: every _FLUSH_EVERY steps :func:`mode_marginals` zeroes the state entries
+#: below _FLUSH_BELOW in magnitude, before they decay into subnormals
+_FLUSH_EVERY = 64
+_FLUSH_BELOW = 1e-290
 
 
 @dataclass(frozen=True)
@@ -287,6 +300,12 @@ def mode_marginals(model, f0, T, dt, epsilon=1.0, transport="upwind", drift_axis
     The modes of j come back as a complex (n_steps + 1, n_x // 2 + 1) array,
     whose ``irfft`` along axis 1 is j_path; rho(T) is one ``irfft``.  Only
     those modes and a few (n_v, n_modes) arrays are held, never a frame.
+
+    The state decays by a fixed factor per step at fixed dt / eps^2, and
+    arithmetic on subnormal floats is some 50x slower: past t / eps^2 ~ 330
+    about 40% of its entries would be subnormal.  So every 64 steps the
+    entries below 1e-290 in magnitude, far below the rounding of the values
+    they feed, are set to zero.
     """
     f0, n_steps, stepper = _prepare(model, f0, T, dt, epsilon, transport, drift_axis)
     n_cells = f0.shape[0]
@@ -303,10 +322,15 @@ def mode_marginals(model, f0, T, dt, epsilon=1.0, transport="upwind", drift_axis
     g_parts, h_parts = g.view(float), h.view(float)
     full = half @ half
     to_j = to_j @ half
+    flushed = 0  # rows of j_hat that hold no entry below _FLUSH_BELOW
     for n in range(1, n_steps + 1):
         np.multiply(g, mult, out=h)
         np.matmul(to_j, h_parts, out=j_hat[n])
         np.matmul(full, h_parts, out=g_parts)
+        if n % _FLUSH_EVERY == 0 or n == n_steps:
+            for part in (g_parts, j_hat[flushed:n + 1]):
+                part[np.abs(part) < _FLUSH_BELOW] = 0.0
+            flushed = n + 1
     if n_steps:
         rho_hat = (model.weights @ half) @ h_parts
     else:
@@ -339,12 +363,20 @@ def simulate(model, f0, T, dt, epsilon=1.0, transport="upwind", drift_axis=0):
     )
 
 
-def current_of(f_slice, model):
-    """eta_ij(x) = S_ij (f_i - f_j): the trajectory's own current."""
+def current_of(f_slice, model, out=None):
+    """eta_ij(x) = S_ij (f_i - f_j): the trajectory's own current, written
+    into ``out``, an (n_x, n_v, n_v) float array, when one is given."""
     f = np.asarray(f_slice, dtype=float)
-    eta = f[:, :, None] - f[:, None, :]
+    eta = np.subtract(f[:, :, None], f[:, None, :], out=out)
     eta *= model.sigma
     return eta
+
+
+def require_certificate_memory(n_cells, n_nodes):
+    """Refuse, as :class:`ConfigError`, an :func:`edi_certificate` whose working
+    set is larger than physical memory: one (n_cells, n_v, n_v) current and two
+    (n_cells, n_v (n_v - 1) / 2) pair arrays, n_cells n_v (2 n_v - 1) floats."""
+    require_memory((n_cells, n_nodes, 2 * n_nodes - 1), "the certificate's working set")
 
 
 @dataclass(frozen=True)
@@ -425,11 +457,22 @@ def edi_certificate(traj, model, current_scale=1.0, tol=None):
     the strict positivity of the jump cost off the true current.  When
     ``tol`` is given, a violation raises :class:`CertificationError`
     carrying the full certificate.
+
+    Its working set (see the module notes) is allocated once, after
+    :func:`require_certificate_memory` has checked it.
     """
+    n_x, n_v = traj.f.shape[1:]
+    require_certificate_memory(n_x, n_v)
     scale = 1.0 / traj.epsilon**2
     i, j, pair_weights = pair_triangle(model)
     kappa = model.sigma[i, j]
-    upper = i * model.n_nodes + j
+    upper = i * n_v + j
+    # the working set, allocated once: the current and xi, its entries on the
+    # pairs i < j; the current's storage (n_v^2 >= 2 n_pairs per cell) then
+    # holds the pair densities f_i and f_j
+    current = np.empty((n_x, n_v, n_v))
+    xi = np.empty((n_x, i.size))
+    f_i, f_j = current.reshape(-1)[:2 * xi.size].reshape(2, n_x, i.size)
     entropy = np.empty(traj.n_steps + 1)
     entropy[0] = relative_entropy(traj.f[0], model, traj.dx)
 
@@ -439,18 +482,18 @@ def edi_certificate(traj, model, current_scale=1.0, tol=None):
     per_step = np.empty(traj.n_steps)
     for n in range(traj.n_steps):
         f_mid = 0.5 * (traj.f[n] + traj.f[n + 1])
-        eta = current_of(f_mid, model)
+        eta = current_of(f_mid, model, out=current)
         if current_scale != 1.0:
             eta *= current_scale
         e_val = scale * dirichlet_form(f_mid, model, traj.dx)
         r_val = scale * kinematic_rate(f_mid, eta, model, traj.dx)
         # Phi over the pairs i < j, counted twice; the diagonal of the
-        # antisymmetric current is zero, where phi(kappa, p, p; 0) = 0.  The
-        # (n_x, n_v, n_v) current is released before phi allocates its output
-        xi = np.take(eta.reshape(len(f_mid), -1), upper, axis=1)
-        del eta
-        phi_vals = phi(kappa, np.take(f_mid, i, axis=1), np.take(f_mid, j, axis=1), xi)
-        phi_val = scale * traj.dx * float(np.sum(phi_vals @ pair_weights))
+        # antisymmetric current is zero, where phi(kappa, p, p; 0) = 0.  Once
+        # xi is gathered the current is dead, and f_i, f_j overwrite it
+        np.take(current.reshape(n_x, -1), upper, axis=1, out=xi, mode="clip")
+        np.take(f_mid, i, axis=1, out=f_i, mode="clip")
+        np.take(f_mid, j, axis=1, out=f_j, mode="clip")
+        phi_val = scale * traj.dx * float(np.sum(phi(kappa, f_i, f_j, xi) @ pair_weights))
         dirichlet += traj.dt * e_val
         kinematic += traj.dt * r_val
         phi_total += traj.dt * phi_val
@@ -554,8 +597,10 @@ def load_trajectory(directory):
 def write_certificate_csv(traj, model, cert, path):
     """One row per time slice: t, H, E, cumulative R, per-step residual.
 
-    H is the certificate's own per-frame entropy."""
+    H is the certificate's own per-frame entropy.  Every step's current is
+    written into one (n_x, n_v, n_v) array, allocated once per call."""
     scale = 1.0 / traj.epsilon**2
+    current = np.empty((traj.f.shape[1], model.n_nodes, model.n_nodes))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "entropy", "dirichlet", "cumulative_r", "step_residual"])
@@ -567,7 +612,7 @@ def write_certificate_csv(traj, model, cert, path):
                 f_mid = 0.5 * (traj.f[n - 1] + traj.f[n])
                 # summed as in edi_certificate, so the last row is its R
                 cum_r += traj.dt * (scale * kinematic_rate(
-                    f_mid, current_of(f_mid, model), model, traj.dx
+                    f_mid, current_of(f_mid, model, out=current), model, traj.dx
                 ))
             writer.writerow([
                 f"{t:.12g}", f"{cert.entropy[n]:.12g}", f"{e_val:.12g}",

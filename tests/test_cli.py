@@ -95,6 +95,22 @@ class TestConfigValidation:
         assert (diag["exit_code"], diag["error"]) == (2, "ConfigError")
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key, payload", [
+        ("kinetic-run", "eps_list", {"dt": 0.01, "T": 0.02, "eps_list": [0.5]}),
+        ("kinetic-run", "dt_scale", {"dt": 0.01, "T": 0.02, "dt_scale": 0.5}),
+        ("diffusive-sweep", "dt", {"T": 0.02, "eps_list": [0.5], "dt": 0.01}),
+        ("diffusive-sweep", "epsilon", {"T": 0.02, "eps_list": [0.5], "epsilon": 0.5}),
+    ])
+    def test_solver_key_the_subcommand_ignores_is_refused(self, tmp_path, command, key,
+                                                          payload):
+        cfg = write_cfg(tmp_path, lorentz_cfg(solver=dict(payload, n_cells=8)))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        diag = json.loads((out / "error.json").read_text())
+        assert diag["error"] == "ConfigError"
+        assert f"solver.{key}" in diag["message"]
+        assert sorted(os.listdir(out)) == ["error.json"]
+
     def test_rayleigh_kernel_overflow(self, tmp_path):
         cfg = write_cfg(tmp_path, {"model": {
             "kind": "rayleigh", "v_max": 40.0, "n_radial": 12, "n_angular": 16}})
@@ -354,6 +370,20 @@ class TestMemoryGuard:
         assert diag["error"] == "ConfigError"
         assert "physical memory" in diag["message"]
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_oversized_certificate_is_refused_before_the_run(self, tmp_path, monkeypatch):
+        # Lorentz-16 on 64 cells: a frame is 8 kB and the trajectory 25 kB, but
+        # the certificate's working set 64 * 16 * 31 floats, 254 kB
+        from linboltz import errors
+
+        monkeypatch.setattr(errors, "physical_memory", lambda: 100_000)
+        cfg = write_cfg(tmp_path, lorentz_cfg(solver={"n_cells": 64, "dt": 0.01, "T": 0.02}))
+        out = tmp_path / "out"
+        assert main(["kinetic-run", "--config", cfg, "--out", str(out)]) == 2
+        diag = json.loads((out / "error.json").read_text())
+        assert diag["error"] == "ConfigError"
+        assert "certificate's working set" in diag["message"]
+        assert sorted(os.listdir(out)) == ["error.json"]  # nothing simulated
 
     def test_memory_error_is_a_config_exit(self, tmp_path, monkeypatch):
         from linboltz import velocity

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import mpmath
 import numpy as np
@@ -15,6 +16,8 @@ from linboltz import (
     NumericalQualityError,
     build_lorentz,
 )
+from linboltz import kinetic
+from linboltz.diffusive import sweep
 from linboltz.kinetic import (
     Stepper,
     collision_propagator,
@@ -305,6 +308,34 @@ class TestModeMarginals:
             assert np.max(np.abs(j_path - j_ref)) < 1e-14
             assert np.max(np.abs(rho_T - rho_ref)) < 1e-14
 
+    @pytest.mark.parametrize("transport", ["upwind", "spectral"])
+    def test_flushing_tiny_state_entries_keeps_the_outputs(self, monkeypatch, transport):
+        # at dt / eps^2 = 0.03, as the sweep steps, to t / eps^2 = 1200: unflushed,
+        # the state decays into subnormals, which reach the current's modes
+        m = build_lorentz(LorentzSpec(8))
+        eps = 0.05
+        dt = 0.03 * eps**2
+        args = (m, bump_rho(16), 40000 * dt, dt, eps, transport)
+        sweep_args = (m, bump_rho(16), [eps], 40000 * dt, 16, transport)
+        j_modes, rho_T = mode_marginals(*args)
+        rows = sweep(*sweep_args).rows
+        monkeypatch.setattr(kinetic, "_FLUSH_BELOW", 0.0)
+        j_ref, rho_ref = mode_marginals(*args)
+        rows_ref = sweep(*sweep_args).rows
+        j, j_ref = j_modes.view(float), j_ref.view(float)
+
+        def subnormal(a):
+            return (a != 0.0) & (np.abs(a) < np.finfo(float).tiny)
+
+        assert subnormal(j_ref).any() and not subnormal(j).any()
+        assert np.array_equal(rho_T, rho_ref)
+        # bit for bit wherever a flushed entry is below the rounding of j
+        big = np.abs(j_ref) >= 1e-270
+        assert np.array_equal(j[big], j_ref[big])
+        assert np.max(np.abs(j - j_ref)) < 1e-288
+        assert [dataclasses.replace(r, runtime_s=0.0) for r in rows] == [
+            dataclasses.replace(r, runtime_s=0.0) for r in rows_ref]
+
     def test_checks_like_evolve(self):
         with pytest.raises(ConfigError):
             mode_marginals(two_node_model(), bump_rho(8), T=0.05, dt=0.02)
@@ -547,6 +578,18 @@ class TestEdiCertificate:
         traj = simulate(m, bump_rho(16), T=0.1, dt=0.01)
         cert = edi_certificate(traj, m, current_scale=2.0)
         assert cert.phi_residual > 0.0
+
+    def test_refuses_a_working_set_larger_than_memory(self, monkeypatch):
+        from linboltz import errors
+
+        m = two_node_model(s=2.0)
+        traj = simulate(m, bump_rho(16), T=0.02, dt=0.01)
+        # 16 cells x 2 nodes x 3 = 96 floats, 768 bytes
+        monkeypatch.setattr(errors, "physical_memory", lambda: 767)
+        with pytest.raises(ConfigError, match="certificate's working set"):
+            edi_certificate(traj, m)
+        monkeypatch.setattr(errors, "physical_memory", lambda: 768)
+        assert edi_certificate(traj, m).phi_residual == 0.0
 
     def test_tolerance_raises(self):
         m = two_node_model(s=2.0)

@@ -1,10 +1,11 @@
-"""Memory budgets, and the in-place n_v x n_v builders against the formulas they replaced.
+"""Memory budgets, and the in-place forms against the expressions they replaced.
 
 ``rayleigh_kernel``, ``_exact_symmetrize``, ``spectral_gap_probe`` and the
-Lorentz kernel of ``build_lorentz`` do their (n_v, n_v) arithmetic in place;
-the expression forms they replaced are kept below, and the in-place forms
-must equal them bit for bit.  The budgets are tracemalloc peaks: numpy
-reports its array data to tracemalloc.
+Lorentz kernel of ``build_lorentz`` do their (n_v, n_v) arithmetic in place,
+and ``edi_certificate`` and ``write_certificate_csv`` fill one current per
+call in place; the expression forms they replaced are kept below, and the
+in-place forms must equal them bit for bit.  The budgets are tracemalloc
+peaks: numpy reports its array data to tracemalloc.
 """
 
 import tracemalloc
@@ -15,6 +16,8 @@ import pytest
 from linboltz import build_model
 from linboltz.diffusive import sweep
 from linboltz.errors import DomainError
+from linboltz.functionals import dirichlet_form, kinematic_rate, pair_triangle, phi
+from linboltz.kinetic import current_of, edi_certificate, simulate, write_certificate_csv
 from linboltz.models import _exact_symmetrize, rayleigh_kernel
 from linboltz.velocity import TiltedMeasure, spectral_gap_probe
 
@@ -154,3 +157,72 @@ def test_benchmark_sweep_stays_within_its_budget():
                                              n_cells=64, transport="spectral"))
     assert report.errors_decreasing()
     assert peak < 12e6, peak / 1e6
+
+
+def expression_certificate_sums(traj, model, current_scale):
+    """Per step (E, R, Phi) as the certificate summed them with a fresh current
+    and fresh pair arrays every step."""
+    scale = 1.0 / traj.epsilon**2
+    i, j, pair_weights = pair_triangle(model)
+    kappa = model.sigma[i, j]
+    sums = []
+    for n in range(traj.n_steps):
+        f_mid = 0.5 * (traj.f[n] + traj.f[n + 1])
+        eta = f_mid[:, :, None] - f_mid[:, None, :]
+        eta *= model.sigma
+        if current_scale != 1.0:
+            eta *= current_scale
+        xi = np.take(eta.reshape(len(f_mid), -1), i * model.n_nodes + j, axis=1)
+        phi_vals = phi(kappa, np.take(f_mid, i, axis=1), np.take(f_mid, j, axis=1), xi)
+        sums.append((scale * dirichlet_form(f_mid, model, traj.dx),
+                     scale * kinematic_rate(f_mid, eta, model, traj.dx),
+                     scale * traj.dx * float(np.sum(phi_vals @ pair_weights))))
+    return np.array(sums)
+
+
+@pytest.fixture(scope="module")
+def certify_run():
+    """The trajectory of the benchmark's certify config: Rayleigh-120, 64 cells, 20 steps."""
+    model = build_model("rayleigh", dim=2, n_radial=10, n_angular=12)
+    x = (np.arange(64) + 0.5) / 64
+    traj = simulate(model, 1.0 + 0.45 * np.cos(2.0 * np.pi * x), T=0.04, dt=2e-3,
+                    transport="spectral")
+    return model, traj
+
+
+@pytest.mark.parametrize("current_scale", [1.0, 1.3])
+def test_certificate_in_place_equals_the_expression_form(certify_run, current_scale):
+    model, traj = certify_run
+    f_mid = 0.5 * (traj.f[3] + traj.f[4])
+    buf = np.full((64, model.n_nodes, model.n_nodes), np.nan)
+    assert current_of(f_mid, model, out=buf) is buf
+    expected = current_of(f_mid, model)
+    assert np.array_equal(buf, expected)
+    buf *= current_scale
+    assert np.array_equal(buf, expected * current_scale)
+
+    cert = edi_certificate(traj, model, current_scale=current_scale)
+    e, r, p = expression_certificate_sums(traj, model, current_scale).T
+    dirichlet = kinematic = phi_total = 0.0
+    for n in range(traj.n_steps):
+        dirichlet += traj.dt * e[n]
+        kinematic += traj.dt * r[n]
+        phi_total += traj.dt * p[n]
+    assert (cert.dirichlet_integral, cert.kinematic_value, cert.phi_residual) == (
+        dirichlet, kinematic, phi_total)
+    assert np.array_equal(cert.per_step, np.diff(cert.entropy) + traj.dt * (e + r))
+    assert (cert.phi_residual == 0.0) == (current_scale == 1.0)
+
+
+def test_certificate_and_its_csv_stay_within_their_budgets(certify_run, tmp_path):
+    # above the trajectory: one current, the pair arrays xi and phi's output,
+    # and 2 MB for everything else (the pair kernels' scratch is 0.66 MB)
+    model, traj = certify_run
+    n_x, n_v = traj.f.shape[1:]
+    current = 8.0 * n_x * n_v**2
+    pairs = 8.0 * n_x * n_v * (n_v - 1) / 2
+    cert, peak = traced_peak(lambda: edi_certificate(traj, model))
+    assert peak <= current + 2 * pairs + 2e6, peak / 1e6
+    _, peak = traced_peak(lambda: write_certificate_csv(traj, model, cert,
+                                                        str(tmp_path / "c.csv")))
+    assert peak <= current + 2e6, peak / 1e6
