@@ -226,7 +226,7 @@ def cmd_kinetic_run(args):
     s = cfg.solver
     if s.dt is None:
         raise ConfigError("kinetic-run needs solver.dt")
-    require_certificate_memory(s.n_cells, model.n_nodes)
+    require_certificate_memory((round(s.T / s.dt) + 1, s.n_cells, model.n_nodes))
     traj = simulate(model, _rho0(s, model), s.T, s.dt, epsilon=s.epsilon,
                     transport=s.transport, drift_axis=s.drift_axis)
     out = _outdir(args)
@@ -269,9 +269,8 @@ def cmd_diffusive_sweep(args):
         raise ConfigError("diffusive-sweep needs solver.eps_list")
     model = cfg.build_model()
     report = sweep(
-        model, _rho0(s, model), s.eps_list, s.T, n_cells=s.n_cells,
-        transport=s.transport, drift_axis=s.drift_axis, dt_scale=s.dt_scale,
-        poisson_tol=cfg.functional.poisson_tol,
+        model, _rho0(s, model), s.eps_list, s.T, transport=s.transport,
+        drift_axis=s.drift_axis, dt_scale=s.dt_scale, poisson_tol=cfg.functional.poisson_tol,
     )
     out = _outdir(args)
     write_sweep_csv(report, os.path.join(out, "sweep.csv"))

@@ -2,10 +2,10 @@
 
 Under the rescaling (drift b/eps, collision L/eps^2) the position marginal
 rho_eps of the kinetic solution approaches the heat flow with the matrix
-D = pi(b (x) (-L)^{-1} b).  The sweep runs the kinetic solver for a list
-of epsilon values, compares rho_eps(T) with the exact spectral heat
-solution in L1/L2, and compares the time-integrated currents weakly
-against a fixed bank of smooth test fields.
+D = pi(b (x) (-L)^{-1} b).  The sweep runs the kinetic solver for a list of
+epsilon values on the n = rho0.size equal cells of the periodic unit
+interval, compares rho_eps(T) with the exact spectral heat solution in
+L1/L2, and the time-integrated currents weakly with a fixed test bank.
 
 Each run, upwind or spectral, is stepped on the rfft modes of f by
 :func:`linboltz.kinetic.mode_marginals`: the same Strang steps as the
@@ -96,21 +96,20 @@ def auto_dt(model, epsilon, T, n_cells, drift_axis=0, dt_scale=1.0):
     return T / max(1, round(n_steps / dt_scale))
 
 
-def _check_rescaled(rho0, epsilon, n_cells):
-    if epsilon <= 0:
+def _check_rescaled(rho0, eps_list):
+    if any(eps <= 0 for eps in eps_list):
         raise ConfigError("epsilon must be positive")
     rho0 = np.asarray(rho0, dtype=float)
-    if rho0.ndim != 1 or rho0.size != n_cells:
-        raise ConfigError("rho0 must be a 1d profile on the n_cells grid")
+    if rho0.ndim != 1:
+        raise ConfigError("rho0 must be a 1d profile, one value per cell")
     return rho0
 
 
-def rescaled_run(model, rho0, epsilon, T, n_cells=64, dt=None,
-                 transport="spectral", drift_axis=0):
+def rescaled_run(model, rho0, epsilon, T, dt=None, transport="spectral", drift_axis=0):
     """Run the rescaled kinetic equation from local equilibrium rho0 (x) 1."""
-    rho0 = _check_rescaled(rho0, epsilon, n_cells)
+    rho0 = _check_rescaled(rho0, [epsilon])
     if dt is None:
-        dt = auto_dt(model, epsilon, T, n_cells, drift_axis=drift_axis)
+        dt = auto_dt(model, epsilon, T, rho0.size, drift_axis=drift_axis)
     return simulate(
         model, rho0, T, dt, epsilon=epsilon, transport=transport,
         drift_axis=drift_axis,
@@ -167,9 +166,9 @@ def _bonj_probe(pairings, dx, dt):
     return best
 
 
-def sweep(model, rho0, eps_list, T, n_cells=64, transport="spectral",
-          drift_axis=0, dt_scale=1.0, poisson_tol=1e-12):
-    """Compare the rescaled kinetic flow against the heat reference.
+def sweep(model, rho0, eps_list, T, transport="spectral", drift_axis=0, dt_scale=1.0,
+          poisson_tol=1e-12):
+    """Compare the rescaled kinetic flow against the heat reference on rho0's grid.
 
     ``dt_scale`` < 1 refines every auto-selected time step by that factor
     (used by the discretization-convergence check).  Each run is stepped on
@@ -178,13 +177,13 @@ def sweep(model, rho0, eps_list, T, n_cells=64, transport="spectral",
     against physical memory before the first one starts.
     """
     eps_list = sorted((float(e) for e in eps_list), reverse=True)
-    rho0 = np.asarray(rho0, dtype=float)
+    rho0 = _check_rescaled(rho0, eps_list)
+    n_cells = rho0.size
     if not 0 <= drift_axis < model.drift.shape[1]:
         raise ConfigError("drift_axis out of range for this model")
     bank = default_test_bank(n_cells)
     dts = []
     for eps in eps_list:
-        _check_rescaled(rho0, eps, n_cells)
         dt = auto_dt(model, eps, T, n_cells, drift_axis=drift_axis, dt_scale=dt_scale)
         # per time: the modes of j (n_cells // 2 + 1 complex), which the heat
         # decay matrix (n_cells // 2 + 1 floats) replaces, and per test field

@@ -23,6 +23,9 @@ definitions; the resulting +inf is represented by ``math.inf`` and any
 quadrature that touches it raises :class:`InfeasibleValueError` instead of
 propagating a raw infinity through a sum.
 
+The integral functionals integrate over the periodic unit interval on n equal
+cells, with the cell size dx = 1/n taken from the cell axis of their array.
+
 Both costs are symmetric under (p, q, xi) -> (q, p, -xi).  The pair sums
 over (x, v, v') -- the kinematic rate here and the jump-cost residual in
 :mod:`linboltz.kinetic` -- therefore evaluate each velocity pair i < j once
@@ -74,9 +77,9 @@ def _check_nonneg(name, value):
         raise DomainError(f"{name} must be nonnegative")
 
 
-def truncated_log(u, floor=LOG_FLOOR, cap=LOG_CAP):
-    """log clipped to [log(floor), log(cap)]; safe at u = 0."""
-    return np.log(np.clip(u, floor, cap))
+def truncated_log(u):
+    """log clipped to [log(LOG_FLOOR), log(LOG_CAP)]; safe at u = 0."""
+    return np.log(np.clip(u, LOG_FLOOR, LOG_CAP))
 
 
 # ---------------------------------------------------------------------------
@@ -314,26 +317,26 @@ def _clip_density(f, what="density"):
     return np.clip(f, 0.0, None)
 
 
-def relative_entropy(f, model, dx):
+def relative_entropy(f, model):
     """Relative entropy of f*dx*pi against dx*pi: sum dx*w_i * f log f.
 
     ``f`` has shape (n_x, n_v); 0*log(0) = 0 by convention, the floor/cap
     of :func:`truncated_log` act inside the logarithm only.
     """
-    f = _clip_density(f)
+    f = np.atleast_2d(_clip_density(f))
+    dx = 1.0 / f.shape[0]
     flogf = np.where(f > 0, f * truncated_log(f), 0.0)
     return float(dx * np.sum(flogf @ model.weights))
 
 
-def dirichlet_form(f_slice, model, dx):
+def dirichlet_form(f_slice, model):
     """Dirichlet form of sqrt(f): sum_x dx sum_ij w_i w_j S_ij (sqrt f_j - sqrt f_i)^2.
 
     Expanded as 2*(sum_i w_i lam_i f_i - <sqrt f, S w sqrt f>) to stay
     O(n_x * n_v^2) without forming the pair difference tensor.
     """
-    f = _clip_density(f_slice)
-    if f.ndim == 1:
-        f = f[None, :]
+    f = np.atleast_2d(_clip_density(f_slice))
+    dx = 1.0 / f.shape[0]
     w = model.weights
     sq = np.sqrt(f)
     local = (f * (w * model.rates)).sum(axis=1)
@@ -380,7 +383,7 @@ def _check_antisymmetric(up, lo, atol, gap):
         raise DomainError("current must be antisymmetric in (v, v')")
 
 
-def kinematic_rate(f_slice, eta_slice, model, dx):
+def kinematic_rate(f_slice, eta_slice, model):
     """Instantaneous kinematic cost sum_x dx sum_ij w_i w_j psi_{S_ij}(f_i, f_j; eta_ij).
 
     The current must be antisymmetric in (v, v'), to the tolerance of
@@ -396,6 +399,7 @@ def kinematic_rate(f_slice, eta_slice, model, dx):
     if eta.ndim == 2:
         eta = eta[None, :, :]
     n_x, n_v = f.shape
+    dx = 1.0 / n_x
     if n_v != model.n_nodes or eta.shape != (n_x, n_v, n_v):
         raise UsageError("density and current shapes do not match the model")
     # max|eta| costs two passes over eta; only an inexact current needs it
@@ -432,19 +436,16 @@ def kinematic_rate(f_slice, eta_slice, model, dx):
     return float(dx * total)
 
 
-def dirichlet_lower_bound(f_slice, model, dx, phi_test):
+def dirichlet_lower_bound(f_slice, model, phi_test):
     """Value of the Donsker-Varadhan integrand for a supplied test function.
 
     This is a lower-bound probe of the variational supremum; it never
     exceeds the supremum and equals half the Dirichlet form at
     phi_test = 0.5*log f (see the module notes on the factor).
     """
-    f = _clip_density(f_slice)
-    if f.ndim == 1:
-        f = f[None, :]
-    phi_t = np.asarray(phi_test, dtype=float)
-    if phi_t.ndim == 1:
-        phi_t = np.broadcast_to(phi_t, f.shape)
+    f = np.atleast_2d(_clip_density(f_slice))
+    dx = 1.0 / f.shape[0]
+    phi_t = np.broadcast_to(np.asarray(phi_test, dtype=float), f.shape)
     w = model.weights
     expdiff = np.exp(phi_t[:, None, :] - phi_t[:, :, None])  # phi_j - phi_i
     integrand = np.einsum(
@@ -453,7 +454,7 @@ def dirichlet_lower_bound(f_slice, model, dx, phi_test):
     return float(dx * integrand)
 
 
-def kinematic_lower_bound(f_path, eta_path, model, dt, dx, zeta, alpha_test=None):
+def kinematic_lower_bound(f_path, eta_path, model, dt, zeta, alpha_test=None):
     """Bracketed expression of the kinematic variational formula.
 
     ``zeta`` and ``alpha_test`` are arrays over (time, x, v, v'); alpha
@@ -472,6 +473,7 @@ def kinematic_lower_bound(f_path, eta_path, model, dt, dx, zeta, alpha_test=None
     penalty = 0.0
     for t, (f, eta) in enumerate(zip(f_path, eta_path)):
         f = _clip_density(f)
+        dx = 1.0 / f.shape[0]
         theta_pairing += dx * np.einsum("i,j,xij,xij->", w, w, eta, zeta[t])
         factor = alpha_test[t] + 1.0 / np.swapaxes(alpha_test[t], -1, -2)
         penalty += dx * np.einsum(
@@ -496,23 +498,21 @@ def _diffusivity(D):
     return D.item()
 
 
-def fisher_information(rho, D, dx=None):
+def fisher_information(rho, D):
     """Fisher information 2 * D * int (d sqrt(rho)/dx)^2 dx of a 1-d density.
 
-    ``rho`` lives on a uniform periodic grid; the derivative is spectral.
-    ``dx`` defaults to 1/n.
+    ``rho`` lives on the n cells of the grid; the derivative is spectral.
     """
     rho = _clip_density(rho, "rho")
     if rho.ndim != 1:
         raise UsageError("fisher_information needs a 1-d density")
     D = _diffusivity(D)
-    if dx is None:
-        dx = 1.0 / rho.size
+    dx = 1.0 / rho.size
     grad = gradient(np.sqrt(rho))
     return float(2.0 * dx * (D * np.sum(grad * grad)))
 
 
-def heat_kinematic(rho_path, j_path, D, dt, dx=None):
+def heat_kinematic(rho_path, j_path, D, dt):
     """Kinematic action 0.5 * int dt int j^2 / (D rho) dx of a 1-d path.
 
     ``rho_path`` and ``j_path`` are (n_t, n) arrays; densities are floored
@@ -523,7 +523,6 @@ def heat_kinematic(rho_path, j_path, D, dt, dx=None):
     if rho_path.ndim != 2 or j_path.shape != rho_path.shape:
         raise UsageError("heat_kinematic needs (n_t, n) density and current paths")
     D = _diffusivity(D)
-    if dx is None:
-        dx = 1.0 / rho_path.shape[1]
+    dx = 1.0 / rho_path.shape[1]
     rho = np.clip(rho_path, RHO_FLOOR, None)
     return float(0.5 * dt * dx * np.sum(j_path * j_path / rho) / D)

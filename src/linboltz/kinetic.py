@@ -44,8 +44,8 @@ beyond the trajectory is allocated once per call and reused every step: one
 densities f_i and f_j live in the current's storage once xi is gathered
 from it.  That is n_x n_v (2 n_v - 1) floats, 14.7 MB for Rayleigh-120 on
 64 cells, and :func:`require_certificate_memory` refuses a certificate whose
-working set exceeds physical memory before anything is allocated (the
-``kinetic-run`` CLI checks it before it simulates).
+working set and trajectory together exceed physical memory before anything
+is allocated (the ``kinetic-run`` CLI checks it before it simulates).
 """
 
 import csv
@@ -372,11 +372,13 @@ def current_of(f_slice, model, out=None):
     return eta
 
 
-def require_certificate_memory(n_cells, n_nodes):
-    """Refuse, as :class:`ConfigError`, an :func:`edi_certificate` whose working
-    set is larger than physical memory: one (n_cells, n_v, n_v) current and two
-    (n_cells, n_v (n_v - 1) / 2) pair arrays, n_cells n_v (2 n_v - 1) floats."""
-    require_memory((n_cells, n_nodes, 2 * n_nodes - 1), "the certificate's working set")
+def require_certificate_memory(shape):
+    """Refuse, as :class:`ConfigError`, an :func:`edi_certificate` on frames of
+    ``shape`` (n_t, n_x, n_v) if they and its working set, which are live
+    together, exceed physical memory: n_x n_v (n_t + 2 n_v - 1) floats."""
+    n_t, n_x, n_v = shape
+    require_memory((n_x, n_v, n_t + 2 * n_v - 1),
+                   "the trajectory and the certificate's working set")
 
 
 @dataclass(frozen=True)
@@ -405,9 +407,9 @@ def entropy_balance_check(traj, model):
     scale = 1.0 / traj.epsilon**2
     w = model.weights
     residuals = np.empty(traj.n_steps)
-    h_prev = relative_entropy(traj.f[0], model, traj.dx)
+    h_prev = relative_entropy(traj.f[0], model)
     for n in range(traj.n_steps):
-        h_next = relative_entropy(traj.f[n + 1], model, traj.dx)
+        h_next = relative_entropy(traj.f[n + 1], model)
         f_mid = 0.5 * (traj.f[n] + traj.f[n + 1])
         lg = truncated_log(f_mid)
         fw = f_mid * w
@@ -462,7 +464,7 @@ def edi_certificate(traj, model, current_scale=1.0, tol=None):
     :func:`require_certificate_memory` has checked it.
     """
     n_x, n_v = traj.f.shape[1:]
-    require_certificate_memory(n_x, n_v)
+    require_certificate_memory(traj.f.shape)
     scale = 1.0 / traj.epsilon**2
     i, j, pair_weights = pair_triangle(model)
     kappa = model.sigma[i, j]
@@ -474,7 +476,7 @@ def edi_certificate(traj, model, current_scale=1.0, tol=None):
     xi = np.empty((n_x, i.size))
     f_i, f_j = current.reshape(-1)[:2 * xi.size].reshape(2, n_x, i.size)
     entropy = np.empty(traj.n_steps + 1)
-    entropy[0] = relative_entropy(traj.f[0], model, traj.dx)
+    entropy[0] = relative_entropy(traj.f[0], model)
 
     dirichlet = 0.0
     kinematic = 0.0
@@ -485,8 +487,8 @@ def edi_certificate(traj, model, current_scale=1.0, tol=None):
         eta = current_of(f_mid, model, out=current)
         if current_scale != 1.0:
             eta *= current_scale
-        e_val = scale * dirichlet_form(f_mid, model, traj.dx)
-        r_val = scale * kinematic_rate(f_mid, eta, model, traj.dx)
+        e_val = scale * dirichlet_form(f_mid, model)
+        r_val = scale * kinematic_rate(f_mid, eta, model)
         # Phi over the pairs i < j, counted twice; the diagonal of the
         # antisymmetric current is zero, where phi(kappa, p, p; 0) = 0.  Once
         # xi is gathered the current is dead, and f_i, f_j overwrite it
@@ -497,7 +499,7 @@ def edi_certificate(traj, model, current_scale=1.0, tol=None):
         dirichlet += traj.dt * e_val
         kinematic += traj.dt * r_val
         phi_total += traj.dt * phi_val
-        entropy[n + 1] = relative_entropy(traj.f[n + 1], model, traj.dx)
+        entropy[n + 1] = relative_entropy(traj.f[n + 1], model)
         per_step[n] = (entropy[n + 1] - entropy[n]) + traj.dt * (e_val + r_val)
 
     h0, hT = float(entropy[0]), float(entropy[-1])
@@ -606,13 +608,13 @@ def write_certificate_csv(traj, model, cert, path):
         writer.writerow(["t", "entropy", "dirichlet", "cumulative_r", "step_residual"])
         cum_r = 0.0
         for n, t in enumerate(traj.times):
-            e_val = scale * dirichlet_form(traj.f[n], model, traj.dx)
+            e_val = scale * dirichlet_form(traj.f[n], model)
             res = cert.per_step[n - 1] if n > 0 else 0.0
             if n > 0:
                 f_mid = 0.5 * (traj.f[n - 1] + traj.f[n])
                 # summed as in edi_certificate, so the last row is its R
                 cum_r += traj.dt * (scale * kinematic_rate(
-                    f_mid, current_of(f_mid, model, out=current), model, traj.dx
+                    f_mid, current_of(f_mid, model, out=current), model
                 ))
             writer.writerow([
                 f"{t:.12g}", f"{cert.entropy[n]:.12g}", f"{e_val:.12g}",

@@ -295,7 +295,7 @@ class RayleighBoundReport:
     cross_check_gap: float
 
 
-def rayleigh_xi_bound(model, tol=1e-12):
+def rayleigh_xi_bound(model):
     """Radial contraction bound on xi for a model built by build_rayleigh.
 
     Reduces the gain operator to the radial grid through the angular
@@ -343,7 +343,7 @@ def rayleigh_xi_bound(model, tol=1e-12):
     gamma = eta / lam_r
     xi_inf = float(np.max(gamma))
 
-    sol = poisson_solve(model, tol=tol)
+    sol = poisson_solve(model)
     gamma_full = np.einsum("ia,ia->i", vhat, sol.xi)
     gap = float(np.max(np.abs(gamma_full[reps] - gamma)))
 

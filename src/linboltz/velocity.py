@@ -36,6 +36,8 @@ MODEL_SCHEMA = "model-v3"
 MODEL_ARRAYS = ("nodes", "weights", "drift", "sigma")
 CENTERING_TOL = 1e-12  # largest |pi(b)| that VelocityModel.validate accepts
 PSD_TOL = 1e-10  # relative tolerance of diffusion_matrix's semidefiniteness test
+POISSON_MAX_ITER = 100000  # poisson_solve's step limit
+POISSON_DAMPING = 0.5  # and the weight theta of each new fixed-point iterate
 
 
 @dataclass(frozen=True)
@@ -170,25 +172,23 @@ def apply_k(model, g):
     return num / (model.rates[:, None] if g.ndim > 1 else model.rates)
 
 
-def poisson_solve(model, tol=1e-12, max_iter=100000, damping=0.5):
+def poisson_solve(model, tol=1e-12):
     """Solve (-L) xi = b for the mean-zero (in the tilted measure) solution.
 
-    Uses the damped fixed-point xi <- (1-theta) xi + theta (K xi + b/lambda)
-    which converges whenever K has a spectral gap at +1, even when K has
-    eigenvalues near -1 where the plain series oscillates.  The tilted mean
-    of every component is removed after each step to pin the constant mode.
+    Uses the damped fixed-point xi <- (1-theta) xi + theta (K xi + b/lambda),
+    theta = POISSON_DAMPING, which converges whenever K has a spectral gap at
+    +1, even when K has eigenvalues near -1 where the plain series oscillates.
+    The tilted mean of every component is removed after each step to pin the
+    constant mode; POISSON_MAX_ITER steps without reaching ``tol`` raise
+    :class:`ConvergenceError`.
     """
     if np.any(model.rates <= 0):
         raise DomainError("Poisson solve requires lambda > 0 at every node")
     tilted = TiltedMeasure.of(model)
     h = model.drift / model.rates[:, None]
     xi = h - tilted.weights @ h
-    theta = float(damping)
-    if not 0.0 < theta <= 1.0:
-        raise UsageError("damping must lie in (0, 1]")
-    increment = np.inf
-    for it in range(1, max_iter + 1):
-        nxt = (1.0 - theta) * xi + theta * (apply_k(model, xi) + h)
+    for it in range(1, POISSON_MAX_ITER + 1):
+        nxt = (1.0 - POISSON_DAMPING) * xi + POISSON_DAMPING * (apply_k(model, xi) + h)
         nxt = nxt - tilted.weights @ nxt
         increment = tilted.norm(nxt - xi)
         xi = nxt
@@ -197,9 +197,9 @@ def poisson_solve(model, tol=1e-12, max_iter=100000, damping=0.5):
             return PoissonSolution(xi, residual, it)
     residual = float(np.max(np.abs(-apply_generator(model, xi) - model.drift)))
     raise ConvergenceError(
-        f"Poisson iteration did not reach tol={tol:g} in {max_iter} steps",
+        f"Poisson iteration did not reach tol={tol:g} in {POISSON_MAX_ITER} steps",
         residual=residual,
-        iterations=max_iter,
+        iterations=POISSON_MAX_ITER,
     )
 
 

@@ -267,7 +267,7 @@ def lorentz_sweep_report(tmp_path_factory):
     model = build_lorentz(LorentzSpec(64))
     t0 = time.perf_counter()
     report = sweep(
-        model, rho0_half_cos(64), [0.4, 0.2, 0.1, 0.05], T=0.5, n_cells=64
+        model, rho0_half_cos(64), [0.4, 0.2, 0.1, 0.05], T=0.5
     )
     return model, report, time.perf_counter() - t0
 
@@ -283,7 +283,7 @@ def test_criterion_08_diffusive_limit(lorentz_sweep_report):
     # epsilon keeps the verdict intact -- errors still decrease, stay far
     # under the 0.05 budget, and shift by a negligible fraction of it
     refined = sweep(
-        model, rho0_half_cos(64), [0.1, 0.05], T=0.5, n_cells=64, dt_scale=0.5
+        model, rho0_half_cos(64), [0.1, 0.05], T=0.5, dt_scale=0.5
     )
     assert refined.errors_decreasing()
     assert refined.rows[-1].l1 < 0.05
@@ -317,7 +317,7 @@ def test_criterion_10_reproducibility(tmp_path):
 
     sweep_bytes = []
     for tag in ("a", "b"):
-        rep = sweep(model, rho0_half_cos(32), [0.5, 0.25], T=0.1, n_cells=32)
+        rep = sweep(model, rho0_half_cos(32), [0.5, 0.25], T=0.1)
         csv_path = tmp_path / f"sweep_{tag}.csv"
         man_path = tmp_path / f"manifest_{tag}.json"
         write_sweep_csv(rep, csv_path)

@@ -385,6 +385,21 @@ class TestMemoryGuard:
         assert "certificate's working set" in diag["message"]
         assert sorted(os.listdir(out)) == ["error.json"]  # nothing simulated
 
+    def test_trajectory_and_certificate_are_charged_together(self, tmp_path, monkeypatch):
+        # Lorentz-16 on 64 cells, 24 steps: the 25-frame trajectory (205 kB) and
+        # the certificate's working set (254 kB) each fit in 300 kB, but they
+        # are live at once, 64 * 16 * (25 + 31) floats, 459 kB
+        from linboltz import errors
+
+        monkeypatch.setattr(errors, "physical_memory", lambda: 300_000)
+        cfg = write_cfg(tmp_path, lorentz_cfg(solver={"n_cells": 64, "dt": 0.01, "T": 0.24}))
+        out = tmp_path / "out"
+        assert main(["kinetic-run", "--config", cfg, "--out", str(out)]) == 2
+        diag = json.loads((out / "error.json").read_text())
+        assert diag["error"] == "ConfigError"
+        assert "certificate's working set" in diag["message"]
+        assert sorted(os.listdir(out)) == ["error.json"]
+
     def test_memory_error_is_a_config_exit(self, tmp_path, monkeypatch):
         from linboltz import velocity
 

@@ -38,7 +38,7 @@ def bump_rho(n):
 @pytest.fixture(scope="module")
 def report():
     m = two_node_model(s=4.0)
-    return sweep(m, bump_rho(32), [0.4, 0.2, 0.1], T=0.3, n_cells=32)
+    return sweep(m, bump_rho(32), [0.4, 0.2, 0.1], T=0.3)
 
 
 class TestAutoDt:
@@ -73,21 +73,23 @@ class TestAutoDt:
 class TestRescaledRun:
     def test_stationary_profile(self):
         m = two_node_model()
-        traj = rescaled_run(m, np.ones(16), epsilon=0.5, T=0.1, n_cells=16)
+        traj = rescaled_run(m, np.ones(16), epsilon=0.5, T=0.1)
         assert np.max(np.abs(traj.f - 1.0)) < 1e-12
 
     def test_mass_one(self):
         m = two_node_model()
-        traj = rescaled_run(m, bump_rho(16), epsilon=0.5, T=0.1, n_cells=16)
+        traj = rescaled_run(m, bump_rho(16), epsilon=0.5, T=0.1)
         mass = traj.dx * traj.f[-1] @ m.weights @ np.ones(16)
         assert mass == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_bad_epsilon_and_shape(self):
         m = two_node_model()
         with pytest.raises(ConfigError):
-            rescaled_run(m, bump_rho(16), epsilon=0.0, T=0.1, n_cells=16)
+            rescaled_run(m, bump_rho(16), epsilon=0.0, T=0.1)
         with pytest.raises(ConfigError):
-            rescaled_run(m, bump_rho(8), epsilon=0.5, T=0.1, n_cells=16)
+            rescaled_run(m, np.ones((16, 2)), epsilon=0.5, T=0.1)
+        with pytest.raises(ConfigError):
+            sweep(m, np.ones((16, 2)), [0.5], T=0.1)
 
 
 class TestSweep:
@@ -114,14 +116,12 @@ class TestSweep:
 
     def test_stationary_sweep_zero_errors(self):
         m = two_node_model()
-        rep = sweep(m, np.ones(16), [0.5, 0.25], T=0.1, n_cells=16)
+        rep = sweep(m, np.ones(16), [0.5, 0.25], T=0.1)
         assert all(r.l1 < 1e-11 and r.l2 < 1e-11 for r in rep.rows)
 
     def test_lorentz_matches_three_sixteenths(self):
         rep = sweep(
-            build_lorentz(LorentzSpec(32)), bump_rho(16), [0.5], T=0.05,
-            n_cells=16,
-        )
+            build_lorentz(LorentzSpec(32)), bump_rho(16), [0.5], T=0.05)
         assert rep.d_axis == pytest.approx(0.1875, abs=1e-3)
 
 
@@ -134,8 +134,8 @@ def frame_holding_rows(model, rho0, eps_list, T, n_cells, transport, drift_axis)
     bank = default_test_bank(n_cells)
     rows = []
     for eps in sorted(eps_list, reverse=True):
-        traj = rescaled_run(model, rho0, eps, T, n_cells=n_cells,
-                            transport=transport, drift_axis=drift_axis)
+        traj = rescaled_run(model, rho0, eps, T, transport=transport,
+                            drift_axis=drift_axis)
         dx, dt, n_t = traj.dx, traj.dt, traj.times.size
         rho_T = traj.f[-1] @ model.weights
         j_path = traj.f @ (model.weights * model.drift[:, drift_axis]) / eps
@@ -164,8 +164,8 @@ def test_streamed_sweep_equals_the_frame_holding_reference(transport, drift_axis
     model = build_lorentz(LorentzSpec(8))
     for n_cells in (16, 15):
         rho0 = bump_rho(n_cells)
-        rep = sweep(model, rho0, [0.2, 0.5], T=0.05, n_cells=n_cells,
-                    transport=transport, drift_axis=drift_axis)
+        rep = sweep(model, rho0, [0.2, 0.5], T=0.05, transport=transport,
+                    drift_axis=drift_axis)
         ref = frame_holding_rows(model, rho0, [0.2, 0.5], 0.05, n_cells, transport,
                                  drift_axis)
         for row, (l1, l2, weak, bonj) in zip(rep.rows, ref):

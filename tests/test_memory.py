@@ -154,7 +154,7 @@ def test_benchmark_sweep_stays_within_its_budget():
     x = (np.arange(64) + 0.5) / 64
     rho0 = 1.0 + 0.45 * np.cos(2.0 * np.pi * x)
     report, peak = traced_peak(lambda: sweep(model, rho0, [0.4, 0.2, 0.1, 0.05], T=0.5,
-                                             n_cells=64, transport="spectral"))
+                                             transport="spectral"))
     assert report.errors_decreasing()
     assert peak < 12e6, peak / 1e6
 
@@ -174,8 +174,8 @@ def expression_certificate_sums(traj, model, current_scale):
             eta *= current_scale
         xi = np.take(eta.reshape(len(f_mid), -1), i * model.n_nodes + j, axis=1)
         phi_vals = phi(kappa, np.take(f_mid, i, axis=1), np.take(f_mid, j, axis=1), xi)
-        sums.append((scale * dirichlet_form(f_mid, model, traj.dx),
-                     scale * kinematic_rate(f_mid, eta, model, traj.dx),
+        sums.append((scale * dirichlet_form(f_mid, model),
+                     scale * kinematic_rate(f_mid, eta, model),
                      scale * traj.dx * float(np.sum(phi_vals @ pair_weights))))
     return np.array(sums)
 

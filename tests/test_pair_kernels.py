@@ -97,13 +97,13 @@ def test_kinematic_rate_matches_double_sum(block, data):
     eta = (a - np.swapaxes(a, 1, 2)) * (model.sigma > 0)
     if data.draw(st.booleans()):
         eta *= f[:, :, None] * f[:, None, :] > 0
-    dx = data.draw(st.floats(0.01, 1.0))
+    dx = 1.0 / f.shape[0]
     expected = reference_sum(psi, model.sigma, f, eta, model.weights)
     if math.isinf(expected):
         with pytest.raises(InfeasibleValueError):
-            kinematic_rate(f, eta, model, dx)
+            kinematic_rate(f, eta, model)
     else:
-        got = kinematic_rate(f, eta, model, dx)
+        got = kinematic_rate(f, eta, model)
         assert got == pytest.approx(dx * expected, rel=REL, abs=1e-300)
 
 
@@ -142,15 +142,15 @@ def test_non_antisymmetric_current_is_rejected(block):
     f = np.ones((4, 3))
     eta = np.zeros((4, 3, 3))
     eta[2, 0, 2], eta[2, 2, 0] = 1.0, -1.0
-    assert kinematic_rate(f, eta, model, 0.25) > 0.0
+    assert kinematic_rate(f, eta, model) > 0.0
     bad = eta.copy()
     bad[2, 2, 0] = -1.0 + 1e-3  # off by more than the relative tolerance
     with pytest.raises(DomainError):
-        kinematic_rate(f, bad, model, 0.25)
+        kinematic_rate(f, bad, model)
     bad = eta.copy()
     bad[3, 1, 1] = 0.1  # a diagonal entry must vanish too
     with pytest.raises(DomainError):
-        kinematic_rate(f, bad, model, 0.25)
+        kinematic_rate(f, bad, model)
 
 
 def test_current_on_a_zero_rate_pair_or_the_diagonal_is_infeasible(block):
@@ -164,12 +164,12 @@ def test_current_on_a_zero_rate_pair_or_the_diagonal_is_infeasible(block):
     eta = np.zeros((4, 3, 3))
     eta[1, 0, 1], eta[1, 1, 0] = 0.5, -0.5
     with pytest.raises(InfeasibleValueError):
-        kinematic_rate(f, eta, model, 0.25)
+        kinematic_rate(f, eta, model)
     # within the antisymmetry tolerance, but sigma_ii = 0
     eta = np.zeros((4, 3, 3))
     eta[3, 2, 2] = 1e-14
     with pytest.raises(InfeasibleValueError):
-        kinematic_rate(f, eta, model, 0.25)
+        kinematic_rate(f, eta, model)
 
 
 def test_asymmetric_kernel_is_refused():
@@ -182,7 +182,7 @@ def test_asymmetric_kernel_is_refused():
     f = np.ones((2, 2))
     traj = Trajectory(f=np.stack([f, f]), dt=0.1, epsilon=1.0, transport="upwind")
     with pytest.raises(NumericalQualityError):
-        kinematic_rate(f, np.zeros((2, 2, 2)), model, 0.5)
+        kinematic_rate(f, np.zeros((2, 2, 2)), model)
     with pytest.raises(NumericalQualityError):
         edi_certificate(traj, model)
 
@@ -284,10 +284,10 @@ def test_blocks_with_extreme_entries_keep_the_reference():
                 e = eta[x, i, j]
                 psi_ref = e * math.asinh(e / alpha) - e * (e / (math.hypot(e, alpha) + alpha))
                 reference.append(2.0 * model.weights[i] * model.weights[j] * psi_ref)
-    got = kinematic_rate(f, eta, model, 1.0 / n_x)
+    got = kinematic_rate(f, eta, model)
     assert got == pytest.approx(math.fsum(reference) / n_x, rel=REL, abs=0.0)
     eta[30, 3, 7], eta[30, 7, 3] = 1e155, -1e155
-    big = kinematic_rate(f, eta, model, 1.0 / n_x)
+    big = kinematic_rate(f, eta, model)
     alpha = 2.0 * model.sigma[3, 7] * math.sqrt(f[30, 3]) * math.sqrt(f[30, 7])
     assert big == pytest.approx(2.0 * model.weights[3] * model.weights[7] / n_x
                                 * 1e155 * (math.asinh(1e155 / alpha) - 1.0), rel=REL)
@@ -310,10 +310,10 @@ def test_kinematic_rate_at_densities_whose_product_underflows():
     )
     c = 1e-170
     f = np.array([[1.0, 2.0]])
-    small = kinematic_rate(c * f, own_current(c * f, model.sigma), model, 1.0)
+    small = kinematic_rate(c * f, own_current(c * f, model.sigma), model)
     assert math.isfinite(small)
     assert small == pytest.approx(
-        c * kinematic_rate(f, own_current(f, model.sigma), model, 1.0), rel=1e-12, abs=0.0)
+        c * kinematic_rate(f, own_current(f, model.sigma), model), rel=1e-12, abs=0.0)
 
 
 def _mpmath_costs(kappa, p, q, xi):
@@ -359,4 +359,4 @@ def test_kinematic_rate_of_a_current_whose_ratio_overflows_is_finite():
     eta = np.zeros((1, 2, 2))
     eta[0, 0, 1], eta[0, 1, 0] = 1e10, -1e10  # eta/alpha = 5e309
     expected = 2.0 * 0.25 * _mpmath_costs(1.0, 1e-300, 1e-300, 1e10)[0]
-    assert kinematic_rate(f, eta, model, 1.0) == pytest.approx(expected, rel=1e-14, abs=0.0)
+    assert kinematic_rate(f, eta, model) == pytest.approx(expected, rel=1e-14, abs=0.0)

@@ -16,8 +16,10 @@ from linboltz import (
     build_lorentz,
     build_model,
 )
+from linboltz import velocity
 from linboltz.velocity import (
     MODEL_ARRAYS,
+    POISSON_DAMPING,
     TiltedMeasure,
     VelocityModel,
     apply_generator,
@@ -200,9 +202,10 @@ class TestPoisson:
         t = TiltedMeasure.of(lorentz)
         assert np.max(np.abs(t.weights @ sol.xi)) < 1e-10
 
-    def test_max_iter_raises_with_residual(self, lorentz):
+    def test_max_iter_raises_with_residual(self, lorentz, monkeypatch):
+        monkeypatch.setattr(velocity, "POISSON_MAX_ITER", 10)
         with pytest.raises(ConvergenceError) as exc:
-            poisson_solve(lorentz, tol=1e-30, max_iter=10)
+            poisson_solve(lorentz, tol=1e-30)
         assert exc.value.residual is not None
         assert exc.value.iterations == 10
 
@@ -268,8 +271,8 @@ class TestOperatorProperties:
     def test_poisson_residual_below_its_tolerance(self, m):
         # the stopping increment theta |u| in the tilted norm bounds
         # |-L xi - b|_i <= lambda_i |u|_inf <= max lambda tol / (theta sqrt(min w~))
-        tol, theta = 1e-10, 0.5
-        sol = poisson_solve(m, tol=tol, damping=theta)
+        tol, theta = 1e-10, POISSON_DAMPING
+        sol = poisson_solve(m, tol=tol)
         tilted = TiltedMeasure.of(m).weights
         assert sol.residual <= np.max(m.rates) * tol / (theta * np.sqrt(np.min(tilted)))
 
