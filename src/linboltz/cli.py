@@ -12,16 +12,18 @@ Subcommands:
 Each reads one JSON config, typed by :class:`Config` (see ``_typed``).
 
 Exit codes: 0 success; 2 configuration error (an unknown key, a ``solver`` key
-that the subcommand does not read, a value of the wrong type or range, a file
-that cannot be read or written, a model that fails its numerical checks, a
-trajectory certified against a model that did not produce it or is malformed, a
-model kernel, frame, trajectory, certificate working set, sweep current path or
-Monte Carlo batch larger than physical memory, or any other ``MemoryError``);
-3 certification failure; 4 convergence failure (also numpy's ``LinAlgError``).  A
-nonzero exit writes ``error.json`` to --out.  Stdout is human-readable; files
-written to --out are machine-readable and deterministic for a fixed (config, seed).
-The README's table of outputs lists them; ``model-info`` writes the model as a JSON
-header ``model_<name>.json`` and its arrays as ``model_<name>.npz``.
+that the subcommand refuses: ``eps_list`` or ``dt_scale`` in ``kinetic-run``,
+``dt`` or ``epsilon`` in ``diffusive-sweep``; a value of the wrong type or range,
+a file that cannot be read or written, a model that fails its numerical checks,
+a trajectory of fewer than two frames, a trajectory certified against a model
+that did not produce it or is malformed, a model kernel, frame, trajectory,
+certificate working set, sweep current path or Monte Carlo batch larger than
+physical memory, or any other ``MemoryError``); 3 certification failure; 4
+convergence failure (also numpy's ``LinAlgError``).  A nonzero exit writes
+``error.json`` to --out.  Stdout is human-readable; files written to --out are
+machine-readable and deterministic for a fixed (config, seed).  The README's
+table of outputs lists them; ``model-info`` writes the model as a JSON header
+``model_<name>.json`` and its arrays as ``model_<name>.npz``.
 """
 
 import argparse

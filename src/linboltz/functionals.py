@@ -53,12 +53,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InfeasibleValueError,
-    NumericalQualityError,
-    UsageError,
-)
+from .errors import DomainError, InfeasibleValueError, UsageError
 from .spectral import gradient
 
 #: densities are clamped below at this floor inside logarithms only
@@ -350,11 +345,9 @@ def pair_triangle(model):
     Both jump costs are symmetric under (p, q, xi) -> (q, p, -xi), so with a
     symmetric kernel and an antisymmetric current the pair (j, i) costs the
     same as (i, j), and each pair i < j is evaluated once and counted twice.
-    A kernel that is not exactly symmetric raises
-    :class:`NumericalQualityError`, as :meth:`VelocityModel.validate` does.
+    Every :class:`~linboltz.velocity.VelocityModel` has an exactly symmetric
+    kernel, so the triangle is exact.
     """
-    if not np.array_equal(model.sigma, model.sigma.T):
-        raise NumericalQualityError("scattering kernel is not exactly symmetric")
     i, j = np.triu_indices(model.n_nodes, 1)
     w = model.weights
     return i, j, 2.0 * w[i] * w[j]
@@ -390,8 +383,9 @@ def kinematic_rate(f_slice, eta_slice, model):
     ``np.allclose`` with atol = 1e-12 * max(1, max|eta|); otherwise
     :class:`DomainError`.  psi is evaluated on the pairs i < j only and
     counted twice (see :func:`pair_triangle`), cells and pairs in blocks of
-    at most ``BLOCK`` elements; the diagonal costs O(n_x * n_v).  A current on
-    a zero-rate pair, the diagonal included, raises
+    at most ``BLOCK`` elements; the diagonal costs O(n_x * n_v).  A current
+    where alpha = 2 S_ij sqrt(f_i f_j) is zero, on a zero-rate pair (the
+    diagonal included) or where a density vanishes, raises
     :class:`InfeasibleValueError`.
     """
     f = np.atleast_2d(_clip_density(f_slice))
@@ -432,7 +426,8 @@ def kinematic_rate(f_slice, eta_slice, model):
     psi_diag = _centered_cost(alpha, diag, np.empty(f.shape), np.empty(f.shape))
     total += float(np.sum(psi_diag @ (w * w)))
     if math.isinf(total):
-        raise InfeasibleValueError("kinematic cost is infeasible (current on a zero-rate pair)")
+        raise InfeasibleValueError("kinematic cost is infeasible (current on a pair "
+                                   "with zero rate or zero density)")
     return float(dx * total)
 
 

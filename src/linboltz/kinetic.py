@@ -62,7 +62,6 @@ from .errors import (
     CertificationError,
     ConfigError,
     DomainError,
-    NumericalQualityError,
     UsageError,
     require_memory,
 )
@@ -402,8 +401,6 @@ def entropy_balance_check(traj, model):
     """
     if traj.f.shape[0] < 2:
         raise UsageError("need at least two time slices")
-    if not np.array_equal(model.sigma, model.sigma.T):
-        raise NumericalQualityError("scattering kernel is not exactly symmetric")
     scale = 1.0 / traj.epsilon**2
     w = model.weights
     residuals = np.empty(traj.n_steps)
@@ -461,8 +458,11 @@ def edi_certificate(traj, model, current_scale=1.0, tol=None):
     carrying the full certificate.
 
     Its working set (see the module notes) is allocated once, after
-    :func:`require_certificate_memory` has checked it.
+    :func:`require_certificate_memory` has checked it.  A trajectory of
+    fewer than two time slices has no step to certify: :class:`UsageError`.
     """
+    if traj.f.shape[0] < 2:
+        raise UsageError("need at least two time slices")
     n_x, n_v = traj.f.shape[1:]
     require_certificate_memory(traj.f.shape)
     scale = 1.0 / traj.epsilon**2

@@ -111,7 +111,7 @@ def build_lorentz(spec):
     np.abs(sigma, out=sigma)
     sigma *= np.pi
     _exact_symmetrize(sigma)
-    model = VelocityModel(
+    return VelocityModel(
         nodes=theta[:, None],
         weights=weights,
         drift=drift,
@@ -119,8 +119,6 @@ def build_lorentz(spec):
         name="lorentz",
         meta={"n_nodes": n},
     )
-    model.validate()
-    return model
 
 
 def _maxwell_radial_quadrature(spec):
@@ -243,7 +241,6 @@ def build_rayleigh(spec):
     ratio = model.rates / np.maximum(chi * np.linalg.norm(nodes, axis=1), 1e-300)
     model.meta["min_rate_ratio"] = float(ratio.min())
     model.meta["min_rate_ratio_interior"] = float(ratio[interior].min())
-    model.validate()
     if model.meta["min_rate_ratio_interior"] < 1.0:
         raise NumericalQualityError(
             "rayleigh rate fell below chi*|v| away from the truncation edge; "
@@ -264,7 +261,7 @@ def build_phonon(spec):
     drift = np.sin(2.0 * np.pi * nodes) / omega[:, None]
     # the grid is symmetric under k -> 1-k, which flips sin(2 pi k) exactly
     sigma = _exact_symmetrize(s2 @ s2.T)
-    model = VelocityModel(
+    return VelocityModel(
         nodes=nodes,
         weights=weights,
         drift=drift,
@@ -279,8 +276,6 @@ def build_phonon(spec):
             ),
         },
     )
-    model.validate()
-    return model
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, require_memory
+from .errors import ConfigError, require_memory
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,6 @@ def _jump_table(cum):
     K is the power of two in [2 n, 4 n), so ``u * K`` and ``m / K`` are exact
     and a bucket holds half an entry on average.
     """
-    if np.any(np.diff(cum, axis=1) < 0):
-        raise DomainError("the jump chain needs nonnegative transition probabilities")
     n_rows, n_cols = cum.shape
     # the guide (up to 4 n int32 per row) and the padded rows
     require_memory((n_rows, 3 * n_cols + 1), "the jump chain's guide table")

@@ -34,7 +34,7 @@ from .errors import (
 
 MODEL_SCHEMA = "model-v3"
 MODEL_ARRAYS = ("nodes", "weights", "drift", "sigma")
-CENTERING_TOL = 1e-12  # largest |pi(b)| that VelocityModel.validate accepts
+CENTERING_TOL = 1e-12  # largest |pi(b)| that a VelocityModel accepts
 PSD_TOL = 1e-10  # relative tolerance of diffusion_matrix's semidefiniteness test
 POISSON_MAX_ITER = 100000  # poisson_solve's step limit
 POISSON_DAMPING = 0.5  # and the weight theta of each new fixed-point iterate
@@ -48,6 +48,12 @@ class VelocityModel:
     weights: (n_v,) probability weights, sum to 1
     drift:   (n_v, d) drift vectors b_i, d the spatial dimension ``dim_x``
     sigma:   (n_v, n_v) symmetric nonnegative kernel S_ij
+
+    A model is valid by construction (``dataclasses.replace`` included): its
+    five hypotheses are checked once, each failure a NumericalQualityError:
+    nonnegative weights summing to 1 (to 1e-12), an exactly symmetric and
+    nonnegative kernel (detailed balance), and a centered drift, |pi(b)| <=
+    ``CENTERING_TOL``, without which (-L) xi = b has no solution.
     """
 
     nodes: np.ndarray
@@ -70,6 +76,18 @@ class VelocityModel:
         n = weights.size
         if nodes.shape[0] != n or drift.shape[0] != n or sigma.shape != (n, n):
             raise UsageError("inconsistent array sizes in VelocityModel")
+        if np.any(weights < 0):
+            raise NumericalQualityError("negative quadrature weight")
+        if abs(weights.sum() - 1.0) > 1e-12:
+            raise NumericalQualityError("weights do not sum to 1")
+        if not np.array_equal(sigma, sigma.T):
+            raise NumericalQualityError("scattering kernel is not exactly symmetric")
+        if np.any(sigma < 0):
+            raise NumericalQualityError("negative scattering kernel entry")
+        centering = np.max(np.abs(weights @ drift))
+        if centering > CENTERING_TOL:
+            raise NumericalQualityError(f"drift not centered: |pi(b)| = {centering:.3e}"
+                                        f" > {CENTERING_TOL:.3e}")
         rates = sigma @ weights
         for arr in (nodes, weights, drift, sigma, rates):
             arr.setflags(write=False)
@@ -97,23 +115,6 @@ class VelocityModel:
             digest.update(f"{key}{arr.shape}".encode())
             digest.update(arr.tobytes())
         return digest.hexdigest()
-
-    def validate(self):
-        """Check the structural invariants; raises on violation."""
-        if abs(self.weights.sum() - 1.0) > 1e-12:
-            raise NumericalQualityError("weights do not sum to 1")
-        if np.any(self.weights < 0):
-            raise NumericalQualityError("negative quadrature weight")
-        if not np.array_equal(self.sigma, self.sigma.T):
-            raise NumericalQualityError("scattering kernel is not exactly symmetric")
-        if np.any(self.sigma < 0):
-            raise NumericalQualityError("negative scattering kernel entry")
-        centering = np.max(np.abs(self.weights @ self.drift))
-        if centering > CENTERING_TOL:
-            raise NumericalQualityError(
-                f"drift not centered: |pi(b)| = {centering:.3e} > {CENTERING_TOL:.3e}"
-            )
-        return True
 
 
 @dataclass(frozen=True)
@@ -290,9 +291,10 @@ def from_file(path):
     Raises ConfigError for a file that is not a ``model-v3`` header (a
     ``model-v2`` one included, as its fingerprint did not cover ``nodes``), a
     sidecar that lacks one of the arrays, arrays that make no model
-    (mismatched shapes, say), arrays whose fingerprint is not the header's (a
-    sidecar of another model), a ``dim_x`` other than the drift's number of
-    columns, or a model that fails :meth:`VelocityModel.validate`.
+    (mismatched shapes, or arrays that break one of the hypotheses
+    :class:`VelocityModel` checks), arrays whose fingerprint is not the
+    header's (a sidecar of another model), or a ``dim_x`` other than the
+    drift's number of columns.
     """
     try:
         with open(path) as fh:
@@ -313,7 +315,7 @@ def from_file(path):
         arrays = {key: npz[key] for key in MODEL_ARRAYS}
     try:
         model = VelocityModel(**arrays, name=header["name"], meta=header["meta"])
-    except (UsageError, ValueError, TypeError) as exc:
+    except (UsageError, NumericalQualityError, ValueError, TypeError) as exc:
         raise ConfigError(f"model file {path} does not describe a model: {exc}") from exc
     if model.fingerprint != header["fingerprint"]:
         raise ConfigError(f"the arrays in {sidecar} are not those of the model {path} "
@@ -322,8 +324,4 @@ def from_file(path):
         raise ConfigError(f"model file {path} does not describe a model: dim_x "
                           f"{json.dumps(header['dim_x'])} is not the {model.dim_x} "
                           "columns of its drift")
-    try:
-        model.validate()
-    except NumericalQualityError as exc:
-        raise ConfigError(f"model file {path} does not describe a model: {exc}") from exc
     return model

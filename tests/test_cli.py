@@ -245,6 +245,17 @@ class TestKineticRunAndCertify:
         cfg = write_cfg(tmp_path, lorentz_cfg(solver={"T": 0.05}))
         assert main(["kinetic-run", "--config", cfg]) == 2
 
+    def test_run_of_no_step_is_a_config_error(self, tmp_path, capsys):
+        # T = 1e-11 passes the multiple-of-dt check but holds no step of dt
+        cfg = write_cfg(tmp_path, {"model": {"kind": "lorentz", "n_nodes": 8},
+                                   "solver": {"n_cells": 8, "dt": 0.01, "T": 1e-11}})
+        out = tmp_path / "out"
+        assert main(["kinetic-run", "--config", cfg, "--out", str(out)]) == 2
+        diag = json.loads((out / "error.json").read_text())
+        assert diag["error"] == "UsageError"
+        assert "two time slices" in diag["message"]
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_certification_exit_code(self, tmp_path):
         cfg = write_cfg(
             tmp_path,

@@ -321,8 +321,10 @@ def test_repeating_every_cell_leaves_the_functionals_unchanged(n_v, n_x, seed):
     rng = np.random.default_rng(seed)
     sigma = rng.uniform(0.0, 2.0, (n_v, n_v))
     w = rng.uniform(0.1, 1.0, n_v)
-    model = VelocityModel(nodes=np.arange(n_v, dtype=float)[:, None], weights=w / w.sum(),
-                          drift=rng.normal(size=(n_v, 1)), sigma=sigma + sigma.T)
+    w /= w.sum()
+    b = rng.normal(size=(n_v, 1))
+    model = VelocityModel(nodes=np.arange(n_v, dtype=float)[:, None], weights=w,
+                          drift=b - w @ b, sigma=sigma + sigma.T)
     f_path = rng.uniform(0.2, 2.0, (2, n_x, n_v))
     coarse = grid_functionals(f_path, model)
     fine = grid_functionals(np.repeat(f_path, 3, axis=1), model)

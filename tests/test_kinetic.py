@@ -14,6 +14,7 @@ from linboltz import (
     DomainError,
     LorentzSpec,
     NumericalQualityError,
+    UsageError,
     build_lorentz,
 )
 from linboltz import kinetic
@@ -214,6 +215,14 @@ def loop_upwind(f, speeds, dt, dx):
     return out
 
 
+def centered_within_cfl(speeds, w, c_max):
+    """``speeds`` (n_v, d) less their mean in ``w``, so that they are a model's
+    drift, scaled per column back into [-c_max, c_max] where centering pushed
+    them past it; the speeds keep both signs."""
+    b = speeds - w @ speeds
+    return b * (c_max / np.maximum(c_max, np.max(np.abs(b), axis=0)))
+
+
 class TestTransportStep:
     @pytest.mark.parametrize("n_x", [32, 33])
     def test_spectral_step_is_the_analytic_translate_of_a_band_limited_field(self, n_x):
@@ -251,10 +260,12 @@ class TestTransportStep:
                           st.floats(-c_max, c_max))
         speeds = np.array(data.draw(st.lists(speed, min_size=1, max_size=6), label="speeds"))
         n_v = speeds.size
+        w = np.full(n_v, 1.0 / n_v)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         sigma = rng.uniform(0.0, 2.0, (n_v, n_v))
-        m = VelocityModel(nodes=np.arange(n_v)[:, None], weights=np.full(n_v, 1.0 / n_v),
-                          drift=speeds[:, None], sigma=sigma + sigma.T)
+        m = VelocityModel(nodes=np.arange(n_v)[:, None], weights=w,
+                          drift=centered_within_cfl(speeds[:, None], w, c_max),
+                          sigma=sigma + sigma.T)
         st_ = Stepper(m, n_cells=n_x, dt=dt)
         f = rng.uniform(0.0, 2.0, (n_x, n_v))
         assert np.array_equal(st_.advect_full(f), loop_upwind(f, st_.speeds, dt, st_.dx))
@@ -276,10 +287,11 @@ class TestTransportStep:
         n_v = data.draw(st.integers(1, 6), label="n_v")
         speeds = np.array(data.draw(st.lists(speed, min_size=2 * n_v, max_size=2 * n_v),
                                     label="speeds")).reshape(n_v, 2)
+        w = np.full(n_v, 1.0 / n_v)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         sigma = rng.uniform(0.0, 2.0, (n_v, n_v))
-        m = VelocityModel(nodes=np.arange(n_v)[:, None], weights=np.full(n_v, 1.0 / n_v),
-                          drift=speeds, sigma=sigma + sigma.T)
+        m = VelocityModel(nodes=np.arange(n_v)[:, None], weights=w,
+                          drift=centered_within_cfl(speeds, w, c_max), sigma=sigma + sigma.T)
         f = rng.uniform(0.0, 2.0, (n_x, n_v))
         for axis in (0, 1):
             st_ = Stepper(m, n_cells=n_x, dt=dt, drift_axis=axis)
@@ -507,8 +519,10 @@ class TestEntropyBalance:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         sigma = rng.uniform(0.0, 2.0, (n_v, n_v))
         w = rng.uniform(0.1, 1.0, n_v)
-        m = VelocityModel(nodes=np.arange(n_v)[:, None], weights=w / w.sum(),
-                          drift=rng.normal(size=(n_v, 1)), sigma=sigma + sigma.T)
+        w /= w.sum()
+        b = rng.normal(size=(n_v, 1))
+        m = VelocityModel(nodes=np.arange(n_v)[:, None], weights=w,
+                          drift=b - w @ b, sigma=sigma + sigma.T)
         f = rng.uniform(0.0, 2.0, (3, n_x, n_v))
         f[0, 0, 0] = 0.0  # the truncated logarithm's floor
         traj = Trajectory(f=f, dt=0.1, epsilon=0.7, transport="upwind")
@@ -524,15 +538,20 @@ class TestEntropyBalance:
             assert got[n] == pytest.approx(want, rel=1e-10, abs=0.0)
 
     def test_refuses_an_asymmetric_kernel(self):
-        m = VelocityModel(nodes=np.zeros((2, 1)), weights=np.array([0.5, 0.5]),
+        # the pairing's BLAS form needs S = S^T, which every model has
+        with pytest.raises(NumericalQualityError, match="not exactly symmetric"):
+            VelocityModel(nodes=np.zeros((2, 1)), weights=np.array([0.5, 0.5]),
                           drift=np.array([[1.0], [-1.0]]),
                           sigma=np.array([[0.0, 1.0], [2.0, 0.0]]))
-        traj = simulate(m, np.ones(4), T=0.02, dt=0.01)
-        with pytest.raises(NumericalQualityError):
-            entropy_balance_check(traj, m)
 
 
 class TestEdiCertificate:
+    def test_refuses_a_single_frame(self):
+        m = build_lorentz(LorentzSpec(8))
+        traj = Trajectory(f=np.ones((1, 4, 8)), dt=0.01, epsilon=1.0, transport="upwind")
+        with pytest.raises(UsageError, match="two time slices"):
+            edi_certificate(traj, m)
+
     def test_stationary_all_terms_zero(self):
         m = two_node_model()
         traj = simulate(m, np.ones(8), T=0.05, dt=0.01)

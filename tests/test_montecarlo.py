@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linboltz import ConfigError, DomainError, LorentzSpec, build_lorentz, build_model
+from linboltz import (ConfigError, LorentzSpec, NumericalQualityError, build_lorentz,
+                      build_model)
 from linboltz.montecarlo import (
     McConfig,
     _count_below,
@@ -247,14 +248,14 @@ class TestGuideTableSampler:
                               reference_batch_estimates(m, cfg))
 
     def test_decreasing_cumulatives_are_refused(self):
-        # the guide table's count equals the scan's only on nondecreasing rows
-        m = VelocityModel(
-            nodes=np.zeros((3, 1)), weights=np.full(3, 1.0 / 3.0),
-            drift=np.array([[1.0], [-1.0], [0.0]]),
-            sigma=np.array([[0.0, 2.0, -1.0], [2.0, 0.0, 1.0], [-1.0, 1.0, 3.0]]),
-        )
-        with pytest.raises(DomainError):
-            estimate_D(m, McConfig(n_paths=8, horizon=1.0, n_batches=2))
+        # the guide table's count equals the scan's only on nondecreasing rows,
+        # the cumulative sums of a nonnegative kernel: no model has another
+        with pytest.raises(NumericalQualityError, match="negative scattering kernel"):
+            VelocityModel(
+                nodes=np.zeros((3, 1)), weights=np.full(3, 1.0 / 3.0),
+                drift=np.array([[1.0], [-1.0], [0.0]]),
+                sigma=np.array([[0.0, 2.0, -1.0], [2.0, 0.0, 1.0], [-1.0, 1.0, 3.0]]),
+            )
 
     def test_table_layout(self):
         table = _jump_table(np.cumsum(np.full((3, 5), 0.2), axis=1))

@@ -57,10 +57,12 @@ def cases(draw):
     rates = rng.uniform(0.05, 5.0, (n_v, n_v))
     zero = rng.random((n_v, n_v)) < zero_rates
     weights = rng.uniform(0.1, 1.0, n_v)
+    weights /= weights.sum()
+    b = np.linspace(-1.0, 1.0, n_v)[:, None]
     model = VelocityModel(
         nodes=np.arange(n_v, dtype=float)[:, None],
-        weights=weights / weights.sum(),
-        drift=np.linspace(-1.0, 1.0, n_v)[:, None],
+        weights=weights,
+        drift=b - weights @ b,
         sigma=np.where(zero | zero.T, 0.0, rates + rates.T),
     )
     f = rng.uniform(0.01, 10.0, (n_x, n_v))
@@ -173,18 +175,26 @@ def test_current_on_a_zero_rate_pair_or_the_diagonal_is_infeasible(block):
 
 
 def test_asymmetric_kernel_is_refused():
-    # the i < j sums read only the upper triangle of sigma
+    # the i < j sums read only the upper triangle of sigma, so no model may
+    # have a kernel that is not exactly symmetric
+    with pytest.raises(NumericalQualityError, match="not exactly symmetric"):
+        VelocityModel(
+            nodes=np.arange(2.0)[:, None], weights=np.array([0.5, 0.5]),
+            drift=np.array([[1.0], [-1.0]]),
+            sigma=np.array([[0.0, 1.0], [2.0, 0.0]]),
+        )
+
+
+def test_current_where_a_density_vanishes_is_infeasible():
+    # the rate is positive, but alpha = 2 kappa sqrt(p q) is zero at p = 0
     model = VelocityModel(
         nodes=np.arange(2.0)[:, None], weights=np.array([0.5, 0.5]),
-        drift=np.array([[1.0], [-1.0]]),
-        sigma=np.array([[0.0, 1.0], [2.0, 0.0]]),
+        drift=np.array([[1.0], [-1.0]]), sigma=np.array([[0.0, 3.0], [3.0, 0.0]]),
     )
-    f = np.ones((2, 2))
-    traj = Trajectory(f=np.stack([f, f]), dt=0.1, epsilon=1.0, transport="upwind")
-    with pytest.raises(NumericalQualityError):
-        kinematic_rate(f, np.zeros((2, 2, 2)), model)
-    with pytest.raises(NumericalQualityError):
-        edi_certificate(traj, model)
+    f = np.array([[0.0, 1.0]])
+    eta = own_current(f, model.sigma)
+    with pytest.raises(InfeasibleValueError, match="density"):
+        kinematic_rate(f, eta, model)
 
 
 def _reference_costs(kappa, p, q, xi):
@@ -268,9 +278,11 @@ def test_blocks_with_extreme_entries_keep_the_reference():
     n_v, n_x = 40, 64
     a = rng.uniform(0.1, 2.0, (n_v, n_v))
     weights = rng.uniform(0.1, 1.0, n_v)
+    weights /= weights.sum()
+    b = np.linspace(-1.0, 1.0, n_v)[:, None]
     model = VelocityModel(
-        nodes=np.arange(n_v, dtype=float)[:, None], weights=weights / weights.sum(),
-        drift=np.linspace(-1.0, 1.0, n_v)[:, None], sigma=a + a.T,
+        nodes=np.arange(n_v, dtype=float)[:, None], weights=weights,
+        drift=b - weights @ b, sigma=a + a.T,
     )
     f = rng.uniform(0.5, 2.0, (n_x, n_v))
     eta = own_current(f, model.sigma)

@@ -1,5 +1,8 @@
 import dataclasses
+import hashlib
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -50,7 +53,12 @@ def lorentz():
 
 class TestVelocityModel:
     def test_invariants(self, lorentz):
-        assert lorentz.validate()
+        # the builder constructed it, so the five hypotheses hold
+        assert np.all(lorentz.weights >= 0)
+        assert abs(lorentz.weights.sum() - 1.0) <= 1e-12
+        assert np.array_equal(lorentz.sigma, lorentz.sigma.T)
+        assert np.all(lorentz.sigma >= 0)
+        assert np.max(np.abs(lorentz.weights @ lorentz.drift)) <= velocity.CENTERING_TOL
 
     def test_size_mismatch(self):
         with pytest.raises(UsageError):
@@ -62,24 +70,22 @@ class TestVelocityModel:
             )
 
     def test_asymmetric_kernel_rejected(self):
-        m = VelocityModel(
-            nodes=np.zeros((2, 1)),
-            weights=np.array([0.5, 0.5]),
-            drift=np.array([[1.0], [-1.0]]),
-            sigma=np.array([[0.0, 1.0], [2.0, 0.0]]),
-        )
-        with pytest.raises(NumericalQualityError):
-            m.validate()
+        with pytest.raises(NumericalQualityError, match="not exactly symmetric"):
+            VelocityModel(
+                nodes=np.zeros((2, 1)),
+                weights=np.array([0.5, 0.5]),
+                drift=np.array([[1.0], [-1.0]]),
+                sigma=np.array([[0.0, 1.0], [2.0, 0.0]]),
+            )
 
     def test_uncentered_drift_rejected(self):
-        m = VelocityModel(
-            nodes=np.zeros((2, 1)),
-            weights=np.array([0.5, 0.5]),
-            drift=np.array([[1.0], [0.0]]),
-            sigma=np.array([[0.0, 1.0], [1.0, 0.0]]),
-        )
-        with pytest.raises(NumericalQualityError):
-            m.validate()
+        with pytest.raises(NumericalQualityError, match="drift not centered"):
+            VelocityModel(
+                nodes=np.zeros((2, 1)),
+                weights=np.array([0.5, 0.5]),
+                drift=np.array([[1.0], [0.0]]),
+                sigma=np.array([[0.0, 1.0], [1.0, 0.0]]),
+            )
 
     def test_arrays_immutable(self, lorentz):
         with pytest.raises(ValueError):
@@ -92,6 +98,76 @@ class TestVelocityModel:
         assert np.array_equal(back.sigma, lorentz.sigma)
         assert np.array_equal(back.weights, lorentz.weights)
         assert back.name == lorentz.name
+
+
+@st.composite
+def model_arrays(draw, min_nodes=1):
+    """The arrays of a random model on at most 5 nodes: probability weights, a
+    symmetric nonnegative kernel (some pairs at rate zero) and a centered drift."""
+    n = draw(st.integers(min_nodes, 5), label="n_v")
+    dim_x = draw(st.integers(1, 3), label="dim_x")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    weights = rng.uniform(0.05, 1.0, n)
+    weights /= weights.sum()
+    upper = np.triu(rng.uniform(0.0, 5.0, (n, n)) * (rng.random((n, n)) < 0.7))
+    drift = rng.normal(size=(n, dim_x))
+    return {"nodes": rng.normal(size=(n, 1)), "weights": weights,
+            "drift": drift - (weights @ drift) / weights.sum(),
+            "sigma": upper + np.triu(upper, 1).T}
+
+
+#: each hypothesis of a model, and the refusal that names it
+HYPOTHESES = {
+    "negative_weight": "negative quadrature weight",
+    "weights_sum": "weights do not sum to 1",
+    "asymmetric_kernel": "scattering kernel is not exactly symmetric",
+    "negative_kernel": "negative scattering kernel entry",
+    "uncentered_drift": "drift not centered",
+}
+
+
+def break_hypothesis(arrays, hypothesis, i, j):
+    """Copies of ``arrays`` that break ``hypothesis`` alone, at nodes i != j."""
+    w, sigma, b = (arrays[k].copy() for k in ("weights", "sigma", "drift"))
+    if hypothesis == "negative_weight":  # the sum stays 1
+        w[j] += w[i] + 1e-3
+        w[i] = -1e-3
+    elif hypothesis == "weights_sum":
+        w *= 1.0 + 1e-9
+    elif hypothesis == "asymmetric_kernel":
+        sigma[i, j] = np.nextafter(sigma[i, j], np.inf)
+    elif hypothesis == "negative_kernel":
+        sigma[i, i] = -1.0
+    b -= (w @ b) / w.sum()  # centered for the weights as broken
+    if hypothesis == "uncentered_drift":
+        b[:, 0] += 2.0 * velocity.CENTERING_TOL / w.sum()
+    return dict(arrays, weights=w, sigma=sigma, drift=b)
+
+
+class TestConstructionChecksTheHypotheses:
+    @settings(max_examples=60, deadline=None)
+    @given(arrays=model_arrays())
+    def test_a_model_of_the_hypotheses_constructs(self, arrays):
+        model = VelocityModel(**arrays)
+        assert np.array_equal(model.sigma, arrays["sigma"])
+        assert np.array_equal(model.rates, arrays["sigma"] @ arrays["weights"])
+
+    @pytest.mark.parametrize("hypothesis", sorted(HYPOTHESES))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_breaking_one_hypothesis_is_refused_by_name(self, hypothesis, data):
+        arrays = data.draw(model_arrays(min_nodes=2))
+        i, j = data.draw(st.permutations(range(len(arrays["weights"]))), label="i, j")[:2]
+        broken = break_hypothesis(arrays, hypothesis, i, j)
+        with pytest.raises(NumericalQualityError, match=HYPOTHESES[hypothesis]):
+            VelocityModel(**broken)
+        # a model file whose arrays break it describes no model
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.json")
+            to_file(VelocityModel(**arrays), path)
+            np.savez(os.path.join(tmp, "model.npz"), **broken)
+            with pytest.raises(ConfigError, match="does not describe a model"):
+                from_file(path)
 
 
 class TestTiltedMeasure:
@@ -367,17 +443,17 @@ def test_model_file_refuses_arrays_that_are_not_its_model(tmp_path, tamper):
                                     "asymmetric_kernel"])
 def test_model_file_that_makes_no_model_is_a_config_error(tmp_path, tamper):
     path = tmp_path / "model_lorentz.json"
-    model = build_model("lorentz", n_nodes=8)
-    if tamper == "negative_weights":  # summing to -1, under their own fingerprint
-        model = dataclasses.replace(model, weights=-model.weights)
-    elif tamper == "asymmetric_kernel":
-        model = dataclasses.replace(model, sigma=model.sigma + np.triu(model.sigma))
-    to_file(model, path)
-    if tamper == "nodes_shape":
+    to_file(build_model("lorentz", n_nodes=8), path)
+    if tamper in ("nodes_shape", "negative_weights", "asymmetric_kernel"):
         arrays = tmp_path / "model_lorentz.npz"
         with np.load(arrays) as npz:
             kept = dict(npz)
-        kept["nodes"] = kept["nodes"].reshape(1, 8)
+        if tamper == "nodes_shape":
+            kept["nodes"] = kept["nodes"].reshape(1, 8)
+        elif tamper == "negative_weights":  # summing to -1
+            kept["weights"] = -kept["weights"]
+        else:
+            kept["sigma"] = kept["sigma"] + np.triu(kept["sigma"])
         np.savez(arrays, **kept)
     elif tamper.startswith("dim_x"):
         header = json.loads(path.read_text())
@@ -386,20 +462,32 @@ def test_model_file_that_makes_no_model_is_a_config_error(tmp_path, tamper):
         from_file(path)
 
 
+def fingerprint_of(arrays):
+    """The recipe of ``VelocityModel.fingerprint`` on arrays that need not make
+    a model: the name, shape and bytes of each of ``MODEL_ARRAYS``."""
+    digest = hashlib.sha256()
+    for key in MODEL_ARRAYS:
+        digest.update(f"{key}{arrays[key].shape}".encode())
+        digest.update(arrays[key].tobytes())
+    return digest.hexdigest()
+
+
 def test_fingerprint_covers_nodes_and_array_shapes():
     a = VelocityModel(nodes=np.arange(8.0).reshape(4, 2), weights=np.full(4, 0.25),
                       drift=np.array([1.0, -1.0, 2.0, -2.0]), sigma=np.ones((4, 4)))
     same = VelocityModel(nodes=a.nodes.copy(), weights=a.weights, drift=a.drift,
                          sigma=a.sigma)
     assert same.fingerprint == a.fingerprint
+    assert fingerprint_of({k: getattr(a, k) for k in MODEL_ARRAYS}) == a.fingerprint
     other_nodes = dataclasses.replace(a, nodes=a.nodes + 1.0)
-    # the same bytes in the same order, split between the arrays differently
+    # the same bytes in the same order, split between the arrays differently;
+    # weights 4, 5, 6, 7 make no model, so the digest is taken by the recipe
     stream = np.concatenate([a.nodes.ravel(), a.weights, a.drift.ravel()])
-    shifted = VelocityModel(nodes=stream[:4, None], weights=stream[4:8],
-                            drift=stream[8:].reshape(4, 2), sigma=a.sigma)
-    assert b"".join(getattr(shifted, k).tobytes() for k in MODEL_ARRAYS) == b"".join(
+    shifted = {"nodes": stream[:4, None], "weights": stream[4:8],
+               "drift": stream[8:].reshape(4, 2), "sigma": a.sigma}
+    assert b"".join(shifted[k].tobytes() for k in MODEL_ARRAYS) == b"".join(
         getattr(a, k).tobytes() for k in MODEL_ARRAYS)
-    assert len({a.fingerprint, other_nodes.fingerprint, shifted.fingerprint}) == 3
+    assert len({a.fingerprint, other_nodes.fingerprint, fingerprint_of(shifted)}) == 3
 
 
 def test_model_file_of_the_previous_schema_is_refused(tmp_path):
