@@ -15,11 +15,12 @@ Exit codes: 0 success; 2 configuration error (an unknown key, a ``solver`` key
 that the subcommand refuses: ``eps_list`` or ``dt_scale`` in ``kinetic-run``,
 ``dt`` or ``epsilon`` in ``diffusive-sweep``; a value of the wrong type or range,
 a file that cannot be read or written, a model that fails its numerical checks,
-a trajectory of fewer than two frames, a trajectory certified against a model
-that did not produce it or is malformed, a model kernel, frame, trajectory,
-certificate working set, sweep current path or Monte Carlo batch larger than
-physical memory, or any other ``MemoryError``); 3 certification failure; 4
-convergence failure (also numpy's ``LinAlgError``).  A nonzero exit writes
+a ``T`` that holds no step of ``dt``, a scheme that ``kinetic._check_scheme``
+refuses, a trajectory certified against a model that did not produce it or could
+not have run its scheme, or whose frames are malformed, a model kernel, frame,
+trajectory, certificate working set, sweep current path or Monte Carlo batch
+larger than physical memory, or any other ``MemoryError``); 3 certification
+failure; 4 convergence failure (also numpy's ``LinAlgError``).  A nonzero exit writes
 ``error.json`` to --out.  Stdout is human-readable; files written to --out are
 machine-readable and deterministic for a fixed (config, seed).  The README's
 table of outputs lists them; ``model-info`` writes the model as a JSON header
@@ -41,8 +42,9 @@ from . import velocity
 from .diffusive import config_hash, sweep, write_manifest, write_sweep_csv
 from .errors import (CertificationError, ConfigError, ConvergenceError, LinboltzError,
                      require_memory)
-from .kinetic import (edi_certificate, load_trajectory, require_certificate_memory,
-                      save_trajectory, simulate, write_certificate_csv)
+from .kinetic import (_check_scheme, edi_certificate, load_trajectory,
+                      require_certificate_memory, save_trajectory, simulate,
+                      write_certificate_csv)
 from .montecarlo import McConfig, estimate_D, write_mc_csv, write_mc_json
 
 EXIT_OK = 0
@@ -256,9 +258,8 @@ def cmd_certify(args):
     if traj.model_fingerprint != model.fingerprint:
         raise ConfigError(f"{args.trajectory} was not produced by this config's model "
                           f"(its model fingerprint: {traj.model_fingerprint})")
-    if traj.f.shape[2] != model.n_nodes:
-        raise ConfigError(f"{args.trajectory} has {traj.f.shape[2]} velocity nodes, "
-                          f"its model {model.n_nodes}")
+    _check_scheme(traj.dt, traj.epsilon, traj.transport, traj.drift_axis, model,
+                  traj.f.shape[1:])
     _certify(traj, model, cfg, raw, _outdir(args))
     return EXIT_OK
 

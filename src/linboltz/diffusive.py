@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, require_memory
 from .heat import HeatFlow
-from .kinetic import mode_marginals, simulate
+from .kinetic import _check_scheme, mode_marginals, simulate
 from .velocity import diffusion_matrix, poisson_solve
 
 CFL = 0.5  # auto_dt's upwind stability cap, dt <= CFL * eps * dx / max|b|
@@ -96,18 +96,20 @@ def auto_dt(model, epsilon, T, n_cells, drift_axis=0, dt_scale=1.0):
     return T / max(1, round(n_steps / dt_scale))
 
 
-def _check_rescaled(rho0, eps_list):
-    if any(eps <= 0 for eps in eps_list):
-        raise ConfigError("epsilon must be positive")
+def _check_rescaled(model, rho0, eps_list, T, transport, drift_axis):
+    """rho0 as a 1d array, once every epsilon makes a scheme of ``model`` with
+    steps of at most T, so that :func:`auto_dt` may index the drift."""
     rho0 = np.asarray(rho0, dtype=float)
     if rho0.ndim != 1:
         raise ConfigError("rho0 must be a 1d profile, one value per cell")
+    for eps in eps_list:
+        _check_scheme(T, eps, transport, drift_axis, model)
     return rho0
 
 
 def rescaled_run(model, rho0, epsilon, T, dt=None, transport="spectral", drift_axis=0):
     """Run the rescaled kinetic equation from local equilibrium rho0 (x) 1."""
-    rho0 = _check_rescaled(rho0, [epsilon])
+    rho0 = _check_rescaled(model, rho0, [epsilon], T, transport, drift_axis)
     if dt is None:
         dt = auto_dt(model, epsilon, T, rho0.size, drift_axis=drift_axis)
     return simulate(
@@ -173,18 +175,17 @@ def sweep(model, rho0, eps_list, T, transport="spectral", drift_axis=0, dt_scale
     ``dt_scale`` < 1 refines every auto-selected time step by that factor
     (used by the discretization-convergence check).  Each run is stepped on
     the modes of f: only the modes of its current path j(t, x) and its last
-    density are kept, never its frames.  Every run's paths are checked
-    against physical memory before the first one starts.
+    density are kept, never its frames.  Every run's scheme, and its paths
+    against physical memory, are checked before the first one starts.
     """
     eps_list = sorted((float(e) for e in eps_list), reverse=True)
-    rho0 = _check_rescaled(rho0, eps_list)
+    rho0 = _check_rescaled(model, rho0, eps_list, T, transport, drift_axis)
     n_cells = rho0.size
-    if not 0 <= drift_axis < model.drift.shape[1]:
-        raise ConfigError("drift_axis out of range for this model")
     bank = default_test_bank(n_cells)
     dts = []
     for eps in eps_list:
         dt = auto_dt(model, eps, T, n_cells, drift_axis=drift_axis, dt_scale=dt_scale)
+        _check_scheme(dt, eps, transport, drift_axis, model, (n_cells, model.n_nodes))
         # per time: the modes of j (n_cells // 2 + 1 complex), which the heat
         # decay matrix (n_cells // 2 + 1 floats) replaces, and per test field
         # the pairings and _bonj_probe's window sums (at most 5 floats)

@@ -46,12 +46,17 @@ from it.  That is n_x n_v (2 n_v - 1) floats, 14.7 MB for Rayleigh-120 on
 64 cells, and :func:`require_certificate_memory` refuses a certificate whose
 working set and trajectory together exceed physical memory before anything
 is allocated (the ``kinetic-run`` CLI checks it before it simulates).
+
+A run's scheme (dt, eps, the transport and the drift axis) is checked in one
+place, :func:`_check_scheme`, which the :class:`Stepper`, every
+:class:`Trajectory`, the diffusive sweep and the ``certify`` CLI call.
 """
 
 import csv
 import itertools
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -83,10 +88,47 @@ _FLUSH_EVERY = 64
 _FLUSH_BELOW = 1e-290
 
 
+def _check_scheme(dt, epsilon, transport, drift_axis, model=None, frame_shape=None):
+    """ConfigError unless this is the scheme of a run: dt > 0 and eps > 0
+    finite, eps^2 a normal float, 0.5 dt / eps^2 finite, a transport of
+    ``TRANSPORT_SCHEMES`` and an int axis >= 0 (not a bool).  Given the
+    ``model``, the axis indexes its drift; given also a frame's shape
+    (n_x, n_v), n_x >= 2, n_v is the model's and upwind CFL <= 1 + 1e-12.
+    """
+    if transport not in TRANSPORT_SCHEMES:
+        raise ConfigError(f"unknown transport scheme {transport!r}")
+    for name, value in (("dt", dt), ("epsilon", epsilon)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+                0 < value < math.inf):
+            raise ConfigError(f"{name} must be a positive finite number, not {value!r}")
+    eps2 = float(epsilon) * float(epsilon)
+    if not (sys.float_info.min <= eps2 <= sys.float_info.max and 0.5 * float(dt) / eps2 < math.inf):
+        raise ConfigError(f"epsilon = {epsilon!r} does not suit dt = {dt!r}: epsilon**2 "
+                          "must be a normal float and 0.5 dt / epsilon**2 finite")
+    if (isinstance(drift_axis, bool) or not isinstance(drift_axis, numbers.Integral)
+            or not 0 <= drift_axis < (math.inf if model is None else model.dim_x)):
+        raise ConfigError("drift_axis must be an int from 0 to the model's dim_x - 1, "
+                          f"not {drift_axis!r}")
+    if frame_shape is None:
+        return
+    n_x, n_v = frame_shape
+    if n_x < 2 or n_v != model.n_nodes:
+        raise ConfigError(f"a frame of {n_x} cells and {n_v} velocity nodes is not on a grid "
+                          f"of at least 2 cells and the model's {model.n_nodes} nodes")
+    cfl = dt * n_x * float(np.max(np.abs(model.drift[:, drift_axis]))) / epsilon
+    if transport == "upwind" and cfl > 1.0 + 1e-12:
+        raise ConfigError(f"CFL violated: dt*max|b|/(eps*dx) = {cfl:.3f} > 1")
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """The frames f(n dt), n = 0 ... n_steps, of one run on the periodic unit
-    interval; the cell size, the times and the step count follow from them."""
+    interval; the cell size, the times and the step count follow from them.
+
+    Valid by construction: the scheme passes the model-free part of
+    :func:`_check_scheme`, and ``f`` is a nonempty float (n_t, n_x, n_v) array
+    of at least 2 frames, all finite (checked frame by frame); else ConfigError.
+    """
 
     f: np.ndarray              # (n_t, n_x, n_v)
     dt: float
@@ -95,6 +137,16 @@ class Trajectory:
     drift_axis: int = 0
     model_name: str = "custom"
     model_fingerprint: str | None = None  # VelocityModel.fingerprint
+
+    def __post_init__(self):
+        _check_scheme(self.dt, self.epsilon, self.transport, self.drift_axis)
+        f = np.asarray(self.f)
+        if f.ndim != 3 or len(f) < 2 or f.size == 0 or f.dtype.kind != "f":
+            raise ConfigError("f must be a nonempty float (n_t, n_x, n_v) array of at least "
+                              f"2 frames, not {f.dtype} of shape {f.shape}")
+        if not all(np.isfinite(frame).all() for frame in f):
+            raise ConfigError("f holds a value that is not finite")
+        object.__setattr__(self, "f", f)
 
     @property
     def n_steps(self):
@@ -153,24 +205,15 @@ def collision_propagator(model, t):
     return P
 
 
-def _half_collision_time(dt, epsilon):
-    """0.5 dt / eps^2; ConfigError when eps^2 underflows (is below the
-    smallest normal float) or the time is not finite."""
-    if epsilon**2 < sys.float_info.min or not math.isfinite(0.5 * dt / epsilon**2):
-        raise ConfigError(f"epsilon = {epsilon!r} is too small for dt = {dt!r}: epsilon**2 "
-                          "underflows or 0.5 dt / epsilon**2 overflows")
-    return 0.5 * dt / epsilon**2
-
-
 class Stepper:
     """Precomputed split-step propagator for one (model, grid, dt, eps).
 
     The half collision step is the matrix ``half_collision`` =
     exp(0.5 dt L / eps^2) of :func:`collision_propagator`: nonnegative
     exactly, with rows summing to 1 and w^T C = w^T to rounding, so it
-    keeps f nonnegative and conserves its mass.  An epsilon whose square
-    underflows, or for which 0.5 dt / eps^2 * max lambda is not finite,
-    is a :class:`ConfigError`.
+    keeps f nonnegative and conserves its mass.  A scheme that
+    :func:`_check_scheme` refuses on this model and grid, or for which
+    0.5 dt / eps^2 * max lambda is not finite, is a :class:`ConfigError`.
 
     ``multiplier`` (n_cells // 2 + 1, n_v) is the transport step on the rfft
     modes, ``advect_full`` = ``shift(., multiplier)`` (upwind: to rounding):
@@ -182,37 +225,22 @@ class Stepper:
 
     def __init__(self, model, n_cells, dt, epsilon=1.0, transport="upwind",
                  drift_axis=0):
-        if transport not in TRANSPORT_SCHEMES:
-            raise ConfigError(f"unknown transport scheme '{transport}'")
-        if n_cells < 2 or dt <= 0 or epsilon <= 0:
-            raise ConfigError("need n_cells >= 2, dt > 0, epsilon > 0")
-        tau = _half_collision_time(dt, epsilon)
-        if not 0 <= drift_axis < model.drift.shape[1]:
-            raise ConfigError("drift_axis out of range for this model")
-        self.model = model
-        self.n_cells = int(n_cells)
+        _check_scheme(dt, epsilon, transport, drift_axis, model, (n_cells, model.n_nodes))
         self.dx = 1.0 / n_cells
         self.dt = float(dt)
-        self.epsilon = float(epsilon)
         self.transport = transport
-        self.drift_axis = int(drift_axis)
         self.speeds = model.drift[:, drift_axis] / epsilon
-        cfl = dt * np.max(np.abs(self.speeds)) / self.dx
-        if transport == "upwind" and cfl > 1.0 + 1e-12:
-            raise ConfigError(
-                f"CFL violated: dt*max|b|/(eps*dx) = {cfl:.3f} > 1"
-            )
-        self.half_collision = collision_propagator(model, tau)
-        k = np.arange(self.n_cells // 2 + 1)[:, None]
+        self.half_collision = collision_propagator(model, 0.5 * dt / epsilon**2)
+        k = np.arange(n_cells // 2 + 1)[:, None]
         if transport == "spectral":
             mult = np.exp(-2j * np.pi * k * (self.dt * self.speeds[None, :]))
         else:
             nu = self.courant = self.dt * self.speeds / self.dx
             self.from_left = self.speeds >= 0  # the upwind neighbour is x - dx
-            behind = np.exp(-2j * np.pi * k / self.n_cells)  # the mode of f(x - dx)
+            behind = np.exp(-2j * np.pi * k / n_cells)  # the mode of f(x - dx)
             mult = np.where(self.from_left, 1.0 - nu * (1.0 - behind),
                             1.0 + nu - nu * behind.conj())
-        if self.n_cells % 2 == 0:
+        if n_cells % 2 == 0:
             mult[-1] = mult[-1].real
         self.multiplier = mult
 
@@ -240,8 +268,8 @@ def local_equilibrium(rho0, model):
 
 
 def _prepare(model, f0, T, dt, epsilon, transport, drift_axis):
-    """The checked, unit-mass initial datum, the step count and the Stepper
-    of a run of :func:`evolve` or :func:`mode_marginals`."""
+    """The checked, unit-mass initial datum, the step count n >= 1 and the
+    Stepper of a run of :func:`evolve` or :func:`mode_marginals`."""
     f0 = np.asarray(f0, dtype=float)
     if f0.ndim == 1:
         f0 = local_equilibrium(f0, model)
@@ -256,10 +284,10 @@ def _prepare(model, f0, T, dt, epsilon, transport, drift_axis):
         raise DomainError("initial datum has no mass")
     f0 = f0 / mass
 
-    n_steps = int(round(T / dt))
-    if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
-        raise ConfigError("T must be an integer multiple of dt")
     stepper = Stepper(model, n_cells, dt, epsilon, transport, drift_axis)
+    n_steps = round(T / dt) if 0 < T < math.inf else 0
+    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
+        raise ConfigError(f"T = {T!r} is not a whole number n >= 1 of steps dt = {dt!r}")
     return f0, n_steps, stepper
 
 
@@ -330,10 +358,7 @@ def mode_marginals(model, f0, T, dt, epsilon=1.0, transport="upwind", drift_axis
             for part in (g_parts, j_hat[flushed:n + 1]):
                 part[np.abs(part) < _FLUSH_BELOW] = 0.0
             flushed = n + 1
-    if n_steps:
-        rho_hat = (model.weights @ half) @ h_parts
-    else:
-        rho_hat = model.weights @ f_parts
+    rho_hat = (model.weights @ half) @ h_parts
     rho_T = np.fft.irfft(rho_hat.view(complex), n_cells)
     return j_hat.view(complex), rho_T
 
@@ -399,8 +424,6 @@ def entropy_balance_check(traj, model):
     current is never formed.  The collision strength carries the 1/eps^2
     factor of rescaled runs.
     """
-    if traj.f.shape[0] < 2:
-        raise UsageError("need at least two time slices")
     scale = 1.0 / traj.epsilon**2
     w = model.weights
     residuals = np.empty(traj.n_steps)
@@ -458,11 +481,8 @@ def edi_certificate(traj, model, current_scale=1.0, tol=None):
     carrying the full certificate.
 
     Its working set (see the module notes) is allocated once, after
-    :func:`require_certificate_memory` has checked it.  A trajectory of
-    fewer than two time slices has no step to certify: :class:`UsageError`.
+    :func:`require_certificate_memory` has checked it.
     """
-    if traj.f.shape[0] < 2:
-        raise UsageError("need at least two time slices")
     n_x, n_v = traj.f.shape[1:]
     require_certificate_memory(traj.f.shape)
     scale = 1.0 / traj.epsilon**2
@@ -549,51 +569,26 @@ def save_trajectory(traj, directory):
 def load_trajectory(directory):
     """Read a trajectory written by :func:`save_trajectory`.
 
-    Raises ConfigError when ``meta.json`` or ``f.npy`` do not describe a
-    trajectory: ``dt`` and ``epsilon`` must be positive numbers, with
-    ``epsilon**2`` a normal float and ``0.5 dt / epsilon**2`` finite,
-    ``transport`` a known scheme and ``drift_axis`` an int; ``f`` must be a
-    float array of at least two frames, every value finite.  A ``times.npy``
-    or a ``dx`` key, which older runs wrote, is ignored: both follow from
-    ``dt`` and the shape of ``f``.
+    A ``meta.json`` or ``f.npy`` that cannot be read, or that :class:`Trajectory`
+    refuses, is a ConfigError naming ``directory``.  A ``times.npy`` or a ``dx``
+    key, which older runs wrote, is ignored: both follow from ``dt`` and ``f``.
     """
     try:
         with open(os.path.join(directory, "meta.json")) as fh:
             meta = json.load(fh)
-        f = np.load(os.path.join(directory, "f.npy"))
-    except ValueError as exc:  # JSONDecodeError, or not an array file
-        raise ConfigError(f"cannot read the trajectory {directory}: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise ConfigError(f"{directory}/meta.json must be an object")
-    for key in ("dt", "epsilon"):
-        value = meta.get(key)
-        if type(value) not in (int, float) or not 0 < value < np.inf:
-            raise ConfigError(f"{directory}/meta.json: {key} must be a positive number, "
-                              f"not {json.dumps(value)}")
-    try:
-        _half_collision_time(meta["dt"], meta["epsilon"])
-    except ConfigError as exc:
-        raise ConfigError(f"{directory}/meta.json: {exc}") from None
-    if meta.get("transport") not in TRANSPORT_SCHEMES:
-        raise ConfigError(f"{directory}/meta.json: transport must be one of "
-                          f"{TRANSPORT_SCHEMES}, not {json.dumps(meta.get('transport'))}")
-    if type(meta.get("drift_axis")) is not int:
-        raise ConfigError(f"{directory}/meta.json: drift_axis must be an int, "
-                          f"not {json.dumps(meta.get('drift_axis'))}")
-    if f.ndim != 3 or f.shape[0] < 2 or f.size == 0 or f.dtype.kind != "f":
-        raise ConfigError(f"{directory}/f.npy must be a nonempty float (n_t, n_x, n_v) array "
-                          f"of at least 2 frames, not {f.dtype} of shape {f.shape}")
-    if not np.isfinite(f).all():
-        raise ConfigError(f"{directory}/f.npy holds a value that is not finite")
-    return Trajectory(
-        f=f,
-        dt=float(meta["dt"]),
-        epsilon=float(meta["epsilon"]),
-        transport=meta["transport"],
-        drift_axis=meta["drift_axis"],
-        model_name=meta.get("model_name", "custom"),
-        model_fingerprint=meta.get("model_fingerprint"),
-    )
+        if not isinstance(meta, dict):
+            raise ConfigError("meta.json must be an object")
+        return Trajectory(
+            f=np.load(os.path.join(directory, "f.npy")),
+            dt=meta.get("dt"),
+            epsilon=meta.get("epsilon"),
+            transport=meta.get("transport"),
+            drift_axis=meta.get("drift_axis"),
+            model_name=meta.get("model_name", "custom"),
+            model_fingerprint=meta.get("model_fingerprint"),
+        )
+    except (ValueError, ConfigError) as exc:  # JSONDecodeError, not an array file, refused
+        raise ConfigError(f"{directory} is not a valid trajectory: {exc}") from exc
 
 
 def write_certificate_csv(traj, model, cert, path):

@@ -246,15 +246,16 @@ class TestKineticRunAndCertify:
         assert main(["kinetic-run", "--config", cfg]) == 2
 
     def test_run_of_no_step_is_a_config_error(self, tmp_path, capsys):
-        # T = 1e-11 passes the multiple-of-dt check but holds no step of dt
+        # T = 1e-11 is within the multiple-of-dt tolerance of 0 steps of dt
         cfg = write_cfg(tmp_path, {"model": {"kind": "lorentz", "n_nodes": 8},
                                    "solver": {"n_cells": 8, "dt": 0.01, "T": 1e-11}})
         out = tmp_path / "out"
         assert main(["kinetic-run", "--config", cfg, "--out", str(out)]) == 2
         diag = json.loads((out / "error.json").read_text())
-        assert diag["error"] == "UsageError"
-        assert "two time slices" in diag["message"]
+        assert diag["error"] == "ConfigError"
+        assert "whole number n >= 1 of steps" in diag["message"]
         assert "Traceback" not in capsys.readouterr().err
+        assert not (out / "trajectory").exists()  # refused before the run
 
     def test_certification_exit_code(self, tmp_path):
         cfg = write_cfg(
@@ -549,8 +550,11 @@ def with_value(f, value):
     ("f.npy", lambda f: with_value(f, np.nan)),
     ("f.npy", lambda f: with_value(f, -np.inf)),
     ("meta.json", lambda meta: dict(meta, epsilon=1e-200)),  # epsilon**2 == 0.0
+    ("meta.json", lambda meta: dict(meta, drift_axis=7)),  # the drift has 2 columns
+    ("meta.json", lambda meta: dict(meta, drift_axis=-1)),
+    ("meta.json", lambda meta: dict(meta, dt=1.0)),  # upwind CFL 8 on 8 cells
 ], ids=["no dt", "bad meta", "5 nodes", "one frame", "no cells", "nan frame", "inf frame",
-        "tiny epsilon"])
+        "tiny epsilon", "drift_axis 7", "drift_axis -1", "CFL 8"])
 def test_certify_refuses_a_malformed_trajectory(tmp_path, capsys, small_trajectory,
                                                 name, damage):
     traj = tmp_path / "trajectory"

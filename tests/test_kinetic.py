@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import json
 
 import mpmath
 import numpy as np
@@ -14,7 +15,6 @@ from linboltz import (
     DomainError,
     LorentzSpec,
     NumericalQualityError,
-    UsageError,
     build_lorentz,
 )
 from linboltz import kinetic
@@ -312,13 +312,12 @@ class TestModeMarginals:
     def test_modes_give_the_marginals_of_the_frames(self, transport, n_cells):
         m = build_lorentz(LorentzSpec(8))
         f0 = np.random.default_rng(n_cells).uniform(0.5, 2.0, (n_cells, 8))
-        for T, dt in ((0.02, 0.002), (1e-12, 0.002)):  # ten steps, and none
-            j_modes, rho_T = mode_marginals(m, f0, T, dt, 0.5, transport, 1)
-            j_ref, rho_ref = self.frame_marginals(m, f0, T, dt, 0.5, transport, 1)
-            assert j_modes.shape == (len(j_ref), n_cells // 2 + 1)
-            j_path = np.fft.irfft(j_modes, n_cells, axis=1)
-            assert np.max(np.abs(j_path - j_ref)) < 1e-14
-            assert np.max(np.abs(rho_T - rho_ref)) < 1e-14
+        j_modes, rho_T = mode_marginals(m, f0, 0.02, 0.002, 0.5, transport, 1)
+        j_ref, rho_ref = self.frame_marginals(m, f0, 0.02, 0.002, 0.5, transport, 1)
+        assert j_modes.shape == (len(j_ref), n_cells // 2 + 1) == (11, n_cells // 2 + 1)
+        j_path = np.fft.irfft(j_modes, n_cells, axis=1)
+        assert np.max(np.abs(j_path - j_ref)) < 1e-14
+        assert np.max(np.abs(rho_T - rho_ref)) < 1e-14
 
     @pytest.mark.parametrize("transport", ["upwind", "spectral"])
     def test_flushing_tiny_state_entries_keeps_the_outputs(self, monkeypatch, transport):
@@ -351,6 +350,8 @@ class TestModeMarginals:
     def test_checks_like_evolve(self):
         with pytest.raises(ConfigError):
             mode_marginals(two_node_model(), bump_rho(8), T=0.05, dt=0.02)
+        with pytest.raises(ConfigError, match="whole number n >= 1"):  # a horizon of no step
+            mode_marginals(two_node_model(), bump_rho(8), T=1e-12, dt=0.002)
         with pytest.raises(DomainError):
             mode_marginals(two_node_model(), -bump_rho(8), T=0.04, dt=0.02)
         with pytest.raises(ConfigError):  # CFL
@@ -547,10 +548,9 @@ class TestEntropyBalance:
 
 class TestEdiCertificate:
     def test_refuses_a_single_frame(self):
-        m = build_lorentz(LorentzSpec(8))
-        traj = Trajectory(f=np.ones((1, 4, 8)), dt=0.01, epsilon=1.0, transport="upwind")
-        with pytest.raises(UsageError, match="two time slices"):
-            edi_certificate(traj, m)
+        # a trajectory holds a step to certify by construction
+        with pytest.raises(ConfigError, match="at least 2 frames"):
+            Trajectory(f=np.ones((1, 4, 8)), dt=0.01, epsilon=1.0, transport="upwind")
 
     def test_stationary_all_terms_zero(self):
         m = two_node_model()
@@ -659,3 +659,48 @@ class TestPersistence:
             float(f"{cert.kinematic_value:.12g}"), rel=1e-12
         )
         assert cert.kinematic_value > 0.0
+
+
+# each bad in one field of the scheme dt = 0.01, eps = 1, upwind, axis 0 of
+# Lorentz-8, whose drift has 2 columns
+BAD_SCHEMES = {
+    "weno": {"transport": "weno"},
+    "dt 0": {"dt": 0.0},
+    "dt nan": {"dt": np.nan},
+    "tiny epsilon": {"epsilon": 1e-200},  # epsilon**2 == 0.0
+    "axis 2": {"drift_axis": 2},
+    "axis -1": {"drift_axis": -1},
+    "axis True": {"drift_axis": True},
+}
+
+
+@pytest.mark.parametrize("change", BAD_SCHEMES.values(), ids=BAD_SCHEMES)
+def test_every_entry_point_refuses_a_bad_scheme_with_one_message(tmp_path, change):
+    m = build_lorentz(LorentzSpec(8))
+    scheme = dict({"dt": 0.01, "epsilon": 1.0, "transport": "upwind", "drift_axis": 0},
+                  **change)
+    T = scheme["dt"]  # one step; the sweep picks its own dt, at most T
+    rho0 = bump_rho(8)
+    runs = {
+        "Stepper": lambda: Stepper(m, 8, **scheme),
+        "evolve": lambda: evolve(m, rho0, T, **scheme),
+        "mode_marginals": lambda: mode_marginals(m, rho0, T, **scheme),
+        "sweep": lambda: sweep(m, rho0, [scheme["epsilon"]], T, scheme["transport"],
+                               scheme["drift_axis"]),
+    }
+    frames = np.ones((2, 8, 8))
+    if change != {"drift_axis": 2}:  # only a model tells that axis 2 is out of range
+        runs["Trajectory"] = lambda: Trajectory(frames, **scheme)
+        save_trajectory(Trajectory(frames, 0.01, 1.0, "upwind"), tmp_path)
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        (tmp_path / "meta.json").write_text(json.dumps(dict(meta, **change)))
+        runs["load_trajectory"] = lambda: load_trajectory(tmp_path)
+    messages = {}
+    for name, run in runs.items():
+        with pytest.raises(ConfigError) as info:
+            run()
+        messages[name] = str(info.value)
+    message = messages["Stepper"]
+    if "load_trajectory" in messages:
+        assert messages.pop("load_trajectory") == f"{tmp_path} is not a valid trajectory: {message}"
+    assert set(messages.values()) == {message}

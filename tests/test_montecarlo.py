@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linboltz import (ConfigError, LorentzSpec, NumericalQualityError, build_lorentz,
-                      build_model)
+from linboltz import (ConfigError, DomainError, LorentzSpec, NumericalQualityError,
+                      build_lorentz, build_model)
 from linboltz.montecarlo import (
     McConfig,
     _count_below,
@@ -61,6 +61,14 @@ class TestBatch:
 
 
 class TestEstimate:
+    def test_refuses_a_model_with_a_zero_rate_node(self):
+        # kernel 2 between the outer nodes only: the middle node never jumps
+        m = VelocityModel(nodes=np.arange(3.0)[:, None], weights=np.array([0.25, 0.5, 0.25]),
+                          drift=np.array([[1.0], [0.0], [-1.0]]),
+                          sigma=np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
+        with pytest.raises(DomainError, match="lambda > 0"):
+            estimate_D(m, McConfig(n_paths=64, horizon=1.0, n_batches=4))
+
     def test_bit_identical_reruns(self):
         m = two_node_model()
         cfg = McConfig(n_paths=2000, horizon=5.0, seed=11, n_batches=8)

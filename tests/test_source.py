@@ -1,5 +1,6 @@
-"""Source hygiene of the package: no module imports a name it never uses, and
-no module-level private function is left without a caller.
+"""Source hygiene of the package: no module imports a name it never uses, no
+module-level private function is left without a caller, and no attribute that
+an ``__init__`` sets is left unread.
 
 Each module of ``src/linboltz`` but ``__init__.py`` (which imports to
 re-export) is parsed with ``ast``; a name counts as used where it is read as
@@ -12,6 +13,7 @@ import pathlib
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "linboltz"
+TESTS = pathlib.Path(__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -67,3 +69,36 @@ def test_every_private_function_has_a_caller():
             if not callers:
                 orphans.append(f"{module}:{stmt.lineno} {name}")
     assert not orphans, f"private functions that nothing references: {orphans}"
+
+
+def attributes_read(tree):
+    """Every attribute name read in ``tree`` (``obj.name`` in a load)."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_attribute_set_in_an_init_is_read():
+    # an attribute of the same name on another object is read in many places
+    # (traj.epsilon), so a read counts only where the class is in sight: as
+    # self.name in the class, or in a function that names the class
+    trees = [parse(path) for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))]
+    functions = [node for tree in trees for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    unread = []
+    for cls in (node for tree in trees for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef)):
+        init = next((s for s in cls.body
+                     if isinstance(s, ast.FunctionDef) and s.name == "__init__"), None)
+        if init is None:
+            continue
+        set_on_self = {node.attr for node in ast.walk(init)
+                       if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                       and isinstance(node.value, ast.Name) and node.value.id == "self"}
+        read = {node.attr for node in ast.walk(cls)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"}
+        for function in functions:
+            if cls.name in names_read(function):
+                read |= attributes_read(function)
+        unread += [f"{cls.name}.{name}" for name in sorted(set_on_self - read)]
+    assert not unread, f"attributes set in an __init__ that nothing reads: {unread}"
