@@ -9,7 +9,8 @@ Subcommands:
   diffusive-sweep epsilon sweep against the heat reference
   mc-estimate     Monte Carlo estimate of D
 
-Each reads one JSON config, typed by :class:`Config` (see ``_typed``).
+Each reads one JSON config, typed by :class:`Config` (see ``_typed``).  Runs move
+along the drift's first axis; ``diffusive-sweep``'s heat flow has D[0, 0].
 
 Exit codes: 0 success; 2 configuration error (an unknown key, a ``solver`` key
 that the subcommand refuses: ``eps_list`` or ``dt_scale`` in ``kinetic-run``,
@@ -17,7 +18,8 @@ that the subcommand refuses: ``eps_list`` or ``dt_scale`` in ``kinetic-run``,
 a file that cannot be read or written, a model that fails its numerical checks,
 a ``T`` that holds no step of ``dt``, a scheme that ``kinetic._check_scheme``
 refuses, a trajectory certified against a model that did not produce it or could
-not have run its scheme, or whose frames are malformed, a model kernel, frame,
+not have run its scheme (such as one along another drift column), or whose frames
+are malformed, a model kernel, frame,
 trajectory, certificate working set, sweep current path or Monte Carlo batch
 larger than physical memory, or any other ``MemoryError``); 3 certification
 failure; 4 convergence failure (also numpy's ``LinAlgError``).  A nonzero exit writes
@@ -42,7 +44,7 @@ from . import velocity
 from .diffusive import config_hash, sweep, write_manifest, write_sweep_csv
 from .errors import (CertificationError, ConfigError, ConvergenceError, LinboltzError,
                      require_memory)
-from .kinetic import (_check_scheme, edi_certificate, load_trajectory,
+from .kinetic import (_check_scheme, _step_count, edi_certificate, load_trajectory,
                       require_certificate_memory, save_trajectory, simulate,
                       write_certificate_csv)
 from .montecarlo import McConfig, estimate_D, write_mc_csv, write_mc_json
@@ -63,7 +65,6 @@ class SolverConfig:
     epsilon: float = 1.0
     eps_list: list[float] | None = None
     transport: str = "upwind"
-    drift_axis: int = 0
     rho0_amplitude: float = 0.5
     rho0_mode: int = 1
     dt_scale: float = 1.0
@@ -81,11 +82,10 @@ class FunctionalConfig:
     """The ``functional`` block."""
 
     cert_tol: float | None = None
-    poisson_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.poisson_tol <= 0 or (self.cert_tol is not None and self.cert_tol <= 0):
-            raise ConfigError("functional: cert_tol and poisson_tol must be positive")
+        if self.cert_tol is not None and self.cert_tol <= 0:
+            raise ConfigError("functional: cert_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -207,7 +207,7 @@ def cmd_model_info(args):
 def cmd_diffusion(args):
     raw, cfg = load_config(args.config)
     model = cfg.build_model()
-    sol = velocity.poisson_solve(model, tol=cfg.functional.poisson_tol)
+    sol = velocity.poisson_solve(model)
     D, asym = velocity.diffusion_matrix(model, sol)
     print(f"model: {model.name}")
     print(f"poisson iterations: {sol.iterations}, residual {sol.residual:.3e}")
@@ -230,9 +230,9 @@ def cmd_kinetic_run(args):
     s = cfg.solver
     if s.dt is None:
         raise ConfigError("kinetic-run needs solver.dt")
-    require_certificate_memory((round(s.T / s.dt) + 1, s.n_cells, model.n_nodes))
+    require_certificate_memory((_step_count(s.T, s.dt) + 1, s.n_cells, model.n_nodes))
     traj = simulate(model, _rho0(s, model), s.T, s.dt, epsilon=s.epsilon,
-                    transport=s.transport, drift_axis=s.drift_axis)
+                    transport=s.transport)
     out = _outdir(args)
     traj_dir = os.path.join(out, "trajectory")
     save_trajectory(traj, traj_dir)
@@ -258,8 +258,7 @@ def cmd_certify(args):
     if traj.model_fingerprint != model.fingerprint:
         raise ConfigError(f"{args.trajectory} was not produced by this config's model "
                           f"(its model fingerprint: {traj.model_fingerprint})")
-    _check_scheme(traj.dt, traj.epsilon, traj.transport, traj.drift_axis, model,
-                  traj.f.shape[1:])
+    _check_scheme(traj.dt, traj.epsilon, traj.transport, model, traj.f.shape[1:])
     _certify(traj, model, cfg, raw, _outdir(args))
     return EXIT_OK
 
@@ -271,10 +270,7 @@ def cmd_diffusive_sweep(args):
     if not s.eps_list:
         raise ConfigError("diffusive-sweep needs solver.eps_list")
     model = cfg.build_model()
-    report = sweep(
-        model, _rho0(s, model), s.eps_list, s.T, transport=s.transport,
-        drift_axis=s.drift_axis, dt_scale=s.dt_scale, poisson_tol=cfg.functional.poisson_tol,
-    )
+    report = sweep(model, _rho0(s, model), s.eps_list, s.T, s.transport, s.dt_scale)
     out = _outdir(args)
     write_sweep_csv(report, os.path.join(out, "sweep.csv"))
     write_manifest(report, raw, os.path.join(out, "sweep_manifest.json"))

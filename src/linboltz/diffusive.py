@@ -6,6 +6,8 @@ D = pi(b (x) (-L)^{-1} b).  The sweep runs the kinetic solver for a list of
 epsilon values on the n = rho0.size equal cells of the periodic unit
 interval, compares rho_eps(T) with the exact spectral heat solution in
 L1/L2, and the time-integrated currents weakly with a fixed test bank.
+The interval lies along the drift's first axis, as in :mod:`linboltz.kinetic`,
+so the heat flow on it has the diffusivity ``d_axis`` = D[0, 0].
 
 Each run, upwind or spectral, is stepped on the rfft modes of f by
 :func:`linboltz.kinetic.mode_marginals`: the same Strang steps as the
@@ -21,6 +23,7 @@ field.
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass
 
@@ -28,10 +31,10 @@ import numpy as np
 
 from .errors import ConfigError, require_memory
 from .heat import HeatFlow
-from .kinetic import _check_scheme, mode_marginals, simulate
+from .kinetic import _check_scheme, _step_count, mode_marginals, simulate
 from .velocity import diffusion_matrix, poisson_solve
 
-CFL = 0.5  # auto_dt's upwind stability cap, dt <= CFL * eps * dx / max|b|
+CFL = 0.5  # _auto_dt's upwind stability cap, dt <= CFL * eps * dx / max|b|
 SPLITTING_QUALITY = 0.03  # and its Strang cap, dt <= SPLITTING_QUALITY * eps^2
 
 
@@ -77,7 +80,7 @@ def _heat_current_pairings(flow, times, weights):
     return (weights.conj() * modes).real @ decay.T
 
 
-def auto_dt(model, epsilon, T, n_cells, drift_axis=0, dt_scale=1.0):
+def _auto_dt(model, epsilon, T, n_cells, dt_scale=1.0):
     """Largest dt of the form T/n below both stability and accuracy caps.
 
     The CFL cap dt <= CFL * eps * dx / max|b| keeps upwind transport
@@ -85,37 +88,39 @@ def auto_dt(model, epsilon, T, n_cells, drift_axis=0, dt_scale=1.0):
     size of the Strang splitting error, at every eps: that error does not
     shrink with eps, while the physical error falls as eps^2 (on Lorentz-64,
     64 cells, T = 0.5, it is 92% of the L1 error at eps = 0.0125).
-    ``dt_scale`` then multiplies that step, rounded to the nearest T/n.
+    ``dt_scale`` then multiplies that step, rounded to the nearest T/n.  A
+    step count that overflows a float is a ConfigError.
     """
-    bmax = float(np.max(np.abs(model.drift[:, drift_axis])))
+    bmax = float(np.max(np.abs(model.drift[:, 0])))
     if bmax == 0:
-        raise ConfigError("drift vanishes along the chosen axis")
+        raise ConfigError("the drift's first column vanishes")
     dx = 1.0 / n_cells
     target = min(CFL * epsilon * dx / bmax, SPLITTING_QUALITY * epsilon**2)
-    n_steps = max(1, int(np.ceil(T / target)))
-    return T / max(1, round(n_steps / dt_scale))
+    try:
+        n_steps = round(max(1, math.ceil(float(T) / float(target))) / dt_scale)
+    except OverflowError:  # a step count past the largest float
+        raise ConfigError(f"epsilon = {epsilon!r} and dt_scale = {dt_scale!r} make more "
+                          f"steps of T = {T!r} than a float counts") from None
+    return T / max(1, n_steps)
 
 
-def _check_rescaled(model, rho0, eps_list, T, transport, drift_axis):
-    """rho0 as a 1d array, once every epsilon makes a scheme of ``model`` with
-    steps of at most T, so that :func:`auto_dt` may index the drift."""
+def _check_rescaled(rho0, eps_list, T, transport):
+    """rho0 as a 1d array, once every epsilon makes a scheme with steps of at
+    most T, so that :func:`_auto_dt` may divide by it."""
     rho0 = np.asarray(rho0, dtype=float)
     if rho0.ndim != 1:
         raise ConfigError("rho0 must be a 1d profile, one value per cell")
     for eps in eps_list:
-        _check_scheme(T, eps, transport, drift_axis, model)
+        _check_scheme(T, eps, transport)
     return rho0
 
 
-def rescaled_run(model, rho0, epsilon, T, dt=None, transport="spectral", drift_axis=0):
+def rescaled_run(model, rho0, epsilon, T, dt=None, transport="spectral"):
     """Run the rescaled kinetic equation from local equilibrium rho0 (x) 1."""
-    rho0 = _check_rescaled(model, rho0, [epsilon], T, transport, drift_axis)
+    rho0 = _check_rescaled(rho0, [epsilon], T, transport)
     if dt is None:
-        dt = auto_dt(model, epsilon, T, rho0.size, drift_axis=drift_axis)
-    return simulate(
-        model, rho0, T, dt, epsilon=epsilon, transport=transport,
-        drift_axis=drift_axis,
-    )
+        dt = _auto_dt(model, epsilon, T, rho0.size)
+    return simulate(model, rho0, T, dt, epsilon=epsilon, transport=transport)
 
 
 @dataclass(frozen=True)
@@ -168,8 +173,7 @@ def _bonj_probe(pairings, dx, dt):
     return best
 
 
-def sweep(model, rho0, eps_list, T, transport="spectral", drift_axis=0, dt_scale=1.0,
-          poisson_tol=1e-12):
+def sweep(model, rho0, eps_list, T, transport="spectral", dt_scale=1.0):
     """Compare the rescaled kinetic flow against the heat reference on rho0's grid.
 
     ``dt_scale`` < 1 refines every auto-selected time step by that factor
@@ -179,23 +183,22 @@ def sweep(model, rho0, eps_list, T, transport="spectral", drift_axis=0, dt_scale
     against physical memory, are checked before the first one starts.
     """
     eps_list = sorted((float(e) for e in eps_list), reverse=True)
-    rho0 = _check_rescaled(model, rho0, eps_list, T, transport, drift_axis)
+    rho0 = _check_rescaled(rho0, eps_list, T, transport)
     n_cells = rho0.size
     bank = default_test_bank(n_cells)
     dts = []
     for eps in eps_list:
-        dt = auto_dt(model, eps, T, n_cells, drift_axis=drift_axis, dt_scale=dt_scale)
-        _check_scheme(dt, eps, transport, drift_axis, model, (n_cells, model.n_nodes))
+        dt = _auto_dt(model, eps, T, n_cells, dt_scale)
+        _check_scheme(dt, eps, transport, model, (n_cells, model.n_nodes))
         # per time: the modes of j (n_cells // 2 + 1 complex), which the heat
         # decay matrix (n_cells // 2 + 1 floats) replaces, and per test field
         # the pairings and _bonj_probe's window sums (at most 5 floats)
-        require_memory((round(T / dt) + 1, 2 * (n_cells // 2 + 1) + 5 * len(bank)),
+        require_memory((_step_count(T, dt) + 1, 2 * (n_cells // 2 + 1) + 5 * len(bank)),
                        f"the current paths of the eps={eps:g} run")
         dts.append(dt)
 
-    sol = poisson_solve(model, tol=poisson_tol)
-    D, _ = diffusion_matrix(model, sol)
-    d_axis = float(D[drift_axis, drift_axis])
+    D, _ = diffusion_matrix(model, poisson_solve(model))
+    d_axis = float(D[0, 0])
 
     flow = HeatFlow(rho0, d_axis)
     rho_heat_T = flow.rho_at(T)
@@ -205,8 +208,7 @@ def sweep(model, rho0, eps_list, T, transport="spectral", drift_axis=0, dt_scale
     rows = []
     for eps, dt in zip(eps_list, dts):
         t0 = time.perf_counter()
-        j_modes, rho_T = mode_marginals(model, rho0, T, dt, epsilon=eps,
-                                        transport=transport, drift_axis=drift_axis)
+        j_modes, rho_T = mode_marginals(model, rho0, T, dt, epsilon=eps, transport=transport)
         l1 = float(dx * np.sum(np.abs(rho_T - rho_heat_T)))
         l2 = float(np.sqrt(dx * np.sum((rho_T - rho_heat_T) ** 2)))
 

@@ -2,9 +2,10 @@
 
 The unknown f(t, x, v_i) lives on a periodic 1d spatial grid of n_x cells
 and the velocity nodes of a :class:`~linboltz.velocity.VelocityModel`.  The
-evolution
+interval lies along the drift's first axis, b_i1 = ``model.drift[i, 0]``, so
+the diffusive sweep's ``d_axis`` is D[0, 0].  The evolution
 
-    df/dt + (b_i . e / eps) df/dx = (1/eps^2) (L f)_i
+    df/dt + (b_i1 / eps) df/dx = (1/eps^2) (L f)_i
 
 is integrated by Strang splitting: half collision step with the exact
 matrix exponential (positivity- and mass-preserving, entropy-decreasing),
@@ -47,9 +48,9 @@ from it.  That is n_x n_v (2 n_v - 1) floats, 14.7 MB for Rayleigh-120 on
 working set and trajectory together exceed physical memory before anything
 is allocated (the ``kinetic-run`` CLI checks it before it simulates).
 
-A run's scheme (dt, eps, the transport and the drift axis) is checked in one
-place, :func:`_check_scheme`, which the :class:`Stepper`, every
-:class:`Trajectory`, the diffusive sweep and the ``certify`` CLI call.
+A run's scheme (dt, eps and the transport) is checked in one place,
+:func:`_check_scheme`, which the :class:`Stepper`, every :class:`Trajectory`,
+the diffusive sweep and the ``certify`` CLI call.
 """
 
 import csv
@@ -88,12 +89,11 @@ _FLUSH_EVERY = 64
 _FLUSH_BELOW = 1e-290
 
 
-def _check_scheme(dt, epsilon, transport, drift_axis, model=None, frame_shape=None):
+def _check_scheme(dt, epsilon, transport, model=None, frame_shape=None):
     """ConfigError unless this is the scheme of a run: dt > 0 and eps > 0
-    finite, eps^2 a normal float, 0.5 dt / eps^2 finite, a transport of
-    ``TRANSPORT_SCHEMES`` and an int axis >= 0 (not a bool).  Given the
-    ``model``, the axis indexes its drift; given also a frame's shape
-    (n_x, n_v), n_x >= 2, n_v is the model's and upwind CFL <= 1 + 1e-12.
+    finite, eps^2 a normal float, 0.5 dt / eps^2 finite and a transport of
+    ``TRANSPORT_SCHEMES``.  Given the ``model`` and a frame's shape (n_x, n_v),
+    also n_x >= 2, n_v is the model's and upwind CFL <= 1 + 1e-12.
     """
     if transport not in TRANSPORT_SCHEMES:
         raise ConfigError(f"unknown transport scheme {transport!r}")
@@ -105,17 +105,13 @@ def _check_scheme(dt, epsilon, transport, drift_axis, model=None, frame_shape=No
     if not (sys.float_info.min <= eps2 <= sys.float_info.max and 0.5 * float(dt) / eps2 < math.inf):
         raise ConfigError(f"epsilon = {epsilon!r} does not suit dt = {dt!r}: epsilon**2 "
                           "must be a normal float and 0.5 dt / epsilon**2 finite")
-    if (isinstance(drift_axis, bool) or not isinstance(drift_axis, numbers.Integral)
-            or not 0 <= drift_axis < (math.inf if model is None else model.dim_x)):
-        raise ConfigError("drift_axis must be an int from 0 to the model's dim_x - 1, "
-                          f"not {drift_axis!r}")
-    if frame_shape is None:
+    if model is None:
         return
     n_x, n_v = frame_shape
     if n_x < 2 or n_v != model.n_nodes:
         raise ConfigError(f"a frame of {n_x} cells and {n_v} velocity nodes is not on a grid "
                           f"of at least 2 cells and the model's {model.n_nodes} nodes")
-    cfl = dt * n_x * float(np.max(np.abs(model.drift[:, drift_axis]))) / epsilon
+    cfl = dt * n_x * float(np.max(np.abs(model.drift[:, 0]))) / epsilon
     if transport == "upwind" and cfl > 1.0 + 1e-12:
         raise ConfigError(f"CFL violated: dt*max|b|/(eps*dx) = {cfl:.3f} > 1")
 
@@ -134,12 +130,11 @@ class Trajectory:
     dt: float
     epsilon: float
     transport: str
-    drift_axis: int = 0
     model_name: str = "custom"
     model_fingerprint: str | None = None  # VelocityModel.fingerprint
 
     def __post_init__(self):
-        _check_scheme(self.dt, self.epsilon, self.transport, self.drift_axis)
+        _check_scheme(self.dt, self.epsilon, self.transport)
         f = np.asarray(self.f)
         if f.ndim != 3 or len(f) < 2 or f.size == 0 or f.dtype.kind != "f":
             raise ConfigError("f must be a nonempty float (n_t, n_x, n_v) array of at least "
@@ -223,13 +218,12 @@ class Stepper:
     part, as ``irfft`` does, so steps on the modes stay those on the frames.
     """
 
-    def __init__(self, model, n_cells, dt, epsilon=1.0, transport="upwind",
-                 drift_axis=0):
-        _check_scheme(dt, epsilon, transport, drift_axis, model, (n_cells, model.n_nodes))
+    def __init__(self, model, n_cells, dt, epsilon=1.0, transport="upwind"):
+        _check_scheme(dt, epsilon, transport, model, (n_cells, model.n_nodes))
         self.dx = 1.0 / n_cells
         self.dt = float(dt)
         self.transport = transport
-        self.speeds = model.drift[:, drift_axis] / epsilon
+        self.speeds = model.drift[:, 0] / epsilon
         self.half_collision = collision_propagator(model, 0.5 * dt / epsilon**2)
         k = np.arange(n_cells // 2 + 1)[:, None]
         if transport == "spectral":
@@ -267,7 +261,17 @@ def local_equilibrium(rho0, model):
     return np.repeat(rho0[:, None], model.n_nodes, axis=1)
 
 
-def _prepare(model, f0, T, dt, epsilon, transport, drift_axis):
+def _step_count(T, dt):
+    """The n >= 1 with |n dt - T| <= 1e-9 max(T, 1), else ConfigError (also
+    where T / dt is not finite): the step count of a run to time T."""
+    ratio = float(T) / float(dt)
+    n_steps = round(ratio) if math.isfinite(ratio) else 0
+    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
+        raise ConfigError(f"T = {T!r} is not a whole number n >= 1 of steps dt = {dt!r}")
+    return n_steps
+
+
+def _prepare(model, f0, T, dt, epsilon, transport):
     """The checked, unit-mass initial datum, the step count n >= 1 and the
     Stepper of a run of :func:`evolve` or :func:`mode_marginals`."""
     f0 = np.asarray(f0, dtype=float)
@@ -284,14 +288,11 @@ def _prepare(model, f0, T, dt, epsilon, transport, drift_axis):
         raise DomainError("initial datum has no mass")
     f0 = f0 / mass
 
-    stepper = Stepper(model, n_cells, dt, epsilon, transport, drift_axis)
-    n_steps = round(T / dt) if 0 < T < math.inf else 0
-    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
-        raise ConfigError(f"T = {T!r} is not a whole number n >= 1 of steps dt = {dt!r}")
-    return f0, n_steps, stepper
+    stepper = Stepper(model, n_cells, dt, epsilon, transport)
+    return f0, _step_count(T, dt), stepper
 
 
-def evolve(model, f0, T, dt, epsilon=1.0, transport="upwind", drift_axis=0):
+def evolve(model, f0, T, dt, epsilon=1.0, transport="upwind"):
     """The step count n and an iterator over the frames f(0), f(dt), ..., f(n dt = T).
 
     ``f0`` is either a full (n_x, n_v) array or a 1d density rho0(x), in
@@ -300,7 +301,7 @@ def evolve(model, f0, T, dt, epsilon=1.0, transport="upwind", drift_axis=0):
     returns.  Each frame is computed when the iterator reaches it; keeping
     it is up to the caller.
     """
-    f0, n_steps, stepper = _prepare(model, f0, T, dt, epsilon, transport, drift_axis)
+    f0, n_steps, stepper = _prepare(model, f0, T, dt, epsilon, transport)
     return n_steps, _frames(stepper, f0, n_steps)
 
 
@@ -311,7 +312,7 @@ def _frames(stepper, f, n_steps):
         yield f
 
 
-def mode_marginals(model, f0, T, dt, epsilon=1.0, transport="upwind", drift_axis=0):
+def mode_marginals(model, f0, T, dt, epsilon=1.0, transport="upwind"):
     """The rfft modes of the current path j(t_n, x) at every step t_n = n dt
     and the density rho(T, x) of the run :func:`evolve` steps, computed on the
     rfft modes of f.
@@ -334,10 +335,10 @@ def mode_marginals(model, f0, T, dt, epsilon=1.0, transport="upwind", drift_axis
     entries below 1e-290 in magnitude, far below the rounding of the values
     they feed, are set to zero.
     """
-    f0, n_steps, stepper = _prepare(model, f0, T, dt, epsilon, transport, drift_axis)
+    f0, n_steps, stepper = _prepare(model, f0, T, dt, epsilon, transport)
     n_cells = f0.shape[0]
     half = stepper.half_collision
-    to_j = model.weights * model.drift[:, drift_axis] / epsilon
+    to_j = model.weights * model.drift[:, 0] / epsilon
     # (n_v, n_modes) complex arrays; their float views (n_v, 2 n_modes) hold
     # the [Re, Im] parts of every mode, so a real matmul acts on both at once
     f_parts = np.ascontiguousarray(np.fft.rfft(f0, axis=0).T).view(float)
@@ -363,28 +364,20 @@ def mode_marginals(model, f0, T, dt, epsilon=1.0, transport="upwind", drift_axis
     return j_hat.view(complex), rho_T
 
 
-def simulate(model, f0, T, dt, epsilon=1.0, transport="upwind", drift_axis=0):
+def simulate(model, f0, T, dt, epsilon=1.0, transport="upwind"):
     """Integrate to time T and return the full trajectory (see :func:`evolve`).
 
     A trajectory larger than physical memory is refused with
     :class:`ConfigError` before it is allocated.
     """
-    n_steps, frames = evolve(model, f0, T, dt, epsilon, transport, drift_axis)
+    n_steps, frames = evolve(model, f0, T, dt, epsilon, transport)
     n_cells = np.shape(f0)[0]
     shape = (n_steps + 1, n_cells, model.n_nodes)
     require_memory(shape, "the trajectory")
     f = np.empty(shape)
     for n, frame in enumerate(frames):
         f[n] = frame
-    return Trajectory(
-        f=f,
-        dt=dt,
-        epsilon=epsilon,
-        transport=transport,
-        drift_axis=drift_axis,
-        model_name=model.name,
-        model_fingerprint=model.fingerprint,
-    )
+    return Trajectory(f, dt, epsilon, transport, model.name, model.fingerprint)
 
 
 def current_of(f_slice, model, out=None):
@@ -554,14 +547,8 @@ def save_trajectory(traj, directory):
     """Persist a trajectory as a directory: ``meta.json`` and ``f.npy``."""
     os.makedirs(directory, exist_ok=True)
     np.save(os.path.join(directory, "f.npy"), traj.f)
-    meta = {
-        "dt": traj.dt,
-        "epsilon": traj.epsilon,
-        "transport": traj.transport,
-        "drift_axis": traj.drift_axis,
-        "model_name": traj.model_name,
-        "model_fingerprint": traj.model_fingerprint,
-    }
+    meta = {key: getattr(traj, key)
+            for key in ("dt", "epsilon", "transport", "model_name", "model_fingerprint")}
     with open(os.path.join(directory, "meta.json"), "w") as fh:
         json.dump(meta, fh, sort_keys=True, indent=1)
 
@@ -572,18 +559,23 @@ def load_trajectory(directory):
     A ``meta.json`` or ``f.npy`` that cannot be read, or that :class:`Trajectory`
     refuses, is a ConfigError naming ``directory``.  A ``times.npy`` or a ``dx``
     key, which older runs wrote, is ignored: both follow from ``dt`` and ``f``.
+    So is their ``"drift_axis": 0``; another value is refused, as that run
+    moved along another drift column, whose CFL is not checked.
     """
     try:
         with open(os.path.join(directory, "meta.json")) as fh:
             meta = json.load(fh)
         if not isinstance(meta, dict):
             raise ConfigError("meta.json must be an object")
+        axis = meta.get("drift_axis", 0)
+        if type(axis) is not int or axis != 0:
+            raise ConfigError(f"meta.json: the run moved along drift column {axis!r}, "
+                              "not the first")
         return Trajectory(
             f=np.load(os.path.join(directory, "f.npy")),
             dt=meta.get("dt"),
             epsilon=meta.get("epsilon"),
             transport=meta.get("transport"),
-            drift_axis=meta.get("drift_axis"),
             model_name=meta.get("model_name", "custom"),
             model_fingerprint=meta.get("model_fingerprint"),
         )

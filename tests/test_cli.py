@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 from linboltz import cli, models
 from linboltz.cli import main
+from linboltz.errors import ConfigError
+from linboltz.kinetic import evolve
 from linboltz.montecarlo import McConfig
 
 
@@ -75,7 +77,7 @@ class TestConfigValidation:
         ("kinetic-run", lorentz_cfg(solver={"T": float("nan"), "dt": 0.01})),
         ("diffusion", lorentz_cfg(seed=True)),
         ("mc-estimate", lorentz_cfg(seed=-1, mc={"n_paths": 64, "n_batches": 4})),
-        ("diffusive-sweep", lorentz_cfg(solver={"eps_list": [0.5], "drift_axis": 2})),
+        ("diffusive-sweep", lorentz_cfg(solver={"eps_list": [0.5], "drift_axis": 0})),
         # keys that nothing reads are unknown keys
         ("diffusion", lorentz_cfg(functional={"delta": 1e-300})),
         ("diffusion", lorentz_cfg(functional={"cap": 1e300})),
@@ -86,6 +88,13 @@ class TestConfigValidation:
                                             "transport": "spectral"})),
         ("kinetic-run", lorentz_cfg(solver={"dt": 0.01, "T": 0.02, "epsilon": 1e-160,
                                             "transport": "spectral"})),
+        # a key that nothing reads
+        ("diffusion", lorentz_cfg(functional={"poisson_tol": 1e-12})),
+        # T / dt overflows to inf, so it counts no whole number of steps
+        ("kinetic-run", lorentz_cfg(solver={"dt": 1e-320, "T": 0.02})),
+        # the sweep's own step count overflows
+        ("diffusive-sweep", lorentz_cfg(solver={"eps_list": [1.6e-154]})),
+        ("diffusive-sweep", lorentz_cfg(solver={"eps_list": [0.5], "dt_scale": 1e-310})),
     ])
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, command, payload):
         cfg = write_cfg(tmp_path, payload)
@@ -256,6 +265,12 @@ class TestKineticRunAndCertify:
         assert "whole number n >= 1 of steps" in diag["message"]
         assert "Traceback" not in capsys.readouterr().err
         assert not (out / "trajectory").exists()  # refused before the run
+
+    def test_run_of_too_many_steps_to_count_is_a_config_error(self):
+        # T / dt = 0.02 / 1e-320 overflows to inf; the step is within the CFL bound
+        model = models.build_lorentz(models.LorentzSpec(8))
+        with pytest.raises(ConfigError, match="whole number n >= 1 of steps"):
+            evolve(model, np.ones(8), T=0.02, dt=1e-320)
 
     def test_certification_exit_code(self, tmp_path):
         cfg = write_cfg(
@@ -576,13 +591,14 @@ def test_certify_refuses_a_malformed_trajectory(tmp_path, capsys, small_trajecto
 def test_a_trajectory_in_the_older_layout_certifies_byte_for_byte_the_same(
         tmp_path, small_trajectory):
     # older runs also wrote times.npy and a dx key, both of which follow from
-    # dt and the shape of f.npy; the reader ignores them
+    # dt and the shape of f.npy, and "drift_axis": 0, the one column a run
+    # moves along; the reader ignores them
     old = tmp_path / "old"
     shutil.copytree(small_trajectory, old)
     meta = json.loads((old / "meta.json").read_text())
     f = np.load(old / "f.npy")
     np.save(old / "times.npy", meta["dt"] * np.arange(len(f)))
-    (old / "meta.json").write_text(json.dumps(dict(meta, dx=1.0 / f.shape[1]),
+    (old / "meta.json").write_text(json.dumps(dict(meta, dx=1.0 / f.shape[1], drift_axis=0),
                                               sort_keys=True, indent=1))
     cfg = write_cfg(tmp_path, dict(SMALL_BLOCKS["certify"], model=SMALL_MODELS[0]))
     for traj, out in ((small_trajectory, "out_new"), (old, "out_old")):

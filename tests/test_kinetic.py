@@ -227,8 +227,7 @@ class TestTransportStep:
     @pytest.mark.parametrize("n_x", [32, 33])
     def test_spectral_step_is_the_analytic_translate_of_a_band_limited_field(self, n_x):
         m = build_lorentz(LorentzSpec(16))
-        st_ = Stepper(m, n_cells=n_x, dt=0.003, epsilon=0.5, transport="spectral",
-                      drift_axis=1)
+        st_ = Stepper(m, n_cells=n_x, dt=0.003, epsilon=0.5, transport="spectral")
         rng = np.random.default_rng(n_x)
         amp, phase = rng.uniform(0.1, 0.5, (3, 16)), rng.uniform(0.0, 2 * np.pi, (3, 16))
 
@@ -284,27 +283,26 @@ class TestTransportStep:
         c_max = (1.0 / n_x) / dt  # the speed at CFL = 1
         speed = st.one_of(st.sampled_from([0.0, -0.0, c_max, -c_max]),
                           st.floats(-c_max, c_max))
-        n_v = data.draw(st.integers(1, 6), label="n_v")
-        speeds = np.array(data.draw(st.lists(speed, min_size=2 * n_v, max_size=2 * n_v),
-                                    label="speeds")).reshape(n_v, 2)
+        speeds = np.array(data.draw(st.lists(speed, min_size=1, max_size=6), label="speeds"))
+        n_v = speeds.size
         w = np.full(n_v, 1.0 / n_v)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         sigma = rng.uniform(0.0, 2.0, (n_v, n_v))
         m = VelocityModel(nodes=np.arange(n_v)[:, None], weights=w,
-                          drift=centered_within_cfl(speeds, w, c_max), sigma=sigma + sigma.T)
+                          drift=centered_within_cfl(speeds[:, None], w, c_max),
+                          sigma=sigma + sigma.T)
         f = rng.uniform(0.0, 2.0, (n_x, n_v))
-        for axis in (0, 1):
-            st_ = Stepper(m, n_cells=n_x, dt=dt, drift_axis=axis)
-            moved = shift(f, st_.multiplier)
-            assert np.max(np.abs(moved - st_.advect_full(f))) <= 1e-15 * np.max(f)
+        st_ = Stepper(m, n_cells=n_x, dt=dt)
+        moved = shift(f, st_.multiplier)
+        assert np.max(np.abs(moved - st_.advect_full(f))) <= 1e-15 * np.max(f)
 
 
 class TestModeMarginals:
     @staticmethod
-    def frame_marginals(model, f0, T, dt, epsilon, transport, drift_axis):
-        n_steps, frames = evolve(model, f0, T, dt, epsilon, transport, drift_axis)
+    def frame_marginals(model, f0, T, dt, epsilon, transport):
+        n_steps, frames = evolve(model, f0, T, dt, epsilon, transport)
         f = np.stack(list(frames))
-        return (f @ (model.weights * model.drift[:, drift_axis]) / epsilon,
+        return (f @ (model.weights * model.drift[:, 0]) / epsilon,
                 f[-1] @ model.weights)
 
     @pytest.mark.parametrize("transport", ["upwind", "spectral"])
@@ -312,8 +310,8 @@ class TestModeMarginals:
     def test_modes_give_the_marginals_of_the_frames(self, transport, n_cells):
         m = build_lorentz(LorentzSpec(8))
         f0 = np.random.default_rng(n_cells).uniform(0.5, 2.0, (n_cells, 8))
-        j_modes, rho_T = mode_marginals(m, f0, 0.02, 0.002, 0.5, transport, 1)
-        j_ref, rho_ref = self.frame_marginals(m, f0, 0.02, 0.002, 0.5, transport, 1)
+        j_modes, rho_T = mode_marginals(m, f0, 0.02, 0.002, 0.5, transport)
+        j_ref, rho_ref = self.frame_marginals(m, f0, 0.02, 0.002, 0.5, transport)
         assert j_modes.shape == (len(j_ref), n_cells // 2 + 1) == (11, n_cells // 2 + 1)
         j_path = np.fft.irfft(j_modes, n_cells, axis=1)
         assert np.max(np.abs(j_path - j_ref)) < 1e-14
@@ -661,46 +659,38 @@ class TestPersistence:
         assert cert.kinematic_value > 0.0
 
 
-# each bad in one field of the scheme dt = 0.01, eps = 1, upwind, axis 0 of
-# Lorentz-8, whose drift has 2 columns
+# each bad in one field of the scheme dt = 0.01, eps = 1, upwind on Lorentz-8
 BAD_SCHEMES = {
     "weno": {"transport": "weno"},
     "dt 0": {"dt": 0.0},
     "dt nan": {"dt": np.nan},
     "tiny epsilon": {"epsilon": 1e-200},  # epsilon**2 == 0.0
-    "axis 2": {"drift_axis": 2},
-    "axis -1": {"drift_axis": -1},
-    "axis True": {"drift_axis": True},
 }
 
 
 @pytest.mark.parametrize("change", BAD_SCHEMES.values(), ids=BAD_SCHEMES)
 def test_every_entry_point_refuses_a_bad_scheme_with_one_message(tmp_path, change):
     m = build_lorentz(LorentzSpec(8))
-    scheme = dict({"dt": 0.01, "epsilon": 1.0, "transport": "upwind", "drift_axis": 0},
-                  **change)
+    scheme = dict({"dt": 0.01, "epsilon": 1.0, "transport": "upwind"}, **change)
     T = scheme["dt"]  # one step; the sweep picks its own dt, at most T
     rho0 = bump_rho(8)
     runs = {
         "Stepper": lambda: Stepper(m, 8, **scheme),
         "evolve": lambda: evolve(m, rho0, T, **scheme),
         "mode_marginals": lambda: mode_marginals(m, rho0, T, **scheme),
-        "sweep": lambda: sweep(m, rho0, [scheme["epsilon"]], T, scheme["transport"],
-                               scheme["drift_axis"]),
+        "sweep": lambda: sweep(m, rho0, [scheme["epsilon"]], T, scheme["transport"]),
+        "Trajectory": lambda: Trajectory(frames, **scheme),
+        "load_trajectory": lambda: load_trajectory(tmp_path),
     }
     frames = np.ones((2, 8, 8))
-    if change != {"drift_axis": 2}:  # only a model tells that axis 2 is out of range
-        runs["Trajectory"] = lambda: Trajectory(frames, **scheme)
-        save_trajectory(Trajectory(frames, 0.01, 1.0, "upwind"), tmp_path)
-        meta = json.loads((tmp_path / "meta.json").read_text())
-        (tmp_path / "meta.json").write_text(json.dumps(dict(meta, **change)))
-        runs["load_trajectory"] = lambda: load_trajectory(tmp_path)
+    save_trajectory(Trajectory(frames, 0.01, 1.0, "upwind"), tmp_path)
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    (tmp_path / "meta.json").write_text(json.dumps(dict(meta, **change)))
     messages = {}
     for name, run in runs.items():
         with pytest.raises(ConfigError) as info:
             run()
         messages[name] = str(info.value)
     message = messages["Stepper"]
-    if "load_trajectory" in messages:
-        assert messages.pop("load_trajectory") == f"{tmp_path} is not a valid trajectory: {message}"
+    assert messages.pop("load_trajectory") == f"{tmp_path} is not a valid trajectory: {message}"
     assert set(messages.values()) == {message}

@@ -1,6 +1,7 @@
 """Source hygiene of the package: no module imports a name it never uses, no
-module-level private function is left without a caller, and no attribute that
-an ``__init__`` sets is left unread.
+module-level private function is left without a caller, no public function or
+class is called only from tests unless it is kept on purpose, and no attribute
+that an ``__init__`` sets is left unread.
 
 Each module of ``src/linboltz`` but ``__init__.py`` (which imports to
 re-export) is parsed with ``ast``; a name counts as used where it is read as
@@ -14,7 +15,22 @@ import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "linboltz"
 TESTS = pathlib.Path(__file__).resolve().parent
+BENCH = PACKAGE.parents[1] / "bench"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+#: public names that nothing in the package or bench/ reads, each kept on purpose
+ONLY_TESTS_CALL = {
+    "psi": "the paper's centered jump cost, which the dual certificates will use",
+    "psi_legendre_oracle": "the independent oracle that checks psi",
+    "dirichlet_lower_bound": "the Donsker-Varadhan formula for E, for the dual certificates",
+    "kinematic_lower_bound": "the variational formula for R, for the dual certificates",
+    "entropy_balance_check": "criterion 6 calls it",
+    "heat_gradient_flow_check": "criterion 7 calls it",
+    "rayleigh_xi_bound": "the package exports it as the Rayleigh model's radial bound",
+    "from_file": "the checked reader of the model file that model-info writes",
+    "rescaled_run": "the sweep's frame-holding reference; moves to the tests once the "
+                    "benchmark no longer wraps diffusive.simulate",
+}
 
 
 def parse(path):
@@ -69,6 +85,24 @@ def test_every_private_function_has_a_caller():
             if not callers:
                 orphans.append(f"{module}:{stmt.lineno} {name}")
     assert not orphans, f"private functions that nothing references: {orphans}"
+
+
+def test_every_public_name_is_read_outside_the_tests_or_kept_on_purpose():
+    # a re-export in __init__.py is an import, not a read, so it does not count
+    trees = {path: parse(path)
+             for path in sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py"))}
+    unread = set()
+    for path in MODULES:
+        for stmt in trees[path].body:
+            if (not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    or stmt.name.startswith("_")):
+                continue
+            if not any(stmt.name in names_read(s)
+                       for tree in trees.values() for s in tree.body if s is not stmt):
+                unread.add(stmt.name)
+    assert unread == set(ONLY_TESTS_CALL), (
+        f"read only by tests, not kept on purpose: {sorted(unread - set(ONLY_TESTS_CALL))}; "
+        f"kept on purpose but read: {sorted(set(ONLY_TESTS_CALL) - unread)}")
 
 
 def attributes_read(tree):
