@@ -19,17 +19,18 @@ a file that cannot be read or written, a model that fails its numerical checks,
 a ``T`` that holds no step of ``dt``, a scheme that ``kinetic._check_scheme``
 refuses, a trajectory certified against a model that did not produce it or could
 not have run its scheme (such as one along another drift column), or whose frames
-are malformed, a model kernel, frame,
-trajectory, certificate working set, sweep current path or Monte Carlo batch
+are malformed, a jump chain that is not irreducible on a route to D, a model kernel,
+frame, trajectory, certificate working set, sweep current path or Monte Carlo batch
 larger than physical memory, or any other ``MemoryError``); 3 certification
 failure; 4 convergence failure (also numpy's ``LinAlgError``).  A nonzero exit writes
-``error.json`` to --out.  Stdout is human-readable; files written to --out are
-machine-readable and deterministic for a fixed (config, seed).  The README's
-table of outputs lists them; ``model-info`` writes the model as a JSON header
-``model_<name>.json`` and its arrays as ``model_<name>.npz``.
+``error.json`` to --out if it can (not to an --out that names a file).  Stdout is
+human-readable; files written to --out are machine-readable and deterministic for a
+fixed (config, seed).  The README's table of outputs lists them; ``model-info`` writes
+the model as a JSON header ``model_<name>.json`` and its arrays as ``model_<name>.npz``.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -162,7 +163,7 @@ def load_config(path, schema=Config):
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, not UTF-8
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return raw, _typed(raw, schema, "config")
 
@@ -181,11 +182,6 @@ def _rho0(solver, model):
     return 1.0 + solver.rho0_amplitude * np.cos(2.0 * np.pi * solver.rho0_mode * x)
 
 
-def _outdir(args):
-    os.makedirs(args.out or ".", exist_ok=True)
-    return args.out or "."
-
-
 def cmd_model_info(args):
     model = load_config(args.config)[1].build_model()
     lam2, gap, c0 = velocity.spectral_gap_probe(model)
@@ -198,7 +194,7 @@ def cmd_model_info(args):
     for key, val in sorted(model.meta.items()):
         if not isinstance(val, (list, dict)):
             print(f"meta {key}: {val}")
-    path = os.path.join(_outdir(args), f"model_{model.name}.json")
+    path = os.path.join(args.out or ".", f"model_{model.name}.json")
     velocity.to_file(model, path)
     print(f"serialized model: {path}")
     return EXIT_OK
@@ -214,7 +210,7 @@ def cmd_diffusion(args):
     print("D =")
     for row in D:
         print("  " + "  ".join(f"{v: .10f}" for v in row))
-    path = os.path.join(_outdir(args), f"diffusion_{model.name}.json")
+    path = os.path.join(args.out or ".", f"diffusion_{model.name}.json")
     payload = {"D": D.tolist(), "asymmetry": asym, "residual": sol.residual,
                "iterations": sol.iterations, "config_hash": config_hash(raw)}
     with open(path, "w") as fh:
@@ -233,7 +229,7 @@ def cmd_kinetic_run(args):
     require_certificate_memory((_step_count(s.T, s.dt) + 1, s.n_cells, model.n_nodes))
     traj = simulate(model, _rho0(s, model), s.T, s.dt, epsilon=s.epsilon,
                     transport=s.transport)
-    out = _outdir(args)
+    out = args.out or "."
     traj_dir = os.path.join(out, "trajectory")
     save_trajectory(traj, traj_dir)
     print(f"trajectory: {traj_dir}")
@@ -259,7 +255,7 @@ def cmd_certify(args):
         raise ConfigError(f"{args.trajectory} was not produced by this config's model "
                           f"(its model fingerprint: {traj.model_fingerprint})")
     _check_scheme(traj.dt, traj.epsilon, traj.transport, model, traj.f.shape[1:])
-    _certify(traj, model, cfg, raw, _outdir(args))
+    _certify(traj, model, cfg, raw, args.out or ".")
     return EXIT_OK
 
 
@@ -271,7 +267,7 @@ def cmd_diffusive_sweep(args):
         raise ConfigError("diffusive-sweep needs solver.eps_list")
     model = cfg.build_model()
     report = sweep(model, _rho0(s, model), s.eps_list, s.T, s.transport, s.dt_scale)
-    out = _outdir(args)
+    out = args.out or "."
     write_sweep_csv(report, os.path.join(out, "sweep.csv"))
     write_manifest(report, raw, os.path.join(out, "sweep_manifest.json"))
     for row in report.rows:
@@ -287,7 +283,7 @@ def cmd_mc_estimate(args):
     cfg = load_config(args.config)[1]
     config = McConfig(seed=cfg.seed if args.seed is None else args.seed, **cfg.mc)
     est = estimate_D(cfg.build_model(), config)
-    out = _outdir(args)
+    out = args.out or "."
     write_mc_json(est, config, os.path.join(out, "mc_estimate.json"))
     write_mc_csv(est, os.path.join(out, "mc_batches.csv"))
     for label, mat, fmt in (("D_hat", est.d_hat, " .6f"), ("stderr", est.stderr, " .2e")):
@@ -320,6 +316,7 @@ def make_parser():
 def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
+        os.makedirs(args.out or ".", exist_ok=True)
         return args.func(args)
     except CertificationError as exc:
         return _emit_error(args, exc, EXIT_CERTIFICATION)
@@ -337,9 +334,8 @@ def _emit_error(args, exc, code):
     if isinstance(exc, ConvergenceError):
         diag.update(residual=exc.residual, iterations=exc.iterations)
     print(f"error: {exc}", file=sys.stderr)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "error.json"), "w") as fh:
+    if args.out:  # where it can be: an --out that names a file gets none
+        with contextlib.suppress(OSError), open(os.path.join(args.out, "error.json"), "w") as fh:
             json.dump(diag, fh, sort_keys=True, indent=1)
     return code
 

@@ -390,8 +390,6 @@ def kinematic_rate(f_slice, eta_slice, model):
     """
     f = np.atleast_2d(_clip_density(f_slice))
     eta = np.asarray(eta_slice, dtype=float)
-    if eta.ndim == 2:
-        eta = eta[None, :, :]
     n_x, n_v = f.shape
     dx = 1.0 / n_x
     if n_v != model.n_nodes or eta.shape != (n_x, n_v, n_v):

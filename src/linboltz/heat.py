@@ -42,12 +42,12 @@ class HeatFlow:
         rho0 = np.asarray(self.rho0, dtype=float)
         if rho0.ndim != 1:
             raise UsageError("the heat flow needs a 1-d density")
-        if np.any(rho0 < 0):
+        if not np.all(rho0 >= 0):  # NaN included
             raise DomainError("initial density must be nonnegative")
         D = _diffusivity(self.D)
         mass = (1.0 / rho0.size) * rho0.sum()
-        if mass <= 0:
-            raise DomainError("initial density has no mass")
+        if not 0 < mass < np.inf:
+            raise DomainError("initial density must have a finite positive mass")
         rho0 = rho0 / mass
         k = np.arange(rho0.size // 2 + 1)
         rates = 4.0 * np.pi**2 * (D * k * k)

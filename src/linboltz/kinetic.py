@@ -279,13 +279,12 @@ def _prepare(model, f0, T, dt, epsilon, transport):
         f0 = local_equilibrium(f0, model)
     if f0.shape[1] != model.n_nodes:
         raise UsageError("f0 velocity axis does not match the model")
-    if np.any(f0 < 0):
+    if not np.all(f0 >= 0):  # NaN included
         raise DomainError("initial datum must be nonnegative")
     n_cells = f0.shape[0]
-    dx = 1.0 / n_cells
-    mass = dx * float(f0 @ model.weights @ np.ones(n_cells))
-    if mass <= 0:
-        raise DomainError("initial datum has no mass")
+    mass = (1.0 / n_cells) * float(f0 @ model.weights @ np.ones(n_cells))
+    if not 0 < mass < math.inf:
+        raise DomainError("initial datum must have a finite positive mass")
     f0 = f0 / mass
 
     stepper = Stepper(model, n_cells, dt, epsilon, transport)

@@ -302,6 +302,7 @@ def rayleigh_xi_bound(model):
     """
     if model.name != "rayleigh":
         raise DomainError("bound report is specific to the rayleigh model")
+    sol = poisson_solve(model)  # first, so that it refuses a reducible chain
     chi = model.meta["chi"]
     radii = np.asarray(model.meta["radii"], dtype=float)
     norms = np.linalg.norm(model.nodes, axis=1)
@@ -338,7 +339,6 @@ def rayleigh_xi_bound(model):
     gamma = eta / lam_r
     xi_inf = float(np.max(gamma))
 
-    sol = poisson_solve(model)
     gamma_full = np.einsum("ia,ia->i", vhat, sol.xi)
     gap = float(np.max(np.abs(gamma_full[reps] - gamma)))
 

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, require_memory
+from .errors import ConfigError, require_memory
+from .velocity import require_ergodic
 
 
 @dataclass(frozen=True)
@@ -141,9 +142,8 @@ def _run_batch(model, T, n, rng, table):
 
 
 def estimate_D(model, config):
-    """Batch-means estimate of D with per-entry standard errors; needs lambda > 0."""
-    if np.any(model.rates <= 0):
-        raise DomainError("the jump chain needs lambda > 0 at every node")
+    """Batch-means estimate of D with per-entry standard errors of an ergodic chain."""
+    require_ergodic(model)
     base, extra = divmod(config.n_paths, config.n_batches)
     d = model.drift.shape[1]
     # x, its running copy, the drift gathered for it and ~8 per-path vectors

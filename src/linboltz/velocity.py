@@ -38,6 +38,7 @@ CENTERING_TOL = 1e-12  # largest |pi(b)| that a VelocityModel accepts
 PSD_TOL = 1e-10  # relative tolerance of diffusion_matrix's semidefiniteness test
 POISSON_MAX_ITER = 100000  # poisson_solve's step limit
 POISSON_DAMPING = 0.5  # and the weight theta of each new fixed-point iterate
+DENSE_RESIDUAL_TOL = 1e-9  # poisson_solve_dense's largest residual / max(1, max|b|)
 
 
 @dataclass(frozen=True)
@@ -173,18 +174,31 @@ def apply_k(model, g):
     return num / (model.rates[:, None] if g.ndim > 1 else model.rates)
 
 
+def require_ergodic(model):
+    """DomainError unless the jump chain is irreducible, which every route to D needs:
+    lambda > 0 everywhere, and node 0 reaching every node by jumps i -> j with w_j S_ij > 0."""
+    jumps = model.sigma > 0
+    jumps &= model.weights > 0
+    reached = frontier = np.arange(model.n_nodes) == 0
+    while frontier.any():
+        frontier = jumps[frontier].any(axis=0) & ~reached
+        reached |= frontier
+    if np.any(model.rates <= 0) or not reached.all():
+        raise DomainError(f"the jump chain needs lambda > 0 at every node and one class: "
+                          f"node 0 reaches {reached.sum()} of the {model.n_nodes} nodes")
+
+
 def poisson_solve(model, tol=1e-12):
     """Solve (-L) xi = b for the mean-zero (in the tilted measure) solution.
 
     Uses the damped fixed-point xi <- (1-theta) xi + theta (K xi + b/lambda),
     theta = POISSON_DAMPING, which converges whenever K has a spectral gap at
-    +1, even when K has eigenvalues near -1 where the plain series oscillates.
-    The tilted mean of every component is removed after each step to pin the
-    constant mode; POISSON_MAX_ITER steps without reaching ``tol`` raise
-    :class:`ConvergenceError`.
+    +1 (:func:`require_ergodic` refuses a chain without one), even when K has
+    eigenvalues near -1 where the plain series oscillates.  The tilted mean of every
+    component is removed after each step to pin the constant mode; POISSON_MAX_ITER
+    steps without reaching ``tol`` raise :class:`ConvergenceError`.
     """
-    if np.any(model.rates <= 0):
-        raise DomainError("Poisson solve requires lambda > 0 at every node")
+    require_ergodic(model)
     tilted = TiltedMeasure.of(model)
     h = model.drift / model.rates[:, None]
     xi = h - tilted.weights @ h
@@ -205,14 +219,17 @@ def poisson_solve(model, tol=1e-12):
 
 
 def poisson_solve_dense(model):
-    """Dense least-squares oracle for the Poisson equation (small models)."""
-    n = model.n_nodes
+    """Dense least-squares oracle for the Poisson equation (small models); a residual
+    above DENSE_RESIDUAL_TOL max(1, max|b|) is a :class:`NumericalQualityError`."""
+    require_ergodic(model)
     L = model.sigma * model.weights[None, :] - np.diag(model.rates)
     xi, *_ = np.linalg.lstsq(-L, model.drift, rcond=None)
-    tilted = TiltedMeasure.of(model)
-    xi = xi - tilted.weights @ xi
+    xi = xi - TiltedMeasure.of(model).weights @ xi
     residual = float(np.max(np.abs(-L @ xi - model.drift)))
-    return PoissonSolution(xi, residual, n)
+    bound = DENSE_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(model.drift))))
+    if residual > bound:
+        raise NumericalQualityError(f"dense Poisson residual {residual:.3e} > {bound:.3e}")
+    return PoissonSolution(xi, residual, model.n_nodes)
 
 
 def diffusion_matrix(model, solution):
@@ -235,9 +252,8 @@ def spectral_gap_probe(model):
     mode deflated and solves it densely.  Returns (lambda_2, gap, c0_proxy)
     with gap = 1 - lambda_2 and c0_proxy = 1/gap.
     """
+    require_ergodic(model)
     tilted = TiltedMeasure.of(model)
-    if np.any(model.rates <= 0):
-        raise DomainError("K undefined at a node with lambda = 0")
     n = model.n_nodes
     # sym, its symmetric part and eigvalsh's copy of that
     require_memory((3, n, n), "the spectral gap probe's dense matrix")
@@ -299,7 +315,7 @@ def from_file(path):
     try:
         with open(path) as fh:
             header = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, not UTF-8
         raise ConfigError(f"cannot read model file {path}: {exc}") from exc
     keys = ("schema", "name", "dim_x", "meta", "fingerprint", "arrays")
     if not isinstance(header, dict) or header.get("schema") != MODEL_SCHEMA:

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -42,6 +43,14 @@ class TestConfigValidation:
         path = tmp_path / "bad.json"
         path.write_text("not json {")
         assert main(["diffusion", "--config", str(path)]) == 2
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(ConfigError, match="cannot read config"):
+            cli.load_config(str(path))
+        assert main(["diffusion", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_unknown_top_level_key(self, tmp_path):
         cfg = write_cfg(tmp_path, lorentz_cfg(oops=1))
@@ -138,11 +147,14 @@ class TestConfigValidation:
 
     def test_json_numbers_become_the_field_type(self, tmp_path):
         cfg = write_cfg(tmp_path, lorentz_cfg(
-            solver={"T": 1, "eps_list": [1, 0.5]}, mc={"horizon": 5}))
+            solver={"T": 1, "eps_list": [1, 0.5], "dt": None}, mc={"horizon": 5},
+            functional={"cert_tol": None}))
         _, parsed = cli.load_config(cfg)
         assert type(parsed.solver.T) is float and parsed.solver.eps_list == [1.0, 0.5]
         assert all(type(e) is float for e in parsed.solver.eps_list)
         assert type(parsed.mc["horizon"]) is float
+        # null is the value of an optional key, and leaves it unset
+        assert parsed.solver.dt is None and parsed.functional.cert_tol is None
 
 
 class TestDiffusion:
@@ -550,6 +562,24 @@ def test_fuzzed_configs_exit_with_a_documented_code(small_trajectory, data):
                 assert json.load(fh)["exit_code"] == code
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "path-under-a-file"])
+@pytest.mark.parametrize("command", sorted(SMALL_BLOCKS))
+def test_out_that_names_a_file_exits_2_with_the_message(tmp_path, capsys, small_trajectory,
+                                                         command, under):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept")
+    cfg = write_cfg(tmp_path, dict(SMALL_BLOCKS[command], model=SMALL_MODELS[0]))
+    argv = [command, "--config", cfg, "--out", str(blocker / "sub" if under else blocker)]
+    if command == "certify":
+        argv.insert(1, small_trajectory)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker) in err and "Traceback" not in err
+    # nothing is written: not into the file, not beside it
+    assert blocker.read_text() == "kept"
+    assert sorted(os.listdir(tmp_path)) == ["blocker", "cfg.json"]
+
+
 def with_value(f, value):
     f = f.copy()
     f[1, 2, 3] = value
@@ -568,8 +598,9 @@ def with_value(f, value):
     ("meta.json", lambda meta: dict(meta, drift_axis=7)),  # the drift has 2 columns
     ("meta.json", lambda meta: dict(meta, drift_axis=-1)),
     ("meta.json", lambda meta: dict(meta, dt=1.0)),  # upwind CFL 8 on 8 cells
+    ("meta.json", lambda meta: [meta]),
 ], ids=["no dt", "bad meta", "5 nodes", "one frame", "no cells", "nan frame", "inf frame",
-        "tiny epsilon", "drift_axis 7", "drift_axis -1", "CFL 8"])
+        "tiny epsilon", "drift_axis 7", "drift_axis -1", "CFL 8", "meta not an object"])
 def test_certify_refuses_a_malformed_trajectory(tmp_path, capsys, small_trajectory,
                                                 name, damage):
     traj = tmp_path / "trajectory"
@@ -672,3 +703,20 @@ def test_readme_config_table_matches_the_schema():
     rows = {(block, key.strip("`")): type_name
             for block, key, type_name, _ in _readme_table("config-keys")}
     assert rows == expected
+
+
+def _readme_examples():
+    """Each JSON example of the README, as (the subcommand it is written for, config)."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        text = fh.read()
+    found = re.findall(r"<!-- example: ([\w-]+) -->\s*```json\n(.*?)```", text, re.S)
+    assert len(found) == text.count("```json"), "a README JSON example names no subcommand"
+    return [(command, json.loads(body)) for command, body in found]
+
+
+@pytest.mark.parametrize("command, payload",
+                         [pytest.param(*example, id=example[0]) for example in _readme_examples()])
+def test_readme_examples_run_through_their_subcommand(tmp_path, command, payload):
+    cfg = write_cfg(tmp_path, payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0

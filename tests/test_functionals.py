@@ -191,6 +191,18 @@ class TestEntropyAndForms:
         with pytest.raises(DomainError):
             kinematic_rate(f, bad, model)
 
+    def test_kinematic_rate_refuses_a_current_of_another_shape(self):
+        model = two_node_model()
+        f = np.array([[1.0, 3.0], [2.0, 1.0]])
+        eta = np.array([[0.0, 0.7], [-0.7, 0.0]])
+        for bad in (eta, np.stack([eta] * 3), np.zeros((2, 3, 3))):
+            with pytest.raises(UsageError, match="shapes do not match"):
+                kinematic_rate(f, bad, model)
+        with pytest.raises(UsageError):  # one cell's current without its cell axis
+            kinematic_rate(f[0], eta, model)
+        with pytest.raises(UsageError):  # a density off the model's nodes
+            kinematic_rate(np.ones((2, 3)), np.zeros((2, 3, 3)), model)
+
     def test_kinematic_infeasible_current(self):
         # current on a zero-rate pair (the diagonal has sigma = 0)
         model = two_node_model(s=0.0)

@@ -27,6 +27,14 @@ class TestHeatFlow:
         with pytest.raises(DomainError):
             HeatFlow(np.zeros(8), np.eye(1))
 
+    @pytest.mark.parametrize("bad, refusal", [(np.nan, "must be nonnegative"),
+                                              (np.inf, "finite positive mass")])
+    def test_rejects_a_density_that_is_not_finite(self, bad, refusal):
+        rho0 = cos_rho(8)
+        rho0[3] = bad
+        with pytest.raises(DomainError, match=refusal):
+            HeatFlow(rho0, np.eye(1))
+
     def test_normalizes_mass(self):
         flow = HeatFlow(5.0 * cos_rho(32), 0.2 * np.eye(1))
         assert flow.rho0.mean() == pytest.approx(1.0, abs=1e-13)

@@ -15,6 +15,7 @@ from linboltz import (
     DomainError,
     LorentzSpec,
     NumericalQualityError,
+    UsageError,
     build_lorentz,
 )
 from linboltz import kinetic
@@ -398,6 +399,36 @@ class TestSimulate:
             evolve(two_node_model(), bump_rho(8), T=0.05, dt=0.02)
         with pytest.raises(DomainError):
             evolve(two_node_model(), bump_rho(8) - 2.0, T=0.02, dt=0.01)
+        with pytest.raises(UsageError, match="velocity axis"):
+            evolve(two_node_model(), np.ones((8, 3)), T=0.02, dt=0.01)
+        with pytest.raises(DomainError, match="finite positive mass"):
+            evolve(two_node_model(), np.zeros(8), T=0.02, dt=0.01)
+
+    @pytest.mark.parametrize("bad, refusal", [(np.nan, "must be nonnegative"),
+                                              (np.inf, "finite positive mass")])
+    def test_every_run_refuses_a_datum_that_is_not_finite_before_stepping(self, bad, refusal):
+        m = build_lorentz(LorentzSpec(8))
+        rho0 = bump_rho(8)
+        rho0[3] = bad
+        f0 = local_equilibrium(bump_rho(8), m)
+        f0[2, 5] = bad
+        runs = {
+            "evolve": lambda: evolve(m, rho0, 0.02, 0.01),
+            "evolve f0": lambda: evolve(m, f0, 0.02, 0.01),
+            "mode_marginals": lambda: mode_marginals(m, rho0, 0.02, 0.01),
+            "simulate": lambda: simulate(m, f0, 0.02, 0.01),
+            "sweep": lambda: sweep(m, rho0, [0.5], 0.02),
+        }
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kinetic, "Stepper", no_step)
+            mp.setattr("linboltz.diffusive.mode_marginals", no_step)
+            for run in runs.values():
+                with pytest.raises(DomainError, match=refusal):
+                    run()
 
     def test_refuses_a_trajectory_larger_than_memory(self):
         # 1e15 steps of a 2x8 grid: had np.empty come first, this would be a

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from linboltz import (
     ConfigError,
+    DomainError,
     LorentzSpec,
     PhononSpec,
     RayleighSpec,
@@ -75,6 +77,8 @@ class TestRayleigh:
             RayleighSpec(beta=-1.0)
         with pytest.raises(ConfigError):
             RayleighSpec(n_angular=31)
+        with pytest.raises(ConfigError, match="quadrature nodes"):
+            RayleighSpec(n_radial=0)
 
     def test_kernel_exactly_symmetric(self, rayleigh):
         assert np.array_equal(rayleigh.sigma, rayleigh.sigma.T)
@@ -148,6 +152,10 @@ class TestPhonon:
             PhononSpec(nu=-1.0)
         with pytest.raises(ConfigError):
             PhononSpec(dim=1)  # needs the explicit surrogate flag
+        with pytest.raises(ConfigError, match="dim must be >= 1"):
+            PhononSpec(dim=0)
+        with pytest.raises(ConfigError, match="at least 2 nodes per axis"):
+            PhononSpec(n_per_axis=1)
 
     def test_dim1_surrogate_flag(self):
         m = build_phonon(PhononSpec(dim=1, allow_dim1_surrogate=True, n_per_axis=16))
@@ -201,6 +209,18 @@ class TestRayleighBound:
     def test_radial_profile_matches_full_poisson(self, rayleigh):
         rep = rayleigh_xi_bound(rayleigh)
         assert rep.cross_check_gap < 1e-9
+
+    def test_refuses_a_reducible_chain_before_its_radial_solve(self, monkeypatch):
+        model = build_rayleigh(RayleighSpec(n_radial=10, n_angular=12))
+        parity = np.arange(model.n_nodes) % 2
+        split = dataclasses.replace(model, sigma=model.sigma * (parity[:, None] == parity))
+
+        def no_solve(*args):
+            raise AssertionError("the radial fixed point was solved")
+
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        with pytest.raises(DomainError, match="node 0 reaches 60 of the 120 nodes"):
+            rayleigh_xi_bound(split)
 
     def test_rejects_other_models(self):
         m = build_lorentz(LorentzSpec(8))

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from linboltz import (
     build_lorentz,
     build_model,
 )
-from linboltz import velocity
+from linboltz import diffusive, montecarlo, velocity
 from linboltz.velocity import (
     MODEL_ARRAYS,
     POISSON_DAMPING,
@@ -400,6 +401,106 @@ class TestSpectralGap:
             spectral_gap_probe(m)
 
 
+def four_node_model(link=0.0):
+    """Kernel 2 within {0, 1} and within {2, 3}, ``link`` between nodes 1 and 2:
+    the drift (1, 0.6, -0.6, -1) is centred overall, not on either block."""
+    sigma = np.kron(np.eye(2), [[0.0, 2.0], [2.0, 0.0]])
+    sigma[1, 2] = sigma[2, 1] = link
+    return VelocityModel(nodes=np.arange(4.0)[:, None], weights=np.full(4, 0.25),
+                         drift=np.array([1.0, 0.6, -0.6, -1.0]), sigma=sigma)
+
+
+@st.composite
+def reducible_models(draw):
+    """At most 6 nodes in two or more blocks that the kernel does not join, each
+    block joined within; with or without one node of rate zero, a block alone."""
+    n = draw(st.integers(2, 6), label="n_v")
+    zero_rate = draw(st.booleans(), label="zero-rate node")
+    blocks = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    if zero_rate:
+        blocks[draw(st.integers(0, n - 1), label="its index")] = -1
+    if len(set(blocks)) < 2:
+        blocks[0] = 3
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    upper = np.triu(rng.uniform(0.1, 3.0, (n, n)))
+    sigma = (upper + np.triu(upper, 1).T) * (blocks[:, None] == blocks[None, :])
+    sigma[blocks == -1] = sigma[:, blocks == -1] = 0.0
+    weights = rng.uniform(0.05, 1.0, n)
+    weights /= weights.sum()
+    drift = rng.normal(size=(n, draw(st.integers(1, 2), label="dim_x")))
+    return VelocityModel(nodes=np.arange(n)[:, None], weights=weights,
+                         drift=drift - weights @ drift, sigma=sigma)
+
+
+#: every route to D, as a function of the model
+ROUTES_TO_D = {
+    "poisson_solve": poisson_solve,
+    "poisson_solve_dense": poisson_solve_dense,
+    "spectral_gap_probe": spectral_gap_probe,
+    "estimate_D": lambda m: montecarlo.estimate_D(m, montecarlo.McConfig(64, 1.0, 0, 4)),
+    "sweep": lambda m: diffusive.sweep(m, np.ones(8), [0.5], 0.5),
+}
+#: the first iteration, draw, solve or run of each route
+FIRST_STEPS = ((velocity, "apply_k"), (np.linalg, "lstsq"), (np.linalg, "eigvalsh"),
+               (montecarlo, "_jump_table"), (montecarlo, "_run_batch"),
+               (diffusive, "mode_marginals"))
+
+
+def refuse_before_the_first_step(model):
+    """The DomainError message of each route in ``ROUTES_TO_D`` on ``model``,
+    with every first step failing the test and every warning an error."""
+    def first_step(*args, **kwargs):
+        raise AssertionError("a route to D started on a reducible chain")
+
+    messages = {}
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for module, name in FIRST_STEPS:
+            mp.setattr(module, name, first_step)
+        for route, run in ROUTES_TO_D.items():
+            with pytest.raises(DomainError, match="lambda > 0 at every node") as info:
+                run(model)
+            messages[route] = str(info.value)
+    return messages
+
+
+class TestErgodicity:
+    @settings(max_examples=60, deadline=None)
+    @given(reducible_models())
+    def test_every_route_to_d_refuses_a_reducible_chain_before_it_starts(self, model):
+        messages = refuse_before_the_first_step(model)
+        assert len(set(messages.values())) == 1
+
+    def test_the_message_counts_the_nodes_node_0_reaches(self):
+        messages = refuse_before_the_first_step(four_node_model())
+        assert set(messages.values()) == {
+            "the jump chain needs lambda > 0 at every node and one class: "
+            "node 0 reaches 2 of the 4 nodes"}
+
+    @pytest.mark.parametrize("kind, params", [
+        ("lorentz", {"n_nodes": 64}),
+        ("rayleigh", {"dim": 2, "n_radial": 10, "n_angular": 12}),
+        ("phonon", {"dim": 2, "n_per_axis": 8}),
+    ])
+    def test_every_model_the_builders_make_is_ergodic(self, kind, params):
+        velocity.require_ergodic(build_model(kind, **params))
+
+    def test_a_zero_weight_node_is_never_reached(self):
+        # no jump enters a node of weight 0, so the chain is not irreducible
+        m = VelocityModel(nodes=np.zeros((3, 1)), weights=np.array([0.5, 0.5, 0.0]),
+                          drift=np.array([1.0, -1.0, 3.0]), sigma=np.ones((3, 3)))
+        with pytest.raises(DomainError, match="node 0 reaches 2 of the 3 nodes"):
+            velocity.require_ergodic(m)
+
+    def test_dense_solve_refuses_its_own_residual(self):
+        # a link of 1e-20 joins the blocks, so the search passes, but lstsq
+        # cannot resolve it: the residual is 0.8
+        model = four_node_model(link=1e-20)
+        velocity.require_ergodic(model)
+        with pytest.raises(NumericalQualityError, match="residual 8.000e-01 > 1.000e-09"):
+            poisson_solve_dense(model)
+
+
 def test_model_file_is_compact_json_of_the_same_payload(tmp_path):
     # a small JSON header of the scalars, the arrays in an .npz beside it
     for model in (two_node_model(), build_model("lorentz", n_nodes=64),
@@ -497,4 +598,17 @@ def test_model_file_of_the_previous_schema_is_refused(tmp_path):
     header = json.loads(path.read_text())
     path.write_text(json.dumps(dict(header, schema="model-v2")))
     with pytest.raises(ConfigError, match="not a model-v3 model file"):
+        from_file(path)
+
+
+def test_model_file_that_cannot_be_decoded_or_lacks_keys_is_a_config_error(tmp_path):
+    path = tmp_path / "model_lorentz.json"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(ConfigError, match="cannot read model file"):
+        from_file(path)
+    to_file(build_model("lorentz", n_nodes=8), path)
+    header = json.loads(path.read_text())
+    del header["fingerprint"], header["meta"]
+    path.write_text(json.dumps(header))
+    with pytest.raises(ConfigError, match=r"lacks the keys \['fingerprint', 'meta'\]"):
         from_file(path)
