@@ -26,12 +26,11 @@ propagating a raw infinity through a sum.
 The integral functionals integrate over the periodic unit interval on n equal
 cells, with the cell size dx = 1/n taken from the cell axis of their array.
 
-Both costs are symmetric under (p, q, xi) -> (q, p, -xi).  The pair sums
-over (x, v, v') -- the kinematic rate here and the jump-cost residual in
-:mod:`linboltz.kinetic` -- therefore evaluate each velocity pair i < j once
-and count it twice, and treat the diagonal, where an antisymmetric current
-vanishes, in O(n_x * n_v).  :func:`kinematic_rate` requires an
-antisymmetric current.
+Both costs are symmetric under (p, q, xi) -> (q, p, -xi) and vanish on the
+diagonal, where xi = 0 and p = q.  So a current eta_ij = -eta_ji is stored
+on the velocity pairs i < j only, as an (n_x, n_pairs) array in
+:func:`pair_triangle` order that cannot hold a current that is not
+antisymmetric, and the pair sums evaluate each pair once and count it twice.
 
 The cost kernels run in blocks of at most ``BLOCK`` (16384) elements and do
 their arithmetic in place, in scratch arrays allocated once per call, so a
@@ -42,13 +41,12 @@ only the squares of those ratios can overflow, and the elements where they do
 fall back to np.hypot, with asinh(y) = log 2|y| where y itself overflows.  On
 the ``certify`` benchmark config (Rayleigh-120, 64 cells, 457k pair elements
 per call; 2-core Xeon, one thread) a :func:`kinematic_rate` call takes
-about 11 ms, 24 ns per pair element with its gathers and antisymmetry
-check, and a :func:`phi` call about 14 ms, 30 ns per element.  The kernels
+about 5.3 ms, 12 ns per pair element with its density gathers, and a
+:func:`phi` call about 10 ms, 22 ns per element.  The kernels
 use no threads: two threads running np.arcsinh on separate blocks ran no
 faster than one there.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -67,11 +65,6 @@ RHO_FLOOR = 1e-14
 NEG_TOL = 1e-10
 
 
-def _check_nonneg(name, value):
-    if np.min(value, initial=0.0) < 0:
-        raise DomainError(f"{name} must be nonnegative")
-
-
 def truncated_log(u):
     """log clipped to [log(LOG_FLOOR), log(LOG_CAP)]; safe at u = 0."""
     return np.log(np.clip(u, LOG_FLOOR, LOG_CAP))
@@ -84,12 +77,9 @@ def truncated_log(u):
 
 #: elements per block, read at call time; a call allocates its scratch arrays
 #: of this size once.  Per call on the certify config (see above), at 4096 /
-#: 16384 / 65536 / 262144: kinematic_rate 14.3 / 10.5 / 10.2 / 14.5 ms, phi
-#: 15.1 / 14.5 / 14.9 / 18.9 ms.
+#: 16384 / 65536 / 262144: kinematic_rate 7.7 / 4.8 / 4.7 / 5.5 ms, phi
+#: 11.2 / 9.7 / 10.6 / 18.8 ms (medians of 40 calls).
 BLOCK = 16384
-
-#: relative tolerance of the antisymmetry test (that of np.allclose)
-_ANTISYM_RTOL = 1e-5
 
 
 def _scratch(n_buffers, size):
@@ -246,17 +236,21 @@ def _psi_block(kappa, p, q, xi, out, work):
     return _centered_cost(_alpha(kappa, p, q, alpha, t), xi, out, t)
 
 
-def _elementwise(kernel, n_work, *args):
-    """kernel over the broadcast of ``args``, BLOCK elements at a time.
+def _elementwise(kernel, n_work, kappa, p, q, xi):
+    """kernel over the broadcast of (kappa, p, q, xi), BLOCK elements at a
+    time; a negative kappa, p or q is a :class:`DomainError`.
 
     The kernel writes each block into the output and uses ``n_work`` scratch
     arrays, allocated once per call.
     """
+    for name, value in (("kappa", kappa), ("p", p), ("q", q)):
+        if np.min(value, initial=0.0) < 0:
+            raise DomainError(f"{name} must be nonnegative")
     it = np.nditer(
-        [*args, None],
+        [kappa, p, q, xi, None],
         flags=["external_loop", "buffered", "zerosize_ok"],
-        op_flags=[["readonly"]] * len(args) + [["writeonly", "allocate"]],
-        op_dtypes=[np.float64] * (len(args) + 1),
+        op_flags=[["readonly"]] * 4 + [["writeonly", "allocate"]],
+        op_dtypes=[np.float64] * 5,
         buffersize=BLOCK,
     )
     scratch = _scratch(n_work, min(BLOCK, it.itersize))
@@ -271,17 +265,11 @@ def _elementwise(kernel, n_work, *args):
 
 def psi(kappa, p, q, xi):
     """Centered jump cost; scalar or elementwise on broadcast arrays."""
-    _check_nonneg("kappa", kappa)
-    _check_nonneg("p", p)
-    _check_nonneg("q", q)
     return _elementwise(_psi_block, 2, kappa, p, q, xi)
 
 
 def phi(kappa, p, q, xi):
     """Jump cost of the balance-equation action; zero iff xi = kappa*(p-q)."""
-    _check_nonneg("kappa", kappa)
-    _check_nonneg("p", p)
-    _check_nonneg("q", q)
     return _elementwise(_jump_cost, 5, kappa, p, q, xi)
 
 
@@ -304,10 +292,18 @@ def psi_legendre_oracle(kappa, p, q, xi, lambda_grid):
 # ---------------------------------------------------------------------------
 
 
-def _clip_density(f, what="density"):
+def _clip_density(f, model=None, what="density"):
+    """``f`` as floats with its roundoff negatives set to 0, in every functional
+    of a density.  A value not finite or below -NEG_TOL max(1, max|f|) is a
+    DomainError; a last axis off the ``model``'s nodes, a UsageError."""
     f = np.asarray(f, dtype=float)
-    scale = max(float(np.max(np.abs(f), initial=0.0)), 1.0)
-    if np.any(f < -NEG_TOL * scale):
+    if model is not None and f.shape[-1:] != (model.n_nodes,):
+        raise UsageError(f"a density of shape {f.shape} is not on the model's "
+                         f"{model.n_nodes} velocity nodes")
+    lo, hi = float(np.min(f, initial=0.0)), float(np.max(f, initial=0.0))
+    if not (math.isfinite(lo) and math.isfinite(hi)):  # NaN included
+        raise DomainError(f"the {what} holds a value that is not finite")
+    if lo < -NEG_TOL * max(hi, -lo, 1.0):
         raise DomainError(f"negative {what}")
     return np.clip(f, 0.0, None)
 
@@ -318,7 +314,7 @@ def relative_entropy(f, model):
     ``f`` has shape (n_x, n_v); 0*log(0) = 0 by convention, the floor/cap
     of :func:`truncated_log` act inside the logarithm only.
     """
-    f = np.atleast_2d(_clip_density(f))
+    f = np.atleast_2d(_clip_density(f, model))
     dx = 1.0 / f.shape[0]
     flogf = np.where(f > 0, f * truncated_log(f), 0.0)
     return float(dx * np.sum(flogf @ model.weights))
@@ -330,7 +326,7 @@ def dirichlet_form(f_slice, model):
     Expanded as 2*(sum_i w_i lam_i f_i - <sqrt f, S w sqrt f>) to stay
     O(n_x * n_v^2) without forming the pair difference tensor.
     """
-    f = np.atleast_2d(_clip_density(f_slice))
+    f = np.atleast_2d(_clip_density(f_slice, model))
     dx = 1.0 / f.shape[0]
     w = model.weights
     sq = np.sqrt(f)
@@ -362,68 +358,38 @@ def _pair_blocks(n_cells, n_pairs):
             yield slice(c, c + rows), slice(s, s + cols)
 
 
-def _check_antisymmetric(up, lo, atol, gap):
-    """``np.allclose(eta, -eta^T, atol=atol())`` on the entries ``up`` and their
-    mirrors ``lo``; ``gap`` is scratch of their shape.  ``atol`` is called only
-    where the two are not exactly opposite."""
-    np.add(up, lo, out=gap)
-    if not gap.any():  # exactly antisymmetric, as the solver's own current is
-        return
-    tol = np.minimum(np.abs(up), np.abs(lo))
-    tol *= _ANTISYM_RTOL
-    tol += atol()
-    if not np.all(np.abs(gap) <= tol):
-        raise DomainError("current must be antisymmetric in (v, v')")
-
-
 def kinematic_rate(f_slice, eta_slice, model):
     """Instantaneous kinematic cost sum_x dx sum_ij w_i w_j psi_{S_ij}(f_i, f_j; eta_ij).
 
-    The current must be antisymmetric in (v, v'), to the tolerance of
-    ``np.allclose`` with atol = 1e-12 * max(1, max|eta|); otherwise
-    :class:`DomainError`.  psi is evaluated on the pairs i < j only and
-    counted twice (see :func:`pair_triangle`), cells and pairs in blocks of
-    at most ``BLOCK`` elements; the diagonal costs O(n_x * n_v).  A current
-    where alpha = 2 S_ij sqrt(f_i f_j) is zero, on a zero-rate pair (the
-    diagonal included) or where a density vanishes, raises
-    :class:`InfeasibleValueError`.
+    ``eta_slice`` holds eta_ij on the pairs i < j, (n_x, n_pairs) in
+    :func:`pair_triangle` order; any other shape is a :class:`UsageError`.
+    psi is summed over those pairs, counted twice, in blocks of at most
+    ``BLOCK`` elements.  A current that is not finite is a
+    :class:`DomainError`; one where alpha = 2 S_ij sqrt(f_i f_j) is zero, on a
+    zero-rate pair or where a density vanishes, an :class:`InfeasibleValueError`.
     """
-    f = np.atleast_2d(_clip_density(f_slice))
+    f = np.atleast_2d(_clip_density(f_slice, model))
     eta = np.asarray(eta_slice, dtype=float)
-    n_x, n_v = f.shape
+    n_x = f.shape[0]
     dx = 1.0 / n_x
-    if n_v != model.n_nodes or eta.shape != (n_x, n_v, n_v):
-        raise UsageError("density and current shapes do not match the model")
-    # max|eta| costs two passes over eta; only an inexact current needs it
-    atol = functools.cache(lambda: 1e-12 * max(1.0, np.max(eta, initial=0.0),
-                                                -np.min(eta, initial=0.0)))
-
-    diag = np.diagonal(eta, axis1=1, axis2=2)
-    _check_antisymmetric(diag, diag, atol, np.empty(diag.shape))
     i, j, weights = pair_triangle(model)
-    upper, lower = i * n_v + j, j * n_v + i
+    if eta.shape != (n_x, i.size):
+        raise UsageError("density and current shapes do not match the model")
     sq = np.sqrt(f)
     two_sigma = 2.0 * model.sigma[i, j]
-    flat = eta.reshape(n_x, n_v * n_v)
-    buffers = _scratch(4, min(BLOCK, n_x * i.size))
+    buffers = _scratch(3, min(BLOCK, n_x * i.size))
     total = 0.0
     for cells, pairs in _pair_blocks(n_x, i.size):
-        sb = sq[cells]
-        shape = (sb.shape[0], len(upper[pairs]))
-        up, lo, alpha, t = (_view(b, shape) for b in buffers)
-        np.take(flat[cells], upper[pairs], axis=1, out=up, mode="clip")
-        np.take(flat[cells], lower[pairs], axis=1, out=lo, mode="clip")
-        _check_antisymmetric(up, lo, atol, alpha)
+        sb, xi = sq[cells], eta[cells, pairs]
+        out, alpha, t = (_view(b, xi.shape) for b in buffers)
         np.take(sb, i[pairs], axis=1, out=alpha, mode="clip")
         alpha *= np.take(sb, j[pairs], axis=1, out=t, mode="clip")
         alpha *= two_sigma[pairs]
-        _centered_cost(alpha, up, lo, t)
-        total += float(np.sum(lo @ weights[pairs]))
-    w = model.weights
-    alpha = 2.0 * np.diagonal(model.sigma) * f  # sqrt(f)*sqrt(f), exactly
-    psi_diag = _centered_cost(alpha, diag, np.empty(f.shape), np.empty(f.shape))
-    total += float(np.sum(psi_diag @ (w * w)))
-    if math.isinf(total):
+        _centered_cost(alpha, xi, out, t)
+        total += float(np.sum(out @ weights[pairs]))
+    if not math.isfinite(total):
+        if not np.isfinite(eta).all():
+            raise DomainError("the current holds a value that is not finite")
         raise InfeasibleValueError("kinematic cost is infeasible (current on a pair "
                                    "with zero rate or zero density)")
     return float(dx * total)
@@ -436,7 +402,7 @@ def dirichlet_lower_bound(f_slice, model, phi_test):
     exceeds the supremum and equals half the Dirichlet form at
     phi_test = 0.5*log f (see the module notes on the factor).
     """
-    f = np.atleast_2d(_clip_density(f_slice))
+    f = np.atleast_2d(_clip_density(f_slice, model))
     dx = 1.0 / f.shape[0]
     phi_t = np.broadcast_to(np.asarray(phi_test, dtype=float), f.shape)
     w = model.weights
@@ -465,7 +431,7 @@ def kinematic_lower_bound(f_path, eta_path, model, dt, zeta, alpha_test=None):
     theta_pairing = 0.0
     penalty = 0.0
     for t, (f, eta) in enumerate(zip(f_path, eta_path)):
-        f = _clip_density(f)
+        f = _clip_density(f, model)
         dx = 1.0 / f.shape[0]
         theta_pairing += dx * np.einsum("i,j,xij,xij->", w, w, eta, zeta[t])
         factor = alpha_test[t] + 1.0 / np.swapaxes(alpha_test[t], -1, -2)
@@ -496,7 +462,7 @@ def fisher_information(rho, D):
 
     ``rho`` lives on the n cells of the grid; the derivative is spectral.
     """
-    rho = _clip_density(rho, "rho")
+    rho = _clip_density(rho, what="rho")
     if rho.ndim != 1:
         raise UsageError("fisher_information needs a 1-d density")
     D = _diffusivity(D)

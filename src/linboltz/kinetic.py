@@ -36,17 +36,17 @@ inequality
 which holds as near-equality (to time-quadrature order) along the solver's
 own trajectory with the current eta = sigma (f - f'); the independent
 jump-cost residual int Phi_sigma(f, f'; eta) vanishes exactly for that
-current and is strictly positive for any other.  Both pair costs are
-summed over the velocity pairs i < j only, counted twice, in cache-sized
-blocks (see :mod:`linboltz.functionals`).  The certificate's working set
-beyond the trajectory is allocated once per call and reused every step: one
-(n_x, n_v, n_v) current, filled in place by :func:`current_of`, and two
-(n_x, n_v (n_v - 1) / 2) pair arrays, xi and phi's output; the pair
-densities f_i and f_j live in the current's storage once xi is gathered
-from it.  That is n_x n_v (2 n_v - 1) floats, 14.7 MB for Rayleigh-120 on
-64 cells, and :func:`require_certificate_memory` refuses a certificate whose
-working set and trajectory together exceed physical memory before anything
-is allocated (the ``kinetic-run`` CLI checks it before it simulates).
+current and is strictly positive for any other.  The current lives on
+the velocity pairs i < j, as an (n_x, n_pairs) array, n_pairs =
+n_v (n_v - 1) / 2, and both pair costs are summed over those pairs in
+cache-sized blocks (see :mod:`linboltz.functionals`).  The certificate's
+working set beyond the trajectory is four such arrays: the current xi,
+filled in place by :func:`current_of`, and the pair densities f_i and f_j,
+allocated once per call, and phi's output.  That is 2 n_x n_v (n_v - 1)
+floats, 14.6 MB for Rayleigh-120 on 64 cells, and
+:func:`require_certificate_memory` refuses a certificate whose working set
+and trajectory together exceed physical memory before anything is
+allocated (the ``kinetic-run`` CLI checks it before it simulates).
 
 A run's scheme (dt, eps and the transport) is checked in one place,
 :func:`_check_scheme`, which the :class:`Stepper`, every :class:`Trajectory`,
@@ -380,20 +380,26 @@ def simulate(model, f0, T, dt, epsilon=1.0, transport="upwind"):
 
 
 def current_of(f_slice, model, out=None):
-    """eta_ij(x) = S_ij (f_i - f_j): the trajectory's own current, written
-    into ``out``, an (n_x, n_v, n_v) float array, when one is given."""
+    """The trajectory's own current eta_ij(x) = S_ij (f_i - f_j) on the pairs
+    i < j, (n_x, n_pairs), written into ``out`` when one is given; an
+    ``f_slice`` that is not (n_x, n_v) on the model's nodes is a UsageError."""
     f = np.asarray(f_slice, dtype=float)
-    eta = np.subtract(f[:, :, None], f[:, None, :], out=out)
-    eta *= model.sigma
+    if f.ndim != 2 or f.shape[1] != model.n_nodes:
+        raise UsageError(f"a density of shape {f.shape} is not (n_x, n_v) on the "
+                         f"model's {model.n_nodes} velocity nodes")
+    i, j, _ = pair_triangle(model)
+    eta = np.take(f, i, axis=1, out=out, mode="clip")
+    eta -= np.take(f, j, axis=1, mode="clip")
+    eta *= model.sigma[i, j]
     return eta
 
 
 def require_certificate_memory(shape):
     """Refuse, as :class:`ConfigError`, an :func:`edi_certificate` on frames of
     ``shape`` (n_t, n_x, n_v) if they and its working set, which are live
-    together, exceed physical memory: n_x n_v (n_t + 2 n_v - 1) floats."""
+    together, exceed physical memory: n_x (n_t n_v + 2 n_v (n_v - 1)) floats."""
     n_t, n_x, n_v = shape
-    require_memory((n_x, n_v, n_t + 2 * n_v - 1),
+    require_memory((n_x, n_t * n_v + 2 * n_v * (n_v - 1)),
                    "the trajectory and the certificate's working set")
 
 
@@ -475,36 +481,27 @@ def edi_certificate(traj, model, current_scale=1.0, tol=None):
     Its working set (see the module notes) is allocated once, after
     :func:`require_certificate_memory` has checked it.
     """
-    n_x, n_v = traj.f.shape[1:]
     require_certificate_memory(traj.f.shape)
     scale = 1.0 / traj.epsilon**2
+    entropy = np.empty(traj.n_steps + 1)
+    entropy[0] = relative_entropy(traj.f[0], model)  # refuses another model's frames
     i, j, pair_weights = pair_triangle(model)
     kappa = model.sigma[i, j]
-    upper = i * n_v + j
-    # the working set, allocated once: the current and xi, its entries on the
-    # pairs i < j; the current's storage (n_v^2 >= 2 n_pairs per cell) then
-    # holds the pair densities f_i and f_j
-    current = np.empty((n_x, n_v, n_v))
-    xi = np.empty((n_x, i.size))
-    f_i, f_j = current.reshape(-1)[:2 * xi.size].reshape(2, n_x, i.size)
-    entropy = np.empty(traj.n_steps + 1)
-    entropy[0] = relative_entropy(traj.f[0], model)
+    # the working set, allocated once: the current xi and the pair densities,
+    # as three arrays.  One block of all three, once freed, raised glibc's mmap
+    # threshold to its size, and 6 MB more heap then stayed untrimmed
+    xi, f_i, f_j = (np.empty((traj.f.shape[1], i.size)) for _ in range(3))
 
-    dirichlet = 0.0
-    kinematic = 0.0
-    phi_total = 0.0
+    dirichlet = kinematic = phi_total = 0.0
     per_step = np.empty(traj.n_steps)
     for n in range(traj.n_steps):
         f_mid = 0.5 * (traj.f[n] + traj.f[n + 1])
-        eta = current_of(f_mid, model, out=current)
+        current_of(f_mid, model, out=xi)
         if current_scale != 1.0:
-            eta *= current_scale
+            xi *= current_scale
         e_val = scale * dirichlet_form(f_mid, model)
-        r_val = scale * kinematic_rate(f_mid, eta, model)
-        # Phi over the pairs i < j, counted twice; the diagonal of the
-        # antisymmetric current is zero, where phi(kappa, p, p; 0) = 0.  Once
-        # xi is gathered the current is dead, and f_i, f_j overwrite it
-        np.take(current.reshape(n_x, -1), upper, axis=1, out=xi, mode="clip")
+        r_val = scale * kinematic_rate(f_mid, xi, model)
+        # Phi over the pairs i < j, counted twice
         np.take(f_mid, i, axis=1, out=f_i, mode="clip")
         np.take(f_mid, j, axis=1, out=f_j, mode="clip")
         phi_val = scale * traj.dx * float(np.sum(phi(kappa, f_i, f_j, xi) @ pair_weights))
@@ -526,9 +523,7 @@ def edi_certificate(traj, model, current_scale=1.0, tol=None):
         per_step=per_step,
         entropy=entropy,
     )
-    if tol is not None and (
-        cert.balance_residual > tol or abs(cert.phi_residual) > tol
-    ):
+    if tol is not None and (cert.balance_residual > tol or abs(cert.phi_residual) > tol):
         raise CertificationError(
             f"certificate violated: balance {cert.balance_residual:.3e}, "
             f"phi {cert.phi_residual:.3e}, tol {tol:.3e}",
@@ -585,10 +580,15 @@ def load_trajectory(directory):
 def write_certificate_csv(traj, model, cert, path):
     """One row per time slice: t, H, E, cumulative R, per-step residual.
 
-    H is the certificate's own per-frame entropy.  Every step's current is
-    written into one (n_x, n_v, n_v) array, allocated once per call."""
+    H is the certificate's own per-frame entropy; E and R are recomputed from
+    ``traj``, each step's current in one (n_x, n_pairs) array per call.  A
+    certificate of another frame count is a UsageError; one of another run of
+    as many frames is not caught, and its H and residuals are written."""
+    if len(cert.entropy) != len(traj.f):
+        raise UsageError(f"a certificate of {len(cert.entropy)} frames is not that of "
+                         f"this trajectory of {len(traj.f)}")
     scale = 1.0 / traj.epsilon**2
-    current = np.empty((traj.f.shape[1], model.n_nodes, model.n_nodes))
+    current = np.empty((traj.f.shape[1], model.n_nodes * (model.n_nodes - 1) // 2))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "entropy", "dirichlet", "cumulative_r", "step_residual"])

@@ -19,6 +19,7 @@ w~_i = lambda_i w_i / <lambda>, and the diffusion matrix is
 import hashlib
 import json
 import os
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -305,8 +306,9 @@ def from_file(path):
     """Read a model written by :func:`to_file`.
 
     Raises ConfigError for a file that is not a ``model-v3`` header (a
-    ``model-v2`` one included, as its fingerprint did not cover ``nodes``), a
-    sidecar that lacks one of the arrays, arrays that make no model
+    ``model-v2`` one included, as its fingerprint did not cover ``nodes``), an
+    ``arrays`` that is not the base name of a file beside it, a sidecar that
+    cannot be read or lacks one of the arrays, arrays that make no model
     (mismatched shapes, or arrays that break one of the hypotheses
     :class:`VelocityModel` checks), arrays whose fingerprint is not the
     header's (a sidecar of another model), or a ``dim_x`` other than the
@@ -315,7 +317,7 @@ def from_file(path):
     try:
         with open(path) as fh:
             header = json.load(fh)
-    except ValueError as exc:  # not JSON, not UTF-8
+    except (OSError, ValueError) as exc:  # missing, not JSON, not UTF-8
         raise ConfigError(f"cannot read model file {path}: {exc}") from exc
     keys = ("schema", "name", "dim_x", "meta", "fingerprint", "arrays")
     if not isinstance(header, dict) or header.get("schema") != MODEL_SCHEMA:
@@ -323,12 +325,19 @@ def from_file(path):
     missing = sorted(set(keys) - set(header))
     if missing:
         raise ConfigError(f"model file {path} lacks the keys {missing}")
-    sidecar = os.path.join(os.path.dirname(path), header["arrays"])
-    with np.load(sidecar, allow_pickle=False) as npz:
-        missing = sorted(set(MODEL_ARRAYS) - set(npz.files))
-        if missing:
-            raise ConfigError(f"model arrays {sidecar} lack {missing}")
-        arrays = {key: npz[key] for key in MODEL_ARRAYS}
+    name = header["arrays"]
+    if not isinstance(name, str) or name in ("", ".", "..") or name != os.path.basename(name):
+        raise ConfigError(f"model file {path}: arrays {json.dumps(name)} is not the base "
+                          "name of a file beside it")
+    sidecar = os.path.join(os.path.dirname(path), name)
+    try:
+        with np.load(sidecar, allow_pickle=False) as npz:
+            missing = sorted(set(MODEL_ARRAYS) - set(npz.files))
+            if missing:
+                raise ConfigError(f"model arrays {sidecar} lack {missing}")
+            arrays = {key: npz[key] for key in MODEL_ARRAYS}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"cannot read the model arrays {sidecar}: {exc}") from exc
     try:
         model = VelocityModel(**arrays, name=header["name"], meta=header["meta"])
     except (UsageError, NumericalQualityError, ValueError, TypeError) as exc:

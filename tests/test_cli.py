@@ -412,7 +412,7 @@ class TestMemoryGuard:
 
     def test_oversized_certificate_is_refused_before_the_run(self, tmp_path, monkeypatch):
         # Lorentz-16 on 64 cells: a frame is 8 kB and the trajectory 25 kB, but
-        # the certificate's working set 64 * 16 * 31 floats, 254 kB
+        # the certificate's working set 64 * 2 * 16 * 15 floats, 246 kB
         from linboltz import errors
 
         monkeypatch.setattr(errors, "physical_memory", lambda: 100_000)
@@ -426,8 +426,8 @@ class TestMemoryGuard:
 
     def test_trajectory_and_certificate_are_charged_together(self, tmp_path, monkeypatch):
         # Lorentz-16 on 64 cells, 24 steps: the 25-frame trajectory (205 kB) and
-        # the certificate's working set (254 kB) each fit in 300 kB, but they
-        # are live at once, 64 * 16 * (25 + 31) floats, 459 kB
+        # the certificate's working set (246 kB) each fit in 300 kB, but they
+        # are live at once, 64 * (25 * 16 + 2 * 16 * 15) floats, 451 kB
         from linboltz import errors
 
         monkeypatch.setattr(errors, "physical_memory", lambda: 300_000)

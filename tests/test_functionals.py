@@ -178,38 +178,75 @@ class TestEntropyAndForms:
     def test_kinematic_rate_matches_psi_double_sum(self):
         model = two_node_model(s=2.0)
         f = np.array([[1.0, 3.0]])
-        eta = np.array([[[0.0, 0.7], [-0.7, 0.0]]])
+        eta = np.array([[0.7]])  # eta_12; eta_21 = -0.7
         val = kinematic_rate(f, eta, model)
         unit = psi(2.0, 1.0, 3.0, 0.7)
         # the (1,2) and (2,1) terms are equal by symmetry of psi
         assert val == pytest.approx(2 * 0.25 * unit, rel=1e-12)
 
     def test_kinematic_antisymmetry_enforced(self):
+        # by the layout: a current holds its pairs i < j only, and a square
+        # array that could hold eta_21 != -eta_12 is refused
         model = two_node_model()
         f = np.array([[1.0, 1.0]])
         bad = np.array([[[0.0, 1.0], [1.0, 0.0]]])
-        with pytest.raises(DomainError):
+        with pytest.raises(UsageError, match="shapes do not match"):
             kinematic_rate(f, bad, model)
 
     def test_kinematic_rate_refuses_a_current_of_another_shape(self):
         model = two_node_model()
         f = np.array([[1.0, 3.0], [2.0, 1.0]])
-        eta = np.array([[0.0, 0.7], [-0.7, 0.0]])
-        for bad in (eta, np.stack([eta] * 3), np.zeros((2, 3, 3))):
+        eta = np.array([[0.7], [-0.2]])
+        assert kinematic_rate(f, eta, model) > 0.0
+        square = np.array([[0.0, 0.7], [-0.7, 0.0]])
+        for bad in (square, np.stack([square] * 2), eta[:, 0], eta.T, np.zeros((3, 1))):
             with pytest.raises(UsageError, match="shapes do not match"):
                 kinematic_rate(f, bad, model)
-        with pytest.raises(UsageError):  # one cell's current without its cell axis
+        with pytest.raises(UsageError):  # one cell's density with two cells' current
             kinematic_rate(f[0], eta, model)
         with pytest.raises(UsageError):  # a density off the model's nodes
-            kinematic_rate(np.ones((2, 3)), np.zeros((2, 3, 3)), model)
+            kinematic_rate(np.ones((2, 3)), np.zeros((2, 3)), model)
 
     def test_kinematic_infeasible_current(self):
         # current on a zero-rate pair (the diagonal has sigma = 0)
         model = two_node_model(s=0.0)
         f = np.array([[1.0, 1.0]])
-        eta = np.array([[[0.0, 0.5], [-0.5, 0.0]]])
+        eta = np.array([[0.5]])
         with pytest.raises(InfeasibleValueError):
             kinematic_rate(f, eta, model)
+
+
+#: every functional of a density, as a function of the (n_x, n_v) density f on
+#: a two-node model; each runs its density through the one preamble
+DENSITY_FUNCTIONALS = {
+    "relative_entropy": relative_entropy,
+    "dirichlet_form": dirichlet_form,
+    "kinematic_rate": lambda f, m: kinematic_rate(f, np.zeros((len(f), 1)), m),
+    "dirichlet_lower_bound": lambda f, m: dirichlet_lower_bound(f, m, 0.0),
+    "kinematic_lower_bound": lambda f, m: kinematic_lower_bound(
+        f[None], np.zeros((1, *f.shape, f.shape[1])), m, 0.1,
+        np.zeros((1, *f.shape, f.shape[1]))),
+    "fisher_information": lambda f, m: fisher_information(f @ m.weights, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", DENSITY_FUNCTIONALS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_every_functional_refuses_a_density_that_is_not_finite(name, value):
+    # relative_entropy once returned 0.0 for a NaN, and the others NaN
+    functional, model = DENSITY_FUNCTIONALS[name], two_node_model()
+    f = np.ones((4, 2))
+    assert math.isfinite(functional(f, model))
+    f[2, 1] = value
+    with pytest.raises(DomainError, match="not finite"):
+        functional(f, model)
+
+
+@pytest.mark.parametrize("name", sorted(set(DENSITY_FUNCTIONALS) - {"fisher_information"}))
+def test_every_functional_of_the_phase_space_refuses_another_models_density(name):
+    functional = DENSITY_FUNCTIONALS[name]
+    with pytest.raises(UsageError, match="velocity nodes"):
+        functional(np.ones((4, 3)), two_node_model())
 
 
 class TestVariationalProbes:
@@ -240,7 +277,7 @@ class TestVariationalProbes:
         eta_path[..., 0, 1] = amp
         eta_path[..., 1, 0] = -amp
         dt = 0.05
-        top = dt * sum(kinematic_rate(f, eta, model) for f, eta in zip(f_path, eta_path))
+        top = dt * sum(kinematic_rate(f, a[:, None], model) for f, a in zip(f_path, amp))
         for seed in range(5):
             z = np.random.default_rng(100 + seed).normal(size=(4, 3)) * 0.4
             zeta = np.zeros_like(eta_path)
@@ -307,13 +344,13 @@ def grid_functionals(f_path, model, D=0.5, dt=0.1):
     """Every functional that integrates over the cells, on the path ``f_path``
     (n_t, n_x, n_v) with its own current; each takes dx = 1/n_x from its array."""
     f = f_path[0]
-    eta_path = np.stack([current_of(g, model) for g in f_path])
+    eta_path = (f_path[..., :, None] - f_path[..., None, :]) * model.sigma  # (t, x, v, v')
     zeta = 0.5 * eta_path / max(np.max(np.abs(eta_path)), 1e-300)
     w, b = model.weights, model.drift[:, 0]
     return {
         "relative_entropy": relative_entropy(f, model),
         "dirichlet_form": dirichlet_form(f, model),
-        "kinematic_rate": kinematic_rate(f, eta_path[0], model),
+        "kinematic_rate": kinematic_rate(f, current_of(f, model), model),
         "dirichlet_lower_bound": dirichlet_lower_bound(f, model, 0.25 * np.log(f)),
         "kinematic_lower_bound": kinematic_lower_bound(f_path, eta_path, model, dt, zeta),
         "fisher_information": fisher_information(f @ w, D),

@@ -463,15 +463,29 @@ class TestCurrentAndMarginals:
         assert np.max(np.abs(eta)) == 0.0
 
     def test_current_antisymmetric_exactly(self):
+        # the pairs i < j of the square S_ij (f_i - f_j), bit for bit, and the
+        # negated pairs j > i
         m = build_lorentz(LorentzSpec(16))
         f = np.random.default_rng(1).uniform(0.5, 2.0, (4, 16))
         eta = current_of(f, m)
-        assert np.array_equal(eta, -np.swapaxes(eta, 1, 2))
+        full = (f[:, :, None] - f[:, None, :]) * m.sigma
+        i, j = np.triu_indices(16, 1)
+        assert np.array_equal(eta, full[:, i, j])
+        assert np.array_equal(eta, -full[:, j, i])
+
+    def test_current_refuses_a_density_off_the_models_nodes(self):
+        m = build_lorentz(LorentzSpec(16))
+        for f in (np.ones((4, 8)), np.ones((4, 17)), np.ones(16), np.ones((2, 4, 16))):
+            with pytest.raises(UsageError, match="velocity nodes"):
+                current_of(f, m)
 
     def test_current_recovers_generator(self):
         m = build_lorentz(LorentzSpec(16))
         f = np.random.default_rng(2).uniform(0.5, 2.0, (4, 16))
-        eta = current_of(f, m)
+        eta = np.zeros((4, 16, 16))
+        i, j = np.triu_indices(16, 1)
+        eta[:, i, j] = current_of(f, m)
+        eta[:, j, i] = -eta[:, i, j]
         lhs = eta @ m.weights  # sum_j w_j eta_ij
         rhs = -apply_generator(m, f.T).T
         assert np.max(np.abs(lhs - rhs)) < 1e-12
@@ -561,7 +575,8 @@ class TestEntropyBalance:
         for n in range(2):
             f_mid = 0.5 * (f[n] + f[n + 1])
             lg = truncated_log(f_mid)
-            pairing = np.einsum("i,j,xij,xij->", w, w, current_of(f_mid, m),
+            eta = (f_mid[:, :, None] - f_mid[:, None, :]) * m.sigma
+            pairing = np.einsum("i,j,xij,xij->", w, w, eta,
                                 lg[:, None, :] - lg[:, :, None])
             want = (relative_entropy(f[n + 1], m) - relative_entropy(f[n], m)
                     - 0.1 * 0.5 / 0.7**2 * traj.dx * pairing)
@@ -632,12 +647,12 @@ class TestEdiCertificate:
 
         m = two_node_model(s=2.0)
         traj = simulate(m, bump_rho(16), T=0.02, dt=0.01)
-        # with the trajectory: 16 cells x 2 nodes x (3 frames + 2 x 2 - 1) = 192
-        # floats, 1536 bytes
-        monkeypatch.setattr(errors, "physical_memory", lambda: 1535)
+        # with the trajectory: 16 cells x (3 frames x 2 nodes + 4 pair arrays
+        # x 1 pair) = 16 x (3 x 2 + 2 x 2 x 1) = 160 floats, 1280 bytes
+        monkeypatch.setattr(errors, "physical_memory", lambda: 1279)
         with pytest.raises(ConfigError, match="certificate's working set"):
             edi_certificate(traj, m)
-        monkeypatch.setattr(errors, "physical_memory", lambda: 1536)
+        monkeypatch.setattr(errors, "physical_memory", lambda: 1280)
         assert edi_certificate(traj, m).phi_residual == 0.0
 
     def test_tolerance_raises(self):
@@ -646,6 +661,15 @@ class TestEdiCertificate:
         with pytest.raises(CertificationError) as exc:
             edi_certificate(traj, m, tol=1e-16)
         assert exc.value.certificate is not None
+
+    def test_both_routes_refuse_another_models_trajectory(self):
+        # an 8-node trajectory against a 16-node model once raised numpy's
+        # ValueError from inside the sums
+        traj = simulate(build_lorentz(LorentzSpec(8)), bump_rho(8), T=0.02, dt=0.01)
+        m = build_lorentz(LorentzSpec(16))
+        for route in (edi_certificate, entropy_balance_check):
+            with pytest.raises(UsageError, match="velocity nodes"):
+                route(traj, m)
 
 
 class TestPersistence:
@@ -667,6 +691,16 @@ class TestPersistence:
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("t,entropy,dirichlet")
         assert len(lines) == 1 + traj.f.shape[0]
+
+    def test_certificate_csv_refuses_a_certificate_of_another_frame_count(self, tmp_path):
+        # a longer run's certificate once wrote that run's H and residuals, a
+        # shorter one's raised IndexError
+        m = two_node_model()
+        traj = simulate(m, bump_rho(8), T=0.02, dt=0.01)
+        for T in (0.01, 0.03):
+            other = edi_certificate(simulate(m, bump_rho(8), T=T, dt=0.01), m)
+            with pytest.raises(UsageError, match="frames"):
+                write_certificate_csv(traj, m, other, tmp_path / "cert.csv")
 
     def test_certificate_csv_agrees_with_certificate(self, tmp_path):
         m = build_lorentz(LorentzSpec(12))

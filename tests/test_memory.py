@@ -2,9 +2,10 @@
 
 ``rayleigh_kernel``, ``_exact_symmetrize``, ``spectral_gap_probe`` and the
 Lorentz kernel of ``build_lorentz`` do their (n_v, n_v) arithmetic in place,
-and ``edi_certificate`` and ``write_certificate_csv`` fill one current per
-call in place; the expression forms they replaced are kept below, and the
-in-place forms must equal them bit for bit.  The budgets are tracemalloc
+and ``edi_certificate`` and ``write_certificate_csv`` fill one (n_x, n_pairs)
+current on the pairs i < j per call in place; the expression forms they
+replaced, the certificate's with its square (n_x, n_v, n_v) current, are
+kept below, and the in-place forms must equal them bit for bit.  The budgets are tracemalloc
 peaks: numpy reports its array data to tracemalloc.
 """
 
@@ -160,8 +161,8 @@ def test_benchmark_sweep_stays_within_its_budget():
 
 
 def expression_certificate_sums(traj, model, current_scale):
-    """Per step (E, R, Phi) as the certificate summed them with a fresh current
-    and fresh pair arrays every step."""
+    """Per step (E, R, Phi) as the certificate summed them with a fresh square
+    current and fresh pair arrays every step."""
     scale = 1.0 / traj.epsilon**2
     i, j, pair_weights = pair_triangle(model)
     kappa = model.sigma[i, j]
@@ -175,7 +176,7 @@ def expression_certificate_sums(traj, model, current_scale):
         xi = np.take(eta.reshape(len(f_mid), -1), i * model.n_nodes + j, axis=1)
         phi_vals = phi(kappa, np.take(f_mid, i, axis=1), np.take(f_mid, j, axis=1), xi)
         sums.append((scale * dirichlet_form(f_mid, model),
-                     scale * kinematic_rate(f_mid, eta, model),
+                     scale * kinematic_rate(f_mid, xi, model),
                      scale * traj.dx * float(np.sum(phi_vals @ pair_weights))))
     return np.array(sums)
 
@@ -194,10 +195,14 @@ def certify_run():
 def test_certificate_in_place_equals_the_expression_form(certify_run, current_scale):
     model, traj = certify_run
     f_mid = 0.5 * (traj.f[3] + traj.f[4])
-    buf = np.full((64, model.n_nodes, model.n_nodes), np.nan)
+    i, j, _ = pair_triangle(model)
+    buf = np.full((64, i.size), np.nan)
     assert current_of(f_mid, model, out=buf) is buf
     expected = current_of(f_mid, model)
     assert np.array_equal(buf, expected)
+    square = f_mid[:, :, None] - f_mid[:, None, :]
+    square *= model.sigma
+    assert np.array_equal(expected, square[:, i, j])
     buf *= current_scale
     assert np.array_equal(buf, expected * current_scale)
 
@@ -215,14 +220,15 @@ def test_certificate_in_place_equals_the_expression_form(certify_run, current_sc
 
 
 def test_certificate_and_its_csv_stay_within_their_budgets(certify_run, tmp_path):
-    # above the trajectory: one current, the pair arrays xi and phi's output,
-    # and 2 MB for everything else (the pair kernels' scratch is 0.66 MB)
+    # above the trajectory: four pair arrays (the current xi, the densities
+    # f_i and f_j, and phi's output) for the certificate, two (the current and
+    # current_of's temporary) for the CSV, and 2 MB for everything else (the
+    # pair kernels' scratch is 0.66 MB)
     model, traj = certify_run
     n_x, n_v = traj.f.shape[1:]
-    current = 8.0 * n_x * n_v**2
     pairs = 8.0 * n_x * n_v * (n_v - 1) / 2
     cert, peak = traced_peak(lambda: edi_certificate(traj, model))
-    assert peak <= current + 2 * pairs + 2e6, peak / 1e6
+    assert peak <= 4 * pairs + 2e6, peak / 1e6
     _, peak = traced_peak(lambda: write_certificate_csv(traj, model, cert,
                                                         str(tmp_path / "c.csv")))
-    assert peak <= current + 2e6, peak / 1e6
+    assert peak <= 2 * pairs + 2e6, peak / 1e6

@@ -1,9 +1,10 @@
 """The blocked i < j pair kernels against plain double sums over all (i, j).
 
-The references below evaluate scalar ``psi``/``phi`` once per (cell, i, j)
-and add the terms with ``math.fsum``; the library sums the pairs i < j
-twice, the diagonal apart, in blocks.  Small block sizes make the walk
-cross cell and pair boundaries even on tiny models.
+The references below expand a current on the pairs i < j into the full
+antisymmetric (n_x, n_v, n_v) square, evaluate scalar ``psi``/``phi`` once
+per (cell, i, j) and add the terms with ``math.fsum``; the library sums the
+pairs i < j twice, in blocks.  Small block sizes make the walk cross cell
+and pair boundaries even on tiny models.
 """
 
 import math
@@ -14,10 +15,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from linboltz import DomainError, InfeasibleValueError, NumericalQualityError
+from linboltz import DomainError, InfeasibleValueError, NumericalQualityError, UsageError
 from linboltz import functionals
 from linboltz.functionals import kinematic_rate, phi, psi
-from linboltz.kinetic import Trajectory, edi_certificate
+from linboltz.kinetic import Trajectory, current_of, edi_certificate
 from linboltz.velocity import VelocityModel
 
 REL = 1e-12
@@ -89,23 +90,38 @@ def own_current(f, sigma):
     return sigma[None, :, :] * (f[:, :, None] - f[:, None, :])
 
 
+def square(eta, n_v):
+    """The (n_x, n_v, n_v) antisymmetric current whose pairs i < j hold ``eta``."""
+    i, j = np.triu_indices(n_v, 1)
+    full = np.zeros((len(eta), n_v, n_v))
+    full[:, i, j] = eta
+    full[:, j, i] = -eta
+    return full
+
+
+def triangle(full):
+    """The entries i < j of an (n_x, n_v, n_v) current, in pair_triangle order."""
+    i, j = np.triu_indices(full.shape[-1], 1)
+    return full[:, i, j]
+
+
 @given(data=st.data())
 @PROPERTY
 def test_kinematic_rate_matches_double_sum(block, data):
     model, f, rng = data.draw(cases())
-    # a random antisymmetric current, off the zero-rate pairs; where a
-    # density vanishes it makes the cost infeasible unless it is zeroed too
-    a = rng.normal(0.0, 2.0, f.shape + (model.n_nodes,))
-    eta = (a - np.swapaxes(a, 1, 2)) * (model.sigma > 0)
+    # a random current, off the zero-rate pairs; where a density vanishes it
+    # makes the cost infeasible unless it is zeroed too
+    eta = square(rng.normal(0.0, 2.0, (f.shape[0], model.n_nodes * (model.n_nodes - 1) // 2)),
+                 model.n_nodes) * (model.sigma > 0)
     if data.draw(st.booleans()):
         eta *= f[:, :, None] * f[:, None, :] > 0
     dx = 1.0 / f.shape[0]
     expected = reference_sum(psi, model.sigma, f, eta, model.weights)
     if math.isinf(expected):
         with pytest.raises(InfeasibleValueError):
-            kinematic_rate(f, eta, model)
+            kinematic_rate(f, triangle(eta), model)
     else:
-        got = kinematic_rate(f, eta, model)
+        got = kinematic_rate(f, triangle(eta), model)
         assert got == pytest.approx(dx * expected, rel=REL, abs=1e-300)
 
 
@@ -135,41 +151,53 @@ def test_certificate_sums_match_double_sums(block, data):
         assert cert.phi_residual == 0.0
 
 
-def test_non_antisymmetric_current_is_rejected(block):
-    model = VelocityModel(
-        nodes=np.arange(3.0)[:, None], weights=np.full(3, 1 / 3),
-        drift=np.array([[-1.0], [0.0], [1.0]]),
-        sigma=np.ones((3, 3)) - np.eye(3),
-    )
-    f = np.ones((4, 3))
-    eta = np.zeros((4, 3, 3))
-    eta[2, 0, 2], eta[2, 2, 0] = 1.0, -1.0
-    assert kinematic_rate(f, eta, model) > 0.0
-    bad = eta.copy()
-    bad[2, 2, 0] = -1.0 + 1e-3  # off by more than the relative tolerance
-    with pytest.raises(DomainError):
-        kinematic_rate(f, bad, model)
-    bad = eta.copy()
-    bad[3, 1, 1] = 0.1  # a diagonal entry must vanish too
-    with pytest.raises(DomainError):
-        kinematic_rate(f, bad, model)
-
-
-def test_current_on_a_zero_rate_pair_or_the_diagonal_is_infeasible(block):
-    sigma = np.ones((3, 3)) - np.eye(3)
-    sigma[0, 1] = sigma[1, 0] = 0.0
-    model = VelocityModel(
+def three_node_model(sigma):
+    return VelocityModel(
         nodes=np.arange(3.0)[:, None], weights=np.full(3, 1 / 3),
         drift=np.array([[-1.0], [0.0], [1.0]]), sigma=sigma,
     )
+
+
+def test_non_antisymmetric_current_is_rejected(block):
+    # a current is stored on its pairs i < j, so it is antisymmetric by
+    # construction; a square (n_x, n_v, n_v) array, whether antisymmetric or
+    # not, is refused by its shape
+    model = three_node_model(np.ones((3, 3)) - np.eye(3))
     f = np.ones((4, 3))
-    eta = np.zeros((4, 3, 3))
-    eta[1, 0, 1], eta[1, 1, 0] = 0.5, -0.5
-    with pytest.raises(InfeasibleValueError):
+    eta = np.zeros((4, 3))
+    eta[2, 1] = 1.0  # the pair (0, 2)
+    assert kinematic_rate(f, eta, model) > 0.0
+    full = square(eta, 3)
+    bad = full.copy()
+    bad[2, 2, 0] = -1.0 + 1e-3
+    for current in (full, bad):
+        with pytest.raises(UsageError, match="shapes do not match"):
+            kinematic_rate(f, current, model)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_current_that_is_not_finite_is_refused(block, value):
+    model = three_node_model(np.ones((3, 3)) - np.eye(3))
+    f = np.ones((4, 3))
+    eta = np.zeros((4, 3))
+    eta[3, 2] = value
+    with pytest.raises(DomainError, match="not finite"):
         kinematic_rate(f, eta, model)
-    # within the antisymmetry tolerance, but sigma_ii = 0
-    eta = np.zeros((4, 3, 3))
-    eta[3, 2, 2] = 1e-14
+    # also where the rest of the current is infeasible
+    sigma = np.ones((3, 3)) - np.eye(3)
+    sigma[0, 1] = sigma[1, 0] = 0.0
+    eta[0, 0] = 0.5
+    with pytest.raises(DomainError, match="not finite"):
+        kinematic_rate(f, eta, three_node_model(sigma))
+
+
+def test_current_on_a_zero_rate_pair_is_infeasible(block):
+    sigma = np.ones((3, 3)) - np.eye(3)
+    sigma[0, 1] = sigma[1, 0] = 0.0
+    model = three_node_model(sigma)
+    f = np.ones((4, 3))
+    eta = np.zeros((4, 3))
+    eta[1, 0] = 0.5  # the pair (0, 1)
     with pytest.raises(InfeasibleValueError):
         kinematic_rate(f, eta, model)
 
@@ -192,7 +220,7 @@ def test_current_where_a_density_vanishes_is_infeasible():
         drift=np.array([[1.0], [-1.0]]), sigma=np.array([[0.0, 3.0], [3.0, 0.0]]),
     )
     f = np.array([[0.0, 1.0]])
-    eta = own_current(f, model.sigma)
+    eta = current_of(f, model)
     with pytest.raises(InfeasibleValueError, match="density"):
         kinematic_rate(f, eta, model)
 
@@ -296,10 +324,10 @@ def test_blocks_with_extreme_entries_keep_the_reference():
                 e = eta[x, i, j]
                 psi_ref = e * math.asinh(e / alpha) - e * (e / (math.hypot(e, alpha) + alpha))
                 reference.append(2.0 * model.weights[i] * model.weights[j] * psi_ref)
-    got = kinematic_rate(f, eta, model)
+    got = kinematic_rate(f, triangle(eta), model)
     assert got == pytest.approx(math.fsum(reference) / n_x, rel=REL, abs=0.0)
     eta[30, 3, 7], eta[30, 7, 3] = 1e155, -1e155
-    big = kinematic_rate(f, eta, model)
+    big = kinematic_rate(f, triangle(eta), model)
     alpha = 2.0 * model.sigma[3, 7] * math.sqrt(f[30, 3]) * math.sqrt(f[30, 7])
     assert big == pytest.approx(2.0 * model.weights[3] * model.weights[7] / n_x
                                 * 1e155 * (math.asinh(1e155 / alpha) - 1.0), rel=REL)
@@ -322,10 +350,10 @@ def test_kinematic_rate_at_densities_whose_product_underflows():
     )
     c = 1e-170
     f = np.array([[1.0, 2.0]])
-    small = kinematic_rate(c * f, own_current(c * f, model.sigma), model)
+    small = kinematic_rate(c * f, current_of(c * f, model), model)
     assert math.isfinite(small)
     assert small == pytest.approx(
-        c * kinematic_rate(f, own_current(f, model.sigma), model), rel=1e-12, abs=0.0)
+        c * kinematic_rate(f, current_of(f, model), model), rel=1e-12, abs=0.0)
 
 
 def _mpmath_costs(kappa, p, q, xi):
@@ -368,7 +396,6 @@ def test_kinematic_rate_of_a_current_whose_ratio_overflows_is_finite():
         drift=np.array([[-1.0], [1.0]]), sigma=np.ones((2, 2)) - np.eye(2),
     )
     f = np.full((1, 2), 1e-300)
-    eta = np.zeros((1, 2, 2))
-    eta[0, 0, 1], eta[0, 1, 0] = 1e10, -1e10  # eta/alpha = 5e309
+    eta = np.array([[1e10]])  # eta_01/alpha = 5e309
     expected = 2.0 * 0.25 * _mpmath_costs(1.0, 1e-300, 1e-300, 1e10)[0]
     assert kinematic_rate(f, eta, model) == pytest.approx(expected, rel=1e-14, abs=0.0)

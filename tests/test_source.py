@@ -1,7 +1,8 @@
 """Source hygiene of the package: no module imports a name it never uses, no
 module-level private function is left without a caller, no public function or
-class is called only from tests unless it is kept on purpose, and no attribute
-that an ``__init__`` sets is left unread.
+class is called only from tests unless it is kept on purpose, no module-level
+name is assigned without being read, and no attribute that an ``__init__``
+sets is left unread.
 
 Each module of ``src/linboltz`` but ``__init__.py`` (which imports to
 re-export) is parsed with ``ast``; a name counts as used where it is read as
@@ -103,6 +104,46 @@ def test_every_public_name_is_read_outside_the_tests_or_kept_on_purpose():
     assert unread == set(ONLY_TESTS_CALL), (
         f"read only by tests, not kept on purpose: {sorted(unread - set(ONLY_TESTS_CALL))}; "
         f"kept on purpose but read: {sorted(set(ONLY_TESTS_CALL) - unread)}")
+
+
+def names_loaded(tree):
+    """Every name read in ``tree``, as a name or an attribute, in a load only
+    (an assignment's own target is not a read of it)."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def module_level_assignments(tree):
+    """The names that the module-level statements of ``tree`` assign, with the
+    line of each."""
+    assigned = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+            targets = [stmt.target]
+        else:
+            continue
+        for target in targets:
+            for node in ast.walk(target):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    assigned[node.id] = stmt.lineno
+    return assigned
+
+
+def test_every_module_level_name_is_read():
+    # a constant that nothing reads, such as a tolerance left behind by the
+    # code that used it, is read neither in the package nor in bench/
+    paths = sorted(PACKAGE.glob("*.py"))
+    trees = {path: parse(path) for path in paths + sorted(BENCH.glob("*.py"))}
+    read = set().union(*(names_loaded(tree) for tree in trees.values()))
+    unread = [f"{path.name}:{line} {name}"
+              for path in paths
+              for name, line in module_level_assignments(trees[path]).items()
+              if name not in read
+              and not (path.name == "__init__.py" and name.startswith("__"))]
+    assert not unread, f"module-level names that nothing reads: {unread}"
 
 
 def attributes_read(tree):

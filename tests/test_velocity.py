@@ -603,6 +603,8 @@ def test_model_file_of_the_previous_schema_is_refused(tmp_path):
 
 def test_model_file_that_cannot_be_decoded_or_lacks_keys_is_a_config_error(tmp_path):
     path = tmp_path / "model_lorentz.json"
+    with pytest.raises(ConfigError, match="cannot read model file"):  # missing
+        from_file(path)
     path.write_bytes(b"\xff\xfe")
     with pytest.raises(ConfigError, match="cannot read model file"):
         from_file(path)
@@ -611,4 +613,38 @@ def test_model_file_that_cannot_be_decoded_or_lacks_keys_is_a_config_error(tmp_p
     del header["fingerprint"], header["meta"]
     path.write_text(json.dumps(header))
     with pytest.raises(ConfigError, match=r"lacks the keys \['fingerprint', 'meta'\]"):
+        from_file(path)
+
+
+@pytest.mark.parametrize("tamper", ["missing", "not_npz", "truncated", "bad_crc"])
+def test_model_file_whose_sidecar_cannot_be_read_is_a_config_error(tmp_path, tamper):
+    # once FileNotFoundError, numpy's ValueError and zipfile.BadZipFile
+    path = tmp_path / "model_lorentz.json"
+    to_file(build_model("lorentz", n_nodes=8), path)
+    arrays = tmp_path / "model_lorentz.npz"
+    raw = arrays.read_bytes()
+    if tamper == "missing":
+        arrays.unlink()
+    elif tamper == "not_npz":
+        arrays.write_bytes(b"not an npz file\n" * 8)
+    elif tamper == "truncated":
+        arrays.write_bytes(raw[:len(raw) // 2])
+    else:  # an entry's data overwritten inside an intact archive
+        start = raw.index(b"\x93NUMPY") + 20
+        arrays.write_bytes(raw[:start] + bytes(20) + raw[start + 20:])
+    with pytest.raises(ConfigError, match="cannot read the model arrays"):
+        from_file(path)
+
+
+@pytest.mark.parametrize("name", [5, None, "", ".", "..", "../../etc/passwd",
+                                  "../sub/model_lorentz.npz"])
+def test_model_file_reads_its_sidecar_only_beside_it(tmp_path, name):
+    # the header's arrays is a plain base name; a path is not followed, even
+    # to the sidecar itself
+    (tmp_path / "sub").mkdir()
+    path = tmp_path / "sub" / "model_lorentz.json"
+    to_file(build_model("lorentz", n_nodes=8), path)
+    header = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(header, arrays=name)))
+    with pytest.raises(ConfigError, match="is not the base name"):
         from_file(path)
