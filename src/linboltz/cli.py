@@ -14,14 +14,15 @@ along the drift's first axis; ``diffusive-sweep``'s heat flow has D[0, 0].
 
 Exit codes: 0 success; 2 configuration error (an unknown key, a ``solver`` key
 that the subcommand refuses: ``eps_list`` or ``dt_scale`` in ``kinetic-run``,
-``dt`` or ``epsilon`` in ``diffusive-sweep``; a value of the wrong type or range,
-a file that cannot be read or written, a model that fails its numerical checks,
-a ``T`` that holds no step of ``dt``, a scheme that ``kinetic._check_scheme``
-refuses, a trajectory certified against a model that did not produce it or could
-not have run its scheme (such as one along another drift column), or whose frames
-are malformed, a jump chain that is not irreducible on a route to D, a model kernel,
-frame, trajectory, certificate working set, sweep current path or Monte Carlo batch
-larger than physical memory, or any other ``MemoryError``); 3 certification
+``dt`` or ``epsilon`` in ``diffusive-sweep``; a ``diffusive-sweep`` transport other
+than ``spectral``; a value of the wrong type or range, a file that cannot be read or
+written, a model that fails its numerical checks, a ``T`` that holds no step of
+``dt``, a scheme that ``kinetic._check_scheme`` refuses, a trajectory certified
+against a model that did not produce it or could not have run its scheme (such as
+one along another drift column), or whose frames are malformed, a jump chain that is
+not irreducible on a route to D, a model kernel, frame, trajectory, certificate working
+set, sweep current path or Monte Carlo batch larger than physical memory, or any other
+``MemoryError``); 3 certification
 failure; 4 convergence failure (also numpy's ``LinAlgError``).  A nonzero exit writes
 ``error.json`` to --out if it can (not to an --out that names a file).  Stdout is
 human-readable; files written to --out are machine-readable and deterministic for a
@@ -265,8 +266,11 @@ def cmd_diffusive_sweep(args):
     s = cfg.solver
     if not s.eps_list:
         raise ConfigError("diffusive-sweep needs solver.eps_list")
+    if s.transport != "spectral":
+        raise ConfigError(f"diffusive-sweep steps spectral transport only, not {s.transport!r}: "
+                          "upwind's numerical diffusion, about |b| dx / 2 eps, has no diffusive limit")
     model = cfg.build_model()
-    report = sweep(model, _rho0(s, model), s.eps_list, s.T, s.transport, s.dt_scale)
+    report = sweep(model, _rho0(s, model), s.eps_list, s.T, dt_scale=s.dt_scale)
     out = args.out or "."
     write_sweep_csv(report, os.path.join(out, "sweep.csv"))
     write_manifest(report, raw, os.path.join(out, "sweep_manifest.json"))

@@ -9,16 +9,16 @@ L1/L2, and the time-integrated currents weakly with a fixed test bank.
 The interval lies along the drift's first axis, as in :mod:`linboltz.kinetic`,
 so the heat flow on it has the diffusivity ``d_axis`` = D[0, 0].
 
-Each run, upwind or spectral, is stepped on the rfft modes of f by
-:func:`linboltz.kinetic.mode_marginals`: the same Strang steps as the
-frames of :func:`linboltz.kinetic.evolve`, one real matmul each and no
-FFT.  The sweep holds the rfft modes of the current path j(t, x) and the
-final density rho(T, x), never j(t, x) itself or the (n_t, n_x, n_v)
-frames.  It pairs those modes with the test fields through the
-half-spectrum Parseval identity, and the heat current's closed-form modes
-(:meth:`linboltz.heat.HeatFlow.current_modes`) through the same identity,
-as one (n_t, n_x // 2 + 1) decay matrix times one coefficient per mode and
-field.
+Each run is stepped with spectral transport (upwind's numerical diffusion,
+about |b| dx / 2 eps, has no diffusive limit) on the rfft modes of f by
+:func:`linboltz.kinetic.mode_marginals`: the Strang steps of the frames of
+:func:`linboltz.kinetic.evolve`, one real matmul each and no FFT.  The sweep
+holds the rfft modes of the current path j(t, x) and the final density
+rho(T, x), never j(t, x) itself or the (n_t, n_x, n_v) frames.  It pairs
+those modes with the test fields through the half-spectrum Parseval
+identity, and the heat current's closed-form modes
+(:meth:`linboltz.heat.HeatFlow.current_modes`) through the same identity, as
+one (n_t, n_x // 2 + 1) decay matrix times one coefficient per mode and field.
 """
 
 import hashlib
@@ -34,8 +34,7 @@ from .heat import HeatFlow
 from .kinetic import _check_scheme, _step_count, mode_marginals, simulate
 from .velocity import diffusion_matrix, poisson_solve
 
-CFL = 0.5  # _auto_dt's upwind stability cap, dt <= CFL * eps * dx / max|b|
-SPLITTING_QUALITY = 0.03  # and its Strang cap, dt <= SPLITTING_QUALITY * eps^2
+SPLITTING_QUALITY = 0.03  # _auto_dt's Strang cap, dt <= SPLITTING_QUALITY * eps^2
 
 
 def default_test_bank(n_cells):
@@ -80,22 +79,17 @@ def _heat_current_pairings(flow, times, weights):
     return (weights.conj() * modes).real @ decay.T
 
 
-def _auto_dt(model, epsilon, T, n_cells, dt_scale=1.0):
-    """Largest dt of the form T/n below both stability and accuracy caps.
+def _auto_dt(epsilon, T, dt_scale=1.0):
+    """Largest dt of the form T/n with dt <= SPLITTING_QUALITY * eps^2.
 
-    The CFL cap dt <= CFL * eps * dx / max|b| keeps upwind transport
-    stable.  The cap dt <= SPLITTING_QUALITY * eps^2 fixes dt^2/eps^4, the
-    size of the Strang splitting error, at every eps: that error does not
-    shrink with eps, while the physical error falls as eps^2 (on Lorentz-64,
-    64 cells, T = 0.5, it is 92% of the L1 error at eps = 0.0125).
+    The cap fixes dt^2/eps^4, the size of the Strang splitting error, at
+    every eps: that error does not shrink with eps, while the physical error
+    falls as eps^2 (on Lorentz-64, 64 cells, T = 0.5, it is 92% of the L1
+    error at eps = 0.0125).  Spectral transport is stable at any dt.
     ``dt_scale`` then multiplies that step, rounded to the nearest T/n.  A
     step count that overflows a float is a ConfigError.
     """
-    bmax = float(np.max(np.abs(model.drift[:, 0])))
-    if bmax == 0:
-        raise ConfigError("the drift's first column vanishes")
-    dx = 1.0 / n_cells
-    target = min(CFL * epsilon * dx / bmax, SPLITTING_QUALITY * epsilon**2)
+    target = SPLITTING_QUALITY * epsilon**2
     try:
         n_steps = round(max(1, math.ceil(float(T) / float(target))) / dt_scale)
     except OverflowError:  # a step count past the largest float
@@ -104,23 +98,23 @@ def _auto_dt(model, epsilon, T, n_cells, dt_scale=1.0):
     return T / max(1, n_steps)
 
 
-def _check_rescaled(rho0, eps_list, T, transport):
+def _check_rescaled(rho0, eps_list, T):
     """rho0 as a 1d array, once every epsilon makes a scheme with steps of at
     most T, so that :func:`_auto_dt` may divide by it."""
     rho0 = np.asarray(rho0, dtype=float)
     if rho0.ndim != 1:
         raise ConfigError("rho0 must be a 1d profile, one value per cell")
     for eps in eps_list:
-        _check_scheme(T, eps, transport)
+        _check_scheme(T, eps, "spectral")
     return rho0
 
 
-def rescaled_run(model, rho0, epsilon, T, dt=None, transport="spectral"):
-    """Run the rescaled kinetic equation from local equilibrium rho0 (x) 1."""
-    rho0 = _check_rescaled(rho0, [epsilon], T, transport)
+def rescaled_run(model, rho0, epsilon, T, dt=None):
+    """Run the rescaled kinetic equation, spectral transport, from rho0 (x) 1."""
+    rho0 = _check_rescaled(rho0, [epsilon], T)
     if dt is None:
-        dt = _auto_dt(model, epsilon, T, rho0.size)
-    return simulate(model, rho0, T, dt, epsilon=epsilon, transport=transport)
+        dt = _auto_dt(epsilon, T)
+    return simulate(model, rho0, T, dt, epsilon=epsilon, transport="spectral")
 
 
 @dataclass(frozen=True)
@@ -140,7 +134,6 @@ class DiffusiveSweepReport:
     d_matrix: np.ndarray
     n_cells: int
     T: float
-    transport: str
 
     def errors_decreasing(self):
         l1 = [r.l1 for r in self.rows]
@@ -173,23 +166,26 @@ def _bonj_probe(pairings, dx, dt):
     return best
 
 
-def sweep(model, rho0, eps_list, T, transport="spectral", dt_scale=1.0):
+def sweep(model, rho0, eps_list, T, dt_scale=1.0):
     """Compare the rescaled kinetic flow against the heat reference on rho0's grid.
 
     ``dt_scale`` < 1 refines every auto-selected time step by that factor
     (used by the discretization-convergence check).  Each run is stepped on
-    the modes of f: only the modes of its current path j(t, x) and its last
-    density are kept, never its frames.  Every run's scheme, and its paths
-    against physical memory, are checked before the first one starts.
+    the modes of f with spectral transport: only the modes of its current
+    path j(t, x) and its last density are kept, never its frames.  The
+    drift's first column, every run's scheme and its paths against physical
+    memory are checked before the first one starts.
     """
     eps_list = sorted((float(e) for e in eps_list), reverse=True)
-    rho0 = _check_rescaled(rho0, eps_list, T, transport)
+    rho0 = _check_rescaled(rho0, eps_list, T)
+    if not np.any(model.drift[:, 0]):
+        raise ConfigError("the drift's first column vanishes")
     n_cells = rho0.size
     bank = default_test_bank(n_cells)
     dts = []
     for eps in eps_list:
-        dt = _auto_dt(model, eps, T, n_cells, dt_scale)
-        _check_scheme(dt, eps, transport, model, (n_cells, model.n_nodes))
+        dt = _auto_dt(eps, T, dt_scale)
+        _check_scheme(dt, eps, "spectral", model, (n_cells, model.n_nodes))
         # per time: the modes of j (n_cells // 2 + 1 complex), which the heat
         # decay matrix (n_cells // 2 + 1 floats) replaces, and per test field
         # the pairings and _bonj_probe's window sums (at most 5 floats)
@@ -208,7 +204,7 @@ def sweep(model, rho0, eps_list, T, transport="spectral", dt_scale=1.0):
     rows = []
     for eps, dt in zip(eps_list, dts):
         t0 = time.perf_counter()
-        j_modes, rho_T = mode_marginals(model, rho0, T, dt, epsilon=eps, transport=transport)
+        j_modes, rho_T = mode_marginals(model, rho0, T, dt, epsilon=eps)
         l1 = float(dx * np.sum(np.abs(rho_T - rho_heat_T)))
         l2 = float(np.sqrt(dx * np.sum((rho_T - rho_heat_T) ** 2)))
 
@@ -231,7 +227,6 @@ def sweep(model, rho0, eps_list, T, transport="spectral", dt_scale=1.0):
         d_matrix=D,
         n_cells=n_cells,
         T=T,
-        transport=transport,
     )
 
 
@@ -259,7 +254,7 @@ def write_manifest(report, config, path):
         "d_matrix": report.d_matrix.tolist(),
         "n_cells": report.n_cells,
         "T": report.T,
-        "transport": report.transport,
+        "transport": "spectral",
         "rows": [{k: v for k, v in vars(r).items() if k != "runtime_s"}
                  for r in report.rows],
     }

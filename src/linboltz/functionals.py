@@ -474,14 +474,14 @@ def fisher_information(rho, D):
 def heat_kinematic(rho_path, j_path, D, dt):
     """Kinematic action 0.5 * int dt int j^2 / (D rho) dx of a 1-d path.
 
-    ``rho_path`` and ``j_path`` are (n_t, n) arrays; densities are floored
-    at ``RHO_FLOOR``.
+    ``rho_path`` and ``j_path`` are (n_t, n) arrays; densities pass
+    :func:`_clip_density`, then are floored at ``RHO_FLOOR``.
     """
-    rho_path = np.asarray(rho_path, dtype=float)
+    rho = _clip_density(rho_path, what="rho")
     j_path = np.asarray(j_path, dtype=float)
-    if rho_path.ndim != 2 or j_path.shape != rho_path.shape:
+    if rho.ndim != 2 or j_path.shape != rho.shape:
         raise UsageError("heat_kinematic needs (n_t, n) density and current paths")
     D = _diffusivity(D)
-    dx = 1.0 / rho_path.shape[1]
-    rho = np.clip(rho_path, RHO_FLOOR, None)
+    dx = 1.0 / rho.shape[1]
+    rho = np.clip(rho, RHO_FLOOR, None)
     return float(0.5 * dt * dx * np.sum(j_path * j_path / rho) / D)

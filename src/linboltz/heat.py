@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .functionals import RHO_FLOOR, _diffusivity, fisher_information, heat_kinematic
+from .functionals import RHO_FLOOR, _clip_density, _diffusivity, fisher_information, heat_kinematic
 from .spectral import gradient
 
 
@@ -83,12 +83,9 @@ class HeatFlow:
 
 def spatial_entropy(rho):
     """int rho log rho dx of a 1-d density on a uniform periodic grid."""
-    rho = np.asarray(rho, dtype=float)
-    if rho.ndim != 1:
+    r = _clip_density(rho, what="rho")
+    if r.ndim != 1:
         raise UsageError("spatial_entropy needs a 1-d density")
-    if np.any(rho < -1e-12):
-        raise DomainError("negative density in entropy")
-    r = np.clip(rho, 0.0, None)
     val = np.where(r > 0, r * np.log(np.clip(r, RHO_FLOOR, None)), 0.0)
     return float((1.0 / rho.size) * val.sum())
 

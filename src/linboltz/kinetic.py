@@ -13,20 +13,20 @@ full transport step per velocity node, half collision step.  The
 exponential exp(t L) of the jump generator L = S W - Lambda is summed by
 :func:`collision_propagator` from nonnegative terms only (uniformization),
 so its entries are nonnegative exactly and numpy is all it needs.
-Both split operators act on each spatial Fourier mode alone: the transport
-as :attr:`Stepper.multiplier`, one factor per rfft mode and node built once
-per run, the collision on the velocity axis.  Upwind transport, the default,
-steps the frames in x as a convex combination of each cell and its upwind
-neighbour, which keeps f nonnegative; spectral transport applies the
-multiplier between one ``rfft`` and one ``irfft``, an exact translation of
-the trigonometric interpolant meant for smooth studies (it is not
-positivity-preserving in general).  :func:`evolve` yields the frames one at
-a time; :func:`simulate` stores them all, after checking that they fit in
-physical memory.  :func:`mode_marginals` takes the same Strang steps on the
-n_x/2 + 1 rfft modes of f, one real matmul per step and no FFT, for callers
-that need only the modes of the current j(t, x) and the final density
-rho(T, x), such as the diffusive sweep.  Positive frames, which the
-certificates need, come only from :func:`evolve`.
+Upwind transport, the default, steps the frames in x as a convex
+combination of each cell and its upwind neighbour, which keeps f
+nonnegative.  Spectral transport is an exact translation of the
+trigonometric interpolant, meant for smooth studies (it is not
+positivity-preserving in general): :attr:`Stepper.multiplier`, one phase per
+rfft mode and node built once per run, applied between one ``rfft`` and one
+``irfft``.  :func:`evolve` yields the frames one at a time; :func:`simulate`
+stores them all, after checking that they fit in physical memory.
+:func:`mode_marginals` takes the same Strang steps with spectral transport
+on the n_x/2 + 1 rfft modes of f, where both split operators act on each
+mode alone, one real matmul per step and no FFT, for callers that need only
+the modes of the current j(t, x) and the final density rho(T, x), such as
+the diffusive sweep.  Positive frames, which the certificates need, come
+only from :func:`evolve`.
 
 Certification assembles the entropy balance and the gradient-flow
 inequality
@@ -210,12 +210,11 @@ class Stepper:
     :func:`_check_scheme` refuses on this model and grid, or for which
     0.5 dt / eps^2 * max lambda is not finite, is a :class:`ConfigError`.
 
-    ``multiplier`` (n_cells // 2 + 1, n_v) is the transport step on the rfft
-    modes, ``advect_full`` = ``shift(., multiplier)`` (upwind: to rounding):
-    exp(-2 pi i k dt b / eps) for spectral transport; for upwind
-    1 - nu (1 - e^{-2 pi i k / n}), or 1 + nu - nu e^{2 pi i k / n} for
-    negative speeds.  Its Nyquist entry on an even grid keeps only its real
-    part, as ``irfft`` does, so steps on the modes stay those on the frames.
+    Spectral transport builds ``multiplier`` (n_cells // 2 + 1, n_v), the step
+    exp(-2 pi i k dt b / eps) on the rfft modes (``advect_full`` =
+    ``shift(., multiplier)``); its Nyquist entry on an even grid keeps only its
+    real part, as ``irfft`` does, so steps on the modes stay those on the
+    frames.  Upwind builds ``courant`` and ``from_left`` instead.
     """
 
     def __init__(self, model, n_cells, dt, epsilon=1.0, transport="upwind"):
@@ -225,18 +224,14 @@ class Stepper:
         self.transport = transport
         self.speeds = model.drift[:, 0] / epsilon
         self.half_collision = collision_propagator(model, 0.5 * dt / epsilon**2)
-        k = np.arange(n_cells // 2 + 1)[:, None]
         if transport == "spectral":
-            mult = np.exp(-2j * np.pi * k * (self.dt * self.speeds[None, :]))
+            k = np.arange(n_cells // 2 + 1)[:, None]
+            mult = self.multiplier = np.exp(-2j * np.pi * k * (self.dt * self.speeds[None, :]))
+            if n_cells % 2 == 0:
+                mult[-1] = mult[-1].real
         else:
-            nu = self.courant = self.dt * self.speeds / self.dx
+            self.courant = self.dt * self.speeds / self.dx
             self.from_left = self.speeds >= 0  # the upwind neighbour is x - dx
-            behind = np.exp(-2j * np.pi * k / n_cells)  # the mode of f(x - dx)
-            mult = np.where(self.from_left, 1.0 - nu * (1.0 - behind),
-                            1.0 + nu - nu * behind.conj())
-        if n_cells % 2 == 0:
-            mult[-1] = mult[-1].real
-        self.multiplier = mult
 
     def collide_half(self, f):
         return f @ self.half_collision.T
@@ -311,10 +306,10 @@ def _frames(stepper, f, n_steps):
         yield f
 
 
-def mode_marginals(model, f0, T, dt, epsilon=1.0, transport="upwind"):
+def mode_marginals(model, f0, T, dt, epsilon=1.0):
     """The rfft modes of the current path j(t_n, x) at every step t_n = n dt
-    and the density rho(T, x) of the run :func:`evolve` steps, computed on the
-    rfft modes of f.
+    and the density rho(T, x) of the run :func:`evolve` steps with spectral
+    transport, computed on the rfft modes of f.
 
     Both split operators act on each spatial mode alone: the transport as
     :attr:`Stepper.multiplier` P, the collision on the velocity axis.
@@ -334,7 +329,7 @@ def mode_marginals(model, f0, T, dt, epsilon=1.0, transport="upwind"):
     entries below 1e-290 in magnitude, far below the rounding of the values
     they feed, are set to zero.
     """
-    f0, n_steps, stepper = _prepare(model, f0, T, dt, epsilon, transport)
+    f0, n_steps, stepper = _prepare(model, f0, T, dt, epsilon, "spectral")
     n_cells = f0.shape[0]
     half = stepper.half_collision
     to_j = model.weights * model.drift[:, 0] / epsilon

@@ -104,6 +104,9 @@ class TestConfigValidation:
         # the sweep's own step count overflows
         ("diffusive-sweep", lorentz_cfg(solver={"eps_list": [1.6e-154]})),
         ("diffusive-sweep", lorentz_cfg(solver={"eps_list": [0.5], "dt_scale": 1e-310})),
+        # the sweep steps spectral transport only
+        ("diffusive-sweep", lorentz_cfg(solver={"eps_list": [0.5], "transport": "upwind"})),
+        ("diffusive-sweep", lorentz_cfg(solver={"eps_list": [0.5], "transport": "weno"})),
     ])
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, command, payload):
         cfg = write_cfg(tmp_path, payload)
@@ -325,6 +328,27 @@ class TestSweep:
     def test_requires_eps_list(self, tmp_path):
         cfg = write_cfg(tmp_path, lorentz_cfg(solver={"T": 0.05}))
         assert main(["diffusive-sweep", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("transport", ["upwind", "weno", "spectral", None])
+    def test_steps_spectral_transport_only(self, tmp_path, transport):
+        solver = {"n_cells": 8, "T": 0.05, "eps_list": [0.5]}
+        if transport is not None:
+            solver["transport"] = transport
+        cfg = write_cfg(tmp_path, lorentz_cfg(solver=solver))
+        out = tmp_path / "out"
+        code = main(["diffusive-sweep", "--config", cfg, "--out", str(out)])
+        if transport in ("spectral", None):
+            assert code == 0
+            assert json.loads((out / "sweep_manifest.json").read_text())["transport"] == (
+                "spectral")
+            return
+        assert code == 2
+        assert sorted(os.listdir(out)) == ["error.json"]
+        diag = json.loads((out / "error.json").read_text())
+        assert diag["error"] == "ConfigError"
+        assert diag["message"] == (
+            f"diffusive-sweep steps spectral transport only, not {transport!r}: upwind's "
+            "numerical diffusion, about |b| dx / 2 eps, has no diffusive limit")
 
 
 class TestMcEstimate:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -43,31 +44,26 @@ def report():
 
 class TestAutoDt:
     def test_divides_horizon(self):
-        m = two_node_model()
-        dt = _auto_dt(m, epsilon=0.1, T=0.5, n_cells=32)
+        dt = _auto_dt(epsilon=0.1, T=0.5)
         assert (0.5 / dt) == pytest.approx(round(0.5 / dt), abs=1e-12)
 
-    def test_respects_cfl_cap(self):
-        m = two_node_model(u=2.0)
-        eps, n = 0.5, 32
-        dt = _auto_dt(m, eps, T=1.0, n_cells=n)
-        assert dt <= 0.5 * eps * (1.0 / n) / 2.0 + 1e-15
-
     def test_respects_splitting_cap(self):
-        m = two_node_model()
         eps = 0.05
-        dt = _auto_dt(m, eps, T=1.0, n_cells=8)
+        dt = _auto_dt(eps, T=1.0)
         assert dt <= 0.03 * eps**2 + 1e-15
 
-    def test_rejects_zero_drift_axis(self):
-        m = VelocityModel(
-            nodes=np.zeros((2, 1)),
-            weights=np.array([0.5, 0.5]),
-            drift=np.zeros((2, 1)),
-            sigma=np.array([[0.0, 1.0], [1.0, 0.0]]),
-        )
-        with pytest.raises(ConfigError):
-            _auto_dt(m, 0.1, 1.0, 16)
+    def test_splitting_cap_alone_sets_the_sweeps_dt(self, monkeypatch):
+        # eps = 0.5 on 32 cells with max|b| = 2 lies above eps = 16.7 dx / max|b|,
+        # where a CFL cap 0.5 eps dx / max|b| would be the smaller one
+        dts = []
+
+        def spy(model, rho0, T, dt, epsilon):
+            dts.append(dt)
+            return mode_marginals(model, rho0, T, dt, epsilon)
+
+        monkeypatch.setattr("linboltz.diffusive.mode_marginals", spy)
+        sweep(two_node_model(u=2.0), bump_rho(32), [0.5], T=1.0)
+        assert dts == [1.0 / math.ceil(1.0 / (0.03 * 0.5**2))]
 
 
 class TestRescaledRun:
@@ -104,7 +100,6 @@ class TestSweep:
     def test_rows_sorted_and_tagged(self, report):
         eps = [r.epsilon for r in report.rows]
         assert eps == sorted(eps, reverse=True)
-        assert report.transport == "spectral"
 
     def test_weak_current_errors_small(self, report):
         assert all(r.weak_j_err < 0.1 for r in report.rows)
@@ -119,13 +114,23 @@ class TestSweep:
         rep = sweep(m, np.ones(16), [0.5, 0.25], T=0.1)
         assert all(r.l1 < 1e-11 and r.l2 < 1e-11 for r in rep.rows)
 
+    def test_rejects_zero_drift_axis(self):
+        m = VelocityModel(
+            nodes=np.zeros((2, 1)),
+            weights=np.array([0.5, 0.5]),
+            drift=np.zeros((2, 1)),
+            sigma=np.array([[0.0, 1.0], [1.0, 0.0]]),
+        )
+        with pytest.raises(ConfigError, match="first column vanishes"):
+            sweep(m, bump_rho(16), [0.1], T=1.0)
+
     def test_lorentz_matches_three_sixteenths(self):
         rep = sweep(
             build_lorentz(LorentzSpec(32)), bump_rho(16), [0.5], T=0.05)
         assert rep.d_axis == pytest.approx(0.1875, abs=1e-3)
 
 
-def frame_holding_rows(model, rho0, eps_list, T, n_cells, transport):
+def frame_holding_rows(model, rho0, eps_list, T, n_cells):
     """(l1, l2, weak_j_err, bonj_constant) per epsilon from whole trajectories,
     the per-time heat current and a loop over every dyadic window."""
     D, _ = diffusion_matrix(model, poisson_solve(model))
@@ -134,7 +139,7 @@ def frame_holding_rows(model, rho0, eps_list, T, n_cells, transport):
     bank = default_test_bank(n_cells)
     rows = []
     for eps in sorted(eps_list, reverse=True):
-        traj = rescaled_run(model, rho0, eps, T, transport=transport)
+        traj = rescaled_run(model, rho0, eps, T)
         dx, dt, n_t = traj.dx, traj.dt, traj.times.size
         rho_T = traj.f[-1] @ model.weights
         j_path = traj.f @ (model.weights * model.drift[:, 0]) / eps
@@ -155,15 +160,14 @@ def frame_holding_rows(model, rho0, eps_list, T, n_cells, transport):
     return rows
 
 
-@pytest.mark.parametrize("transport", ["spectral", "upwind"])
-def test_streamed_sweep_equals_the_frame_holding_reference(transport):
+def test_streamed_sweep_equals_the_frame_holding_reference():
     # the sweep steps the rfft modes, the reference the frames: the same
     # Strang steps in another order of floating-point operations
     model = build_lorentz(LorentzSpec(8))
     for n_cells in (16, 15):
         rho0 = bump_rho(n_cells)
-        rep = sweep(model, rho0, [0.2, 0.5], T=0.05, transport=transport)
-        ref = frame_holding_rows(model, rho0, [0.2, 0.5], 0.05, n_cells, transport)
+        rep = sweep(model, rho0, [0.2, 0.5], T=0.05)
+        ref = frame_holding_rows(model, rho0, [0.2, 0.5], 0.05, n_cells)
         for row, (l1, l2, weak, bonj) in zip(rep.rows, ref):
             assert row.l1 == pytest.approx(l1, rel=0.0, abs=1e-13)
             assert row.l2 == pytest.approx(l2, rel=0.0, abs=1e-13)
@@ -171,14 +175,13 @@ def test_streamed_sweep_equals_the_frame_holding_reference(transport):
             assert row.bonj_constant == pytest.approx(bonj, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("transport", ["upwind", "spectral"])
 @pytest.mark.parametrize("n_cells", [16, 15])
-def test_mode_pairings_equal_the_pairings_of_the_irfft_path(transport, n_cells):
+def test_mode_pairings_equal_the_pairings_of_the_irfft_path(n_cells):
     fields = np.vstack([*default_test_bank(n_cells).values(),
                         np.random.default_rng(n_cells).normal(size=(2, n_cells))])
     weights = _parseval_weights(fields, n_cells)
     j_modes, _ = mode_marginals(build_lorentz(LorentzSpec(8)), bump_rho(n_cells),
-                                T=0.05, dt=0.005, epsilon=0.5, transport=transport)
+                                T=0.05, dt=0.005, epsilon=0.5)
     # and modes with imaginary parts at DC and Nyquist, which irfft ignores
     rng = np.random.default_rng(7)
     noise = rng.normal(size=j_modes.shape) + 1j * rng.normal(size=j_modes.shape)
@@ -216,6 +219,7 @@ class TestOutputs:
         payload = json.loads(path.read_text())
         assert payload["config_hash"] == config_hash(cfg)
         assert payload["d_axis"] == report.d_axis
+        assert payload["transport"] == "spectral"
         assert len(payload["rows"]) == len(report.rows)
         assert "runtime_s" not in payload["rows"][0]
         assert "bonj_constant" in payload["rows"][0]

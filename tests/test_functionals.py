@@ -10,6 +10,7 @@ from linboltz import build_model
 from linboltz.functionals import (
     LOG_CAP,
     LOG_FLOOR,
+    RHO_FLOOR,
     dirichlet_form,
     dirichlet_lower_bound,
     fisher_information,
@@ -322,6 +323,23 @@ class TestHeatFunctionals:
         # 0.5 * j^2 / (D rho) integrated: 0.5*0.25/2 per unit time
         val = heat_kinematic(rho, j, np.array([[2.0]]), dt=0.1)
         assert val == pytest.approx(3 * 0.1 * 0.5 * 0.25 / 2.0, rel=1e-12)
+
+    def test_heat_kinematic_rejects_negative(self):
+        # and a density that is not finite, as every functional of a density
+        for bad, refusal in ((-0.5, "negative rho"), (np.nan, "not finite"),
+                             (np.inf, "not finite"), (-np.inf, "not finite")):
+            rho = np.ones((3, 16))
+            rho[1, 5] = bad
+            with pytest.raises(DomainError, match=refusal):
+                heat_kinematic(rho, np.full((3, 16), 0.5), 2.0, dt=0.1)
+
+    def test_heat_kinematic_floors_a_roundoff_negative(self):
+        rho = np.ones((3, 16))
+        rho[1, 5] = -1e-11  # below NEG_TOL in magnitude: set to 0, then floored
+        floored = rho.copy()
+        floored[1, 5] = RHO_FLOOR
+        j = np.full((3, 16), 0.5)
+        assert heat_kinematic(rho, j, 2.0, dt=0.1) == heat_kinematic(floored, j, 2.0, dt=0.1)
 
     def test_heat_functionals_refuse_input_of_the_wrong_rank(self):
         with pytest.raises(UsageError):

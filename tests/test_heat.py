@@ -140,8 +140,15 @@ class TestEntropy:
         assert all(a > b for a, b in zip(H, H[1:]))
 
     def test_rejects_negative(self):
-        with pytest.raises(DomainError):
-            spatial_entropy(np.array([1.0, -0.5]))
+        # and a density that is not finite, as every functional of a density
+        for bad, refusal in ((-0.5, "negative rho"), (np.nan, "not finite"),
+                             (np.inf, "not finite"), (-np.inf, "not finite")):
+            with pytest.raises(DomainError, match=refusal):
+                spatial_entropy(np.array([1.0, bad]))
+
+    def test_keeps_a_roundoff_negative(self):
+        # below NEG_TOL max(1, max|rho|) in magnitude, a negative is set to 0
+        assert spatial_entropy(np.array([1.0, -1e-11])) == spatial_entropy(np.array([1.0, 0.0]))
 
     def test_refuses_a_density_that_is_not_1d(self):
         # a (8, 12) grid has cells of 1/96, not (1/8)^2

@@ -35,7 +35,8 @@ from linboltz.kinetic import (
     simulate,
     write_certificate_csv,
 )
-from linboltz.functionals import relative_entropy, truncated_log
+from linboltz.functionals import (dirichlet_form, kinematic_rate, pair_triangle, phi,
+                                  relative_entropy, truncated_log)
 from linboltz.spectral import shift
 from linboltz.velocity import VelocityModel, apply_generator
 
@@ -276,57 +277,33 @@ class TestTransportStep:
             assert np.array_equal(frame, g)
 
 
-    @settings(max_examples=80, deadline=None)
-    @given(data=st.data())
-    def test_mode_multiplier_is_the_real_space_step(self, data):
-        n_x = data.draw(st.integers(2, 16), label="n_x")
-        dt = 0.01
-        c_max = (1.0 / n_x) / dt  # the speed at CFL = 1
-        speed = st.one_of(st.sampled_from([0.0, -0.0, c_max, -c_max]),
-                          st.floats(-c_max, c_max))
-        speeds = np.array(data.draw(st.lists(speed, min_size=1, max_size=6), label="speeds"))
-        n_v = speeds.size
-        w = np.full(n_v, 1.0 / n_v)
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        sigma = rng.uniform(0.0, 2.0, (n_v, n_v))
-        m = VelocityModel(nodes=np.arange(n_v)[:, None], weights=w,
-                          drift=centered_within_cfl(speeds[:, None], w, c_max),
-                          sigma=sigma + sigma.T)
-        f = rng.uniform(0.0, 2.0, (n_x, n_v))
-        st_ = Stepper(m, n_cells=n_x, dt=dt)
-        moved = shift(f, st_.multiplier)
-        assert np.max(np.abs(moved - st_.advect_full(f))) <= 1e-15 * np.max(f)
-
-
 class TestModeMarginals:
     @staticmethod
-    def frame_marginals(model, f0, T, dt, epsilon, transport):
-        n_steps, frames = evolve(model, f0, T, dt, epsilon, transport)
+    def frame_marginals(model, f0, T, dt, epsilon):
+        n_steps, frames = evolve(model, f0, T, dt, epsilon, "spectral")
         f = np.stack(list(frames))
         return (f @ (model.weights * model.drift[:, 0]) / epsilon,
                 f[-1] @ model.weights)
 
-    @pytest.mark.parametrize("transport", ["upwind", "spectral"])
     @pytest.mark.parametrize("n_cells", [16, 15])
-    def test_modes_give_the_marginals_of_the_frames(self, transport, n_cells):
+    def test_modes_give_the_marginals_of_the_frames(self, n_cells):
         m = build_lorentz(LorentzSpec(8))
         f0 = np.random.default_rng(n_cells).uniform(0.5, 2.0, (n_cells, 8))
-        j_modes, rho_T = mode_marginals(m, f0, 0.02, 0.002, 0.5, transport)
-        j_ref, rho_ref = self.frame_marginals(m, f0, 0.02, 0.002, 0.5, transport)
+        j_modes, rho_T = mode_marginals(m, f0, 0.02, 0.002, 0.5)
+        j_ref, rho_ref = self.frame_marginals(m, f0, 0.02, 0.002, 0.5)
         assert j_modes.shape == (len(j_ref), n_cells // 2 + 1) == (11, n_cells // 2 + 1)
         j_path = np.fft.irfft(j_modes, n_cells, axis=1)
         assert np.max(np.abs(j_path - j_ref)) < 1e-14
         assert np.max(np.abs(rho_T - rho_ref)) < 1e-14
 
-    @pytest.mark.parametrize("transport", ["upwind", "spectral"])
-    def test_flushing_tiny_state_entries_keeps_the_outputs(self, monkeypatch, transport):
+    def test_flushing_tiny_state_entries_keeps_the_outputs(self, monkeypatch):
         # at dt / eps^2 = 0.03, as the sweep steps, to t / eps^2 = 1200: unflushed,
         # the state decays into subnormals, which reach the current's modes
         m = build_lorentz(LorentzSpec(8))
         eps = 0.05
         dt = 0.03 * eps**2
-        args = (m, bump_rho(16), 40000 * dt, dt, eps, transport)
-        sweep_args = (m, bump_rho(16), [eps], 40000 * dt, transport)
+        args = (m, bump_rho(16), 40000 * dt, dt, eps)
+        sweep_args = (m, bump_rho(16), [eps], 40000 * dt)
         j_modes, rho_T = mode_marginals(*args)
         rows = sweep(*sweep_args).rows
         monkeypatch.setattr(kinetic, "_FLUSH_BELOW", 0.0)
@@ -353,8 +330,6 @@ class TestModeMarginals:
             mode_marginals(two_node_model(), bump_rho(8), T=1e-12, dt=0.002)
         with pytest.raises(DomainError):
             mode_marginals(two_node_model(), -bump_rho(8), T=0.04, dt=0.02)
-        with pytest.raises(ConfigError):  # CFL
-            mode_marginals(two_node_model(u=2.0), bump_rho(8), T=0.5, dt=0.5)
 
     def test_strang_converges_at_second_order_to_the_exact_propagator(self):
         # each rfft mode k evolves exactly by exp(t A_k),
@@ -376,7 +351,7 @@ class TestModeMarginals:
         dts = [T / n for n in (5, 10, 20, 40)]
         errors = []
         for dt in dts:
-            j_modes, rho_T = mode_marginals(m, f0, T, dt, eps, "spectral")
+            j_modes, rho_T = mode_marginals(m, f0, T, dt, eps)
             j_T = np.fft.irfft(j_modes[-1], n_cells)
             errors.append(max(np.max(np.abs(rho_T - rho_exact)),
                               np.max(np.abs(j_T - j_exact))))
@@ -642,6 +617,58 @@ class TestEdiCertificate:
         cert = edi_certificate(traj, m, current_scale=2.0)
         assert cert.phi_residual > 0.0
 
+    def test_edi_identity_holds_off_the_solution(self):
+        # along any (f, eta) that satisfies the continuity equation,
+        # J = H(T) - H(0) + int (E + R) dt equals int Phi dt, which is > 0 off
+        # the solution: here eta = current_of(f) + zeta, and f solves the
+        # kinetic equation with the source -eps^-2 sum_j w_j zeta_ij
+        m = build_lorentz(LorentzSpec(8))
+        n_x, eps, T = 16, 0.5, 0.2
+        scale = 1.0 / eps**2
+        b = m.drift[:, 0]
+        i, j, pair_weights = pair_triangle(m)
+        cos = np.cos(2 * np.pi * (np.arange(n_x) + 0.5) / n_x)[:, None]
+        f0 = np.repeat(1.0 + 0.5 * cos, m.n_nodes, axis=1)
+        gen = m.sigma * m.weights[None, :] - np.diag(m.rates)
+
+        def edi_sides(delta, dt):
+            """(J, int Phi) on exact frames dt apart, with the midpoint rule."""
+            kernel = delta * m.sigma * np.subtract.outer(b, b)  # delta sigma_ij (b_i - b_j)
+            zeta = cos * kernel[i, j]
+            source_hat = np.fft.rfft(-scale * cos * (kernel @ m.weights), axis=0)
+            # each rfft mode k evolves by exp(dt A_k), A_k = L / eps^2 - 2 pi i k
+            # diag(b) / eps, with the constant source in one more row and column
+            steps = []
+            for k, s_k in enumerate(source_hat):
+                aug = np.zeros((m.n_nodes + 1, m.n_nodes + 1), complex)
+                aug[:-1, :-1] = scale * gen - 2j * np.pi * k * np.diag(b) / eps
+                aug[:-1, -1] = s_k
+                steps.append(expm(dt * aug))
+            state = np.hstack([np.fft.rfft(f0, axis=0), np.ones((len(steps), 1))])
+            frames = [f0]
+            for _ in range(round(T / dt)):
+                state = np.einsum("kab,kb->ka", np.stack(steps), state)
+                frames.append(np.fft.irfft(state[:, :-1], n_x, axis=0))
+            J = relative_entropy(frames[-1], m) - relative_entropy(f0, m)
+            phi_total = 0.0
+            for f, g in zip(frames, frames[1:]):
+                f_mid = 0.5 * (f + g)
+                eta = current_of(f_mid, m) + zeta
+                J += dt * scale * (dirichlet_form(f_mid, m) + kinematic_rate(f_mid, eta, m))
+                phi_vals = phi(m.sigma[i, j], f_mid[:, i], f_mid[:, j], eta)
+                phi_total += dt * scale * float(np.sum(phi_vals @ pair_weights)) / n_x
+            return J, phi_total
+
+        dts = [0.02, 0.01, 0.005]
+        sides = [edi_sides(0.1, dt) for dt in dts]
+        gaps = [abs(J - phi_total) for J, phi_total in sides]
+        order = np.polyfit(np.log(dts), np.log(gaps), 1)[0]
+        assert order >= 1.9, (order, gaps)
+        phi_small = sides[-1][1]
+        assert phi_small > 0.0
+        phi_large = edi_sides(0.2, dts[-1])[1]
+        assert phi_large / phi_small == pytest.approx(4.0, rel=0.1)
+
     def test_refuses_a_working_set_larger_than_memory(self, monkeypatch):
         from linboltz import errors
 
@@ -742,11 +769,13 @@ def test_every_entry_point_refuses_a_bad_scheme_with_one_message(tmp_path, chang
     runs = {
         "Stepper": lambda: Stepper(m, 8, **scheme),
         "evolve": lambda: evolve(m, rho0, T, **scheme),
-        "mode_marginals": lambda: mode_marginals(m, rho0, T, **scheme),
-        "sweep": lambda: sweep(m, rho0, [scheme["epsilon"]], T, scheme["transport"]),
         "Trajectory": lambda: Trajectory(frames, **scheme),
         "load_trajectory": lambda: load_trajectory(tmp_path),
     }
+    if "transport" not in change:  # these two step spectral transport only
+        runs["mode_marginals"] = lambda: mode_marginals(m, rho0, T, scheme["dt"],
+                                                        scheme["epsilon"])
+        runs["sweep"] = lambda: sweep(m, rho0, [scheme["epsilon"]], T)
     frames = np.ones((2, 8, 8))
     save_trajectory(Trajectory(frames, 0.01, 1.0, "upwind"), tmp_path)
     meta = json.loads((tmp_path / "meta.json").read_text())

@@ -154,8 +154,7 @@ def test_benchmark_sweep_stays_within_its_budget():
     model = build_model("lorentz", n_nodes=64)
     x = (np.arange(64) + 0.5) / 64
     rho0 = 1.0 + 0.45 * np.cos(2.0 * np.pi * x)
-    report, peak = traced_peak(lambda: sweep(model, rho0, [0.4, 0.2, 0.1, 0.05], T=0.5,
-                                             transport="spectral"))
+    report, peak = traced_peak(lambda: sweep(model, rho0, [0.4, 0.2, 0.1, 0.05], T=0.5))
     assert report.errors_decreasing()
     assert peak < 12e6, peak / 1e6
 
