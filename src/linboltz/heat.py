@@ -58,8 +58,8 @@ class HeatFlow:
         object.__setattr__(self, "_rates", rates)
 
     def rho_at(self, t):
-        if t < 0:
-            raise UsageError("t must be nonnegative")
+        if not 0 <= t < np.inf:  # NaN included
+            raise UsageError(f"t must be finite and nonnegative, not {t!r}")
         return np.fft.irfft(self._rho0_hat * np.exp(-t * self._rates), self.rho0.size)
 
     def current_at(self, t):
@@ -87,7 +87,7 @@ def spatial_entropy(rho):
     if r.ndim != 1:
         raise UsageError("spatial_entropy needs a 1-d density")
     val = np.where(r > 0, r * np.log(np.clip(r, RHO_FLOOR, None)), 0.0)
-    return float((1.0 / rho.size) * val.sum())
+    return float((1.0 / r.size) * val.sum())
 
 
 def heat_gradient_flow_check(flow, times, current_factor=1.0):

@@ -10,14 +10,17 @@ and the one-step transition operator
 
     (K g)_i = sum_j w_j S_ij g_j / lambda_i,   lambda_i = sum_j w_j S_ij,
 
-are assembled.  K is self-adjoint in L^2 of the tilted measure
-w~_i = lambda_i w_i / <lambda>, and the diffusion matrix is
+are assembled.  K is self-adjoint, and I - K positive semidefinite, in L^2 of
+the tilted measure w~_i = lambda_i w_i / <lambda>, and the diffusion matrix is
 
-    D = sum_i w_i b_i (x) xi_i,   with  (-L) xi = b.
+    D = sum_i w_i b_i (x) xi_i,   with  (-L) xi = lambda (I - K) xi = b,
+
+solved by conjugate gradients in that measure (:func:`poisson_solve`).
 """
 
 import hashlib
 import json
+import numbers
 import os
 import zipfile
 from dataclasses import dataclass, field
@@ -37,8 +40,6 @@ MODEL_SCHEMA = "model-v3"
 MODEL_ARRAYS = ("nodes", "weights", "drift", "sigma")
 CENTERING_TOL = 1e-12  # largest |pi(b)| that a VelocityModel accepts
 PSD_TOL = 1e-10  # relative tolerance of diffusion_matrix's semidefiniteness test
-POISSON_MAX_ITER = 100000  # poisson_solve's step limit
-POISSON_DAMPING = 0.5  # and the weight theta of each new fixed-point iterate
 DENSE_RESIDUAL_TOL = 1e-9  # poisson_solve_dense's largest residual / max(1, max|b|)
 
 
@@ -139,11 +140,6 @@ class TiltedMeasure:
         prod = np.asarray(f, dtype=float) * np.asarray(g, dtype=float)
         return float(self.weights @ prod.reshape(prod.shape[0], -1).sum(axis=1))
 
-    def norm(self, g):
-        g = np.asarray(g, dtype=float)
-        sq = (g * g).reshape(g.shape[0], -1).sum(axis=1)
-        return float(np.sqrt(self.weights @ sq))
-
 
 @dataclass(frozen=True)
 class PoissonSolution:
@@ -192,31 +188,35 @@ def require_ergodic(model):
 def poisson_solve(model, tol=1e-12):
     """Solve (-L) xi = b for the mean-zero (in the tilted measure) solution.
 
-    Uses the damped fixed-point xi <- (1-theta) xi + theta (K xi + b/lambda),
-    theta = POISSON_DAMPING, which converges whenever K has a spectral gap at
-    +1 (:func:`require_ergodic` refuses a chain without one), even when K has
-    eigenvalues near -1 where the plain series oscillates.  The tilted mean of every
-    component is removed after each step to pin the constant mode; POISSON_MAX_ITER
-    steps without reaching ``tol`` raise :class:`ConvergenceError`.
+    Conjugate gradients from 0 on (I - K) xi = b / lambda in L^2 of the tilted
+    measure, all drift columns stacked into one vector.  ``tol`` bounds
+    max|-L xi - b| = max|lambda r|: the updated residual r below it stops the
+    steps; the true one, once the tilted mean is removed, is reported.  A true
+    residual at or above ``tol``, a breakdown <p, (I - K) p> <= 0 or 2 n_v steps
+    (n_v in exact arithmetic) raise :class:`ConvergenceError`.
     """
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < np.inf:
+        raise UsageError(f"tol must be a positive finite number, not {tol!r}")
     require_ergodic(model)
     tilted = TiltedMeasure.of(model)
-    h = model.drift / model.rates[:, None]
-    xi = h - tilted.weights @ h
-    for it in range(1, POISSON_MAX_ITER + 1):
-        nxt = (1.0 - POISSON_DAMPING) * xi + POISSON_DAMPING * (apply_k(model, xi) + h)
-        nxt = nxt - tilted.weights @ nxt
-        increment = tilted.norm(nxt - xi)
-        xi = nxt
-        if increment < tol:
-            residual = float(np.max(np.abs(-apply_generator(model, xi) - model.drift)))
-            return PoissonSolution(xi, residual, it)
+    lam, cap, steps, pap = model.rates[:, None], 2 * model.n_nodes, 0, 1.0
+    xi, r = np.zeros_like(model.drift), model.drift / lam
+    p, rr = r, tilted.inner(r, r)
+    while np.max(np.abs(lam * r)) >= tol and steps < cap and pap > 0:
+        ap = p - apply_k(model, p)
+        pap = tilted.inner(p, ap)
+        if pap > 0:
+            steps += 1
+            xi += (rr / pap) * p
+            r = r - (rr / pap) * ap
+            rr, rr_old = tilted.inner(r, r), rr
+            p = r + (rr / rr_old) * p
+    xi -= tilted.weights @ xi
     residual = float(np.max(np.abs(-apply_generator(model, xi) - model.drift)))
-    raise ConvergenceError(
-        f"Poisson iteration did not reach tol={tol:g} in {POISSON_MAX_ITER} steps",
-        residual=residual,
-        iterations=POISSON_MAX_ITER,
-    )
+    if not (np.max(np.abs(lam * r)) < tol and residual < tol):
+        raise ConvergenceError(f"conjugate gradients did not reach tol={tol:g} in {steps} of {cap} "
+                               f"steps (last <p, (I - K) p> = {pap:.3e})", residual, steps)
+    return PoissonSolution(xi, residual, steps)
 
 
 def poisson_solve_dense(model):

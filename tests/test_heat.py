@@ -86,9 +86,11 @@ class TestHeatFlow:
         assert type(flow.D) is float and flow.D == 0.2
 
     def test_rejects_negative_time(self):
+        # and a time that is not finite
         flow = HeatFlow(cos_rho(16), np.eye(1))
-        with pytest.raises(UsageError):
-            flow.rho_at(-0.1)
+        for t in (-0.1, np.nan, np.inf):
+            with pytest.raises(UsageError, match="t must be finite and nonnegative"):
+                flow.rho_at(t)
 
 
 class TestHeatSolve:
@@ -133,6 +135,7 @@ class TestHeatSolve:
 class TestEntropy:
     def test_uniform_density_zero(self):
         assert spatial_entropy(np.ones(16)) == 0.0
+        assert spatial_entropy([1.0, 1.0]) == 0.0  # a list, as any functional takes
 
     def test_decreasing_along_flow(self):
         flow = HeatFlow(cos_rho(64), 0.1 * np.eye(1))

@@ -185,8 +185,8 @@ class TestPhonon:
         assert np.isfinite(phonon.meta["max_b2_over_lambda"])
 
     def test_poisson_solution_is_b_over_lambda(self, phonon):
-        # the product kernel annihilates odd functions, so the Neumann
-        # series terminates after the first term
+        # the product kernel annihilates odd functions, so K (b/lambda) = 0 and
+        # b/lambda solves (I - K) xi = b/lambda: conjugate gradients take one step
         sol = poisson_solve(phonon, tol=1e-13)
         expected = phonon.drift / phonon.rates[:, None]
         assert np.max(np.abs(sol.xi - expected)) < 1e-12
