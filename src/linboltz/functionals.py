@@ -38,13 +38,16 @@ block makes about 10 (psi) or 25 (phi) passes over data that stays in cache
 and no ufunc allocates.  They divide the formulas above through by alpha and
 see it only through xi/alpha and m/alpha, with alpha = 2*kappa*sqrt(p)*sqrt(q);
 only the squares of those ratios can overflow, and the elements where they do
-fall back to np.hypot, with asinh(y) = log 2|y| where y itself overflows.  On
-the ``certify`` benchmark config (Rayleigh-120, 64 cells, 457k pair elements
-per call; 2-core Xeon, one thread) a :func:`kinematic_rate` call takes
-about 5.3 ms, 12 ns per pair element with its density gathers, and a
-:func:`phi` call about 10 ms, 22 ns per element.  The kernels
-use no threads: two threads running np.arcsinh on separate blocks ran no
-faster than one there.
+fall back to np.hypot, with asinh(y) = log 2|y| where y itself overflows.
+phi first forms m = kappa*(p - q) and xi - m, and fills a block where that is
+0 at every element, the block of the solver's own current, with zeros without
+forming alpha, a root or an asinh.  On the ``certify`` benchmark config
+(Rayleigh-120, 64 cells, 457k pair elements per call; 2-core Xeon, one
+thread) a :func:`kinematic_rate` call takes about 5.3 ms, 12 ns per pair
+element with its density gathers; a :func:`phi` call takes about 10 ms, 22 ns
+per element, off the own current and about 2.5 ms, 5 ns per element, on it.
+The kernels use no threads: two threads running np.arcsinh on separate blocks
+ran no faster than one there.
 """
 
 import math
@@ -77,8 +80,10 @@ def truncated_log(u):
 
 #: elements per block, read at call time; a call allocates its scratch arrays
 #: of this size once.  Per call on the certify config (see above), at 4096 /
-#: 16384 / 65536 / 262144: kinematic_rate 7.7 / 4.8 / 4.7 / 5.5 ms, phi
-#: 11.2 / 9.7 / 10.6 / 18.8 ms (medians of 40 calls).
+#: 16384 / 65536 / 262144: kinematic_rate 7.7 / 4.8 / 4.7 / 5.5 ms, phi off
+#: the own current 11.2 / 9.7 / 10.6 / 18.8 ms (medians of 40 calls); phi on
+#: it 3.0 / 2.5 / 2.4 / 6.4 ms, against 15.3 / 16.5 / 17.9 / 25.3 ms for the
+#: whole kernel in the same runs.
 BLOCK = 16384
 
 
@@ -158,13 +163,22 @@ def _jump_cost(kappa, p, q, xi, out, work):
         phi = xi*(asinh rx - asinh rm) - (xi - m)*(rx + rm)/(sx + sm),
 
     the reference form divided through by alpha.  At xi == m both terms
-    vanish exactly.
+    vanish exactly, so a block where xi - m is 0 at every element, which
+    means xi == m and both finite, is filled with zeros before alpha, the
+    divisions, the roots and the asinh are formed.  That is the block of the
+    solver's own current xi = kappa*(p - q); any other block, and one holding
+    a NaN or an infinity, takes the whole kernel.
     """
     alpha, m, rm, t, u = work
-    _alpha(kappa, p, q, alpha, t)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         np.subtract(p, q, out=m)
         m *= kappa
+        np.subtract(xi, m, out=t)
+    if not t.any():  # a NaN is nonzero
+        out.fill(0.0)
+        return out
+    _alpha(kappa, p, q, alpha, t)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         np.divide(xi, alpha, out=out)
         np.divide(m, alpha, out=rm)
         np.multiply(out, out, out=t)
@@ -187,8 +201,9 @@ def _jump_cost(kappa, p, q, xi, out, work):
         if bad is not None:  # the reference formula, with np.hypot
             x, mb, a = xi[bad], m[bad], alpha[bad]
             den = np.hypot(x, a) + np.hypot(mb, a)
+            # 0 where x == mb, also where x + mb and den overflow to inf/inf
             out[bad] = (x * (_asinh_ratio(x, a) - _asinh_ratio(mb, a))
-                        - (x - mb) * ((x + mb) / den))
+                        - np.where(x == mb, 0.0, (x - mb) * ((x + mb) / den)))
             deg = ~(a > 0)
             if deg.any():
                 idx = tuple(b[deg] for b in bad)
@@ -269,7 +284,11 @@ def psi(kappa, p, q, xi):
 
 
 def phi(kappa, p, q, xi):
-    """Jump cost of the balance-equation action; zero iff xi = kappa*(p-q)."""
+    """Jump cost of the balance-equation action; zero iff xi = kappa*(p-q).
+
+    Exactly 0.0 at xi = kappa*(p - q) with all four finite, up to the sign of
+    a zero; a block of elements that all lie there is filled with zeros
+    without the kernel (see :func:`_jump_cost`)."""
     return _elementwise(_jump_cost, 5, kappa, p, q, xi)
 
 

@@ -40,13 +40,17 @@ current and is strictly positive for any other.  The current lives on
 the velocity pairs i < j, as an (n_x, n_pairs) array, n_pairs =
 n_v (n_v - 1) / 2, and both pair costs are summed over those pairs in
 cache-sized blocks (see :mod:`linboltz.functionals`).  The certificate's
-working set beyond the trajectory is four such arrays: the current xi,
-filled in place by :func:`current_of`, and the pair densities f_i and f_j,
-allocated once per call, and phi's output.  That is 2 n_x n_v (n_v - 1)
-floats, 14.6 MB for Rayleigh-120 on 64 cells, and
-:func:`require_certificate_memory` refuses a certificate whose working set
-and trajectory together exceed physical memory before anything is
-allocated (the ``kinetic-run`` CLI checks it before it simulates).
+working set beyond the trajectory is four such arrays: the pair densities
+f_i and f_j, gathered once per step, the current xi = (f_i - f_j) sigma_ij
+formed in place from them, all three allocated once per call, and phi's
+output.  That is 2 n_x n_v (n_v - 1) floats, 14.6 MB for Rayleigh-120 on 64
+cells, and :func:`require_certificate_memory` refuses a certificate whose
+working set and trajectory together exceed physical memory before anything
+is allocated (the ``kinetic-run`` CLI checks it before it simulates).  phi
+fills each block that lies at the own current with zeros without evaluating
+the cost, so ``phi_residual == 0.0`` checks that the current charged in R is
+sigma_ij (f_i - f_j) at every pair element, bit for bit; the cost's values on
+its zero set are checked apart from the certificate.
 
 A run's scheme (dt, eps and the transport) is checked in one place,
 :func:`_check_scheme`, which the :class:`Stepper`, every :class:`Trajectory`,
@@ -473,7 +477,10 @@ def edi_certificate(traj, model, current_scale=1.0, tol=None):
     ``tol`` is given, a violation raises :class:`CertificationError`
     carrying the full certificate.
 
-    Its working set (see the module notes) is allocated once, after
+    Each step gathers the pair densities f_i, f_j once and forms the current
+    in place from them as (f_i - f_j) sigma_ij, :func:`current_of`'s
+    operations in its order and so its bits; R and Phi both read that one
+    current.  Its working set (see the module notes) is allocated once, after
     :func:`require_certificate_memory` has checked it.
     """
     require_certificate_memory(traj.f.shape)
@@ -491,14 +498,16 @@ def edi_certificate(traj, model, current_scale=1.0, tol=None):
     per_step = np.empty(traj.n_steps)
     for n in range(traj.n_steps):
         f_mid = 0.5 * (traj.f[n] + traj.f[n + 1])
-        current_of(f_mid, model, out=xi)
+        np.take(f_mid, i, axis=1, out=f_i, mode="clip")
+        np.take(f_mid, j, axis=1, out=f_j, mode="clip")
+        # current_of's operations in its order, so its bits, from the gathers
+        np.subtract(f_i, f_j, out=xi)
+        xi *= kappa
         if current_scale != 1.0:
             xi *= current_scale
         e_val = scale * dirichlet_form(f_mid, model)
         r_val = scale * kinematic_rate(f_mid, xi, model)
         # Phi over the pairs i < j, counted twice
-        np.take(f_mid, i, axis=1, out=f_i, mode="clip")
-        np.take(f_mid, j, axis=1, out=f_j, mode="clip")
         phi_val = scale * traj.dx * float(np.sum(phi(kappa, f_i, f_j, xi) @ pair_weights))
         dirichlet += traj.dt * e_val
         kinematic += traj.dt * r_val

@@ -15,8 +15,10 @@ from linboltz import (
     DomainError,
     LorentzSpec,
     NumericalQualityError,
+    RayleighSpec,
     UsageError,
     build_lorentz,
+    build_rayleigh,
 )
 from linboltz import kinetic
 from linboltz.diffusive import sweep
@@ -610,6 +612,36 @@ class TestEdiCertificate:
         traj = simulate(m, bump_rho(16), T=0.1, dt=0.01)
         cert = edi_certificate(traj, m)
         assert cert.phi_residual == 0.0
+
+    @pytest.mark.parametrize("model", [
+        build_rayleigh(RayleighSpec(dim=2, n_radial=4, n_angular=12)),
+        VelocityModel(  # the pairs (0, 2) and (1, 3) have rate zero
+            nodes=np.arange(4.0)[:, None], weights=np.full(4, 0.25),
+            drift=np.array([[-1.5], [-0.5], [0.5], [1.5]]),
+            sigma=np.array([[0.0, 1.0, 0.0, 2.0], [1.0, 0.0, 3.0, 0.0],
+                            [0.0, 3.0, 0.0, 0.5], [2.0, 0.0, 0.5, 0.0]]),
+        ),
+    ], ids=["rayleigh", "zero_rate_pairs"])
+    def test_the_certificates_current_is_current_of_bit_for_bit(self, model):
+        # the certificate forms xi in place from its own pair gathers; both
+        # sums, repeated here in the certificate's loop order on current_of,
+        # must come out the same to the last bit
+        traj = simulate(model, bump_rho(16), T=0.05, dt=0.01, transport="spectral")
+        scale = 1.0 / traj.epsilon**2
+        i, j, pair_weights = pair_triangle(model)
+        for current_scale in (1.0, 2.0):
+            kinematic = phi_total = 0.0
+            for n in range(traj.n_steps):
+                f_mid = 0.5 * (traj.f[n] + traj.f[n + 1])
+                eta = current_scale * current_of(f_mid, model)
+                kinematic += traj.dt * (scale * kinematic_rate(f_mid, eta, model))
+                phi_vals = phi(model.sigma[i, j], f_mid[:, i], f_mid[:, j], eta)
+                phi_total += traj.dt * (scale * traj.dx
+                                        * float(np.sum(phi_vals @ pair_weights)))
+            cert = edi_certificate(traj, model, current_scale=current_scale)
+            assert cert.kinematic_value == kinematic
+            assert cert.phi_residual == phi_total
+        assert phi_total > 0.0
 
     def test_injected_current_strictly_positive(self):
         m = two_node_model(s=2.0)

@@ -333,6 +333,77 @@ def test_blocks_with_extreme_entries_keep_the_reference():
                                 * 1e155 * (math.asinh(1e155 / alpha) - 1.0), rel=REL)
 
 
+def count_alpha_calls(monkeypatch):
+    """A list that grows by one entry per call of functionals._alpha, which
+    phi's kernel makes once per block that it does not fill with zeros."""
+    calls = []
+    alpha = functionals._alpha
+
+    def counted(*args):
+        calls.append(None)
+        return alpha(*args)
+
+    monkeypatch.setattr(functionals, "_alpha", counted)
+    return calls
+
+
+def test_phi_at_the_own_current_is_exactly_zero_on_both_paths(monkeypatch):
+    """Four blocks of phi.  The first and the last lie entirely at the own
+    current xi = kappa*(p - q), so they are filled with zeros.  The second
+    lies at it but for one element, the third on every other element, so both
+    take the whole kernel.  kappa = 0, p = 0 and q = 0 entries at xi = m sit
+    in the first two blocks, and the second also holds one where (xi/alpha)^2
+    overflows."""
+    rng = np.random.default_rng(23)
+    block = functionals.BLOCK
+    n = 3 * block + 17
+    kappa = rng.uniform(0.1, 3.0, n)
+    p = rng.uniform(0.1, 3.0, n)
+    q = rng.uniform(0.1, 3.0, n)
+    for start in (0, block):
+        k = start + 10 + rng.choice(block - 10, 30, replace=False)
+        kappa[k[:10]], p[k[10:20]], q[k[20:]] = 0.0, 0.0, 0.0
+    kappa[block + 5], p[block + 5], q[block + 5] = 1.0, 1.7e308, 1e-300
+    xi = kappa * (p - q)
+    off = np.zeros(n, bool)
+    off[block + 7] = True
+    off[2 * block:3 * block:2] = True
+    # off by at least 0.5: nearer, both formulas lose digits to cancellation
+    xi[off] += rng.choice([-1.0, 1.0], off.sum()) * rng.uniform(0.5, 3.0, off.sum())
+    calls = count_alpha_calls(monkeypatch)
+    got = phi(kappa, p, q, xi)
+    assert len(calls) == 2  # the second and the third block
+    assert np.all(got[~off] == 0.0)
+    for k in np.flatnonzero(~off)[::97]:
+        assert phi(kappa[k], p[k], q[k], xi[k]) == 0.0
+    for k in np.flatnonzero(off):
+        assert got[k] == phi(kappa[k], p[k], q[k], xi[k])
+        ref = _reference_costs(kappa[k], p[k], q[k], xi[k])[1]
+        assert got[k] == pytest.approx(ref, rel=REL, abs=0.0)
+
+
+def test_phi_is_zero_at_the_own_current_where_the_ratio_squared_overflows():
+    # (xi/alpha)^2 overflows, and the fallback's (xi + m)/den was inf/inf
+    got = phi([1.0, 1.0], [1.7e308, 1.0], [1e-300, 2.0], [1.7e308, 0.3])
+    assert got[0] == 0.0
+    assert got[1] == phi(1.0, 1.0, 2.0, 0.3) > 0.0
+    assert phi(1.0, 1.7e308, 1e-300, 1.7e308) == 0.0
+
+
+def test_phi_forms_no_alpha_for_a_block_at_the_own_current(monkeypatch):
+    rng = np.random.default_rng(24)
+    kappa, p, q = (rng.uniform(0.1, 3.0, 1000) for _ in range(3))
+    xi = kappa * (p - q)
+    calls = count_alpha_calls(monkeypatch)
+    assert not phi(kappa, p, q, xi).any()
+    assert len(calls) == 0
+    for value in (xi[500] + 1.0, math.nan, math.inf):  # off it, or not finite
+        off = xi.copy()
+        off[500] = value
+        phi(kappa, p, q, off)
+    assert len(calls) == 3
+
+
 @pytest.mark.parametrize("cost, args", [(psi, (1.0, 1.0, 2.0, -1.0)),
                                         (phi, (1.0, 1.0, 2.0, -2.0)),
                                         (phi, (0.7, 3.0, 0.5, 1.0))])
