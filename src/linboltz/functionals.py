@@ -27,10 +27,11 @@ The integral functionals integrate over the periodic unit interval on n equal
 cells, with the cell size dx = 1/n taken from the cell axis of their array.
 
 Both costs are symmetric under (p, q, xi) -> (q, p, -xi) and vanish on the
-diagonal, where xi = 0 and p = q.  So a current eta_ij = -eta_ji is stored
-on the velocity pairs i < j only, as an (n_x, n_pairs) array in
-:func:`pair_triangle` order that cannot hold a current that is not
-antisymmetric, and the pair sums evaluate each pair once and count it twice.
+diagonal, where xi = 0 and p = q.  So a current eta_ij = -eta_ji, and the
+kinematic bound's zeta and alpha per frame, live on the velocity pairs i < j
+only, as (n_x, n_pairs) arrays in :func:`pair_triangle` order that cannot be
+other than antisymmetric; pair sums count each pair twice.  The Dirichlet
+form and the Donsker-Varadhan bound pair two (n_x, n_v) arrays instead.
 
 The cost kernels run in blocks of at most ``BLOCK`` (16384) elements and do
 their arithmetic in place, in scratch arrays allocated once per call, so a
@@ -200,10 +201,11 @@ def _jump_cost(kappa, p, q, xi, out, work):
         out -= u
         if bad is not None:  # the reference formula, with np.hypot
             x, mb, a = xi[bad], m[bad], alpha[bad]
-            den = np.hypot(x, a) + np.hypot(mb, a)
-            # 0 where x == mb, also where x + mb and den overflow to inf/inf
+            # halved, so that neither x + mb nor the sum of the roots overflows;
+            # 0 where |x| == |mb|, also where x - mb = 2x overflows against 0
+            ratio = (0.5 * x + 0.5 * mb) / (0.5 * np.hypot(x, a) + 0.5 * np.hypot(mb, a))
             out[bad] = (x * (_asinh_ratio(x, a) - _asinh_ratio(mb, a))
-                        - np.where(x == mb, 0.0, (x - mb) * ((x + mb) / den)))
+                        - np.where(np.abs(x) == np.abs(mb), 0.0, (x - mb) * ratio))
             deg = ~(a > 0)
             if deg.any():
                 idx = tuple(b[deg] for b in bad)
@@ -414,52 +416,72 @@ def kinematic_rate(f_slice, eta_slice, model):
     return float(dx * total)
 
 
-def dirichlet_lower_bound(f_slice, model, phi_test):
-    """Value of the Donsker-Varadhan integrand for a supplied test function.
+def _pairing(a, b, model):
+    """sum_x sum_ij a_i w_i S_ij w_j (b_j - b_i) of two (n_x, n_v) arrays, as
+    <a w, S (w b)> - <a w, lambda b>: two BLAS products and no pair array."""
+    aw = a * model.weights
+    return np.vdot(aw @ model.sigma, b * model.weights) - np.vdot(aw, b * model.rates)
 
-    This is a lower-bound probe of the variational supremum; it never
-    exceeds the supremum and equals half the Dirichlet form at
-    phi_test = 0.5*log f (see the module notes on the factor).
+
+def dirichlet_lower_bound(f_slice, model, phi_test):
+    """Donsker-Varadhan integrand sum_x dx sum_ij f_i w_i S_ij w_j (1 - e^(phi_j - phi_i)).
+
+    At most half the Dirichlet form, equal to it at phi_test = 0.5*log f; with
+    phi shifted per cell by its maximum, minus the :func:`_pairing` of f e^-phi
+    with e^phi.  A phi of another shape than f is a :class:`UsageError`; one
+    not finite, or so spread that e^-phi overflows, a :class:`DomainError`.
     """
     f = np.atleast_2d(_clip_density(f_slice, model))
     dx = 1.0 / f.shape[0]
-    phi_t = np.broadcast_to(np.asarray(phi_test, dtype=float), f.shape)
-    w = model.weights
-    expdiff = np.exp(phi_t[:, None, :] - phi_t[:, :, None])  # phi_j - phi_i
-    integrand = np.einsum(
-        "xi,i,ij,j,xij->", f, w, model.sigma, w, 1.0 - expdiff, optimize=True
-    )
-    return float(dx * integrand)
+    phi_t = np.atleast_2d(np.asarray(phi_test, dtype=float))
+    if phi_t.shape != f.shape:
+        raise UsageError("density and test function shapes do not match")
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = phi_t - phi_t.max(axis=1, keepdims=True)
+        total = _pairing(f * np.exp(-shifted), np.exp(shifted), model)
+    if not math.isfinite(total):
+        if not np.isfinite(phi_t).all():
+            raise DomainError("the test function holds a value that is not finite")
+        raise DomainError("the test function spreads so widely that e^-phi overflows")
+    return float(-dx * total)
 
 
 def kinematic_lower_bound(f_path, eta_path, model, dt, zeta, alpha_test=None):
-    """Bracketed expression of the kinematic variational formula.
+    """Kinematic variational formula: dt sum_t sum_x dx sum_{i<j} 2 w_i w_j
+    [eta zeta - S_ij (cosh zeta - 1)(alpha f_i + f_j/alpha)].
 
-    ``zeta`` and ``alpha_test`` are arrays over (time, x, v, v'); alpha
-    defaults to 1 and must be positive.
+    ``f_path`` is (n_t, n_x, n_v); ``eta_path``, ``zeta`` and ``alpha_test``
+    (default 1, positive and finite; alpha_ji = 1/alpha_ij) are (n_t, n_x,
+    n_pairs) in :func:`pair_triangle` order: other shapes are a UsageError, a
+    current or zeta not finite a DomainError.  At most dt sum_t kinematic_rate,
+    equal to it at alpha = sqrt(f_j/f_i), zeta = asinh(eta/(2 S_ij sqrt(f_i f_j))).
     """
-    zeta = np.asarray(zeta, dtype=float)
-    if not np.allclose(zeta, -np.swapaxes(zeta, -1, -2)):
-        raise DomainError("zeta must be antisymmetric in (v, v')")
-    if alpha_test is None:
-        alpha_test = np.ones_like(zeta)
-    alpha_test = np.asarray(alpha_test, dtype=float)
-    if np.any(alpha_test <= 0):
-        raise DomainError("alpha must be positive")
-    w = model.weights
-    theta_pairing = 0.0
-    penalty = 0.0
-    for t, (f, eta) in enumerate(zip(f_path, eta_path)):
-        f = _clip_density(f, model)
-        dx = 1.0 / f.shape[0]
-        theta_pairing += dx * np.einsum("i,j,xij,xij->", w, w, eta, zeta[t])
-        factor = alpha_test[t] + 1.0 / np.swapaxes(alpha_test[t], -1, -2)
-        penalty += dx * np.einsum(
-            "xi,i,ij,j,xij,xij->",
-            f, w, model.sigma, w, np.cosh(zeta[t]) - 1.0, factor,
-            optimize=True,
-        )
-    return dt * (theta_pairing - penalty)
+    f_path = _clip_density(f_path, model)
+    i, j, weights = pair_triangle(model)
+    shape = (*f_path.shape[:2], i.size)
+    alpha = np.broadcast_to(1.0, shape) if alpha_test is None else alpha_test
+    eta_path, zeta, alpha = (np.asarray(a, dtype=float) for a in (eta_path, zeta, alpha))
+    if f_path.ndim != 3 or any(a.shape != shape for a in (eta_path, zeta, alpha)):
+        raise UsageError("density, current and test path shapes do not match the model")
+    if not 0.0 < np.min(alpha, initial=1.0) <= np.max(alpha, initial=1.0) < math.inf:
+        raise DomainError("alpha must be positive and finite")
+    sigma, dx = model.sigma[i, j], 1.0 / shape[1]
+    total = 0.0
+    for t, f in enumerate(f_path):
+        mass = np.take(f, i, axis=1) * alpha[t]
+        mass += np.take(f, j, axis=1) / alpha[t]  # alpha f_i + f_j/alpha
+        with np.errstate(over="ignore", invalid="ignore"):
+            bracket = np.cosh(zeta[t]) - 1.0
+            bracket *= sigma
+            mass *= bracket  # S_ij (cosh zeta - 1)(alpha f_i + f_j/alpha)
+            np.multiply(eta_path[t], zeta[t], out=bracket)
+            bracket -= mass
+        total += float(np.sum(bracket @ weights))
+    if not math.isfinite(total):
+        for name, value in (("current", eta_path), ("zeta", zeta)):
+            if not np.isfinite(value).all():
+                raise DomainError(f"the {name} holds a value that is not finite")
+    return float(dt * (dx * total))
 
 
 # ---------------------------------------------------------------------------

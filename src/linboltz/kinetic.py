@@ -76,6 +76,7 @@ from .errors import (
     require_memory,
 )
 from .functionals import (
+    _pairing,
     dirichlet_form,
     kinematic_rate,
     pair_triangle,
@@ -415,23 +416,17 @@ def entropy_balance_check(traj, model):
     For each sub-interval the change of H is compared with the midpoint
     quadrature of (1/2) sum w_i w_j eta (log f' - log f), evaluated at the
     midpoint slice with the trajectory's own current and the truncated
-    logarithm as safeguard.  With the symmetric kernel the pairing is
-    2 sum_x [<f w, S (w log f)> - sum_i w_i lambda_i f_i log f_i], two BLAS
-    products as in :func:`~linboltz.functionals.dirichlet_form`, so the
-    current is never formed.  The collision strength carries the 1/eps^2
-    factor of rescaled runs.
+    logarithm as safeguard: twice the :func:`~linboltz.functionals._pairing`
+    of f and log f, with no current formed.  The collision strength carries
+    the 1/eps^2 factor of rescaled runs.
     """
     scale = 1.0 / traj.epsilon**2
-    w = model.weights
     residuals = np.empty(traj.n_steps)
     h_prev = relative_entropy(traj.f[0], model)
     for n in range(traj.n_steps):
         h_next = relative_entropy(traj.f[n + 1], model)
         f_mid = 0.5 * (traj.f[n] + traj.f[n + 1])
-        lg = truncated_log(f_mid)
-        fw = f_mid * w
-        pairing = 2.0 * (np.vdot(fw @ model.sigma, lg * w)
-                         - np.vdot(fw, lg * model.rates))
+        pairing = 2.0 * _pairing(f_mid, truncated_log(f_mid), model)
         dissipation = 0.5 * scale * traj.dx * pairing
         residuals[n] = (h_next - h_prev) - traj.dt * dissipation
         h_prev = h_next

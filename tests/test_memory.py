@@ -5,8 +5,12 @@ Lorentz kernel of ``build_lorentz`` do their (n_v, n_v) arithmetic in place,
 and ``edi_certificate`` and ``write_certificate_csv`` fill one (n_x, n_pairs)
 current on the pairs i < j per call in place; the expression forms they
 replaced, the certificate's with its square (n_x, n_v, n_v) current, are
-kept below, and the in-place forms must equal them bit for bit.  The budgets are tracemalloc
-peaks: numpy reports its array data to tracemalloc.
+kept below, and the in-place forms must equal them bit for bit.
+``dirichlet_lower_bound`` pairs two (n_x, n_v) arrays where its expression
+form built the square tensor e^(phi_j - phi_i); it sums in another order, so
+it must equal that form to 1e-12 relative.  ``kinematic_lower_bound`` takes
+its current and test functions on the pairs i < j.  The budgets are
+tracemalloc peaks: numpy reports its array data to tracemalloc.
 """
 
 import tracemalloc
@@ -17,7 +21,8 @@ import pytest
 from linboltz import build_model
 from linboltz.diffusive import sweep
 from linboltz.errors import DomainError
-from linboltz.functionals import dirichlet_form, kinematic_rate, pair_triangle, phi
+from linboltz.functionals import (dirichlet_form, dirichlet_lower_bound, kinematic_lower_bound,
+                                  kinematic_rate, pair_triangle, phi)
 from linboltz.kinetic import current_of, edi_certificate, simulate, write_certificate_csv
 from linboltz.models import _exact_symmetrize, rayleigh_kernel
 from linboltz.velocity import TiltedMeasure, spectral_gap_probe
@@ -149,6 +154,43 @@ def test_lorentz_256_build_stays_within_its_budget():
     assert peak <= 2.2 * 8.0 * model.n_nodes**2, peak / (8.0 * model.n_nodes**2)
 
 
+def expression_dirichlet_lower_bound(f, model, phi_test):
+    """The Donsker-Varadhan integrand through the square (n_x, n_v, n_v) tensor."""
+    dx = 1.0 / f.shape[0]
+    w = model.weights
+    expdiff = np.exp(phi_test[:, None, :] - phi_test[:, :, None])  # phi_j - phi_i
+    integrand = np.einsum(
+        "xi,i,ij,j,xij->", f, w, model.sigma, w, 1.0 - expdiff, optimize=True
+    )
+    return float(dx * integrand)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("lorentz", {"n_nodes": 16}),
+    ("rayleigh", {"dim": 2, "n_radial": 10, "n_angular": 12}),
+    ("phonon", {"dim": 2, "n_per_axis": 8}),
+])
+def test_dirichlet_lower_bound_equals_the_expression_form(kind, params):
+    model = build_model(kind, **params)
+    rng = np.random.default_rng(17)
+    f = rng.uniform(0.2, 2.0, (8, model.n_nodes))
+    probes = [spread * rng.normal(size=f.shape) for spread in (0.1, 1.0, 5.0)]
+    for phi_test in probes + [0.5 * np.log(f)]:
+        assert dirichlet_lower_bound(f, model, phi_test) == pytest.approx(
+            expression_dirichlet_lower_bound(f, model, phi_test), rel=1e-12, abs=0.0)
+
+
+def test_dirichlet_lower_bound_on_rayleigh_768_stays_within_its_budget():
+    # a few (n_x, n_v) arrays; the square tensor e^(phi_j - phi_i) alone is 302 MB here
+    model = build_model("rayleigh", n_radial=24, n_angular=32)
+    rng = np.random.default_rng(18)
+    f = rng.uniform(0.2, 2.0, (64, model.n_nodes))
+    phi_test = rng.normal(size=f.shape)
+    value, peak = traced_peak(lambda: dirichlet_lower_bound(f, model, phi_test))
+    assert np.isfinite(value)
+    assert peak <= 8 * 8.0 * f.size + 1e6, peak / (8.0 * f.size)
+
+
 def test_benchmark_sweep_stays_within_its_budget():
     # the diffusive-sweep job of the benchmark's diffusion workload
     model = build_model("lorentz", n_nodes=64)
@@ -231,3 +273,15 @@ def test_certificate_and_its_csv_stay_within_their_budgets(certify_run, tmp_path
     _, peak = traced_peak(lambda: write_certificate_csv(traj, model, cert,
                                                         str(tmp_path / "c.csv")))
     assert peak <= 2 * pairs + 2e6, peak / 1e6
+
+
+def test_kinematic_lower_bound_stays_within_its_budget(certify_run):
+    # one frame: the penalty's mass and the bracket, two pair arrays
+    model, traj = certify_run
+    f = traj.f[4]
+    eta = current_of(f, model)[None]
+    zeta = 0.5 * eta / np.max(np.abs(eta))
+    pair_bytes = 8.0 * eta.size
+    value, peak = traced_peak(lambda: kinematic_lower_bound(f[None], eta, model, traj.dt, zeta))
+    assert 0.0 < value <= traj.dt * kinematic_rate(f, eta[0], model)
+    assert peak <= 3 * pair_bytes + 1e6, peak / pair_bytes

@@ -461,6 +461,19 @@ def test_costs_where_xi_over_alpha_overflows_match_mpmath(kappa, p, q, xi):
     assert got[0] == psi(1.0, p, q, 0.5) and got[2] == psi(2.0, p, q, -3.0)
 
 
+def test_phi_where_xi_plus_m_overflows_matches_mpmath():
+    # xi + m and the sum of the two roots overflow at the first entry, whose psi
+    # is +inf, so the case above cannot take it
+    got = phi([1.0, 1.0, 1.0], [1.7e308, 1.0, 1.7e308], [1e-300, 2.0, 1e-300],
+              [1.6e308, 0.3, -1.7e308])
+    ref = _mpmath_costs(1.0, 1.7e308, 1e-300, 1.6e308)[1]
+    assert ref == 3.0006050937042498e305
+    assert got[0] == pytest.approx(ref, rel=1e-10, abs=0.0)
+    assert got[1] == phi(1.0, 1.0, 2.0, 0.3)
+    assert got[2] == math.inf  # its exact value is 2.4e311
+    assert _mpmath_costs(1.0, 1.7e308, 1e-300, -1.7e308)[1] == math.inf
+
+
 def test_kinematic_rate_of_a_current_whose_ratio_overflows_is_finite():
     model = VelocityModel(
         nodes=np.arange(2.0)[:, None], weights=np.full(2, 0.5),
