@@ -18,10 +18,14 @@ decomposition
     phi(kappa, p, q; xi) = kappa*(sqrt(p) - sqrt(q))^2
                            + xi * 0.5*log(q/p) + psi(kappa, p, q; xi).
 
-Degenerate arguments (kappa = 0 or p*q = 0) are resolved by the Legendre
-definitions; the resulting +inf is represented by ``math.inf`` and any
-quadrature that touches it raises :class:`InfeasibleValueError` instead of
-propagating a raw infinity through a sum.
+Where a = 0 (kappa = 0, p*q = 0, or a underflowing) both costs take
+the closed-form limit of their Legendre definition at fixed m: |xi|
+log(|xi|/|m|) - |xi| + |m| where xi and m are nonzero and of one sign, |m| at
+xi = 0, +inf otherwise (psi's m is 0).  The +inf is ``math.inf``:
+:func:`kinematic_rate` raises :class:`InfeasibleValueError` on it, while
+:func:`phi` and :func:`psi` return it and the certificate's Phi sum passes it
+on; :func:`kinematic_lower_bound` returns -inf where cosh zeta overflows
+against a positive mass.
 
 The integral functionals integrate over the periodic unit interval on n equal
 cells, with the cell size dx = 1/n taken from the cell axis of their array.
@@ -128,13 +132,37 @@ def _asinh_ratio(x, a):
     return out
 
 
+def _legendre_limit(xi, m):
+    """phi at alpha = 0 by its Legendre definition, at fixed m = kappa*(p - q):
+    |xi| log(|xi|/|m|) - |xi| + |m| where xi and m are nonzero and of one sign,
+    |m| at xi = 0, +inf otherwise.  At m = 0 it is psi's: 0 at xi = 0, +inf
+    elsewhere.  The sign test is signbit's, as xi*m can underflow to 0."""
+    ax, am = np.abs(xi), np.abs(m)
+    one_sign = (ax > 0) & (am > 0) & (np.signbit(xi) == np.signbit(m))
+    return np.where(one_sign, ax * np.log(ax / am) - ax + am, np.where(ax == 0, am, math.inf))
+
+
+def _fallback(x, mb, a):
+    """phi by its reference formula, with np.hypot, where ``a`` > 0 and by
+    :func:`_legendre_limit` elsewhere; at mb = 0 this is psi.  For the elements
+    that leave a kernel's safe range."""
+    # halved, so that neither x + mb nor the sum of the roots overflows;
+    # 0 where |x| == |mb|, also where x - mb = 2x overflows against 0
+    ratio = (0.5 * x + 0.5 * mb) / (0.5 * np.hypot(x, a) + 0.5 * np.hypot(mb, a))
+    reference = (x * (_asinh_ratio(x, a) - _asinh_ratio(mb, a))
+                 - np.where(np.abs(x) == np.abs(mb), 0.0, (x - mb) * ratio))
+    return np.where(a > 0, reference, _legendre_limit(x, mb))
+
+
 def _centered_cost(alpha, xi, out, t):
     """psi = xi*asinh(r) - xi*r/(sqrt(1+r^2)+1), r = xi/alpha, into ``out``.
 
     The form is that of the reference xi*asinh(xi/alpha) - (sqrt(xi^2+alpha^2)
     - alpha) divided through by alpha, so that nothing but r^2 can overflow.
-    ``t`` is scratch of the same shape.  alpha = 0 is the degenerate Legendre
-    limit: 0 at xi = 0, +inf otherwise.
+    ``t`` is scratch of the same shape.  Where r^2 overflows, alpha = 0
+    included, :func:`_fallback` takes over at m = 0: the reference formula,
+    or at alpha = 0 the closed-form Legendre limit, 0 at xi = 0 and +inf
+    otherwise.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         np.divide(xi, alpha, out=out)
@@ -147,11 +175,8 @@ def _centered_cost(alpha, xi, out, t):
         np.arcsinh(out, out=out)
         out -= t
         out *= xi
-        if bad is not None:  # r^2 overflows: the reference formula, with np.hypot
-            x, a = xi[bad], alpha[bad]
-            out[bad] = np.where(a > 0,
-                                x * _asinh_ratio(x, a) - x * (x / (np.hypot(x, a) + a)),
-                                np.where(x == 0.0, 0.0, math.inf))
+        if bad is not None:
+            out[bad] = _fallback(xi[bad], 0.0, alpha[bad])
     return out
 
 
@@ -168,7 +193,8 @@ def _jump_cost(kappa, p, q, xi, out, work):
     means xi == m and both finite, is filled with zeros before alpha, the
     divisions, the roots and the asinh are formed.  That is the block of the
     solver's own current xi = kappa*(p - q); any other block, and one holding
-    a NaN or an infinity, takes the whole kernel.
+    a NaN or an infinity, takes the whole kernel.  Where a square overflows,
+    alpha = 0 included, :func:`_fallback` takes over.
     """
     alpha, m, rm, t, u = work
     with np.errstate(invalid="ignore", over="ignore"):
@@ -199,52 +225,8 @@ def _jump_cost(kappa, p, q, xi, out, work):
         out -= rm
         out *= xi
         out -= u
-        if bad is not None:  # the reference formula, with np.hypot
-            x, mb, a = xi[bad], m[bad], alpha[bad]
-            # halved, so that neither x + mb nor the sum of the roots overflows;
-            # 0 where |x| == |mb|, also where x - mb = 2x overflows against 0
-            ratio = (0.5 * x + 0.5 * mb) / (0.5 * np.hypot(x, a) + 0.5 * np.hypot(mb, a))
-            out[bad] = (x * (_asinh_ratio(x, a) - _asinh_ratio(mb, a))
-                        - np.where(np.abs(x) == np.abs(mb), 0.0, (x - mb) * ratio))
-            deg = ~(a > 0)
-            if deg.any():
-                idx = tuple(b[deg] for b in bad)
-                out[idx] = _phi_degenerate(kappa[idx], p[idx], q[idx], xi[idx])
-    return out
-
-
-def _phi_degenerate(kappa, p, q, xi):
-    """phi on the boundary kappa = 0 or p*q = 0, by the Legendre definition."""
-    out = np.full(kappa.shape, math.inf)
-
-    zero_rate = kappa == 0
-    out[zero_rate] = np.where(xi[zero_rate] == 0.0, 0.0, math.inf)
-
-    k = ~zero_rate
-    both = k & (p == 0) & (q == 0)
-    out[both] = np.where(xi[both] == 0.0, 0.0, math.inf)
-
-    # q = 0, p > 0: sup_lam { lam*xi - kappa*p*(e^lam - 1) }
-    right = k & (q == 0) & (p > 0)
-    if np.any(right):
-        kp = kappa[right] * p[right]
-        x = xi[right]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = np.where(
-                x > 0, x * np.log(x / kp) - x + kp, np.where(x == 0, kp, math.inf)
-            )
-        out[right] = val
-
-    # p = 0, q > 0: mirror image in xi -> -xi
-    left = k & (p == 0) & (q > 0)
-    if np.any(left):
-        kq = kappa[left] * q[left]
-        x = -xi[left]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = np.where(
-                x > 0, x * np.log(x / kq) - x + kq, np.where(x == 0, kq, math.inf)
-            )
-        out[left] = val
+        if bad is not None:
+            out[bad] = _fallback(xi[bad], m[bad], alpha[bad])
     return out
 
 
@@ -473,7 +455,9 @@ def kinematic_lower_bound(f_path, eta_path, model, dt, zeta, alpha_test=None):
         with np.errstate(over="ignore", invalid="ignore"):
             bracket = np.cosh(zeta[t]) - 1.0
             bracket *= sigma
-            mass *= bracket  # S_ij (cosh zeta - 1)(alpha f_i + f_j/alpha)
+            # S_ij (cosh zeta - 1)(alpha f_i + f_j/alpha), 0 on a zero mass even where
+            # cosh overflows
+            np.multiply(mass, bracket, out=mass, where=mass > 0)
             np.multiply(eta_path[t], zeta[t], out=bracket)
             bracket -= mass
         total += float(np.sum(bracket @ weights))

@@ -406,7 +406,6 @@ def require_certificate_memory(shape):
 @dataclass(frozen=True)
 class EntropyBalanceResult:
     total_residual: float
-    max_step_residual: float
     per_step: np.ndarray
 
 
@@ -432,7 +431,6 @@ def entropy_balance_check(traj, model):
         h_prev = h_next
     return EntropyBalanceResult(
         total_residual=float(abs(residuals.sum())),
-        max_step_residual=float(np.max(np.abs(residuals))),
         per_step=residuals,
     )
 

@@ -125,7 +125,6 @@ class TiltedMeasure:
     """Probability weights w~_i = lambda_i w_i / <lambda>."""
 
     weights: np.ndarray
-    mean_rate: float
 
     @classmethod
     def of(cls, model):
@@ -134,7 +133,7 @@ class TiltedMeasure:
             raise DomainError("mean scattering rate must be positive")
         w = model.rates * model.weights / mean_rate
         w.setflags(write=False)
-        return cls(w, mean_rate)
+        return cls(w)
 
     def inner(self, f, g):
         prod = np.asarray(f, dtype=float) * np.asarray(g, dtype=float)
@@ -153,22 +152,22 @@ def apply_generator(model, g):
     g = np.asarray(g, dtype=float)
     if g.shape[0] != model.n_nodes:
         raise UsageError("g must be defined on the velocity nodes")
-    wg = model.weights[:, None] * g if g.ndim > 1 else model.weights * g
-    return np.tensordot(model.sigma, wg, axes=(1, 0)) - (
-        model.rates[:, None] * g if g.ndim > 1 else model.rates * g
-    )
+    flat = g.reshape(model.n_nodes, -1)
+    out = np.tensordot(model.sigma, model.weights[:, None] * flat, axes=(1, 0))
+    out -= model.rates[:, None] * flat
+    return out.reshape(g.shape)
 
 
 def apply_k(model, g):
-    """(Kg)_i = sum_j w_j S_ij g_j / lambda_i."""
+    """(Kg)_i = sum_j w_j S_ij g_j / lambda_i; g may have trailing axes."""
     g = np.asarray(g, dtype=float)
     if g.shape[0] != model.n_nodes:
         raise UsageError("g must be defined on the velocity nodes")
     if np.any(model.rates <= 0):
         raise DomainError("K undefined at a node with lambda = 0")
-    wg = model.weights[:, None] * g if g.ndim > 1 else model.weights * g
-    num = np.tensordot(model.sigma, wg, axes=(1, 0))
-    return num / (model.rates[:, None] if g.ndim > 1 else model.rates)
+    flat = g.reshape(model.n_nodes, -1)
+    num = np.tensordot(model.sigma, model.weights[:, None] * flat, axes=(1, 0))
+    return (num / model.rates[:, None]).reshape(g.shape)
 
 
 def require_ergodic(model):

@@ -356,6 +356,14 @@ class TestVariationalProbes:
                 kinematic_lower_bound(f_path, np.zeros_like(zeta), model, 0.1, zeta,
                                       alpha_test=np.full_like(zeta, alpha))
 
+    def test_kinematic_lower_bound_charges_nothing_where_the_mass_is_zero(self):
+        # cosh(800) overflows: the penalty is 0 on a zero mass, -inf on a positive one
+        model = VelocityModel(nodes=[-1.0, 1.0], weights=[0.5, 0.5], drift=[-1.0, 1.0],
+                              sigma=np.ones((2, 2)))
+        for f_path, expected in (([[[0.0, 0.0]]], 0.0), ([[[0.0, 0.0], [1.0, 1.0]]], -math.inf)):
+            zeta = np.full((1, len(f_path[0]), 1), 800.0)
+            assert kinematic_lower_bound(f_path, np.zeros_like(zeta), model, 0.1, zeta) == expected
+
 
 class TestHeatFunctionals:
     def test_fisher_single_mode(self):

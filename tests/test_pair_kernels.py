@@ -272,6 +272,9 @@ def test_elementwise_blocks_patch_scattered_degenerate_entries():
     p[rng.integers(0, n, 40)] = 0.0
     q[rng.integers(0, n, 40)] = 0.0
     xi[rng.integers(0, n, 200)] = 0.0
+    # alpha underflows to 0 with kappa, p, q > 0: at xi = 0 = kappa*(p - q), and off it
+    kappa[[5, 9]], p[[5, 9]] = [0.25, 1.8942727538402715e-301], [1e-323, 2.2045390158853033e200]
+    q[[5, 9]], xi[[5, 9]] = [5e-324, 3.27e-321], [0.0, 0.4147186717918384]
     got_phi = phi(kappa, p, q, xi)
     got_psi = psi(kappa, p, q, xi)
     for k in range(n):
@@ -472,6 +475,16 @@ def test_phi_where_xi_plus_m_overflows_matches_mpmath():
     assert got[1] == phi(1.0, 1.0, 2.0, 0.3)
     assert got[2] == math.inf  # its exact value is 2.4e311
     assert _mpmath_costs(1.0, 1.7e308, 1e-300, -1.7e308)[1] == math.inf
+
+
+def test_phi_where_alpha_underflows_takes_the_legendre_limit():
+    # alpha = 2 kappa sqrt(pq) is 3e-361, so 0 in floats, with kappa, p, q > 0; the
+    # closed-form limit at m = kappa*(p - q) keeps the reference.  psi is +inf
+    # here, so the overflow case above cannot take it
+    args = (1.8942727538402715e-301, 2.2045390158853033e200, 3.27e-321, 0.4147186717918384)
+    ref = _mpmath_costs(*args)[1]
+    assert ref == pytest.approx(95.07491328805117, rel=1e-15)
+    assert phi(*args) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 def test_kinematic_rate_of_a_current_whose_ratio_overflows_is_finite():

@@ -1,8 +1,8 @@
 """Source hygiene of the package: no module imports a name it never uses, no
 module-level private function is left without a caller, no public function or
 class is called only from tests unless it is kept on purpose, no module-level
-name is assigned without being read, and no attribute that an ``__init__``
-sets is left unread.
+name is assigned without being read, no attribute that an ``__init__``
+sets is left unread, and no dataclass field is left unread.
 
 Each module of ``src/linboltz`` but ``__init__.py`` (which imports to
 re-export) is parsed with ``ast``; a name counts as used where it is read as
@@ -177,3 +177,39 @@ def test_every_attribute_set_in_an_init_is_read():
                 read |= attributes_read(function)
         unread += [f"{cls.name}.{name}" for name in sorted(set_on_self - read)]
     assert not unread, f"attributes set in an __init__ that nothing reads: {unread}"
+
+
+def dataclass_fields(tree):
+    """(class, field, line) of every annotated field of a ``@dataclass`` in ``tree``."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        decorators = (d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list)
+        if not any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators):
+            continue
+        for stmt in cls.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                yield cls, stmt.target.id, stmt.lineno
+
+
+def serialises_itself(cls):
+    """Whether the class reads all its fields at once, through ``vars(self)``."""
+    return any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "vars" and len(node.args) == 1
+               and isinstance(node.args[0], ast.Name) and node.args[0].id == "self"
+               for node in ast.walk(cls))
+
+
+def test_every_dataclass_field_is_read():
+    # a field counts as read where any attribute of its name is loaded, or a
+    # string of its name appears (a getattr, a key of a written record)
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    trees = [parse(path) for path in paths]
+    read = set().union(*(attributes_read(tree) for tree in trees))
+    read |= {node.value for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    unread = [f"{path.name}:{line} {cls.name}.{name}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for cls, name, line in dataclass_fields(parse(path))
+              if name not in read and not serialises_itself(cls)]
+    assert not unread, f"dataclass fields that nothing reads: {unread}"

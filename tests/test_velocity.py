@@ -222,6 +222,15 @@ class TestOperators:
         lhs = lorentz.rates * (g - apply_k(lorentz, g))
         rhs = -apply_generator(lorentz, g)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+        # two trailing axes act slice by slice, the first as long as the node axis or not
+        m = VelocityModel(nodes=np.arange(4.0), weights=[0.1, 0.2, 0.3, 0.4],
+                          drift=[2.0, -1.0, 0.0, 0.0], sigma=np.add.outer(np.arange(4.0),
+                                                                          np.arange(4.0)) + 1.0)
+        for shape in ((4, 4, 3), (4, 2, 3)):
+            g = np.random.default_rng(5).normal(size=shape)
+            for op in (apply_generator, apply_k):
+                per_slice = np.apply_along_axis(lambda v: op(m, v), 0, g)
+                assert op(m, g) == pytest.approx(per_slice, rel=1e-14, abs=1e-14)
 
     def test_k_self_adjoint_in_tilted_measure(self, lorentz):
         rng = np.random.default_rng(3)
