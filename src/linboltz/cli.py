@@ -14,10 +14,10 @@ along the drift's first axis; ``diffusive-sweep``'s heat flow has D[0, 0].
 
 Exit codes: 0 success; 2 configuration error (an unknown key, a ``solver`` key
 that the subcommand refuses: ``eps_list`` or ``dt_scale`` in ``kinetic-run``,
-``dt`` or ``epsilon`` in ``diffusive-sweep``; a ``diffusive-sweep`` transport other
-than ``spectral``; a value of the wrong type or range, a file that cannot be read or
-written, a model that fails its numerical checks, a ``T`` that holds no step of
-``dt``, a scheme that ``kinetic._check_scheme`` refuses, a trajectory certified
+``dt`` or ``epsilon`` in ``diffusive-sweep``; a transport other than ``spectral``, in
+a config or a saved trajectory; a value of the wrong type or range, a file that cannot
+be read or written, a model that fails its numerical checks, a ``T`` that holds no step
+of ``dt``, a scheme that ``kinetic._check_scheme`` refuses, a trajectory certified
 against a model that did not produce it or could not have run its scheme (such as
 one along another drift column), or whose frames are malformed, a jump chain that is
 not irreducible on a route to D, a model kernel, frame, trajectory, certificate working
@@ -46,9 +46,9 @@ from . import velocity
 from .diffusive import config_hash, sweep, write_manifest, write_sweep_csv
 from .errors import (CertificationError, ConfigError, ConvergenceError, LinboltzError,
                      require_memory)
-from .kinetic import (_check_scheme, _step_count, edi_certificate, load_trajectory,
-                      require_certificate_memory, save_trajectory, simulate,
-                      write_certificate_csv)
+from .kinetic import (_check_scheme, _check_transport, _step_count, edi_certificate,
+                      load_trajectory, require_certificate_memory, save_trajectory,
+                      simulate, write_certificate_csv)
 from .montecarlo import McConfig, estimate_D, write_mc_csv, write_mc_json
 
 EXIT_OK = 0
@@ -66,7 +66,7 @@ class SolverConfig:
     T: float = 0.1
     epsilon: float = 1.0
     eps_list: list[float] | None = None
-    transport: str = "upwind"
+    transport: str = "spectral"
     rho0_amplitude: float = 0.5
     rho0_mode: int = 1
     dt_scale: float = 1.0
@@ -77,6 +77,10 @@ class SolverConfig:
         if min(positive) <= 0 or self.n_cells < 2:
             raise ConfigError("solver: need n_cells >= 2 and positive T, dt, epsilon, "
                               "eps_list, dt_scale")
+        if not abs(self.rho0_amplitude) <= 1.0:
+            raise ConfigError("solver: rho0_amplitude must lie in [-1, 1], where "
+                              "1 + a cos(2 pi m x) is a nonnegative density")
+        _check_transport(self.transport)
 
 
 @dataclass(frozen=True)
@@ -119,7 +123,7 @@ class Config:
 class SweepConfig(Config):
     """A config as ``diffusive-sweep`` reads it."""
 
-    solver: SolverConfig = SolverConfig(T=0.5, transport="spectral")
+    solver: SolverConfig = SolverConfig(T=0.5)
 
 
 def _typed(value, kind, where, default=None):
@@ -266,9 +270,6 @@ def cmd_diffusive_sweep(args):
     s = cfg.solver
     if not s.eps_list:
         raise ConfigError("diffusive-sweep needs solver.eps_list")
-    if s.transport != "spectral":
-        raise ConfigError(f"diffusive-sweep steps spectral transport only, not {s.transport!r}: "
-                          "upwind's numerical diffusion, about |b| dx / 2 eps, has no diffusive limit")
     model = cfg.build_model()
     report = sweep(model, _rho0(s, model), s.eps_list, s.T, dt_scale=s.dt_scale)
     out = args.out or "."

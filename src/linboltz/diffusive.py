@@ -9,8 +9,7 @@ L1/L2, and the time-integrated currents weakly with a fixed test bank.
 The interval lies along the drift's first axis, as in :mod:`linboltz.kinetic`,
 so the heat flow on it has the diffusivity ``d_axis`` = D[0, 0].
 
-Each run is stepped with spectral transport (upwind's numerical diffusion,
-about |b| dx / 2 eps, has no diffusive limit) on the rfft modes of f by
+Each run is stepped on the rfft modes of f by
 :func:`linboltz.kinetic.mode_marginals`: the Strang steps of the frames of
 :func:`linboltz.kinetic.evolve`, one real matmul each and no FFT.  The sweep
 holds the rfft modes of the current path j(t, x) and the final density
@@ -114,7 +113,7 @@ def rescaled_run(model, rho0, epsilon, T, dt=None):
     rho0 = _check_rescaled(rho0, [epsilon], T)
     if dt is None:
         dt = _auto_dt(epsilon, T)
-    return simulate(model, rho0, T, dt, epsilon=epsilon, transport="spectral")
+    return simulate(model, rho0, T, dt, epsilon=epsilon)
 
 
 @dataclass(frozen=True)

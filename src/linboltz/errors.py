@@ -16,7 +16,7 @@ class UsageError(LinboltzError):
 
 
 class ConfigError(LinboltzError):
-    """Invalid run configuration (schema violation, CFL violation, ...)."""
+    """Invalid run configuration (schema violation, a scheme that is not a run's, ...)."""
 
 
 class ConvergenceError(LinboltzError):

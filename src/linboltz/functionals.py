@@ -162,21 +162,21 @@ def _centered_cost(alpha, xi, out, t):
     ``t`` is scratch of the same shape.  Where r^2 overflows, alpha = 0
     included, :func:`_fallback` takes over at m = 0: the reference formula,
     or at alpha = 0 the closed-form Legendre limit, 0 at xi = 0 and +inf
-    otherwise.
+    otherwise.  Callers form alpha and run this inside one ``np.errstate``
+    that ignores division, invalid and overflow (alpha = inf gives psi = 0).
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.divide(xi, alpha, out=out)
-        np.multiply(out, out, out=t)
-        bad = _out_of_range(t)
-        t += 1.0
-        np.sqrt(t, out=t)
-        t += 1.0
-        np.divide(out, t, out=t)
-        np.arcsinh(out, out=out)
-        out -= t
-        out *= xi
-        if bad is not None:
-            out[bad] = _fallback(xi[bad], 0.0, alpha[bad])
+    np.divide(xi, alpha, out=out)
+    np.multiply(out, out, out=t)
+    bad = _out_of_range(t)
+    t += 1.0
+    np.sqrt(t, out=t)
+    t += 1.0
+    np.divide(out, t, out=t)
+    np.arcsinh(out, out=out)
+    out -= t
+    out *= xi
+    if bad is not None:
+        out[bad] = _fallback(xi[bad], 0.0, alpha[bad])
     return out
 
 
@@ -204,8 +204,8 @@ def _jump_cost(kappa, p, q, xi, out, work):
     if not t.any():  # a NaN is nonzero
         out.fill(0.0)
         return out
-    _alpha(kappa, p, q, alpha, t)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        _alpha(kappa, p, q, alpha, t)
         np.divide(xi, alpha, out=out)
         np.divide(m, alpha, out=rm)
         np.multiply(out, out, out=t)
@@ -232,7 +232,8 @@ def _jump_cost(kappa, p, q, xi, out, work):
 
 def _psi_block(kappa, p, q, xi, out, work):
     alpha, t = work
-    return _centered_cost(_alpha(kappa, p, q, alpha, t), xi, out, t)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _centered_cost(_alpha(kappa, p, q, alpha, t), xi, out, t)
 
 
 def _elementwise(kernel, n_work, kappa, p, q, xi):
@@ -382,14 +383,15 @@ def kinematic_rate(f_slice, eta_slice, model):
     two_sigma = 2.0 * model.sigma[i, j]
     buffers = _scratch(3, min(BLOCK, n_x * i.size))
     total = 0.0
-    for cells, pairs in _pair_blocks(n_x, i.size):
-        sb, xi = sq[cells], eta[cells, pairs]
-        out, alpha, t = (_view(b, xi.shape) for b in buffers)
-        np.take(sb, i[pairs], axis=1, out=alpha, mode="clip")
-        alpha *= np.take(sb, j[pairs], axis=1, out=t, mode="clip")
-        alpha *= two_sigma[pairs]
-        _centered_cost(alpha, xi, out, t)
-        total += float(np.sum(out @ weights[pairs]))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for cells, pairs in _pair_blocks(n_x, i.size):
+            sb, xi = sq[cells], eta[cells, pairs]
+            out, alpha, t = (_view(b, xi.shape) for b in buffers)
+            np.take(sb, i[pairs], axis=1, out=alpha, mode="clip")
+            alpha *= np.take(sb, j[pairs], axis=1, out=t, mode="clip")
+            alpha *= two_sigma[pairs]
+            _centered_cost(alpha, xi, out, t)
+            total += float(np.sum(out @ weights[pairs]))
     if not math.isfinite(total):
         if not np.isfinite(eta).all():
             raise DomainError("the current holds a value that is not finite")

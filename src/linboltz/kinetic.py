@@ -13,20 +13,21 @@ full transport step per velocity node, half collision step.  The
 exponential exp(t L) of the jump generator L = S W - Lambda is summed by
 :func:`collision_propagator` from nonnegative terms only (uniformization),
 so its entries are nonnegative exactly and numpy is all it needs.
-Upwind transport, the default, steps the frames in x as a convex
-combination of each cell and its upwind neighbour, which keeps f
-nonnegative.  Spectral transport is an exact translation of the
-trigonometric interpolant, meant for smooth studies (it is not
-positivity-preserving in general): :attr:`Stepper.multiplier`, one phase per
-rfft mode and node built once per run, applied between one ``rfft`` and one
-``irfft``.  :func:`evolve` yields the frames one at a time; :func:`simulate`
-stores them all, after checking that they fit in physical memory.
-:func:`mode_marginals` takes the same Strang steps with spectral transport
-on the n_x/2 + 1 rfft modes of f, where both split operators act on each
-mode alone, one real matmul per step and no FFT, for callers that need only
-the modes of the current j(t, x) and the final density rho(T, x), such as
-the diffusive sweep.  Positive frames, which the certificates need, come
-only from :func:`evolve`.
+Transport is spectral: an exact translation of the trigonometric
+interpolant, :attr:`Stepper.multiplier`, one phase per rfft mode and node
+built once per run, applied between one ``rfft`` and one ``irfft``.  It
+keeps the frames of the CLI's datum rho0 = 1 + a cos(2 pi m x), |a| <= 1,
+nonnegative: any grid samples rho0 as a nonnegative field of one mode below
+Nyquist, which the shift translates exactly and the collision step mixes
+with nonnegative weights.  Upwind transport is not offered: no term of the
+entropy balance carries its numerical diffusion.  :func:`evolve` yields the
+frames one at a time; :func:`simulate` stores them all, after checking that
+they fit in physical memory.  :func:`mode_marginals` takes the same Strang
+steps on the n_x/2 + 1 rfft modes of f, where both split operators act on
+each mode alone, one real matmul per step and no FFT, for callers that need
+only the modes of the current j(t, x) and the final density rho(T, x), such
+as the diffusive sweep.  Frames, which the certificates need, come only
+from :func:`evolve`.
 
 Certification assembles the entropy balance and the gradient-flow
 inequality
@@ -54,7 +55,8 @@ its zero set are checked apart from the certificate.
 
 A run's scheme (dt, eps and the transport) is checked in one place,
 :func:`_check_scheme`, which the :class:`Stepper`, every :class:`Trajectory`,
-the diffusive sweep and the ``certify`` CLI call.
+the diffusive sweep and the ``certify`` CLI call; its transport test,
+:func:`_check_transport`, also checks every config's ``solver`` block.
 """
 
 import csv
@@ -86,7 +88,7 @@ from .functionals import (
 )
 from .spectral import shift
 
-TRANSPORT_SCHEMES = ("upwind", "spectral")
+TRANSPORT_SCHEMES = ("spectral",)
 
 #: every _FLUSH_EVERY steps :func:`mode_marginals` zeroes the state entries
 #: below _FLUSH_BELOW in magnitude, before they decay into subnormals
@@ -94,14 +96,20 @@ _FLUSH_EVERY = 64
 _FLUSH_BELOW = 1e-290
 
 
+def _check_transport(transport):
+    if transport not in TRANSPORT_SCHEMES:
+        raise ConfigError(f"transport must be 'spectral', not {transport!r}: upwind "
+                          "transport was removed, as no term of the entropy balance "
+                          "carries its numerical diffusion")
+
+
 def _check_scheme(dt, epsilon, transport, model=None, frame_shape=None):
     """ConfigError unless this is the scheme of a run: dt > 0 and eps > 0
     finite, eps^2 a normal float, 0.5 dt / eps^2 finite and a transport of
     ``TRANSPORT_SCHEMES``.  Given the ``model`` and a frame's shape (n_x, n_v),
-    also n_x >= 2, n_v is the model's and upwind CFL <= 1 + 1e-12.
+    also n_x >= 2 and n_v is the model's.
     """
-    if transport not in TRANSPORT_SCHEMES:
-        raise ConfigError(f"unknown transport scheme {transport!r}")
+    _check_transport(transport)
     for name, value in (("dt", dt), ("epsilon", epsilon)):
         if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
                 0 < value < math.inf):
@@ -116,9 +124,6 @@ def _check_scheme(dt, epsilon, transport, model=None, frame_shape=None):
     if n_x < 2 or n_v != model.n_nodes:
         raise ConfigError(f"a frame of {n_x} cells and {n_v} velocity nodes is not on a grid "
                           f"of at least 2 cells and the model's {model.n_nodes} nodes")
-    cfl = dt * n_x * float(np.max(np.abs(model.drift[:, 0]))) / epsilon
-    if transport == "upwind" and cfl > 1.0 + 1e-12:
-        raise ConfigError(f"CFL violated: dt*max|b|/(eps*dx) = {cfl:.3f} > 1")
 
 
 @dataclass(frozen=True)
@@ -215,41 +220,28 @@ class Stepper:
     :func:`_check_scheme` refuses on this model and grid, or for which
     0.5 dt / eps^2 * max lambda is not finite, is a :class:`ConfigError`.
 
-    Spectral transport builds ``multiplier`` (n_cells // 2 + 1, n_v), the step
+    Transport builds ``multiplier`` (n_cells // 2 + 1, n_v), the step
     exp(-2 pi i k dt b / eps) on the rfft modes (``advect_full`` =
     ``shift(., multiplier)``); its Nyquist entry on an even grid keeps only its
     real part, as ``irfft`` does, so steps on the modes stay those on the
-    frames.  Upwind builds ``courant`` and ``from_left`` instead.
+    frames.
     """
 
-    def __init__(self, model, n_cells, dt, epsilon=1.0, transport="upwind"):
+    def __init__(self, model, n_cells, dt, epsilon=1.0, transport="spectral"):
         _check_scheme(dt, epsilon, transport, model, (n_cells, model.n_nodes))
-        self.dx = 1.0 / n_cells
         self.dt = float(dt)
-        self.transport = transport
         self.speeds = model.drift[:, 0] / epsilon
         self.half_collision = collision_propagator(model, 0.5 * dt / epsilon**2)
-        if transport == "spectral":
-            k = np.arange(n_cells // 2 + 1)[:, None]
-            mult = self.multiplier = np.exp(-2j * np.pi * k * (self.dt * self.speeds[None, :]))
-            if n_cells % 2 == 0:
-                mult[-1] = mult[-1].real
-        else:
-            self.courant = self.dt * self.speeds / self.dx
-            self.from_left = self.speeds >= 0  # the upwind neighbour is x - dx
+        k = np.arange(n_cells // 2 + 1)[:, None]
+        mult = self.multiplier = np.exp(-2j * np.pi * k * (self.dt * self.speeds[None, :]))
+        if n_cells % 2 == 0:
+            mult[-1] = mult[-1].real
 
     def collide_half(self, f):
         return f @ self.half_collision.T
 
     def advect_full(self, f):
-        if self.transport == "spectral":
-            return shift(f, self.multiplier)
-        nu = self.courant
-        return np.where(
-            self.from_left,
-            f - nu * (f - np.roll(f, 1, axis=0)),
-            f - nu * (np.roll(f, -1, axis=0) - f),
-        )
+        return shift(f, self.multiplier)
 
     def step(self, f):
         return self.collide_half(self.advect_full(self.collide_half(f)))
@@ -291,7 +283,7 @@ def _prepare(model, f0, T, dt, epsilon, transport):
     return f0, _step_count(T, dt), stepper
 
 
-def evolve(model, f0, T, dt, epsilon=1.0, transport="upwind"):
+def evolve(model, f0, T, dt, epsilon=1.0, transport="spectral"):
     """The step count n and an iterator over the frames f(0), f(dt), ..., f(n dt = T).
 
     ``f0`` is either a full (n_x, n_v) array or a 1d density rho0(x), in
@@ -313,8 +305,8 @@ def _frames(stepper, f, n_steps):
 
 def mode_marginals(model, f0, T, dt, epsilon=1.0):
     """The rfft modes of the current path j(t_n, x) at every step t_n = n dt
-    and the density rho(T, x) of the run :func:`evolve` steps with spectral
-    transport, computed on the rfft modes of f.
+    and the density rho(T, x) of the run :func:`evolve` steps, computed on the
+    rfft modes of f.
 
     Both split operators act on each spatial mode alone: the transport as
     :attr:`Stepper.multiplier` P, the collision on the velocity axis.
@@ -363,7 +355,7 @@ def mode_marginals(model, f0, T, dt, epsilon=1.0):
     return j_hat.view(complex), rho_T
 
 
-def simulate(model, f0, T, dt, epsilon=1.0, transport="upwind"):
+def simulate(model, f0, T, dt, epsilon=1.0, transport="spectral"):
     """Integrate to time T and return the full trajectory (see :func:`evolve`).
 
     A trajectory larger than physical memory is refused with
@@ -551,7 +543,9 @@ def load_trajectory(directory):
     refuses, is a ConfigError naming ``directory``.  A ``times.npy`` or a ``dx``
     key, which older runs wrote, is ignored: both follow from ``dt`` and ``f``.
     So is their ``"drift_axis": 0``; another value is refused, as that run
-    moved along another drift column, whose CFL is not checked.
+    moved along another drift column, which no model's check covers.  A
+    ``"transport"`` other than ``"spectral"``, such as the ``"upwind"`` of
+    older runs, is refused as well.
     """
     try:
         with open(os.path.join(directory, "meta.json")) as fh:

@@ -91,8 +91,7 @@ class TestConfigValidation:
         ("diffusion", lorentz_cfg(functional={"delta": 1e-300})),
         ("diffusion", lorentz_cfg(functional={"cap": 1e300})),
         ("diffusion", lorentz_cfg(output={"directory": "out", "formats": ["json"]})),
-        # spectral transport has no CFL bound to stop these first: 1e-200
-        # squared is 0.0, 1e-160 squared is subnormal
+        # 1e-200 squared is 0.0, 1e-160 squared is subnormal
         ("kinetic-run", lorentz_cfg(solver={"dt": 0.01, "T": 0.02, "epsilon": 1e-200,
                                             "transport": "spectral"})),
         ("kinetic-run", lorentz_cfg(solver={"dt": 0.01, "T": 0.02, "epsilon": 1e-160,
@@ -104,9 +103,14 @@ class TestConfigValidation:
         # the sweep's own step count overflows
         ("diffusive-sweep", lorentz_cfg(solver={"eps_list": [1.6e-154]})),
         ("diffusive-sweep", lorentz_cfg(solver={"eps_list": [0.5], "dt_scale": 1e-310})),
-        # the sweep steps spectral transport only
+        # every run steps spectral transport only
         ("diffusive-sweep", lorentz_cfg(solver={"eps_list": [0.5], "transport": "upwind"})),
         ("diffusive-sweep", lorentz_cfg(solver={"eps_list": [0.5], "transport": "weno"})),
+        ("kinetic-run", lorentz_cfg(solver={"dt": 0.01, "T": 0.02, "transport": "upwind"})),
+        ("kinetic-run", lorentz_cfg(solver={"dt": 0.01, "T": 0.02, "transport": "weno"})),
+        # every sample of 1 + 1.3 cos(2 pi x) on 4 cells is positive, the field is not
+        ("kinetic-run", lorentz_cfg(solver={"n_cells": 4, "dt": 0.01, "T": 0.02,
+                                            "rho0_amplitude": 1.3})),
     ])
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, command, payload):
         cfg = write_cfg(tmp_path, payload)
@@ -144,7 +148,7 @@ class TestConfigValidation:
         cfg = write_cfg(tmp_path, lorentz_cfg(solver={"n_cells": 8}))
         _, run = cli.load_config(cfg)
         _, swp = cli.load_config(cfg, cli.SweepConfig)
-        assert (run.solver.n_cells, run.solver.T, run.solver.transport) == (8, 0.1, "upwind")
+        assert (run.solver.n_cells, run.solver.T, run.solver.transport) == (8, 0.1, "spectral")
         assert (swp.solver.n_cells, swp.solver.T, swp.solver.transport) == (8, 0.5, "spectral")
         assert run.functional == cli.FunctionalConfig() and run.mc == {}
 
@@ -265,6 +269,23 @@ class TestKineticRunAndCertify:
         assert "Traceback" not in capsys.readouterr().err
         assert not (out / "certificate.json").exists()
 
+    def test_default_run_certifies_its_time_scheme_at_second_order(self, tmp_path):
+        # no transport key: the run steps spectral transport, whose balance
+        # residual is the time quadrature's alone, 6.6e-7, 1.6e-7, 4.1e-8
+        residuals = []
+        dts = [2e-3, 1e-3, 5e-4]
+        for dt in dts:
+            cfg = write_cfg(tmp_path, lorentz_cfg(solver={"n_cells": 64, "dt": dt, "T": 0.1}))
+            out = tmp_path / f"run_{dt}"
+            assert main(["kinetic-run", "--config", cfg, "--out", str(out)]) == 0
+            meta = json.loads((out / "trajectory" / "meta.json").read_text())
+            assert meta["transport"] == "spectral"
+            residuals.append(json.loads((out / "certificate.json").read_text())[
+                "balance_residual"])
+        order = np.polyfit(np.log(dts), np.log(residuals), 1)[0]
+        assert order >= 1.9, (order, residuals)
+        assert residuals[-1] < 1e-7
+
     def test_requires_dt(self, tmp_path):
         cfg = write_cfg(tmp_path, lorentz_cfg(solver={"T": 0.05}))
         assert main(["kinetic-run", "--config", cfg]) == 2
@@ -282,7 +303,7 @@ class TestKineticRunAndCertify:
         assert not (out / "trajectory").exists()  # refused before the run
 
     def test_run_of_too_many_steps_to_count_is_a_config_error(self):
-        # T / dt = 0.02 / 1e-320 overflows to inf; the step is within the CFL bound
+        # T / dt = 0.02 / 1e-320 overflows to inf
         model = models.build_lorentz(models.LorentzSpec(8))
         with pytest.raises(ConfigError, match="whole number n >= 1 of steps"):
             evolve(model, np.ones(8), T=0.02, dt=1e-320)
@@ -347,8 +368,8 @@ class TestSweep:
         diag = json.loads((out / "error.json").read_text())
         assert diag["error"] == "ConfigError"
         assert diag["message"] == (
-            f"diffusive-sweep steps spectral transport only, not {transport!r}: upwind's "
-            "numerical diffusion, about |b| dx / 2 eps, has no diffusive limit")
+            f"transport must be 'spectral', not {transport!r}: upwind transport was removed, "
+            "as no term of the entropy balance carries its numerical diffusion")
 
 
 class TestMcEstimate:
@@ -621,10 +642,10 @@ def with_value(f, value):
     ("meta.json", lambda meta: dict(meta, epsilon=1e-200)),  # epsilon**2 == 0.0
     ("meta.json", lambda meta: dict(meta, drift_axis=7)),  # the drift has 2 columns
     ("meta.json", lambda meta: dict(meta, drift_axis=-1)),
-    ("meta.json", lambda meta: dict(meta, dt=1.0)),  # upwind CFL 8 on 8 cells
+    ("meta.json", lambda meta: dict(meta, transport="upwind")),  # as older runs wrote
     ("meta.json", lambda meta: [meta]),
 ], ids=["no dt", "bad meta", "5 nodes", "one frame", "no cells", "nan frame", "inf frame",
-        "tiny epsilon", "drift_axis 7", "drift_axis -1", "CFL 8", "meta not an object"])
+        "tiny epsilon", "drift_axis 7", "drift_axis -1", "upwind", "meta not an object"])
 def test_certify_refuses_a_malformed_trajectory(tmp_path, capsys, small_trajectory,
                                                 name, damage):
     traj = tmp_path / "trajectory"
@@ -640,7 +661,7 @@ def test_certify_refuses_a_malformed_trajectory(tmp_path, capsys, small_trajecto
     diag = json.loads((out / "error.json").read_text())
     assert (diag["exit_code"], diag["error"]) == (2, "ConfigError")
     assert "Traceback" not in capsys.readouterr().err
-    assert not (out / "certificate.json").exists()
+    assert sorted(os.listdir(out)) == ["error.json"]
 
 
 def test_a_trajectory_in_the_older_layout_certifies_byte_for_byte_the_same(

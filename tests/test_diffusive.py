@@ -53,8 +53,8 @@ class TestAutoDt:
         assert dt <= 0.03 * eps**2 + 1e-15
 
     def test_splitting_cap_alone_sets_the_sweeps_dt(self, monkeypatch):
-        # eps = 0.5 on 32 cells with max|b| = 2 lies above eps = 16.7 dx / max|b|,
-        # where a CFL cap 0.5 eps dx / max|b| would be the smaller one
+        # spectral transport is exact at any step, so neither the grid (32
+        # cells) nor the speeds (max|b| = 2) enter dt
         dts = []
 
         def spy(model, rho0, T, dt, epsilon):

@@ -57,15 +57,15 @@ def bump_rho(n):
     return 1.0 + 0.5 * np.cos(2.0 * np.pi * x)
 
 
-class TestStepper:
-    def test_cfl_enforced(self):
-        m = two_node_model(u=2.0)
-        with pytest.raises(ConfigError):
-            Stepper(m, n_cells=8, dt=0.5, epsilon=1.0)  # nu = 8 >> 1
+CLI_DATUM_MODELS = {"lorentz": build_lorentz(LorentzSpec(8)),
+                    "rayleigh": build_rayleigh(RayleighSpec(dim=2, n_radial=4, n_angular=12))}
 
+
+class TestStepper:
     def test_unknown_transport(self):
-        with pytest.raises(ConfigError):
-            Stepper(two_node_model(), 8, 0.01, transport="weno")
+        for transport in ("weno", "upwind"):
+            with pytest.raises(ConfigError, match="transport must be 'spectral'"):
+                Stepper(two_node_model(), 8, 0.01, transport=transport)
 
     def test_homogeneous_data_pure_relaxation(self):
         # no spatial gradients: the step reduces to the collision exponential
@@ -96,42 +96,43 @@ class TestStepper:
         n = n_x * 2
         big_C = np.zeros((n, n))
         big_T = np.zeros((n, n))
-        dx = 1.0 / n_x
         for x in range(n_x):
             big_C[2 * x : 2 * x + 2, 2 * x : 2 * x + 2] = C
+        # the trigonometric interpolant of the samples at l / n_x, read at
+        # x / n_x - dt c, in its real form: its Nyquist term is cos(pi n_x s)
+        k = np.arange(n_x // 2 + 1)
+        mode_weight = np.where((k == 0) | (2 * k == n_x), 1.0, 2.0) / n_x
         for i, c in enumerate(m.drift[:, 0]):
-            nu = dt * c / dx
             for x in range(n_x):
-                row = 2 * x + i
-                if c >= 0:
-                    big_T[row, row] += 1.0 - nu
-                    big_T[row, 2 * ((x - 1) % n_x) + i] += nu
-                else:
-                    big_T[row, row] += 1.0 + nu
-                    big_T[row, 2 * ((x + 1) % n_x) + i] += -nu
+                for l in range(n_x):
+                    s = (x - l) / n_x - dt * c
+                    big_T[2 * x + i, 2 * l + i] = mode_weight @ np.cos(2 * np.pi * k * s)
         prop = big_C @ big_T @ big_C
         expected = (prop @ f.reshape(-1)).reshape(n_x, 2)
         assert np.max(np.abs(st.step(f) - expected)) < 1e-12
 
-    def test_positivity_and_mass_upwind(self):
-        m = two_node_model()
-        traj = simulate(m, bump_rho(16), T=0.2, dt=0.01)
+    # the CLI's datum 1 + a cos(2 pi m x); every grid samples it as a
+    # nonnegative field of one mode below Nyquist, which transport translates
+    # exactly and the collision step mixes with nonnegative weights
+    @settings(max_examples=100, deadline=None)
+    @given(model=st.sampled_from(["lorentz", "rayleigh"]), a=st.floats(0.0, 0.999),
+           mode=st.integers(1, 5), n_x=st.integers(6, 64), eps=st.floats(0.1, 1.0))
+    def test_spectral_frames_of_the_cli_datum_stay_nonnegative(self, model, a, mode, n_x,
+                                                                eps):
+        m = CLI_DATUM_MODELS[model]
+        x = (np.arange(n_x) + 0.5) / n_x
+        traj = simulate(m, 1.0 + a * np.cos(2 * np.pi * mode * x), T=0.1, dt=0.01,
+                        epsilon=eps)
         assert np.min(traj.f) >= 0.0
-        mass = traj.dx * traj.f @ m.weights @ np.ones(16)
-        assert np.max(np.abs(mass - 1.0)) < 1e-10
+        mass = traj.dx * traj.f @ m.weights @ np.ones(n_x)
+        assert np.max(np.abs(mass - 1.0)) <= 1e-12
 
-    def test_entropy_monotone_upwind(self):
+    def test_entropy_monotone_spectral(self):
         m = two_node_model()
         traj = simulate(m, bump_rho(16), T=0.2, dt=0.01)
         H = edi_certificate(traj, m).entropy
         assert np.array_equal(H, [relative_entropy(f, m) for f in traj.f])
         assert np.all(np.diff(H) <= 1e-12)
-
-    def test_spectral_matches_upwind_in_smooth_limit(self):
-        m = two_node_model(s=4.0)
-        a = simulate(m, bump_rho(128), T=0.05, dt=1e-4, transport="upwind")
-        b = simulate(m, bump_rho(128), T=0.05, dt=1e-4, transport="spectral")
-        assert np.max(np.abs(a.f[-1] - b.f[-1])) < 5e-3
 
 
 @st.composite
@@ -206,27 +207,6 @@ class TestCollisionPropagator:
                     transport="spectral")
 
 
-def loop_upwind(f, speeds, dt, dx):
-    """The upwind transport step, one velocity column at a time."""
-    out = np.empty_like(f)
-    for i, c in enumerate(speeds):
-        col = f[:, i]
-        nu = dt * c / dx
-        if c >= 0:
-            out[:, i] = col - nu * (col - np.roll(col, 1))
-        else:
-            out[:, i] = col - nu * (np.roll(col, -1) - col)
-    return out
-
-
-def centered_within_cfl(speeds, w, c_max):
-    """``speeds`` (n_v, d) less their mean in ``w``, so that they are a model's
-    drift, scaled per column back into [-c_max, c_max] where centering pushed
-    them past it; the speeds keep both signs."""
-    b = speeds - w @ speeds
-    return b * (c_max / np.maximum(c_max, np.max(np.abs(b), axis=0)))
-
-
 class TestTransportStep:
     @pytest.mark.parametrize("n_x", [32, 33])
     def test_spectral_step_is_the_analytic_translate_of_a_band_limited_field(self, n_x):
@@ -252,31 +232,6 @@ class TestTransportStep:
         for n in range(traj.n_steps):
             moved = shift(st_.collide_half(traj.f[n]), st_.multiplier)
             assert np.array_equal(traj.f[n + 1], st_.collide_half(moved))
-
-    @settings(max_examples=80, deadline=None)
-    @given(data=st.data())
-    def test_vectorized_upwind_equals_the_loop(self, data):
-        n_x = data.draw(st.integers(2, 12), label="n_x")
-        dt = 0.01
-        c_max = (1.0 / n_x) / dt  # the speed at CFL = 1
-        speed = st.one_of(st.sampled_from([0.0, -0.0, c_max, -c_max]),
-                          st.floats(-c_max, c_max))
-        speeds = np.array(data.draw(st.lists(speed, min_size=1, max_size=6), label="speeds"))
-        n_v = speeds.size
-        w = np.full(n_v, 1.0 / n_v)
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        sigma = rng.uniform(0.0, 2.0, (n_v, n_v))
-        m = VelocityModel(nodes=np.arange(n_v)[:, None], weights=w,
-                          drift=centered_within_cfl(speeds[:, None], w, c_max),
-                          sigma=sigma + sigma.T)
-        st_ = Stepper(m, n_cells=n_x, dt=dt)
-        f = rng.uniform(0.0, 2.0, (n_x, n_v))
-        assert np.array_equal(st_.advect_full(f), loop_upwind(f, st_.speeds, dt, st_.dx))
-        n_steps, frames = evolve(m, f, T=3 * dt, dt=dt)
-        g = next(frames)
-        for frame in frames:
-            g = st_.collide_half(loop_upwind(st_.collide_half(g), st_.speeds, dt, st_.dx))
-            assert np.array_equal(frame, g)
 
 
 class TestModeMarginals:
@@ -364,12 +319,10 @@ class TestModeMarginals:
 class TestSimulate:
     def test_evolve_streams_the_frames_of_simulate(self):
         m = build_lorentz(LorentzSpec(8))
-        for transport in ("upwind", "spectral"):
-            traj = simulate(m, 3.0 * bump_rho(16), T=0.02, dt=0.002, transport=transport)
-            n_steps, frames = evolve(m, 3.0 * bump_rho(16), T=0.02, dt=0.002,
-                                     transport=transport)
-            assert n_steps == traj.n_steps == 10
-            assert np.array_equal(np.stack(list(frames)), traj.f)
+        traj = simulate(m, 3.0 * bump_rho(16), T=0.02, dt=0.002)
+        n_steps, frames = evolve(m, 3.0 * bump_rho(16), T=0.02, dt=0.002)
+        assert n_steps == traj.n_steps == 10
+        assert np.array_equal(np.stack(list(frames)), traj.f)
 
     def test_evolve_checks_before_returning(self):
         with pytest.raises(ConfigError):
@@ -475,29 +428,26 @@ class TestCurrentAndMarginals:
         assert np.max(np.abs(rho - 1.0)) < 1e-12
         assert np.max(np.abs(j)) < 1e-12
 
-    def test_discrete_continuity_upwind(self):
-        # collision preserves rho, so the density update is exactly the
-        # upwind flux divergence of the post-half-collision state
+    def test_discrete_continuity_spectral(self):
+        # collision preserves rho, so the density update is the divergence of
+        # the post-half-collision state's flux over the step: on mode k,
+        # -dt (2 pi i k) J_k with J_k = sum_i w_i c_i f_k,i times the mean of
+        # exp(-2 pi i k c_i s) over s in [0, dt], by the complex FFT
         m = two_node_model(s=2.0, u=0.9)
-        st = Stepper(m, n_cells=16, dt=0.01)
-        f = local_equilibrium(bump_rho(16), m) * (
-            1.0 + 0.1 * np.sin(2 * np.pi * np.arange(16)[:, None] / 16)
-        )
-        f_half = st.collide_half(f)
+        n_x = 16
+        st = Stepper(m, n_cells=n_x, dt=0.01)
+        x = np.arange(n_x)[:, None] / n_x
+        f = local_equilibrium(bump_rho(n_x), m) * (1.0 + 0.1 * np.sin(2 * np.pi * x))
         f_new = st.step(f)
-        rho_old = f @ m.weights
-        rho_new = f_new @ m.weights
-        dx = st.dx
-        flux = np.zeros(16)  # flux through the right face of each cell
-        for i, c in enumerate(st.speeds):
-            w = m.weights[i]
-            if c >= 0:
-                flux += w * c * f_half[:, i]
-            else:
-                flux += w * c * np.roll(f_half[:, i], -1)
-        div = (flux - np.roll(flux, 1)) / dx
-        res = (rho_new - rho_old) / st.dt + div
+        k = np.fft.fftfreq(n_x, 1.0 / n_x)[:, None]
+        arg = -2j * np.pi * k * st.dt * st.speeds[None, :]
+        mean_phase = np.where(arg == 0, 1.0, np.expm1(arg) / np.where(arg == 0, 1.0, arg))
+        flux_hat = np.fft.fft(st.collide_half(f), axis=0) * mean_phase @ (
+            m.weights * st.speeds)
+        div = np.fft.ifft(2j * np.pi * k[:, 0] * flux_hat).real
+        res = (f_new - f) @ m.weights / st.dt + div
         assert np.max(np.abs(res)) < 1e-12
+        assert abs(np.sum((f_new - f) @ m.weights)) < 1e-14  # the mass is that of f
 
 
 class TestEntropyBalance:
@@ -546,7 +496,7 @@ class TestEntropyBalance:
                           drift=b - w @ b, sigma=sigma + sigma.T)
         f = rng.uniform(0.0, 2.0, (3, n_x, n_v))
         f[0, 0, 0] = 0.0  # the truncated logarithm's floor
-        traj = Trajectory(f=f, dt=0.1, epsilon=0.7, transport="upwind")
+        traj = Trajectory(f=f, dt=0.1, epsilon=0.7, transport="spectral")
         got = entropy_balance_check(traj, m).per_step
         w = m.weights
         for n in range(2):
@@ -571,7 +521,7 @@ class TestEdiCertificate:
     def test_refuses_a_single_frame(self):
         # a trajectory holds a step to certify by construction
         with pytest.raises(ConfigError, match="at least 2 frames"):
-            Trajectory(f=np.ones((1, 4, 8)), dt=0.01, epsilon=1.0, transport="upwind")
+            Trajectory(f=np.ones((1, 4, 8)), dt=0.01, epsilon=1.0, transport="spectral")
 
     def test_stationary_all_terms_zero(self):
         m = two_node_model()
@@ -783,9 +733,10 @@ class TestPersistence:
         assert cert.kinematic_value > 0.0
 
 
-# each bad in one field of the scheme dt = 0.01, eps = 1, upwind on Lorentz-8
+# each bad in one field of the scheme dt = 0.01, eps = 1, spectral on Lorentz-8
 BAD_SCHEMES = {
     "weno": {"transport": "weno"},
+    "upwind": {"transport": "upwind"},  # which older runs wrote
     "dt 0": {"dt": 0.0},
     "dt nan": {"dt": np.nan},
     "tiny epsilon": {"epsilon": 1e-200},  # epsilon**2 == 0.0
@@ -795,7 +746,7 @@ BAD_SCHEMES = {
 @pytest.mark.parametrize("change", BAD_SCHEMES.values(), ids=BAD_SCHEMES)
 def test_every_entry_point_refuses_a_bad_scheme_with_one_message(tmp_path, change):
     m = build_lorentz(LorentzSpec(8))
-    scheme = dict({"dt": 0.01, "epsilon": 1.0, "transport": "upwind"}, **change)
+    scheme = dict({"dt": 0.01, "epsilon": 1.0, "transport": "spectral"}, **change)
     T = scheme["dt"]  # one step; the sweep picks its own dt, at most T
     rho0 = bump_rho(8)
     runs = {
@@ -804,12 +755,12 @@ def test_every_entry_point_refuses_a_bad_scheme_with_one_message(tmp_path, chang
         "Trajectory": lambda: Trajectory(frames, **scheme),
         "load_trajectory": lambda: load_trajectory(tmp_path),
     }
-    if "transport" not in change:  # these two step spectral transport only
+    if "transport" not in change:  # these two take no transport
         runs["mode_marginals"] = lambda: mode_marginals(m, rho0, T, scheme["dt"],
                                                         scheme["epsilon"])
         runs["sweep"] = lambda: sweep(m, rho0, [scheme["epsilon"]], T)
     frames = np.ones((2, 8, 8))
-    save_trajectory(Trajectory(frames, 0.01, 1.0, "upwind"), tmp_path)
+    save_trajectory(Trajectory(frames, 0.01, 1.0, "spectral"), tmp_path)
     meta = json.loads((tmp_path / "meta.json").read_text())
     (tmp_path / "meta.json").write_text(json.dumps(dict(meta, **change)))
     messages = {}

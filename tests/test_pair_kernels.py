@@ -8,6 +8,7 @@ and pair boundaries even on tiny models.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -134,7 +135,7 @@ def test_certificate_sums_match_double_sums(block, data):
     scale = data.draw(st.sampled_from([1.0, 2.0, 0.5, -1.0]))
     eps = data.draw(st.sampled_from([1.0, 0.5]))
     dt, dx = 0.01, 1.0 / n_x
-    traj = Trajectory(f=np.stack([f0, f1]), dt=dt, epsilon=eps, transport="upwind")
+    traj = Trajectory(f=np.stack([f0, f1]), dt=dt, epsilon=eps, transport="spectral")
     f_mid = 0.5 * (f0 + f1)
     eta = scale * own_current(f_mid, model.sigma)
     factor = dt * dx / eps**2
@@ -496,3 +497,12 @@ def test_kinematic_rate_of_a_current_whose_ratio_overflows_is_finite():
     eta = np.array([[1e10]])  # eta_01/alpha = 5e309
     expected = 2.0 * 0.25 * _mpmath_costs(1.0, 1e-300, 1e-300, 1e10)[0]
     assert kinematic_rate(f, eta, model) == pytest.approx(expected, rel=1e-14, abs=0.0)
+    # and where alpha itself overflows to inf: the cost is 0 to double
+    # precision (psi(1e300, 1e300, 1e300, 1) = 5e-601), with no warning
+    huge_rate = VelocityModel(nodes=model.nodes, weights=model.weights, drift=model.drift,
+                              sigma=1e10 * model.sigma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert phi(1e300, 1e300, 1e300, 1.0) == 0.0
+        assert psi(1e300, 1e300, 1e300, 1.0) == 0.0
+        assert kinematic_rate(np.array([[1e300, 1e299]]), np.array([[1.0]]), huge_rate) == 0.0
