@@ -232,8 +232,7 @@ def cmd_kinetic_run(args):
     if s.dt is None:
         raise ConfigError("kinetic-run needs solver.dt")
     require_certificate_memory((_step_count(s.T, s.dt) + 1, s.n_cells, model.n_nodes))
-    traj = simulate(model, _rho0(s, model), s.T, s.dt, epsilon=s.epsilon,
-                    transport=s.transport)
+    traj = simulate(model, _rho0(s, model), s.T, s.dt, epsilon=s.epsilon)
     out = args.out or "."
     traj_dir = os.path.join(out, "trajectory")
     save_trajectory(traj, traj_dir)
@@ -259,7 +258,7 @@ def cmd_certify(args):
     if traj.model_fingerprint != model.fingerprint:
         raise ConfigError(f"{args.trajectory} was not produced by this config's model "
                           f"(its model fingerprint: {traj.model_fingerprint})")
-    _check_scheme(traj.dt, traj.epsilon, traj.transport, model, traj.f.shape[1:])
+    _check_scheme(traj.dt, traj.epsilon, model, traj.f.shape[1:])
     _certify(traj, model, cfg, raw, args.out or ".")
     return EXIT_OK
 

@@ -104,7 +104,7 @@ def _check_rescaled(rho0, eps_list, T):
     if rho0.ndim != 1:
         raise ConfigError("rho0 must be a 1d profile, one value per cell")
     for eps in eps_list:
-        _check_scheme(T, eps, "spectral")
+        _check_scheme(T, eps)
     return rho0
 
 
@@ -184,7 +184,7 @@ def sweep(model, rho0, eps_list, T, dt_scale=1.0):
     dts = []
     for eps in eps_list:
         dt = _auto_dt(eps, T, dt_scale)
-        _check_scheme(dt, eps, "spectral", model, (n_cells, model.n_nodes))
+        _check_scheme(dt, eps, model, (n_cells, model.n_nodes))
         # per time: the modes of j (n_cells // 2 + 1 complex), which the heat
         # decay matrix (n_cells // 2 + 1 floats) replaces, and per test field
         # the pairings and _bonj_probe's window sums (at most 5 floats)

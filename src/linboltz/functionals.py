@@ -18,14 +18,16 @@ decomposition
     phi(kappa, p, q; xi) = kappa*(sqrt(p) - sqrt(q))^2
                            + xi * 0.5*log(q/p) + psi(kappa, p, q; xi).
 
-Where a = 0 (kappa = 0, p*q = 0, or a underflowing) both costs take
-the closed-form limit of their Legendre definition at fixed m: |xi|
-log(|xi|/|m|) - |xi| + |m| where xi and m are nonzero and of one sign, |m| at
-xi = 0, +inf otherwise (psi's m is 0).  The +inf is ``math.inf``:
-:func:`kinematic_rate` raises :class:`InfeasibleValueError` on it, while
-:func:`phi` and :func:`psi` return it and the certificate's Phi sum passes it
-on; :func:`kinematic_lower_bound` returns -inf where cosh zeta overflows
-against a positive mass.
+Where a is 0 in floats both costs take their limit as a goes to 0 at fixed
+m, with L_x = log(2|x|/a) = log|x| - log kappa - 0.5 log p - 0.5 log q:
+|xi| log(|xi|/|m|) - |xi| + |m| where xi and m are nonzero and of one sign,
+|m| at xi = 0, |xi| (L_xi + L_m) - |xi| + |m| otherwise (L_0 = 0; psi's m is
+0).  That is finite where a underflowed from positive kappa, p and q, and
++inf where one of them is 0.  The +inf is ``math.inf``: :func:`kinematic_rate`
+raises :class:`InfeasibleValueError` on it, while :func:`phi` and :func:`psi`
+return it and the certificate's Phi sum passes it on;
+:func:`kinematic_lower_bound` returns -inf where cosh zeta overflows against
+a positive mass.
 
 The integral functionals integrate over the periodic unit interval on n equal
 cells, with the cell size dx = 1/n taken from the cell axis of their array.
@@ -40,10 +42,12 @@ form and the Donsker-Varadhan bound pair two (n_x, n_v) arrays instead.
 The cost kernels run in blocks of at most ``BLOCK`` (16384) elements and do
 their arithmetic in place, in scratch arrays allocated once per call, so a
 block makes about 10 (psi) or 25 (phi) passes over data that stays in cache
-and no ufunc allocates.  They divide the formulas above through by alpha and
-see it only through xi/alpha and m/alpha, with alpha = 2*kappa*sqrt(p)*sqrt(q);
-only the squares of those ratios can overflow, and the elements where they do
-fall back to np.hypot, with asinh(y) = log 2|y| where y itself overflows.
+and no ufunc allocates; :func:`phi`, :func:`psi` and :func:`kinematic_rate`
+walk the same row blocks, :func:`_pair_blocks`.  They divide the formulas
+above through by alpha and see it only through xi/alpha and m/alpha, with
+alpha = 2*kappa*sqrt(p)*sqrt(q); only the squares of those ratios can
+overflow, and the elements where they do fall back to np.hypot, with asinh(y)
+= log 2|y| where y itself overflows.
 phi first forms m = kappa*(p - q) and xi - m, and fills a block where that is
 0 at every element, the block of the solver's own current, with zeros without
 forming alpha, a root or an asinh.  On the ``certify`` benchmark config
@@ -92,13 +96,18 @@ def truncated_log(u):
 BLOCK = 16384
 
 
-def _scratch(n_buffers, size):
-    """Flat scratch arrays of ``size`` elements, viewed in a block's shape by :func:`_view`."""
-    return [np.empty(size) for _ in range(n_buffers)]
-
-
 def _view(buffer, shape):
     return buffer[:math.prod(shape)].reshape(shape)
+
+
+def _pair_blocks(n_cells, n_pairs):
+    """(cells, pairs) slices that tile n_cells x n_pairs in blocks of at most
+    BLOCK: as many whole rows as fit, or BLOCK elements of one row."""
+    rows = max(1, BLOCK // max(n_pairs, 1))
+    cols = max(1, min(n_pairs, BLOCK))
+    for c in range(0, n_cells, rows):
+        for s in range(0, n_pairs, cols):
+            yield slice(c, c + rows), slice(s, s + cols)
 
 
 def _alpha(kappa, p, q, out, t):
@@ -132,26 +141,24 @@ def _asinh_ratio(x, a):
     return out
 
 
-def _legendre_limit(xi, m):
-    """phi at alpha = 0 by its Legendre definition, at fixed m = kappa*(p - q):
-    |xi| log(|xi|/|m|) - |xi| + |m| where xi and m are nonzero and of one sign,
-    |m| at xi = 0, +inf otherwise.  At m = 0 it is psi's: 0 at xi = 0, +inf
-    elsewhere.  The sign test is signbit's, as xi*m can underflow to 0."""
-    ax, am = np.abs(xi), np.abs(m)
-    one_sign = (ax > 0) & (am > 0) & (np.signbit(xi) == np.signbit(m))
-    return np.where(one_sign, ax * np.log(ax / am) - ax + am, np.where(ax == 0, am, math.inf))
-
-
-def _fallback(x, mb, a):
-    """phi by its reference formula, with np.hypot, where ``a`` > 0 and by
-    :func:`_legendre_limit` elsewhere; at mb = 0 this is psi.  For the elements
-    that leave a kernel's safe range."""
+def _fallback(x, mb, kappa, p, q):
+    """phi at the elements that leave a kernel's safe range; at mb = 0 this is
+    psi.  Where alpha = 2*kappa*sqrt(p)*sqrt(q) > 0, its reference formula with
+    np.hypot; where alpha is 0 in floats, its limit at fixed m in the module
+    notes, whose sign test is signbit's, as x*mb can underflow to 0."""
+    a = np.sqrt(p) * np.sqrt(q) * kappa * 2.0  # _alpha's operations in its order
+    ax, am = np.abs(x), np.abs(mb)
     # halved, so that neither x + mb nor the sum of the roots overflows;
     # 0 where |x| == |mb|, also where x - mb = 2x overflows against 0
     ratio = (0.5 * x + 0.5 * mb) / (0.5 * np.hypot(x, a) + 0.5 * np.hypot(mb, a))
     reference = (x * (_asinh_ratio(x, a) - _asinh_ratio(mb, a))
-                 - np.where(np.abs(x) == np.abs(mb), 0.0, (x - mb) * ratio))
-    return np.where(a > 0, reference, _legendre_limit(x, mb))
+                 - np.where(ax == am, 0.0, (x - mb) * ratio))
+    log_2_alpha = -(np.log(kappa) + 0.5 * np.log(p) + 0.5 * np.log(q))  # log(2/alpha)
+    one_sign = (ax > 0) & (am > 0) & (np.signbit(x) == np.signbit(mb))
+    l_m = np.where(am > 0, np.log(am) + log_2_alpha, 0.0)
+    apart = ax * (np.log(ax) + log_2_alpha + l_m) - ax + am
+    limit = np.where(one_sign, ax * np.log(ax / am) - ax + am, apart)
+    return np.where(a > 0, reference, np.where(ax == 0, am, limit))
 
 
 def _centered_cost(alpha, xi, out, t):
@@ -159,11 +166,11 @@ def _centered_cost(alpha, xi, out, t):
 
     The form is that of the reference xi*asinh(xi/alpha) - (sqrt(xi^2+alpha^2)
     - alpha) divided through by alpha, so that nothing but r^2 can overflow.
-    ``t`` is scratch of the same shape.  Where r^2 overflows, alpha = 0
-    included, :func:`_fallback` takes over at m = 0: the reference formula,
-    or at alpha = 0 the closed-form Legendre limit, 0 at xi = 0 and +inf
-    otherwise.  Callers form alpha and run this inside one ``np.errstate``
-    that ignores division, invalid and overflow (alpha = inf gives psi = 0).
+    ``t`` is scratch of the same shape.  Returns the index of the elements
+    where r^2 overflowed, alpha = 0 included, or None; callers patch those
+    with :func:`_fallback` at m = 0, and form alpha and run this inside one
+    ``np.errstate`` that ignores division, invalid and overflow (alpha = inf
+    gives psi = 0).
     """
     np.divide(xi, alpha, out=out)
     np.multiply(out, out, out=t)
@@ -175,9 +182,7 @@ def _centered_cost(alpha, xi, out, t):
     np.arcsinh(out, out=out)
     out -= t
     out *= xi
-    if bad is not None:
-        out[bad] = _fallback(xi[bad], 0.0, alpha[bad])
-    return out
+    return bad
 
 
 def _jump_cost(kappa, p, q, xi, out, work):
@@ -226,41 +231,44 @@ def _jump_cost(kappa, p, q, xi, out, work):
         out *= xi
         out -= u
         if bad is not None:
-            out[bad] = _fallback(xi[bad], m[bad], alpha[bad])
+            out[bad] = _fallback(xi[bad], m[bad], kappa[bad], p[bad], q[bad])
     return out
 
 
 def _psi_block(kappa, p, q, xi, out, work):
     alpha, t = work
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _centered_cost(_alpha(kappa, p, q, alpha, t), xi, out, t)
+        bad = _centered_cost(_alpha(kappa, p, q, alpha, t), xi, out, t)
+        if bad is not None:
+            out[bad] = _fallback(xi[bad], 0.0, kappa[bad], p[bad], q[bad])
+    return out
 
 
 def _elementwise(kernel, n_work, kappa, p, q, xi):
-    """kernel over the broadcast of (kappa, p, q, xi), BLOCK elements at a
-    time; a negative kappa, p or q is a :class:`DomainError`.
+    """kernel over the broadcast of (kappa, p, q, xi), on the row blocks of
+    :func:`_pair_blocks`; a negative kappa, p or q is a :class:`DomainError`.
 
-    The kernel writes each block into the output and uses ``n_work`` scratch
-    arrays, allocated once per call.
+    The operands, broadcast as views, are viewed as 2-D, leading axes by the
+    last: in place for C-order arrays such as the certificate's, strided (3-6x
+    slower) in Fortran order, and copied only where no view flattens the
+    broadcast, as for p (a, 1, n) against xi (a, b, n).  The kernel writes each
+    block into the output with ``n_work`` scratch arrays allocated once per
+    call; a 0-d call returns a float.
     """
     for name, value in (("kappa", kappa), ("p", p), ("q", q)):
         if np.min(value, initial=0.0) < 0:
             raise DomainError(f"{name} must be nonnegative")
-    it = np.nditer(
-        [kappa, p, q, xi, None],
-        flags=["external_loop", "buffered", "zerosize_ok"],
-        op_flags=[["readonly"]] * 4 + [["writeonly", "allocate"]],
-        op_dtypes=[np.float64] * 5,
-        buffersize=BLOCK,
-    )
-    scratch = _scratch(n_work, min(BLOCK, it.itersize))
-    with it:
-        out = it.operands[-1]
-        for *block, block_out in it:  # buffered: at most BLOCK elements each
-            kernel(*block, block_out, [_view(w, block_out.shape) for w in scratch])
-    if out.ndim == 0:
-        return float(out)
-    return out
+    operands = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (kappa, p, q, xi)))
+    out = np.empty(operands[0].shape)
+    if out.size:  # a zero-size one has no last axis to keep: reshape(-1, 0) raises
+        *rows, out_rows = (a.reshape(-1, out.shape[-1] if out.ndim else 1)
+                           for a in (*operands, out))
+        scratch = [np.empty(min(BLOCK, out.size)) for _ in range(n_work)]
+        for block in _pair_blocks(*out_rows.shape):
+            block_out = out_rows[block]
+            kernel(*(a[block] for a in rows), block_out,
+                   [_view(w, block_out.shape) for w in scratch])
+    return float(out) if out.ndim == 0 else out
 
 
 def psi(kappa, p, q, xi):
@@ -353,15 +361,6 @@ def pair_triangle(model):
     return i, j, 2.0 * w[i] * w[j]
 
 
-def _pair_blocks(n_cells, n_pairs):
-    """(cells, pairs) slices that tile n_cells x n_pairs in blocks of at most BLOCK."""
-    rows = max(1, BLOCK // max(n_pairs, 1))
-    cols = max(1, min(n_pairs, BLOCK))
-    for c in range(0, n_cells, rows):
-        for s in range(0, n_pairs, cols):
-            yield slice(c, c + rows), slice(s, s + cols)
-
-
 def kinematic_rate(f_slice, eta_slice, model):
     """Instantaneous kinematic cost sum_x dx sum_ij w_i w_j psi_{S_ij}(f_i, f_j; eta_ij).
 
@@ -380,8 +379,9 @@ def kinematic_rate(f_slice, eta_slice, model):
     if eta.shape != (n_x, i.size):
         raise UsageError("density and current shapes do not match the model")
     sq = np.sqrt(f)
-    two_sigma = 2.0 * model.sigma[i, j]
-    buffers = _scratch(3, min(BLOCK, n_x * i.size))
+    kappa = model.sigma[i, j]
+    two_sigma = 2.0 * kappa
+    buffers = [np.empty(min(BLOCK, n_x * i.size)) for _ in range(3)]
     total = 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for cells, pairs in _pair_blocks(n_x, i.size):
@@ -390,7 +390,10 @@ def kinematic_rate(f_slice, eta_slice, model):
             np.take(sb, i[pairs], axis=1, out=alpha, mode="clip")
             alpha *= np.take(sb, j[pairs], axis=1, out=t, mode="clip")
             alpha *= two_sigma[pairs]
-            _centered_cost(alpha, xi, out, t)
+            bad = _centered_cost(alpha, xi, out, t)
+            if bad is not None:  # at the elements' cells x and pairs s
+                x, s = cells.start + bad[0], pairs.start + bad[1]
+                out[bad] = _fallback(xi[bad], 0.0, kappa[s], f[x, i[s]], f[x, j[s]])
             total += float(np.sum(out @ weights[pairs]))
     if not math.isfinite(total):
         if not np.isfinite(eta).all():

@@ -19,8 +19,7 @@ built once per run, applied between one ``rfft`` and one ``irfft``.  It
 keeps the frames of the CLI's datum rho0 = 1 + a cos(2 pi m x), |a| <= 1,
 nonnegative: any grid samples rho0 as a nonnegative field of one mode below
 Nyquist, which the shift translates exactly and the collision step mixes
-with nonnegative weights.  Upwind transport is not offered: no term of the
-entropy balance carries its numerical diffusion.  :func:`evolve` yields the
+with nonnegative weights.  :func:`evolve` yields the
 frames one at a time; :func:`simulate` stores them all, after checking that
 they fit in physical memory.  :func:`mode_marginals` takes the same Strang
 steps on the n_x/2 + 1 rfft modes of f, where both split operators act on
@@ -53,10 +52,10 @@ the cost, so ``phi_residual == 0.0`` checks that the current charged in R is
 sigma_ij (f_i - f_j) at every pair element, bit for bit; the cost's values on
 its zero set are checked apart from the certificate.
 
-A run's scheme (dt, eps and the transport) is checked in one place,
-:func:`_check_scheme`, which the :class:`Stepper`, every :class:`Trajectory`,
-the diffusive sweep and the ``certify`` CLI call; its transport test,
-:func:`_check_transport`, also checks every config's ``solver`` block.
+A run's scheme (dt, eps) is checked in one place, :func:`_check_scheme`,
+which the :class:`Stepper`, every :class:`Trajectory`, the diffusive sweep and
+the ``certify`` CLI call.  Transport, always spectral, is no part of it;
+:func:`_check_transport` refuses any other that outside input names.
 """
 
 import csv
@@ -88,28 +87,25 @@ from .functionals import (
 )
 from .spectral import shift
 
-TRANSPORT_SCHEMES = ("spectral",)
-
 #: every _FLUSH_EVERY steps :func:`mode_marginals` zeroes the state entries
 #: below _FLUSH_BELOW in magnitude, before they decay into subnormals
 _FLUSH_EVERY = 64
 _FLUSH_BELOW = 1e-290
 
 
-def _check_transport(transport):
-    if transport not in TRANSPORT_SCHEMES:
-        raise ConfigError(f"transport must be 'spectral', not {transport!r}: upwind "
+def _check_transport(value):
+    if value != "spectral":
+        raise ConfigError(f"transport must be 'spectral', not {value!r}: upwind "
                           "transport was removed, as no term of the entropy balance "
                           "carries its numerical diffusion")
 
 
-def _check_scheme(dt, epsilon, transport, model=None, frame_shape=None):
+def _check_scheme(dt, epsilon, model=None, frame_shape=None):
     """ConfigError unless this is the scheme of a run: dt > 0 and eps > 0
-    finite, eps^2 a normal float, 0.5 dt / eps^2 finite and a transport of
-    ``TRANSPORT_SCHEMES``.  Given the ``model`` and a frame's shape (n_x, n_v),
-    also n_x >= 2 and n_v is the model's.
+    finite, eps^2 a normal float and 0.5 dt / eps^2 finite.  Given the
+    ``model`` and a frame's shape (n_x, n_v), also n_x >= 2 and n_v is the
+    model's.
     """
-    _check_transport(transport)
     for name, value in (("dt", dt), ("epsilon", epsilon)):
         if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
                 0 < value < math.inf):
@@ -139,12 +135,11 @@ class Trajectory:
     f: np.ndarray              # (n_t, n_x, n_v)
     dt: float
     epsilon: float
-    transport: str
     model_name: str = "custom"
     model_fingerprint: str | None = None  # VelocityModel.fingerprint
 
     def __post_init__(self):
-        _check_scheme(self.dt, self.epsilon, self.transport)
+        _check_scheme(self.dt, self.epsilon)
         f = np.asarray(self.f)
         if f.ndim != 3 or len(f) < 2 or f.size == 0 or f.dtype.kind != "f":
             raise ConfigError("f must be a nonempty float (n_t, n_x, n_v) array of at least "
@@ -220,15 +215,14 @@ class Stepper:
     :func:`_check_scheme` refuses on this model and grid, or for which
     0.5 dt / eps^2 * max lambda is not finite, is a :class:`ConfigError`.
 
-    Transport builds ``multiplier`` (n_cells // 2 + 1, n_v), the step
-    exp(-2 pi i k dt b / eps) on the rfft modes (``advect_full`` =
-    ``shift(., multiplier)``); its Nyquist entry on an even grid keeps only its
-    real part, as ``irfft`` does, so steps on the modes stay those on the
-    frames.
+    Transport, always spectral, is ``multiplier`` (n_cells // 2 + 1, n_v),
+    the step exp(-2 pi i k dt b / eps) on the rfft modes (``advect_full`` =
+    ``shift(., multiplier)``); its Nyquist entry on an even grid keeps only
+    its real part, as ``irfft`` does: steps on the modes are those on frames.
     """
 
-    def __init__(self, model, n_cells, dt, epsilon=1.0, transport="spectral"):
-        _check_scheme(dt, epsilon, transport, model, (n_cells, model.n_nodes))
+    def __init__(self, model, n_cells, dt, epsilon=1.0):
+        _check_scheme(dt, epsilon, model, (n_cells, model.n_nodes))
         self.dt = float(dt)
         self.speeds = model.drift[:, 0] / epsilon
         self.half_collision = collision_propagator(model, 0.5 * dt / epsilon**2)
@@ -263,7 +257,7 @@ def _step_count(T, dt):
     return n_steps
 
 
-def _prepare(model, f0, T, dt, epsilon, transport):
+def _prepare(model, f0, T, dt, epsilon):
     """The checked, unit-mass initial datum, the step count n >= 1 and the
     Stepper of a run of :func:`evolve` or :func:`mode_marginals`."""
     f0 = np.asarray(f0, dtype=float)
@@ -279,20 +273,20 @@ def _prepare(model, f0, T, dt, epsilon, transport):
         raise DomainError("initial datum must have a finite positive mass")
     f0 = f0 / mass
 
-    stepper = Stepper(model, n_cells, dt, epsilon, transport)
+    stepper = Stepper(model, n_cells, dt, epsilon)
     return f0, _step_count(T, dt), stepper
 
 
-def evolve(model, f0, T, dt, epsilon=1.0, transport="spectral"):
+def evolve(model, f0, T, dt, epsilon=1.0):
     """The step count n and an iterator over the frames f(0), f(dt), ..., f(n dt = T).
 
     ``f0`` is either a full (n_x, n_v) array or a 1d density rho0(x), in
     which case the run starts from the local equilibrium rho0 (x) 1.  The
-    initial datum is checked and normalized to unit mass before this
-    returns.  Each frame is computed when the iterator reaches it; keeping
-    it is up to the caller.
+    initial datum is checked and normalized to unit mass, and the scheme (dt,
+    eps) checked, before this returns.  Each frame is computed when the
+    iterator reaches it; keeping it is up to the caller.
     """
-    f0, n_steps, stepper = _prepare(model, f0, T, dt, epsilon, transport)
+    f0, n_steps, stepper = _prepare(model, f0, T, dt, epsilon)
     return n_steps, _frames(stepper, f0, n_steps)
 
 
@@ -326,7 +320,7 @@ def mode_marginals(model, f0, T, dt, epsilon=1.0):
     entries below 1e-290 in magnitude, far below the rounding of the values
     they feed, are set to zero.
     """
-    f0, n_steps, stepper = _prepare(model, f0, T, dt, epsilon, "spectral")
+    f0, n_steps, stepper = _prepare(model, f0, T, dt, epsilon)
     n_cells = f0.shape[0]
     half = stepper.half_collision
     to_j = model.weights * model.drift[:, 0] / epsilon
@@ -358,17 +352,18 @@ def mode_marginals(model, f0, T, dt, epsilon=1.0):
 def simulate(model, f0, T, dt, epsilon=1.0, transport="spectral"):
     """Integrate to time T and return the full trajectory (see :func:`evolve`).
 
-    A trajectory larger than physical memory is refused with
-    :class:`ConfigError` before it is allocated.
+    A ``transport`` but ``"spectral"``, the only one, is a :class:`ConfigError`,
+    as is a trajectory larger than physical memory, before it is allocated.
     """
-    n_steps, frames = evolve(model, f0, T, dt, epsilon, transport)
+    _check_transport(transport)
+    n_steps, frames = evolve(model, f0, T, dt, epsilon)
     n_cells = np.shape(f0)[0]
     shape = (n_steps + 1, n_cells, model.n_nodes)
     require_memory(shape, "the trajectory")
     f = np.empty(shape)
     for n, frame in enumerate(frames):
         f[n] = frame
-    return Trajectory(f, dt, epsilon, transport, model.name, model.fingerprint)
+    return Trajectory(f, dt, epsilon, model.name, model.fingerprint)
 
 
 def current_of(f_slice, model, out=None):
@@ -527,11 +522,12 @@ def edi_certificate(traj, model, current_scale=1.0, tol=None):
 
 
 def save_trajectory(traj, directory):
-    """Persist a trajectory as a directory: ``meta.json`` and ``f.npy``."""
+    """Persist a trajectory as a directory: ``meta.json``, whose transport is
+    the constant ``"spectral"``, and ``f.npy``."""
     os.makedirs(directory, exist_ok=True)
     np.save(os.path.join(directory, "f.npy"), traj.f)
-    meta = {key: getattr(traj, key)
-            for key in ("dt", "epsilon", "transport", "model_name", "model_fingerprint")}
+    meta = dict(dt=traj.dt, epsilon=traj.epsilon, transport="spectral",
+                model_name=traj.model_name, model_fingerprint=traj.model_fingerprint)
     with open(os.path.join(directory, "meta.json"), "w") as fh:
         json.dump(meta, fh, sort_keys=True, indent=1)
 
@@ -544,8 +540,8 @@ def load_trajectory(directory):
     key, which older runs wrote, is ignored: both follow from ``dt`` and ``f``.
     So is their ``"drift_axis": 0``; another value is refused, as that run
     moved along another drift column, which no model's check covers.  A
-    ``"transport"`` other than ``"spectral"``, such as the ``"upwind"`` of
-    older runs, is refused as well.
+    ``"transport"`` other than ``"spectral"`` (none, or the ``"upwind"`` of
+    older runs) is refused as well; :class:`Trajectory` keeps none.
     """
     try:
         with open(os.path.join(directory, "meta.json")) as fh:
@@ -556,11 +552,11 @@ def load_trajectory(directory):
         if type(axis) is not int or axis != 0:
             raise ConfigError(f"meta.json: the run moved along drift column {axis!r}, "
                               "not the first")
+        _check_transport(meta.get("transport"))
         return Trajectory(
             f=np.load(os.path.join(directory, "f.npy")),
             dt=meta.get("dt"),
             epsilon=meta.get("epsilon"),
-            transport=meta.get("transport"),
             model_name=meta.get("model_name", "custom"),
             model_fingerprint=meta.get("model_fingerprint"),
         )

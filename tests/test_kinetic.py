@@ -63,9 +63,12 @@ CLI_DATUM_MODELS = {"lorentz": build_lorentz(LorentzSpec(8)),
 
 class TestStepper:
     def test_unknown_transport(self):
+        # the stepper takes no transport; simulate checks the one it is given
         for transport in ("weno", "upwind"):
             with pytest.raises(ConfigError, match="transport must be 'spectral'"):
-                Stepper(two_node_model(), 8, 0.01, transport=transport)
+                simulate(two_node_model(), bump_rho(8), 0.01, 0.01, transport=transport)
+        with pytest.raises(TypeError):
+            Stepper(two_node_model(), 8, 0.01, transport="spectral")
 
     def test_homogeneous_data_pure_relaxation(self):
         # no spatial gradients: the step reduces to the collision exponential
@@ -203,15 +206,14 @@ class TestCollisionPropagator:
         # eps^2 is a normal float and 0.5 dt / eps^2 = 2.2e305 is finite, but
         # not its product with the rate 5e3
         with pytest.raises(ConfigError, match="collision time"):
-            Stepper(two_node_model(s=1e4), n_cells=8, dt=0.01, epsilon=1.5e-154,
-                    transport="spectral")
+            Stepper(two_node_model(s=1e4), n_cells=8, dt=0.01, epsilon=1.5e-154)
 
 
 class TestTransportStep:
     @pytest.mark.parametrize("n_x", [32, 33])
     def test_spectral_step_is_the_analytic_translate_of_a_band_limited_field(self, n_x):
         m = build_lorentz(LorentzSpec(16))
-        st_ = Stepper(m, n_cells=n_x, dt=0.003, epsilon=0.5, transport="spectral")
+        st_ = Stepper(m, n_cells=n_x, dt=0.003, epsilon=0.5)
         rng = np.random.default_rng(n_x)
         amp, phase = rng.uniform(0.1, 0.5, (3, 16)), rng.uniform(0.0, 2 * np.pi, (3, 16))
 
@@ -228,7 +230,7 @@ class TestTransportStep:
     def test_spectral_frames_are_the_split_step_on_the_multiplier(self):
         m = build_lorentz(LorentzSpec(8))
         traj = simulate(m, bump_rho(16), T=0.02, dt=0.002, transport="spectral")
-        st_ = Stepper(m, n_cells=16, dt=0.002, transport="spectral")
+        st_ = Stepper(m, n_cells=16, dt=0.002)
         for n in range(traj.n_steps):
             moved = shift(st_.collide_half(traj.f[n]), st_.multiplier)
             assert np.array_equal(traj.f[n + 1], st_.collide_half(moved))
@@ -237,7 +239,7 @@ class TestTransportStep:
 class TestModeMarginals:
     @staticmethod
     def frame_marginals(model, f0, T, dt, epsilon):
-        n_steps, frames = evolve(model, f0, T, dt, epsilon, "spectral")
+        n_steps, frames = evolve(model, f0, T, dt, epsilon)
         f = np.stack(list(frames))
         return (f @ (model.weights * model.drift[:, 0]) / epsilon,
                 f[-1] @ model.weights)
@@ -496,7 +498,7 @@ class TestEntropyBalance:
                           drift=b - w @ b, sigma=sigma + sigma.T)
         f = rng.uniform(0.0, 2.0, (3, n_x, n_v))
         f[0, 0, 0] = 0.0  # the truncated logarithm's floor
-        traj = Trajectory(f=f, dt=0.1, epsilon=0.7, transport="spectral")
+        traj = Trajectory(f=f, dt=0.1, epsilon=0.7)
         got = entropy_balance_check(traj, m).per_step
         w = m.weights
         for n in range(2):
@@ -521,7 +523,7 @@ class TestEdiCertificate:
     def test_refuses_a_single_frame(self):
         # a trajectory holds a step to certify by construction
         with pytest.raises(ConfigError, match="at least 2 frames"):
-            Trajectory(f=np.ones((1, 4, 8)), dt=0.01, epsilon=1.0, transport="spectral")
+            Trajectory(f=np.ones((1, 4, 8)), dt=0.01, epsilon=1.0)
 
     def test_stationary_all_terms_zero(self):
         m = two_node_model()
@@ -688,8 +690,10 @@ class TestPersistence:
         save_trajectory(traj, tmp_path / "t")
         back = load_trajectory(tmp_path / "t")
         assert np.array_equal(back.f, traj.f)
-        assert back.dt == traj.dt
-        assert back.transport == traj.transport
+        assert (back.dt, back.epsilon, back.model_name, back.model_fingerprint) == (
+            traj.dt, traj.epsilon, traj.model_name, traj.model_fingerprint)
+        # Trajectory has no transport; meta.json names the only one
+        assert json.loads((tmp_path / "t" / "meta.json").read_text())["transport"] == "spectral"
 
     def test_certificate_csv(self, tmp_path):
         m = two_node_model()
@@ -746,21 +750,21 @@ BAD_SCHEMES = {
 @pytest.mark.parametrize("change", BAD_SCHEMES.values(), ids=BAD_SCHEMES)
 def test_every_entry_point_refuses_a_bad_scheme_with_one_message(tmp_path, change):
     m = build_lorentz(LorentzSpec(8))
-    scheme = dict({"dt": 0.01, "epsilon": 1.0, "transport": "spectral"}, **change)
+    scheme = dict({"dt": 0.01, "epsilon": 1.0}, **change)
     T = scheme["dt"]  # one step; the sweep picks its own dt, at most T
     rho0 = bump_rho(8)
     runs = {
-        "Stepper": lambda: Stepper(m, 8, **scheme),
-        "evolve": lambda: evolve(m, rho0, T, **scheme),
-        "Trajectory": lambda: Trajectory(frames, **scheme),
+        "simulate": lambda: simulate(m, rho0, T, **scheme),
         "load_trajectory": lambda: load_trajectory(tmp_path),
     }
-    if "transport" not in change:  # these two take no transport
-        runs["mode_marginals"] = lambda: mode_marginals(m, rho0, T, scheme["dt"],
-                                                        scheme["epsilon"])
+    if "transport" not in change:  # only simulate and a saved run name a transport
+        runs["Stepper"] = lambda: Stepper(m, 8, **scheme)
+        runs["evolve"] = lambda: evolve(m, rho0, T, **scheme)
+        runs["Trajectory"] = lambda: Trajectory(frames, **scheme)
+        runs["mode_marginals"] = lambda: mode_marginals(m, rho0, T, **scheme)
         runs["sweep"] = lambda: sweep(m, rho0, [scheme["epsilon"]], T)
     frames = np.ones((2, 8, 8))
-    save_trajectory(Trajectory(frames, 0.01, 1.0, "spectral"), tmp_path)
+    save_trajectory(Trajectory(frames, 0.01, 1.0), tmp_path)
     meta = json.loads((tmp_path / "meta.json").read_text())
     (tmp_path / "meta.json").write_text(json.dumps(dict(meta, **change)))
     messages = {}
@@ -768,6 +772,6 @@ def test_every_entry_point_refuses_a_bad_scheme_with_one_message(tmp_path, chang
         with pytest.raises(ConfigError) as info:
             run()
         messages[name] = str(info.value)
-    message = messages["Stepper"]
+    message = messages["simulate"]
     assert messages.pop("load_trajectory") == f"{tmp_path} is not a valid trajectory: {message}"
     assert set(messages.values()) == {message}

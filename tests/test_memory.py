@@ -21,8 +21,9 @@ import pytest
 from linboltz import build_model
 from linboltz.diffusive import sweep
 from linboltz.errors import DomainError
+from linboltz import functionals
 from linboltz.functionals import (dirichlet_form, dirichlet_lower_bound, kinematic_lower_bound,
-                                  kinematic_rate, pair_triangle, phi)
+                                  kinematic_rate, pair_triangle, phi, psi)
 from linboltz.kinetic import current_of, edi_certificate, simulate, write_certificate_csv
 from linboltz.models import _exact_symmetrize, rayleigh_kernel
 from linboltz.velocity import TiltedMeasure, spectral_gap_probe
@@ -285,3 +286,20 @@ def test_kinematic_lower_bound_stays_within_its_budget(certify_run):
     value, peak = traced_peak(lambda: kinematic_lower_bound(f[None], eta, model, traj.dt, zeta))
     assert 0.0 < value <= traj.dt * kinematic_rate(f, eta[0], model)
     assert peak <= 3 * pair_bytes + 1e6, peak / pair_bytes
+
+
+@pytest.mark.parametrize("cost, n_work", [(phi, 5), (psi, 2)], ids=["phi", "psi"])
+def test_pair_costs_copy_no_operand(certify_run, cost, n_work):
+    # the certificate's operands: kappa broadcast from (n_pairs,) against the
+    # gathered pair densities and a current off the own one, so that every
+    # block takes the whole kernel.  The budget is the output and the scratch,
+    # and 64 kB for views and Python objects: a copy of one operand is 3.7 MB
+    model, traj = certify_run
+    f_mid = 0.5 * (traj.f[3] + traj.f[4])
+    i, j, _ = pair_triangle(model)
+    kappa, f_i, f_j = model.sigma[i, j], np.take(f_mid, i, axis=1), np.take(f_mid, j, axis=1)
+    xi = 1.3 * current_of(f_mid, model)
+    out, peak = traced_peak(lambda: cost(kappa, f_i, f_j, xi))
+    assert out.shape == xi.shape and np.all(out >= 0.0) and out.max() < np.inf
+    budget = out.nbytes + 8 * n_work * functionals.BLOCK
+    assert peak <= budget + 64e3, (peak - budget) / 1e3

@@ -135,7 +135,7 @@ def test_certificate_sums_match_double_sums(block, data):
     scale = data.draw(st.sampled_from([1.0, 2.0, 0.5, -1.0]))
     eps = data.draw(st.sampled_from([1.0, 0.5]))
     dt, dx = 0.01, 1.0 / n_x
-    traj = Trajectory(f=np.stack([f0, f1]), dt=dt, epsilon=eps, transport="spectral")
+    traj = Trajectory(f=np.stack([f0, f1]), dt=dt, epsilon=eps)
     f_mid = 0.5 * (f0 + f1)
     eta = scale * own_current(f_mid, model.sigma)
     factor = dt * dx / eps**2
@@ -282,6 +282,36 @@ def test_elementwise_blocks_patch_scattered_degenerate_entries():
         assert got_phi[k] == phi(kappa[k], p[k], q[k], xi[k])
         assert got_psi[k] == psi(kappa[k], p[k], q[k], xi[k])
     assert np.isinf(got_psi).any() and np.isinf(got_phi).any()
+
+
+def shapes(rng):
+    """(kappa, p, q, xi) of each shape the block loop takes: zero-size, 0-d,
+    1-d longer than BLOCK, 2-d with kappa per pair, and a 3-d broadcast that
+    no view flattens to 2-d (p's middle axis is broadcast)."""
+    def draw(*shape):
+        return rng.uniform(0.1, 3.0, shape)
+
+    n = functionals.BLOCK + 5
+    yield draw(0), draw(0), draw(0), draw(0)
+    yield draw(3, 0), draw(1, 0), draw(0), draw(3, 0)
+    yield 0.7, 1.3, 0.4, 0.2
+    yield draw(n), draw(n), draw(n), rng.normal(0.0, 2.0, n)
+    yield draw(7), draw(5, 7), draw(5, 7), rng.normal(0.0, 2.0, (5, 7))
+    yield draw(6), draw(3, 1, 6), draw(3, 4, 6), rng.normal(0.0, 2.0, (3, 4, 6))
+
+
+@pytest.mark.parametrize("cost", [phi, psi], ids=["phi", "psi"])
+def test_every_shape_equals_the_scalar_calls_bit_for_bit(block, cost):
+    for args in shapes(np.random.default_rng(25)):
+        got = cost(*args)
+        operands = np.broadcast_arrays(*args)
+        if operands[0].ndim == 0:
+            assert type(got) is float
+        assert np.shape(got) == operands[0].shape
+        want = [cost(*(float(a[k]) for a in operands)) for k in np.ndindex(operands[0].shape)]
+        assert np.array_equal(np.ravel(got), want)
+        if cost is phi:  # and off the own current's zero fill
+            assert np.all(np.ravel(got) > 0.0)
 
 
 def test_blocks_with_extreme_entries_keep_the_reference():
@@ -478,14 +508,46 @@ def test_phi_where_xi_plus_m_overflows_matches_mpmath():
     assert _mpmath_costs(1.0, 1.7e308, 1e-300, -1.7e308)[1] == math.inf
 
 
+#: alpha = 2 kappa sqrt(pq) is 3e-361 here, so 0 in floats, with kappa, p, q > 0
+ALPHA_UNDERFLOWS = (1.8942727538402715e-301, 2.2045390158853033e200, 3.27e-321,
+                    0.4147186717918384)
+
+
 def test_phi_where_alpha_underflows_takes_the_legendre_limit():
-    # alpha = 2 kappa sqrt(pq) is 3e-361, so 0 in floats, with kappa, p, q > 0; the
-    # closed-form limit at m = kappa*(p - q) keeps the reference.  psi is +inf
-    # here, so the overflow case above cannot take it
-    args = (1.8942727538402715e-301, 2.2045390158853033e200, 3.27e-321, 0.4147186717918384)
-    ref = _mpmath_costs(*args)[1]
+    # xi and m = kappa*(p - q) share a sign: the closed-form limit at m keeps the
+    # reference.  (xi/alpha)^2 is inf, so the overflow case above cannot take it
+    ref = _mpmath_costs(*ALPHA_UNDERFLOWS)[1]
     assert ref == pytest.approx(95.07491328805117, rel=1e-15)
-    assert phi(*args) == pytest.approx(ref, rel=1e-14, abs=0.0)
+    assert phi(*ALPHA_UNDERFLOWS) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+def test_costs_where_alpha_underflows_are_finite():
+    # psi, phi against m's sign and the kinematic rate took +inf (or raised) here;
+    # log(2|x|/alpha) = log|x| - log kappa - log p / 2 - log q / 2 needs no alpha
+    kappa, p, q, xi = ALPHA_UNDERFLOWS
+    psi_ref, phi_ref = _mpmath_costs(kappa, p, q, -xi)
+    assert (psi_ref, phi_ref) == (pytest.approx(343.751082785, rel=1e-11),
+                                  pytest.approx(592.427252281, rel=1e-11))
+    assert psi(kappa, p, q, xi) == pytest.approx(psi_ref, rel=1e-12, abs=0.0)
+    assert psi(kappa, p, q, -xi) == pytest.approx(psi_ref, rel=1e-12, abs=0.0)
+    assert phi(kappa, p, q, -xi) == pytest.approx(phi_ref, rel=1e-12, abs=0.0)
+    assert phi(kappa, q, p, xi) == pytest.approx(phi_ref, rel=1e-12, abs=0.0)
+    model = VelocityModel(
+        nodes=np.arange(2.0)[:, None], weights=np.full(2, 0.5),
+        drift=np.array([[-1.0], [1.0]]), sigma=kappa * (np.ones((2, 2)) - np.eye(2)),
+    )
+    f, eta = np.array([[p, q]]), np.array([[xi]])
+    assert kinematic_rate(f, eta, model) == pytest.approx(
+        2.0 * 0.25 * _mpmath_costs(kappa, p, q, xi)[0], rel=1e-12, abs=0.0)
+    # where alpha is 0 exactly, the costs stay +inf and the rate infeasible
+    for k, a, b in ((0.0, p, q), (kappa, 0.0, q), (kappa, p, 0.0)):
+        assert psi(k, a, b, xi) == math.inf
+        assert phi(k, a, b, -xi) == math.inf
+    zero_rate = VelocityModel(nodes=model.nodes, weights=model.weights, drift=model.drift,
+                              sigma=np.zeros((2, 2)))
+    for model_, f_ in ((zero_rate, f), (model, np.array([[p, 0.0]]))):
+        with pytest.raises(InfeasibleValueError):
+            kinematic_rate(f_, eta, model_)
 
 
 def test_kinematic_rate_of_a_current_whose_ratio_overflows_is_finite():

@@ -213,3 +213,20 @@ def test_every_dataclass_field_is_read():
               for cls, name, line in dataclass_fields(parse(path))
               if name not in read and not serialises_itself(cls)]
     assert not unread, f"dataclass fields that nothing reads: {unread}"
+
+
+def test_no_transport_option_inside_the_package():
+    # every run steps spectral transport; outside input names one only in a
+    # config's solver block and simulate's keyword, each checked where it arrives
+    found = set()
+    for path in MODULES:
+        tree = parse(path)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                arguments = node.args
+                names = arguments.posonlyargs + arguments.args + arguments.kwonlyargs
+                found |= {f"{path.name} {node.name}({a.arg})" for a in names
+                          if a.arg == "transport"}
+        found |= {f"{path.name} {cls.name}.{name}" for cls, name, _ in dataclass_fields(tree)
+                  if name == "transport"}
+    assert found == {"kinetic.py simulate(transport)", "cli.py SolverConfig.transport"}
