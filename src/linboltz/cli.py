@@ -15,7 +15,8 @@ along the drift's first axis; ``diffusive-sweep``'s heat flow has D[0, 0].
 Exit codes: 0 success; 2 configuration error (an unknown key, a ``solver`` key
 that the subcommand refuses: ``eps_list`` or ``dt_scale`` in ``kinetic-run``,
 ``dt`` or ``epsilon`` in ``diffusive-sweep``; a transport other than ``spectral``, in
-a config or a saved trajectory; a value of the wrong type or range, a file that cannot
+a config or a saved trajectory; a ``rho0_mode`` the grid aliases, 2 |m| >= n_cells;
+a value of the wrong type or range, a file that cannot
 be read or written, a model that fails its numerical checks, a ``T`` that holds no step
 of ``dt``, a scheme that ``kinetic._check_scheme`` refuses, a trajectory certified
 against a model that did not produce it or could not have run its scheme (such as
@@ -77,9 +78,10 @@ class SolverConfig:
         if min(positive) <= 0 or self.n_cells < 2:
             raise ConfigError("solver: need n_cells >= 2 and positive T, dt, epsilon, "
                               "eps_list, dt_scale")
-        if not abs(self.rho0_amplitude) <= 1.0:
-            raise ConfigError("solver: rho0_amplitude must lie in [-1, 1], where "
-                              "1 + a cos(2 pi m x) is a nonnegative density")
+        if not (abs(self.rho0_amplitude) <= 1.0 and 2 * abs(self.rho0_mode) < self.n_cells):
+            raise ConfigError("solver: need |rho0_amplitude| <= 1 and 2 |rho0_mode| < n_cells, "
+                              "where the grid samples 1 + a cos(2 pi m x) as a nonnegative "
+                              "density of that one mode")
         _check_transport(self.transport)
 
 

@@ -37,26 +37,26 @@ diagonal, where xi = 0 and p = q.  So a current eta_ij = -eta_ji, and the
 kinematic bound's zeta and alpha per frame, live on the velocity pairs i < j
 only, as (n_x, n_pairs) arrays in :func:`pair_triangle` order that cannot be
 other than antisymmetric; pair sums count each pair twice.  The Dirichlet
-form and the Donsker-Varadhan bound pair two (n_x, n_v) arrays instead.
+form and the Donsker-Varadhan bound instead go through :func:`_pairing` of
+two (n_x, n_v) arrays, as the entropy balance does.
 
 The cost kernels run in blocks of at most ``BLOCK`` (16384) elements and do
-their arithmetic in place, in scratch arrays allocated once per call, so a
-block makes about 10 (psi) or 25 (phi) passes over data that stays in cache
-and no ufunc allocates; :func:`phi`, :func:`psi` and :func:`kinematic_rate`
-walk the same row blocks, :func:`_pair_blocks`.  They divide the formulas
-above through by alpha and see it only through xi/alpha and m/alpha, with
-alpha = 2*kappa*sqrt(p)*sqrt(q); only the squares of those ratios can
-overflow, and the elements where they do fall back to np.hypot, with asinh(y)
-= log 2|y| where y itself overflows.
+their arithmetic in place, in scratch arrays allocated once per call, so no
+ufunc allocates; :func:`phi`, :func:`psi` and :func:`kinematic_rate` walk the
+same row blocks, :func:`_pair_blocks`.  They divide the formulas above
+through by alpha and see it only through xi/alpha and m/alpha, with alpha =
+2*kappa*sqrt(p)*sqrt(q).  psi takes the half-angle form xi*(a - tanh(a/2)),
+a = asinh(xi/alpha), which forms no square: it leaves the kernel only where
+alpha = 0 or xi/alpha = +-inf, or psi itself overflows.  phi forms 1 +
+(xi/alpha)^2 and 1 + (m/alpha)^2 and leaves it also where one of them
+overflows.  Those elements take :func:`_fallback`: the reference formula
+with np.hypot, with asinh(y) = log 2|y| where y itself overflows, or the
+limit above where alpha = 0.
 phi first forms m = kappa*(p - q) and xi - m, and fills a block where that is
 0 at every element, the block of the solver's own current, with zeros without
-forming alpha, a root or an asinh.  On the ``certify`` benchmark config
-(Rayleigh-120, 64 cells, 457k pair elements per call; 2-core Xeon, one
-thread) a :func:`kinematic_rate` call takes about 5.3 ms, 12 ns per pair
-element with its density gathers; a :func:`phi` call takes about 10 ms, 22 ns
-per element, off the own current and about 2.5 ms, 5 ns per element, on it.
-The kernels use no threads: two threads running np.arcsinh on separate blocks
-ran no faster than one there.
+forming alpha, a root or an asinh.  The kernels use no threads: two threads
+running np.arcsinh on separate blocks ran no faster than one on the
+``certify`` benchmark config.
 """
 
 import math
@@ -88,11 +88,11 @@ def truncated_log(u):
 # ---------------------------------------------------------------------------
 
 #: elements per block, read at call time; a call allocates its scratch arrays
-#: of this size once.  Per call on the certify config (see above), at 4096 /
-#: 16384 / 65536 / 262144: kinematic_rate 7.7 / 4.8 / 4.7 / 5.5 ms, phi off
-#: the own current 11.2 / 9.7 / 10.6 / 18.8 ms (medians of 40 calls); phi on
-#: it 3.0 / 2.5 / 2.4 / 6.4 ms, against 15.3 / 16.5 / 17.9 / 25.3 ms for the
-#: whole kernel in the same runs.
+#: of this size once.  Per call on the ``certify`` benchmark config
+#: (Rayleigh-120, 64 cells, 457k pair elements; 2-core Xeon, one thread), at
+#: 4096 / 16384 / 65536 / 262144: kinematic_rate 7.3 / 5.3 / 5.2 / 6.1 ms, phi
+#: off the own current 19.1 / 16.8 / 17.5 / 23.2 ms and on it 3.7 / 2.5 / 2.3
+#: / 4.7 ms (medians of 30 calls).
 BLOCK = 16384
 
 
@@ -121,12 +121,12 @@ def _alpha(kappa, p, q, out, t):
     return out
 
 
-def _out_of_range(r2):
-    """Index of the elements where r2 = (xi/alpha)^2 overflowed or is nan (alpha
-    = 0 included), or None if there are none."""
-    if not r2.size or r2.max() < math.inf:
+def _out_of_range(v):
+    """Index of the elements of ``v``, which holds no -inf, that are +inf or
+    nan, or None if there are none."""
+    if not v.size or v.max() < math.inf:
         return None
-    return np.nonzero(~(r2 < math.inf))
+    return np.nonzero(~(v < math.inf))
 
 
 def _asinh_ratio(x, a):
@@ -162,27 +162,23 @@ def _fallback(x, mb, kappa, p, q):
 
 
 def _centered_cost(alpha, xi, out, t):
-    """psi = xi*asinh(r) - xi*r/(sqrt(1+r^2)+1), r = xi/alpha, into ``out``.
+    """psi = xi*(a - tanh(a/2)), a = asinh(xi/alpha), into ``out``; ``t`` is scratch.
 
-    The form is that of the reference xi*asinh(xi/alpha) - (sqrt(xi^2+alpha^2)
-    - alpha) divided through by alpha, so that nothing but r^2 can overflow.
-    ``t`` is scratch of the same shape.  Returns the index of the elements
-    where r^2 overflowed, alpha = 0 included, or None; callers patch those
-    with :func:`_fallback` at m = 0, and form alpha and run this inside one
-    ``np.errstate`` that ignores division, invalid and overflow (alpha = inf
-    gives psi = 0).
+    The reference xi*asinh(xi/alpha) - (sqrt(xi^2 + alpha^2) - alpha) in its
+    half-angle form, r/(sqrt(1+r^2) + 1) = tanh(asinh(r)/2): no square and no
+    root.  Returns the index of the elements where psi is not finite, alpha =
+    0 or xi/alpha = +-inf (or psi past the float range), or None.  Callers
+    form alpha and run this inside one ``np.errstate`` that ignores division,
+    invalid and overflow (alpha = inf gives psi = 0), and patch those elements
+    with :func:`_fallback` at m = 0.
     """
     np.divide(xi, alpha, out=out)
-    np.multiply(out, out, out=t)
-    bad = _out_of_range(t)
-    t += 1.0
-    np.sqrt(t, out=t)
-    t += 1.0
-    np.divide(out, t, out=t)
     np.arcsinh(out, out=out)
+    np.multiply(out, 0.5, out=t)
+    np.tanh(t, out=t)
     out -= t
     out *= xi
-    return bad
+    return _out_of_range(out)
 
 
 def _jump_cost(kappa, p, q, xi, out, work):
@@ -332,19 +328,23 @@ def relative_entropy(f, model):
     return float(dx * np.sum(flogf @ model.weights))
 
 
+def _pairing(a, b, model):
+    """sum_x sum_ij a_i w_i S_ij w_j (b_j - b_i) of two (n_x, n_v) arrays, as
+    <a w, S (w b)> - <a w, lambda b>: two BLAS products and no pair array."""
+    aw = a * model.weights
+    return np.vdot(aw @ model.sigma, b * model.weights) - np.vdot(aw, b * model.rates)
+
+
 def dirichlet_form(f_slice, model):
     """Dirichlet form of sqrt(f): sum_x dx sum_ij w_i w_j S_ij (sqrt f_j - sqrt f_i)^2.
 
-    Expanded as 2*(sum_i w_i lam_i f_i - <sqrt f, S w sqrt f>) to stay
-    O(n_x * n_v^2) without forming the pair difference tensor.
+    By the symmetry of S, -2 times the :func:`_pairing` of sqrt f with itself,
+    which forms no pair array.
     """
     f = np.atleast_2d(_clip_density(f_slice, model))
     dx = 1.0 / f.shape[0]
-    w = model.weights
     sq = np.sqrt(f)
-    local = (f * (w * model.rates)).sum(axis=1)
-    cross = np.einsum("xi,i,ij,j,xj->x", sq, w, model.sigma, w, sq, optimize=True)
-    return float(dx * np.sum(2.0 * (local - cross)))
+    return float(-2.0 * dx * _pairing(sq, sq, model))
 
 
 def pair_triangle(model):
@@ -401,13 +401,6 @@ def kinematic_rate(f_slice, eta_slice, model):
         raise InfeasibleValueError("kinematic cost is infeasible (current on a pair "
                                    "with zero rate or zero density)")
     return float(dx * total)
-
-
-def _pairing(a, b, model):
-    """sum_x sum_ij a_i w_i S_ij w_j (b_j - b_i) of two (n_x, n_v) arrays, as
-    <a w, S (w b)> - <a w, lambda b>: two BLAS products and no pair array."""
-    aw = a * model.weights
-    return np.vdot(aw @ model.sigma, b * model.weights) - np.vdot(aw, b * model.rates)
 
 
 def dirichlet_lower_bound(f_slice, model, phi_test):

@@ -17,9 +17,10 @@ Transport is spectral: an exact translation of the trigonometric
 interpolant, :attr:`Stepper.multiplier`, one phase per rfft mode and node
 built once per run, applied between one ``rfft`` and one ``irfft``.  It
 keeps the frames of the CLI's datum rho0 = 1 + a cos(2 pi m x), |a| <= 1,
-nonnegative: any grid samples rho0 as a nonnegative field of one mode below
-Nyquist, which the shift translates exactly and the collision step mixes
-with nonnegative weights.  :func:`evolve` yields the
+nonnegative: the CLI refuses a mode at or above Nyquist, 2 |m| >= n_x, so the
+grid samples rho0 as a nonnegative field of one mode below Nyquist, which
+the shift translates exactly and the collision step mixes with nonnegative
+weights.  :func:`evolve` yields the
 frames one at a time; :func:`simulate` stores them all, after checking that
 they fit in physical memory.  :func:`mode_marginals` takes the same Strang
 steps on the n_x/2 + 1 rfft modes of f, where both split operators act on

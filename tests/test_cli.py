@@ -120,6 +120,25 @@ class TestConfigValidation:
         assert (diag["exit_code"], diag["error"]) == (2, "ConfigError")
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, solver", [
+        ("kinetic-run", {"dt": 0.01, "T": 0.02}),
+        ("diffusive-sweep", {"T": 0.02, "eps_list": [0.5]}),
+    ])
+    def test_rho0_mode_that_the_grid_aliases_is_refused(self, tmp_path, capsys, command,
+                                                         solver):
+        # on 8 cells mode 4 samples the flat datum 1, mode 8 the flat 1 - a, and
+        # 10**23 rounding noise that is no single mode; 3 is the last mode below
+        # Nyquist
+        for mode, code in ((3, 0), (-3, 0), (0, 0), (4, 2), (-4, 2), (8, 2), (10**23, 2)):
+            cfg = write_cfg(tmp_path, lorentz_cfg(solver=dict(solver, n_cells=8,
+                                                              rho0_mode=mode)))
+            out = tmp_path / f"out{mode}"
+            assert main([command, "--config", cfg, "--out", str(out)]) == code, mode
+            if code:
+                diag = json.loads((out / "error.json").read_text())
+                assert diag["error"] == "ConfigError" and "rho0_mode" in diag["message"]
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, key, payload", [
         ("kinetic-run", "eps_list", {"dt": 0.01, "T": 0.02, "eps_list": [0.5]}),
         ("kinetic-run", "dt_scale", {"dt": 0.01, "T": 0.02, "dt_scale": 0.5}),

@@ -60,6 +60,24 @@ def bump_rho(n):
 CLI_DATUM_MODELS = {"lorentz": build_lorentz(LorentzSpec(8)),
                     "rayleigh": build_rayleigh(RayleighSpec(dim=2, n_radial=4, n_angular=12))}
 
+#: the ``certify`` benchmark config's model, Rayleigh-2d on 10 x 12 nodes
+CERTIFY_MODEL = build_rayleigh(RayleighSpec(dim=2, n_radial=10, n_angular=12))
+#: its certificates on 64 cells, dt 2e-3, T 0.04 from 1 + a cos(2 pi x), as
+#: recorded while psi was xi*asinh(r) - xi*r/(sqrt(1+r^2)+1) and E the einsum
+#: expansion 2*(sum_i w_i lam_i f_i - <sqrt f, S w sqrt f>)
+CERTIFY_CONFIG_CERTIFICATES = {
+    0.3: {"h_initial": "0x1.74eaca06d96c2p-6", "h_final": "0x1.72edb22d8218ap-6",
+          "dirichlet_integral": "0x1.fbe418a400832p-15",
+          "kinematic_value": "0x1.fc2cf457a7120p-15",
+          "balance_residual": "0x1.0f52d97fb0000p-22",
+          "max_step_residual": "0x1.bb3664abf6de8p-27"},
+    0.6: {"h_initial": "0x1.83a4b1228f1d8p-4", "h_final": "0x1.817c4bb601fcep-4",
+          "dirichlet_integral": "0x1.1339e5d666138p-12",
+          "kinematic_value": "0x1.14042ddd45213p-12",
+          "balance_residual": "0x1.2758d97570000p-20",
+          "max_step_residual": "0x1.e11e4cdad7ac0p-25"},
+}
+
 
 class TestStepper:
     def test_unknown_transport(self):
@@ -681,6 +699,22 @@ class TestEdiCertificate:
         for route in (edi_certificate, entropy_balance_check):
             with pytest.raises(UsageError, match="velocity nodes"):
                 route(traj, m)
+
+    @pytest.mark.parametrize("amplitude", sorted(CERTIFY_CONFIG_CERTIFICATES))
+    def test_certify_config_keeps_its_recorded_certificate_to_rounding(self, amplitude):
+        # psi's half-angle form and E's pairing each round differently from
+        # the forms these values were recorded with; H and Phi do not move
+        x = (np.arange(64) + 0.5) / 64
+        traj = simulate(CERTIFY_MODEL, 1.0 + amplitude * np.cos(2.0 * np.pi * x), T=0.04, dt=2e-3)
+        got = edi_certificate(traj, CERTIFY_MODEL)
+        old = {k: float.fromhex(v) for k, v in CERTIFY_CONFIG_CERTIFICATES[amplitude].items()}
+        assert (got.h_initial, got.h_final) == (old["h_initial"], old["h_final"])
+        assert got.phi_residual == 0.0
+        assert got.kinematic_value == pytest.approx(old["kinematic_value"], rel=1e-14, abs=0.0)
+        assert got.dirichlet_integral == pytest.approx(old["dirichlet_integral"],
+                                                       rel=1e-12, abs=0.0)
+        assert abs(got.balance_residual - old["balance_residual"]) <= 1e-15
+        assert abs(got.max_step_residual - old["max_step_residual"]) <= 1e-15
 
 
 class TestPersistence:

@@ -462,8 +462,8 @@ def test_kinematic_rate_at_densities_whose_product_underflows():
 
 
 def _mpmath_costs(kappa, p, q, xi):
-    """psi and phi by their reference formulas at 50 digits."""
-    with mpmath.workdps(50):
+    """psi and phi by their reference formulas at 60 digits."""
+    with mpmath.workdps(60):
         kappa, p, q, xi = (mpmath.mpf(v) for v in (kappa, p, q, xi))
         alpha = 2 * kappa * mpmath.sqrt(p * q)
         m = kappa * (p - q)
@@ -493,6 +493,54 @@ def test_costs_where_xi_over_alpha_overflows_match_mpmath(kappa, p, q, xi):
     got = psi(kappas, p, q, xis)
     assert got[1] == pytest.approx(_mpmath_costs(kappa, p, q, xi)[0], rel=1e-14, abs=0.0)
     assert got[0] == psi(1.0, p, q, 0.5) and got[2] == psi(2.0, p, q, -3.0)
+
+
+def two_node_model(kappa):
+    return VelocityModel(
+        nodes=np.arange(2.0)[:, None], weights=np.full(2, 0.5),
+        drift=np.array([[-1.0], [1.0]]), sigma=kappa * (np.ones((2, 2)) - np.eye(2)),
+    )
+
+
+def count_fallbacks(monkeypatch):
+    """Record (x, kappa, p, q) of every element that enters ``_fallback``."""
+    entered = []
+
+    def counted(x, mb, kappa, p, q):
+        entered.append(np.broadcast_arrays(*map(np.asarray, (x, kappa, p, q))))
+        return fallback(x, mb, kappa, p, q)
+
+    fallback = functionals._fallback
+    monkeypatch.setattr(functionals, "_fallback", counted)
+    return entered
+
+
+def test_psi_matches_mpmath_from_tiny_to_huge_ratios_without_a_fallback(monkeypatch):
+    # psi = xi*(a - tanh(a/2)), a = asinh(xi/alpha), forms no square: every
+    # finite xi/alpha stays in the kernel, where (xi/alpha)^2 once overflowed
+    # from |xi/alpha| ~ 1.3e154 on and sent the element to the fallback
+    entered = count_fallbacks(monkeypatch)
+    rng = np.random.default_rng(28)
+    kappa, p, q = rng.uniform(0.1, 3.0, (3, 3000))
+    ratio = 10.0 ** rng.uniform(-12, 300, 3000) * rng.choice([-1.0, 1.0], 3000)
+    xi = ratio * (np.sqrt(p) * np.sqrt(q) * kappa * 2.0)
+    ref = np.array([_mpmath_costs(*args)[0] for args in zip(kappa, p, q, xi)])
+    assert np.max(np.abs(psi(kappa, p, q, xi) / ref - 1.0)) <= 2e-15
+    for n in range(0, 3000, 10):  # one pair on one cell: the rate is psi / 2
+        rate = kinematic_rate(np.array([[p[n], q[n]]]), np.array([[xi[n]]]),
+                              two_node_model(kappa[n]))
+        assert abs(rate / (0.5 * ref[n]) - 1.0) <= 2e-15
+    assert not entered
+    # alpha = 0, or xi/alpha = +-inf, and nothing else enters it
+    extreme = np.array([(0.0, 1.0, 2.0, 0.5), (1.0, 0.0, 2.0, -0.5), (1.0, 1.0, 0.0, 0.0),
+                        (5e-301, 1.0, 1.0, 1e10), (5e-301, 1.0, 4.0, -1e10)])
+    mixed = np.concatenate([extreme, np.stack([kappa, p, q, xi], axis=1)[:5]])
+    assert list(psi(*mixed.T)[5:]) == [psi(*row) for row in mixed[5:]]
+    (x, k, a, b), = entered  # one call, on the mixed block
+    assert np.array_equal(np.stack([k, a, b, x], axis=1), extreme)
+    alpha = np.sqrt(a) * np.sqrt(b) * k * 2.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        assert np.all((alpha == 0) | np.isinf(x / alpha))
 
 
 def test_phi_where_xi_plus_m_overflows_matches_mpmath():
@@ -532,10 +580,7 @@ def test_costs_where_alpha_underflows_are_finite():
     assert psi(kappa, p, q, -xi) == pytest.approx(psi_ref, rel=1e-12, abs=0.0)
     assert phi(kappa, p, q, -xi) == pytest.approx(phi_ref, rel=1e-12, abs=0.0)
     assert phi(kappa, q, p, xi) == pytest.approx(phi_ref, rel=1e-12, abs=0.0)
-    model = VelocityModel(
-        nodes=np.arange(2.0)[:, None], weights=np.full(2, 0.5),
-        drift=np.array([[-1.0], [1.0]]), sigma=kappa * (np.ones((2, 2)) - np.eye(2)),
-    )
+    model = two_node_model(kappa)
     f, eta = np.array([[p, q]]), np.array([[xi]])
     assert kinematic_rate(f, eta, model) == pytest.approx(
         2.0 * 0.25 * _mpmath_costs(kappa, p, q, xi)[0], rel=1e-12, abs=0.0)
@@ -551,10 +596,7 @@ def test_costs_where_alpha_underflows_are_finite():
 
 
 def test_kinematic_rate_of_a_current_whose_ratio_overflows_is_finite():
-    model = VelocityModel(
-        nodes=np.arange(2.0)[:, None], weights=np.full(2, 0.5),
-        drift=np.array([[-1.0], [1.0]]), sigma=np.ones((2, 2)) - np.eye(2),
-    )
+    model = two_node_model(1.0)
     f = np.full((1, 2), 1e-300)
     eta = np.array([[1e10]])  # eta_01/alpha = 5e309
     expected = 2.0 * 0.25 * _mpmath_costs(1.0, 1e-300, 1e-300, 1e10)[0]
