@@ -43,20 +43,15 @@ two (n_x, n_v) arrays, as the entropy balance does.
 The cost kernels run in blocks of at most ``BLOCK`` (16384) elements and do
 their arithmetic in place, in scratch arrays allocated once per call, so no
 ufunc allocates; :func:`phi`, :func:`psi` and :func:`kinematic_rate` walk the
-same row blocks, :func:`_pair_blocks`.  They divide the formulas above
-through by alpha and see it only through xi/alpha and m/alpha, with alpha =
-2*kappa*sqrt(p)*sqrt(q).  psi takes the half-angle form xi*(a - tanh(a/2)),
-a = asinh(xi/alpha), which forms no square: it leaves the kernel only where
-alpha = 0 or xi/alpha = +-inf, or psi itself overflows.  phi forms 1 +
-(xi/alpha)^2 and 1 + (m/alpha)^2 and leaves it also where one of them
-overflows.  Those elements take :func:`_fallback`: the reference formula
-with np.hypot, with asinh(y) = log 2|y| where y itself overflows, or the
-limit above where alpha = 0.
-phi first forms m = kappa*(p - q) and xi - m, and fills a block where that is
-0 at every element, the block of the solver's own current, with zeros without
-forming alpha, a root or an asinh.  The kernels use no threads: two threads
-running np.arcsinh on separate blocks ran no faster than one on the
-``certify`` benchmark config.
+same row blocks, :func:`_pair_blocks`.  With alpha = 2*kappa*sqrt(p)*sqrt(q),
+a = asinh(xi/alpha) and b = asinh(m/alpha), psi takes the half-angle form
+xi*(a - tanh(a/2)) and phi the form in h = (a - b)/2 of :func:`_jump_cost`,
+accurate down to its zero set.  Neither forms a square, so both leave the
+kernel only where alpha = 0, a ratio is +-inf, or the cost is not finite.
+Those elements take :func:`_fallback`: the reference formula with np.hypot,
+with asinh(y) = log 2|y| where y itself overflows, or the limit above where
+alpha = 0.  The kernels use no threads: two threads running np.arcsinh on
+separate blocks ran no faster than one on the ``certify`` benchmark config.
 """
 
 import math
@@ -90,9 +85,9 @@ def truncated_log(u):
 #: elements per block, read at call time; a call allocates its scratch arrays
 #: of this size once.  Per call on the ``certify`` benchmark config
 #: (Rayleigh-120, 64 cells, 457k pair elements; 2-core Xeon, one thread), at
-#: 4096 / 16384 / 65536 / 262144: kinematic_rate 7.3 / 5.3 / 5.2 / 6.1 ms, phi
-#: off the own current 19.1 / 16.8 / 17.5 / 23.2 ms and on it 3.7 / 2.5 / 2.3
-#: / 4.7 ms (medians of 30 calls).
+#: 4096 / 16384 / 65536 / 262144: kinematic_rate 7.2 / 5.4 / 4.9 / 5.9 ms, phi
+#: off the own current 15.4 / 12.6 / 13.0 / 19.5 ms and on it 3.8 / 2.1 / 2.2
+#: / 4.3 ms (medians of 30 calls, the median of three runs).
 BLOCK = 16384
 
 
@@ -122,11 +117,9 @@ def _alpha(kappa, p, q, out, t):
 
 
 def _out_of_range(v):
-    """Index of the elements of ``v``, which holds no -inf, that are +inf or
-    nan, or None if there are none."""
-    if not v.size or v.max() < math.inf:
-        return None
-    return np.nonzero(~(v < math.inf))
+    """Index of the elements of ``v`` that are not finite, or None if there are none."""
+    finite = np.isfinite(v)
+    return None if finite.all() else np.nonzero(~finite)
 
 
 def _asinh_ratio(x, a):
@@ -185,19 +178,23 @@ def _jump_cost(kappa, p, q, xi, out, work):
     """phi on one block into ``out``; ``work`` holds five scratch arrays of
     its shape.  See :func:`phi`.
 
-    With rx = xi/alpha and rm = m/alpha, sx = sqrt(1+rx^2), sm = sqrt(1+rm^2):
+    With a = asinh(xi/alpha), b = asinh(m/alpha), c = (a + b)/2, h = (a - b)/2,
+    the reference form is alpha [sinh a (a - b) - (cosh a - cosh b)], and as
+    cosh a - cosh b = 2 sinh c sinh h and sinh a = sinh(c + h),
 
-        phi = xi*(asinh rx - asinh rm) - (xi - m)*(rx + rm)/(sx + sm),
+        phi = 2 alpha [h cosh c sinh h - sinh c (sinh h - h cosh h)].
 
-    the reference form divided through by alpha.  At xi == m both terms
-    vanish exactly, so a block where xi - m is 0 at every element, which
-    means xi == m and both finite, is filled with zeros before alpha, the
-    divisions, the roots and the asinh are formed.  That is the block of the
-    solver's own current xi = kappa*(p - q); any other block, and one holding
-    a NaN or an infinity, takes the whole kernel.  Where a square overflows,
-    alpha = 0 included, :func:`_fallback` takes over.
+    Near h = 0 the first term is 2 alpha h^2 cosh c and the second O(h^3), so
+    nothing cancels.  alpha goes into each term before its factor in c: h sinh
+    h alone would go subnormal, and sinh c (sinh h - h cosh h) overflow where
+    phi does not.  phi is 0 at h = 0, so a block where xi - m is 0 at every
+    element, which means xi == m and both finite, is filled with zeros before
+    alpha and the asinh are formed: the block of the solver's own current.
+    Any other block, and one holding a NaN or an infinity, takes the whole
+    kernel; where phi is not finite, alpha = 0 or a ratio +-inf included,
+    :func:`_fallback` takes over.
     """
-    alpha, m, rm, t, u = work
+    alpha, m, s, t, u = work
     with np.errstate(invalid="ignore", over="ignore"):
         np.subtract(p, q, out=m)
         m *= kappa
@@ -208,24 +205,27 @@ def _jump_cost(kappa, p, q, xi, out, work):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         _alpha(kappa, p, q, alpha, t)
         np.divide(xi, alpha, out=out)
-        np.divide(m, alpha, out=rm)
-        np.multiply(out, out, out=t)
-        t += 1.0
-        np.sqrt(t, out=t)
-        np.multiply(rm, rm, out=u)
-        u += 1.0
-        np.sqrt(u, out=u)
-        t += u
-        bad = _out_of_range(t)  # catches rx^2 or rm^2 overflowing, and alpha = 0
-        np.add(out, rm, out=u)
-        u /= t
-        np.subtract(xi, m, out=t)
-        u *= t  # (xi - m)*(rx + rm)/(sx + sm)
         np.arcsinh(out, out=out)
-        np.arcsinh(rm, out=rm)
-        out -= rm
-        out *= xi
-        out -= u
+        np.divide(m, alpha, out=s)
+        np.arcsinh(s, out=s)
+        np.add(out, s, out=t)
+        t *= 0.5  # c
+        out -= s
+        out *= 0.5  # h
+        np.sinh(out, out=s)
+        np.cosh(out, out=u)
+        u *= out
+        u -= s  # h cosh h - sinh h
+        u *= alpha
+        out *= alpha
+        out *= s  # alpha h sinh h
+        np.sinh(t, out=s)
+        u *= s
+        np.cosh(t, out=t)
+        out *= t
+        out += u
+        out *= 2.0
+        bad = _out_of_range(out)
         if bad is not None:
             out[bad] = _fallback(xi[bad], m[bad], kappa[bad], p[bad], q[bad])
     return out
@@ -276,8 +276,8 @@ def phi(kappa, p, q, xi):
     """Jump cost of the balance-equation action; zero iff xi = kappa*(p-q).
 
     Exactly 0.0 at xi = kappa*(p - q) with all four finite, up to the sign of
-    a zero; a block of elements that all lie there is filled with zeros
-    without the kernel (see :func:`_jump_cost`)."""
+    a zero, and nonnegative off it; a block of elements that all lie there is
+    filled with zeros without the kernel (see :func:`_jump_cost`)."""
     return _elementwise(_jump_cost, 5, kappa, p, q, xi)
 
 

@@ -129,8 +129,8 @@ class Trajectory:
     interval; the cell size, the times and the step count follow from them.
 
     Valid by construction: the scheme passes the model-free part of
-    :func:`_check_scheme`, and ``f`` is a nonempty float (n_t, n_x, n_v) array
-    of at least 2 frames, all finite (checked frame by frame); else ConfigError.
+    :func:`_check_scheme`, and ``f`` is a nonempty float64 (n_t, n_x, n_v) array
+    (of either byte order) of at least 2 frames, all finite; else ConfigError.
     """
 
     f: np.ndarray              # (n_t, n_x, n_v)
@@ -142,8 +142,8 @@ class Trajectory:
     def __post_init__(self):
         _check_scheme(self.dt, self.epsilon)
         f = np.asarray(self.f)
-        if f.ndim != 3 or len(f) < 2 or f.size == 0 or f.dtype.kind != "f":
-            raise ConfigError("f must be a nonempty float (n_t, n_x, n_v) array of at least "
+        if f.ndim != 3 or len(f) < 2 or f.size == 0 or (f.dtype.kind, f.itemsize) != ("f", 8):
+            raise ConfigError("f must be a nonempty float64 (n_t, n_x, n_v) array of at least "
                               f"2 frames, not {f.dtype} of shape {f.shape}")
         if not all(np.isfinite(frame).all() for frame in f):
             raise ConfigError("f holds a value that is not finite")

@@ -663,8 +663,10 @@ def with_value(f, value):
     ("meta.json", lambda meta: dict(meta, drift_axis=-1)),
     ("meta.json", lambda meta: dict(meta, transport="upwind")),  # as older runs wrote
     ("meta.json", lambda meta: [meta]),
+    ("f.npy", lambda f: f.astype(np.float32)),  # the certificate gathers into float64
 ], ids=["no dt", "bad meta", "5 nodes", "one frame", "no cells", "nan frame", "inf frame",
-        "tiny epsilon", "drift_axis 7", "drift_axis -1", "upwind", "meta not an object"])
+        "tiny epsilon", "drift_axis 7", "drift_axis -1", "upwind", "meta not an object",
+        "float32 frames"])
 def test_certify_refuses_a_malformed_trajectory(tmp_path, capsys, small_trajectory,
                                                 name, damage):
     traj = tmp_path / "trajectory"
@@ -701,6 +703,20 @@ def test_a_trajectory_in_the_older_layout_certifies_byte_for_byte_the_same(
     for name in ("certificate.json", "certificate.csv"):
         assert (tmp_path / "out_old" / name).read_bytes() == (
             tmp_path / "out_new" / name).read_bytes()
+
+
+def test_a_big_endian_trajectory_certifies_byte_for_byte_the_same(tmp_path, small_trajectory):
+    swapped = tmp_path / "swapped"
+    shutil.copytree(small_trajectory, swapped)
+    f = np.load(swapped / "f.npy")
+    np.save(swapped / "f.npy", f.astype(">f8"))
+    assert np.load(swapped / "f.npy").dtype.byteorder == ">"
+    cfg = write_cfg(tmp_path, dict(SMALL_BLOCKS["certify"], model=SMALL_MODELS[0]))
+    for traj, out in ((small_trajectory, "out_native"), (swapped, "out_swapped")):
+        assert main(["certify", str(traj), "--config", cfg, "--out", str(tmp_path / out)]) == 0
+    for name in ("certificate.json", "certificate.csv"):
+        assert (tmp_path / "out_swapped" / name).read_bytes() == (
+            tmp_path / "out_native" / name).read_bytes()
 
 
 def test_importing_the_cli_loads_no_scipy():

@@ -634,7 +634,8 @@ class TestEdiCertificate:
         gen = m.sigma * m.weights[None, :] - np.diag(m.rates)
 
         def edi_sides(delta, dt):
-            """(J, int Phi) on exact frames dt apart, with the midpoint rule."""
+            """(J, int Phi, the number of negative Phi elements) on exact frames
+            dt apart, with the midpoint rule."""
             kernel = delta * m.sigma * np.subtract.outer(b, b)  # delta sigma_ij (b_i - b_j)
             zeta = cos * kernel[i, j]
             source_hat = np.fft.rfft(-scale * cos * (kernel @ m.weights), axis=0)
@@ -652,24 +653,30 @@ class TestEdiCertificate:
                 state = np.einsum("kab,kb->ka", np.stack(steps), state)
                 frames.append(np.fft.irfft(state[:, :-1], n_x, axis=0))
             J = relative_entropy(frames[-1], m) - relative_entropy(f0, m)
-            phi_total = 0.0
+            phi_total, negative = 0.0, 0
             for f, g in zip(frames, frames[1:]):
                 f_mid = 0.5 * (f + g)
                 eta = current_of(f_mid, m) + zeta
                 J += dt * scale * (dirichlet_form(f_mid, m) + kinematic_rate(f_mid, eta, m))
                 phi_vals = phi(m.sigma[i, j], f_mid[:, i], f_mid[:, j], eta)
                 phi_total += dt * scale * float(np.sum(phi_vals @ pair_weights)) / n_x
-            return J, phi_total
+                negative += int(np.count_nonzero(phi_vals < 0.0))
+            return J, phi_total, negative
 
         dts = [0.02, 0.01, 0.005]
         sides = [edi_sides(0.1, dt) for dt in dts]
-        gaps = [abs(J - phi_total) for J, phi_total in sides]
+        gaps = [abs(J - phi_total) for J, phi_total, _ in sides]
         order = np.polyfit(np.log(dts), np.log(gaps), 1)[0]
         assert order >= 1.9, (order, gaps)
         phi_small = sides[-1][1]
         assert phi_small > 0.0
         phi_large = edi_sides(0.2, dts[-1])[1]
         assert phi_large / phi_small == pytest.approx(4.0, rel=0.1)
+        # near the solution Phi is O(delta^2) and a difference of O(delta) terms
+        # in the reference form; it must stay nonnegative and quadratic there
+        (_, near, near_neg), (_, twice, twice_neg) = (edi_sides(d, dts[-1]) for d in (1e-8, 2e-8))
+        assert near_neg == twice_neg == 0
+        assert twice / near == pytest.approx(4.0, abs=1e-4)
 
     def test_refuses_a_working_set_larger_than_memory(self, monkeypatch):
         from linboltz import errors

@@ -315,9 +315,9 @@ def test_every_shape_equals_the_scalar_calls_bit_for_bit(block, cost):
 
 
 def test_blocks_with_extreme_entries_keep_the_reference():
-    """Of several blocks only one holds entries that leave the kernels' safe
-    range, |xi| = 1e155 or alpha near 1e-151; that block falls back to
-    np.hypot, the others keep the fast path."""
+    """Of several blocks only one holds entries where the squares of the
+    reference formula overflow, |xi| = 1e155 or alpha near 1e-151; they keep
+    the reference, and every element equals its scalar call."""
     rng = np.random.default_rng(22)
     n = 3 * functionals.BLOCK + 17
     kappa = rng.uniform(0.1, 3.0, n)
@@ -402,7 +402,7 @@ def test_phi_at_the_own_current_is_exactly_zero_on_both_paths(monkeypatch):
     off = np.zeros(n, bool)
     off[block + 7] = True
     off[2 * block:3 * block:2] = True
-    # off by at least 0.5: nearer, both formulas lose digits to cancellation
+    # off by at least 0.5: nearer, _reference_costs loses digits to cancellation
     xi[off] += rng.choice([-1.0, 1.0], off.sum()) * rng.uniform(0.5, 3.0, off.sum())
     calls = count_alpha_calls(monkeypatch)
     got = phi(kappa, p, q, xi)
@@ -515,17 +515,28 @@ def count_fallbacks(monkeypatch):
     return entered
 
 
+def phi_bound(kappa, p, q, xi):
+    """4 u (1 + |a| + |b|)(1 + 1/|a - b|), a = asinh(xi/alpha), b = asinh(m/alpha):
+    a few roundings of a and b, over the h = (a - b)/2 that phi is quadratic in."""
+    alpha = np.sqrt(p) * np.sqrt(q) * kappa * 2.0
+    a, b = np.arcsinh(xi / alpha), np.arcsinh(kappa * (p - q) / alpha)
+    return 4.0 * 2.0**-53 * (1.0 + np.abs(a) + np.abs(b)) * (1.0 + 1.0 / np.abs(a - b))
+
+
 def test_psi_matches_mpmath_from_tiny_to_huge_ratios_without_a_fallback(monkeypatch):
-    # psi = xi*(a - tanh(a/2)), a = asinh(xi/alpha), forms no square: every
-    # finite xi/alpha stays in the kernel, where (xi/alpha)^2 once overflowed
-    # from |xi/alpha| ~ 1.3e154 on and sent the element to the fallback
+    # psi = xi*(a - tanh(a/2)), a = asinh(xi/alpha), and phi in h = (a - b)/2
+    # form no square: every finite xi/alpha stays in the kernel, where
+    # (xi/alpha)^2 once overflowed from |xi/alpha| ~ 1.3e154 on and sent the
+    # element to the fallback
     entered = count_fallbacks(monkeypatch)
     rng = np.random.default_rng(28)
     kappa, p, q = rng.uniform(0.1, 3.0, (3, 3000))
     ratio = 10.0 ** rng.uniform(-12, 300, 3000) * rng.choice([-1.0, 1.0], 3000)
     xi = ratio * (np.sqrt(p) * np.sqrt(q) * kappa * 2.0)
-    ref = np.array([_mpmath_costs(*args)[0] for args in zip(kappa, p, q, xi)])
+    ref, phi_ref = np.array([_mpmath_costs(*args) for args in zip(kappa, p, q, xi)]).T
     assert np.max(np.abs(psi(kappa, p, q, xi) / ref - 1.0)) <= 2e-15
+    phi_err = np.abs(phi(kappa, p, q, xi) / phi_ref - 1.0)
+    assert np.all(phi_err <= phi_bound(kappa, p, q, xi))
     for n in range(0, 3000, 10):  # one pair on one cell: the rate is psi / 2
         rate = kinematic_rate(np.array([[p[n], q[n]]]), np.array([[xi[n]]]),
                               two_node_model(kappa[n]))
@@ -535,12 +546,56 @@ def test_psi_matches_mpmath_from_tiny_to_huge_ratios_without_a_fallback(monkeypa
     extreme = np.array([(0.0, 1.0, 2.0, 0.5), (1.0, 0.0, 2.0, -0.5), (1.0, 1.0, 0.0, 0.0),
                         (5e-301, 1.0, 1.0, 1e10), (5e-301, 1.0, 4.0, -1e10)])
     mixed = np.concatenate([extreme, np.stack([kappa, p, q, xi], axis=1)[:5]])
-    assert list(psi(*mixed.T)[5:]) == [psi(*row) for row in mixed[5:]]
-    (x, k, a, b), = entered  # one call, on the mixed block
-    assert np.array_equal(np.stack([k, a, b, x], axis=1), extreme)
-    alpha = np.sqrt(a) * np.sqrt(b) * k * 2.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        assert np.all((alpha == 0) | np.isinf(x / alpha))
+    for cost in (psi, phi):
+        assert list(cost(*mixed.T)[5:]) == [cost(*row) for row in mixed[5:]]
+        (x, k, a, b), = entered  # one call, on the mixed block
+        assert np.array_equal(np.stack([k, a, b, x], axis=1), extreme)
+        alpha = np.sqrt(a) * np.sqrt(b) * k * 2.0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            assert np.all((alpha == 0) | np.isinf(x / alpha))
+        entered.clear()
+
+
+def test_phi_is_nonnegative_and_accurate_down_to_its_zero_set():
+    # xi = m +- delta (|m| + 1), m = kappa*(p - q): phi is O(delta^2) there, and
+    # the reference form a difference of two O(delta) terms.  phi's own
+    # conditioning is 1 + |m|/|xi - m|, as m carries one rounding
+    rng = np.random.default_rng(29)
+    kappa, p, q = rng.uniform(0.1, 3.0, (3, 400))
+    m = kappa * (p - q)
+    for delta in 10.0 ** np.arange(-12, 2):
+        for sign in (1.0, -1.0):
+            xi = m + sign * delta * (np.abs(m) + 1.0)
+            got = phi(kappa, p, q, xi)
+            ref = np.array([_mpmath_costs(*args)[1] for args in zip(kappa, p, q, xi)])
+            assert np.all(got >= 0.0)
+            bound = 4e-15 * (1.0 + (np.abs(m) + 1.0) / np.abs(xi - m))
+            assert np.all(np.abs(got / ref - 1.0) <= bound), delta
+
+
+def test_phi_matches_mpmath_at_wide_scales_without_a_fallback(monkeypatch):
+    # kappa, p and q over 300 decades, xi over 300 decades or within 1e-12 ... 1
+    # of m relative: m/alpha and xi/alpha reach 1e300, where a and b carry
+    # roundings of their own size
+    entered = count_fallbacks(monkeypatch)
+    rng = np.random.default_rng(30)
+    n = 3000
+    kappa, p, q = 10.0 ** rng.uniform(-150, 150, (3, n))
+    m = kappa * (p - q)
+    xi = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-150, 150, n)
+    near = rng.random(n) < 0.3
+    xi[near] = m[near] * (1.0 + rng.choice([-1.0, 1.0], near.sum())
+                          * 10.0 ** rng.uniform(-12, 0, near.sum()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = phi_bound(kappa, p, q, xi)
+    keep = np.isfinite(bound)  # xi/alpha or m/alpha overflowed otherwise
+    assert keep.sum() > 0.99 * n
+    kappa, p, q, xi, bound = kappa[keep], p[keep], q[keep], xi[keep], bound[keep]
+    got = phi(kappa, p, q, xi)
+    ref = np.array([_mpmath_costs(*args)[1] for args in zip(kappa, p, q, xi)])
+    assert np.all(got >= 0.0)
+    assert np.all(np.abs(got / ref - 1.0) <= bound)
+    assert not entered
 
 
 def test_phi_where_xi_plus_m_overflows_matches_mpmath():
@@ -554,6 +609,16 @@ def test_phi_where_xi_plus_m_overflows_matches_mpmath():
     assert got[1] == phi(1.0, 1.0, 2.0, 0.3)
     assert got[2] == math.inf  # its exact value is 2.4e311
     assert _mpmath_costs(1.0, 1.7e308, 1e-300, -1.7e308)[1] == math.inf
+
+
+def test_phi_where_h_cosh_h_overflows_matches_mpmath():
+    # xi/alpha = 1.69e308 against m/alpha = -1.73e308: h = (a - b)/2 ~ 710, where
+    # h cosh h overflows and the kernel's two terms can sum to -inf, not +inf;
+    # a test for every value that is not finite sends the element to _fallback
+    kappa, p, q, xi = 1e-10, 1e-309, 1.2e308, 1.17e298
+    ref = _mpmath_costs(kappa, p, q, xi)[1]
+    assert phi(kappa, p, q, xi) == pytest.approx(ref, rel=1e-14, abs=0.0)
+    assert phi(kappa, q, p, -xi) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 #: alpha = 2 kappa sqrt(pq) is 3e-361 here, so 0 in floats, with kappa, p, q > 0
