@@ -18,13 +18,14 @@ that the subcommand refuses: ``eps_list`` or ``dt_scale`` in ``kinetic-run``,
 a config or a saved trajectory; a ``rho0_mode`` the grid aliases, 2 |m| >= n_cells;
 a value of the wrong type or range, a file that cannot
 be read or written, a model that fails its numerical checks, a ``T`` that holds no step
-of ``dt``, a scheme that ``kinetic._check_scheme`` refuses, a trajectory certified
-against a model that did not produce it or could not have run its scheme (such as
-one along another drift column), or whose frames are malformed, a jump chain that is
-not irreducible on a route to D, a model kernel, frame, trajectory, certificate working
-set, sweep current path or Monte Carlo batch larger than physical memory, or any other
-``MemoryError``); 3 certification
-failure; 4 convergence failure (also numpy's ``LinAlgError``).  A nonzero exit writes
+of ``dt``, a scheme that ``kinetic._check_scheme`` refuses, a saved trajectory that is
+malformed, names no model fingerprint or ends past the largest float, one that the
+certificate functions refuse for the config's model in ``kinetic._check_run`` (another
+model's fingerprint or velocity nodes, or frames that one step of their ``dt`` and
+``epsilon`` does not reproduce), a jump chain that is not irreducible on a route to D,
+a model kernel, frame, trajectory, certificate working set, sweep current path or
+Monte Carlo batch larger than physical memory, or any other ``MemoryError``); 3
+certification failure; 4 convergence failure (also numpy's ``LinAlgError``).  A nonzero exit writes
 ``error.json`` to --out if it can (not to an --out that names a file).  Stdout is
 human-readable; files written to --out are machine-readable and deterministic for a
 fixed (config, seed).  The README's table of outputs lists them; ``model-info`` writes
@@ -47,9 +48,9 @@ from . import velocity
 from .diffusive import config_hash, sweep, write_manifest, write_sweep_csv
 from .errors import (CertificationError, ConfigError, ConvergenceError, LinboltzError,
                      require_memory)
-from .kinetic import (_check_scheme, _check_transport, _step_count, edi_certificate,
-                      load_trajectory, require_certificate_memory, save_trajectory,
-                      simulate, write_certificate_csv)
+from .kinetic import (_check_transport, _step_count, edi_certificate, load_trajectory,
+                      require_certificate_memory, save_trajectory, simulate,
+                      write_certificate_csv)
 from .montecarlo import McConfig, estimate_D, write_mc_csv, write_mc_json
 
 EXIT_OK = 0
@@ -257,10 +258,6 @@ def cmd_certify(args):
     raw, cfg = load_config(args.config)
     model = cfg.build_model()
     traj = load_trajectory(args.trajectory)
-    if traj.model_fingerprint != model.fingerprint:
-        raise ConfigError(f"{args.trajectory} was not produced by this config's model "
-                          f"(its model fingerprint: {traj.model_fingerprint})")
-    _check_scheme(traj.dt, traj.epsilon, model, traj.f.shape[1:])
     _certify(traj, model, cfg, raw, args.out or ".")
     return EXIT_OK
 

@@ -54,9 +54,17 @@ sigma_ij (f_i - f_j) at every pair element, bit for bit; the cost's values on
 its zero set are checked apart from the certificate.
 
 A run's scheme (dt, eps) is checked in one place, :func:`_check_scheme`,
-which the :class:`Stepper`, every :class:`Trajectory`, the diffusive sweep and
-the ``certify`` CLI call.  Transport, always spectral, is no part of it;
-:func:`_check_transport` refuses any other that outside input names.
+which the :class:`Stepper`, every :class:`Trajectory` and the diffusive sweep
+call.  Transport, always spectral, is no part of it;
+:func:`_check_transport` refuses any other that outside input names.  Which
+trajectory a model may certify is decided in one place as well,
+:func:`_check_run`, which :func:`edi_certificate`,
+:func:`entropy_balance_check` and :func:`write_certificate_csv` call before
+anything else: the frames must lie on the model's velocity nodes, and a
+trajectory that names a model fingerprint must name this model's and be a
+run of its scheme, one step of which reproduces frame 1 from frame 0.  Each
+refusal is a :class:`ConfigError`, so the ``certify`` CLI keeps no check of
+its own.
 """
 
 import csv
@@ -129,8 +137,9 @@ class Trajectory:
     interval; the cell size, the times and the step count follow from them.
 
     Valid by construction: the scheme passes the model-free part of
-    :func:`_check_scheme`, and ``f`` is a nonempty float64 (n_t, n_x, n_v) array
-    (of either byte order) of at least 2 frames, all finite; else ConfigError.
+    :func:`_check_scheme`, ``f`` is a nonempty float64 (n_t, n_x, n_v) array
+    (of either byte order) of at least 2 frames, all finite, and the final
+    time (n_t - 1) dt is finite, so :attr:`times` is; else ConfigError.
     """
 
     f: np.ndarray              # (n_t, n_x, n_v)
@@ -147,6 +156,9 @@ class Trajectory:
                               f"2 frames, not {f.dtype} of shape {f.shape}")
         if not all(np.isfinite(frame).all() for frame in f):
             raise ConfigError("f holds a value that is not finite")
+        if not math.isfinite(float(self.dt) * (len(f) - 1)):
+            raise ConfigError(f"{len(f) - 1} steps of dt = {self.dt!r} end past the "
+                              "largest float")
         object.__setattr__(self, "f", f)
 
     @property
@@ -391,6 +403,35 @@ def require_certificate_memory(shape):
                    "the trajectory and the certificate's working set")
 
 
+def _check_run(traj, model):
+    """ConfigError unless ``model`` may certify ``traj``.
+
+    The frames must lie on the model's velocity nodes.  A trajectory that
+    names a model fingerprint claims to be this solver's run of that model:
+    the fingerprint must be ``model``'s, its scheme (dt, eps) and grid must
+    pass :func:`_check_scheme`, and one :class:`Stepper` step of that scheme
+    from frame 0 must reproduce frame 1 to 1e-12 max|f_1|.  A trajectory
+    without a fingerprint, such as frames of another solver, is checked by
+    shape only, on any number of cells.
+    """
+    n_v = traj.f.shape[2]
+    if n_v != model.n_nodes:
+        raise ConfigError(f"frames of {n_v} velocity nodes are not on the model's "
+                          f"{model.n_nodes} nodes")
+    if traj.model_fingerprint is None:
+        return
+    if traj.model_fingerprint != model.fingerprint:
+        raise ConfigError(f"the trajectory was not produced by this model: its model "
+                          f"fingerprint is {traj.model_fingerprint}, the model's "
+                          f"{model.fingerprint}")
+    step = Stepper(model, traj.f.shape[1], traj.dt, traj.epsilon).step(traj.f[0])
+    miss, size = (float(np.max(np.abs(a))) for a in (step - traj.f[1], traj.f[1]))
+    if not miss <= 1e-12 * size:
+        raise ConfigError(f"the frames are not a run of dt = {traj.dt!r}, epsilon = "
+                          f"{traj.epsilon!r} on this model: one step from frame 0 misses "
+                          f"frame 1 by {miss:.3g}, where max|f_1| = {size:.3g}")
+
+
 @dataclass(frozen=True)
 class EntropyBalanceResult:
     total_residual: float
@@ -405,8 +446,10 @@ def entropy_balance_check(traj, model):
     midpoint slice with the trajectory's own current and the truncated
     logarithm as safeguard: twice the :func:`~linboltz.functionals._pairing`
     of f and log f, with no current formed.  The collision strength carries
-    the 1/eps^2 factor of rescaled runs.
+    the 1/eps^2 factor of rescaled runs.  A trajectory that ``model`` may not
+    certify (see :func:`_check_run`) is a ConfigError.
     """
+    _check_run(traj, model)
     scale = 1.0 / traj.epsilon**2
     residuals = np.empty(traj.n_steps)
     h_prev = relative_entropy(traj.f[0], model)
@@ -456,7 +499,10 @@ def edi_certificate(traj, model, current_scale=1.0, tol=None):
     cost evaluations; 1.0 certifies the solver run, any other value probes
     the strict positivity of the jump cost off the true current.  When
     ``tol`` is given, a violation raises :class:`CertificationError`
-    carrying the full certificate.
+    carrying the full certificate.  A trajectory that ``model`` may not
+    certify is a ConfigError, raised by :func:`_check_run` before anything
+    else: frames off the model's velocity nodes, another model's fingerprint,
+    or frames that one step of the named scheme does not reproduce.
 
     Each step gathers the pair densities f_i, f_j once and forms the current
     in place from them as (f_i - f_j) sigma_ij, :func:`current_of`'s
@@ -464,10 +510,11 @@ def edi_certificate(traj, model, current_scale=1.0, tol=None):
     current.  Its working set (see the module notes) is allocated once, after
     :func:`require_certificate_memory` has checked it.
     """
+    _check_run(traj, model)
     require_certificate_memory(traj.f.shape)
     scale = 1.0 / traj.epsilon**2
     entropy = np.empty(traj.n_steps + 1)
-    entropy[0] = relative_entropy(traj.f[0], model)  # refuses another model's frames
+    entropy[0] = relative_entropy(traj.f[0], model)
     i, j, pair_weights = pair_triangle(model)
     kappa = model.sigma[i, j]
     # the working set, allocated once: the current xi and the pair densities,
@@ -542,7 +589,9 @@ def load_trajectory(directory):
     So is their ``"drift_axis": 0``; another value is refused, as that run
     moved along another drift column, which no model's check covers.  A
     ``"transport"`` other than ``"spectral"`` (none, or the ``"upwind"`` of
-    older runs) is refused as well; :class:`Trajectory` keeps none.
+    older runs) is refused as well; :class:`Trajectory` keeps none.  So is a
+    ``meta.json`` that names no model fingerprint, after :class:`Trajectory`
+    has checked the rest: no model could be checked against such a run.
     """
     try:
         with open(os.path.join(directory, "meta.json")) as fh:
@@ -554,13 +603,16 @@ def load_trajectory(directory):
             raise ConfigError(f"meta.json: the run moved along drift column {axis!r}, "
                               "not the first")
         _check_transport(meta.get("transport"))
-        return Trajectory(
+        traj = Trajectory(
             f=np.load(os.path.join(directory, "f.npy")),
             dt=meta.get("dt"),
             epsilon=meta.get("epsilon"),
             model_name=meta.get("model_name", "custom"),
             model_fingerprint=meta.get("model_fingerprint"),
         )
+        if traj.model_fingerprint is None:
+            raise ConfigError("meta.json names no model fingerprint")
+        return traj
     except (ValueError, ConfigError) as exc:  # JSONDecodeError, not an array file, refused
         raise ConfigError(f"{directory} is not a valid trajectory: {exc}") from exc
 
@@ -570,11 +622,19 @@ def write_certificate_csv(traj, model, cert, path):
 
     H is the certificate's own per-frame entropy; E and R are recomputed from
     ``traj``, each step's current in one (n_x, n_pairs) array per call.  A
-    certificate of another frame count is a UsageError; one of another run of
-    as many frames is not caught, and its H and residuals are written."""
+    trajectory that ``model`` may not certify is a ConfigError, raised by
+    :func:`_check_run` before anything else.  A certificate of another run is
+    a UsageError: one of another frame count, or one whose H of the first and
+    last frames differs, in any bit, from :func:`relative_entropy` of this
+    trajectory's, with which the certificate formed them."""
+    _check_run(traj, model)
     if len(cert.entropy) != len(traj.f):
         raise UsageError(f"a certificate of {len(cert.entropy)} frames is not that of "
                          f"this trajectory of {len(traj.f)}")
+    if (cert.entropy[0], cert.entropy[-1]) != (relative_entropy(traj.f[0], model),
+                                               relative_entropy(traj.f[-1], model)):
+        raise UsageError("the certificate's entropy of the first and last frames is not "
+                         "that of this trajectory's: it certifies another run")
     scale = 1.0 / traj.epsilon**2
     current = np.empty((traj.f.shape[1], model.n_nodes * (model.n_nodes - 1) // 2))
     with open(path, "w", newline="") as fh:

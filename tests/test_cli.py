@@ -284,7 +284,10 @@ class TestKineticRunAndCertify:
         code = main(["certify", str(run / "trajectory"), "--config", cfg, "--out", str(out)])
         assert code == 2
         diag = json.loads((out / "error.json").read_text())
-        assert "not produced by this config's model" in diag["message"]
+        # the node count is checked first, then the fingerprint; a saved run
+        # that names none is refused as it is read
+        assert {"lorentz": "the model's 32 nodes", "phonon": "not produced by this model",
+                None: "names no model fingerprint"}[model and model["kind"]] in diag["message"]
         assert "Traceback" not in capsys.readouterr().err
         assert not (out / "certificate.json").exists()
 
@@ -664,9 +667,12 @@ def with_value(f, value):
     ("meta.json", lambda meta: dict(meta, transport="upwind")),  # as older runs wrote
     ("meta.json", lambda meta: [meta]),
     ("f.npy", lambda f: f.astype(np.float32)),  # the certificate gathers into float64
+    ("meta.json", lambda meta: dict(meta, dt=0.5)),  # a step the frames did not take
+    ("meta.json", lambda meta: dict(meta, epsilon=0.5)),
+    ("meta.json", lambda meta: dict(meta, dt=1e308)),  # 3 frames end past the largest float
 ], ids=["no dt", "bad meta", "5 nodes", "one frame", "no cells", "nan frame", "inf frame",
         "tiny epsilon", "drift_axis 7", "drift_axis -1", "upwind", "meta not an object",
-        "float32 frames"])
+        "float32 frames", "dt 0.5", "epsilon 0.5", "dt 1e308"])
 def test_certify_refuses_a_malformed_trajectory(tmp_path, capsys, small_trajectory,
                                                 name, damage):
     traj = tmp_path / "trajectory"

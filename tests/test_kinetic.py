@@ -15,9 +15,11 @@ from linboltz import (
     DomainError,
     LorentzSpec,
     NumericalQualityError,
+    PhononSpec,
     RayleighSpec,
     UsageError,
     build_lorentz,
+    build_phonon,
     build_rayleigh,
 )
 from linboltz import kinetic
@@ -537,11 +539,28 @@ class TestEntropyBalance:
                           sigma=np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
+#: Lorentz-16, and a model of as many nodes that did not produce its runs
+LORENTZ_16 = build_lorentz(LorentzSpec(16))
+PHONON_16 = build_phonon(PhononSpec(dim=2, n_per_axis=4))
+
+
+def certificate_routes(cert, path):
+    """Each function that certifies a trajectory against a model, as route(traj, model)."""
+    return (edi_certificate, entropy_balance_check,
+            lambda traj, model: write_certificate_csv(traj, model, cert, path))
+
+
 class TestEdiCertificate:
     def test_refuses_a_single_frame(self):
         # a trajectory holds a step to certify by construction
         with pytest.raises(ConfigError, match="at least 2 frames"):
             Trajectory(f=np.ones((1, 4, 8)), dt=0.01, epsilon=1.0)
+
+    def test_refuses_a_run_that_ends_past_the_largest_float(self):
+        # its times would overflow to inf
+        with pytest.raises(ConfigError, match="past the largest float"):
+            Trajectory(np.ones((3, 4, 2)), 1e308, 1.0)
+        assert Trajectory(np.ones((2, 4, 2)), 1e308, 1.0).times[-1] == 1e308
 
     def test_stationary_all_terms_zero(self):
         m = two_node_model()
@@ -698,14 +717,46 @@ class TestEdiCertificate:
             edi_certificate(traj, m, tol=1e-16)
         assert exc.value.certificate is not None
 
-    def test_both_routes_refuse_another_models_trajectory(self):
+    def test_both_routes_refuse_another_models_trajectory(self, tmp_path):
         # an 8-node trajectory against a 16-node model once raised numpy's
-        # ValueError from inside the sums
-        traj = simulate(build_lorentz(LorentzSpec(8)), bump_rho(8), T=0.02, dt=0.01)
-        m = build_lorentz(LorentzSpec(16))
-        for route in (edi_certificate, entropy_balance_check):
-            with pytest.raises(UsageError, match="velocity nodes"):
-                route(traj, m)
+        # ValueError from inside the sums; the CSV is the third route
+        own = build_lorentz(LorentzSpec(8))
+        traj = simulate(own, bump_rho(8), T=0.02, dt=0.01)
+        for route in certificate_routes(edi_certificate(traj, own), tmp_path / "c.csv"):
+            with pytest.raises(ConfigError, match="velocity nodes"):
+                route(traj, LORENTZ_16)
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_every_route_refuses_another_model_of_as_many_nodes(self, tmp_path):
+        # Phonon-2d 4 x 4 once certified these frames, with a balance residual
+        # of 1.6e-5 against 8.8e-7 for the model that produced them
+        traj = simulate(LORENTZ_16, bump_rho(32), T=0.02, dt=0.005)
+        cert = edi_certificate(traj, LORENTZ_16)
+        for route in certificate_routes(cert, tmp_path / "c.csv"):
+            with pytest.raises(ConfigError, match="not produced by this model"):
+                route(traj, PHONON_16)
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_frames_without_a_fingerprint_are_checked_by_shape_only(self):
+        # frames that name no model, as another solver's would, certify as the
+        # run they are: against its model bit for bit, against another without
+        # a claim to check
+        traj = simulate(LORENTZ_16, bump_rho(32), T=0.02, dt=0.005)
+        bare = Trajectory(traj.f, traj.dt, traj.epsilon)
+        want, got = edi_certificate(traj, LORENTZ_16), edi_certificate(bare, LORENTZ_16)
+        for name in (f.name for f in dataclasses.fields(want)):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert entropy_balance_check(bare, PHONON_16).total_residual > 0.0
+
+    @pytest.mark.parametrize("change", [{"dt": 0.01}, {"epsilon": 0.5}], ids=["dt", "epsilon"])
+    def test_every_route_refuses_frames_that_their_scheme_does_not_step(self, tmp_path, change):
+        traj = simulate(LORENTZ_16, bump_rho(32), T=0.02, dt=0.005)
+        cert = edi_certificate(traj, LORENTZ_16)
+        other = dataclasses.replace(traj, **change)
+        for route in certificate_routes(cert, tmp_path / "c.csv"):
+            with pytest.raises(ConfigError, match="not a run of dt = .*, epsilon = .* misses"):
+                route(other, LORENTZ_16)
+        assert not (tmp_path / "c.csv").exists()
 
     @pytest.mark.parametrize("amplitude", sorted(CERTIFY_CONFIG_CERTIFICATES))
     def test_certify_config_keeps_its_recorded_certificate_to_rounding(self, amplitude):
@@ -735,6 +786,13 @@ class TestPersistence:
             traj.dt, traj.epsilon, traj.model_name, traj.model_fingerprint)
         # Trajectory has no transport; meta.json names the only one
         assert json.loads((tmp_path / "t" / "meta.json").read_text())["transport"] == "spectral"
+        # the scheme it names steps frame 0 to frame 1 bit for bit
+        assert np.array_equal(Stepper(m, 8, back.dt, back.epsilon).step(back.f[0]), back.f[1])
+
+    def test_load_refuses_a_run_that_names_no_model(self, tmp_path):
+        save_trajectory(Trajectory(np.ones((2, 8, 2)), 0.01, 1.0), tmp_path)
+        with pytest.raises(ConfigError, match="names no model fingerprint"):
+            load_trajectory(tmp_path)
 
     def test_certificate_csv(self, tmp_path):
         m = two_node_model()
@@ -755,6 +813,19 @@ class TestPersistence:
             other = edi_certificate(simulate(m, bump_rho(8), T=T, dt=0.01), m)
             with pytest.raises(UsageError, match="frames"):
                 write_certificate_csv(traj, m, other, tmp_path / "cert.csv")
+
+    def test_certificate_csv_refuses_a_certificate_of_another_run_of_as_many_frames(
+            self, tmp_path):
+        # it once wrote the other run's H and residuals
+        m = build_lorentz(LorentzSpec(12))
+        x = (np.arange(16) + 0.5) / 16
+        runs = {a: simulate(m, 1.0 + a * np.cos(2.0 * np.pi * x), T=0.05, dt=0.01)
+                for a in (0.3, 0.6)}
+        other = edi_certificate(runs[0.6], m)
+        with pytest.raises(UsageError, match="another run"):
+            write_certificate_csv(runs[0.3], m, other, tmp_path / "cert.csv")
+        assert not (tmp_path / "cert.csv").exists()
+        write_certificate_csv(runs[0.6], m, other, tmp_path / "cert.csv")
 
     def test_certificate_csv_agrees_with_certificate(self, tmp_path):
         m = build_lorentz(LorentzSpec(12))
