@@ -37,7 +37,11 @@ inequality
 which holds as near-equality (to time-quadrature order) along the solver's
 own trajectory with the current eta = sigma (f - f'); the independent
 jump-cost residual int Phi_sigma(f, f'; eta) vanishes exactly for that
-current and is strictly positive for any other.  The current lives on
+current and is strictly positive for any other.  The time quadrature, H of
+every frame, the midpoint rule and the step sums, lives in :func:`_ledger`
+alone: :func:`entropy_balance_check`, :func:`edi_certificate` and
+:func:`write_certificate_csv` are its views, and the CSV refuses a
+certificate whose H or R is not its own.  The current lives on
 the velocity pairs i < j, as an (n_x, n_pairs) array, n_pairs =
 n_v (n_v - 1) / 2, and both pair costs are summed over those pairs in
 cache-sized blocks (see :mod:`linboltz.functionals`).  The certificate's
@@ -55,16 +59,14 @@ its zero set are checked apart from the certificate.
 
 A run's scheme (dt, eps) is checked in one place, :func:`_check_scheme`,
 which the :class:`Stepper`, every :class:`Trajectory` and the diffusive sweep
-call.  Transport, always spectral, is no part of it;
-:func:`_check_transport` refuses any other that outside input names.  Which
-trajectory a model may certify is decided in one place as well,
-:func:`_check_run`, which :func:`edi_certificate`,
-:func:`entropy_balance_check` and :func:`write_certificate_csv` call before
-anything else: the frames must lie on the model's velocity nodes, and a
-trajectory that names a model fingerprint must name this model's and be a
-run of its scheme, one step of which reproduces frame 1 from frame 0.  Each
-refusal is a :class:`ConfigError`, so the ``certify`` CLI keeps no check of
-its own.
+call.  Transport, always spectral, is no part of it; :func:`_check_transport`
+refuses any other that outside input names.  Which trajectory a model may
+certify is decided in one place as well, :func:`_check_run`, which each view
+of the ledger calls before anything else: the frames must lie on the model's
+velocity nodes, and a trajectory that names a model fingerprint must name
+this model's and be a run of its scheme, one step of which reproduces frame
+1 from frame 0.  Each refusal is a :class:`ConfigError`, so the ``certify``
+CLI keeps no check of its own.
 """
 
 import csv
@@ -432,6 +434,20 @@ def _check_run(traj, model):
                           f"frame 1 by {miss:.3g}, where max|f_1| = {size:.3g}")
 
 
+def _ledger(traj, model, at_midpoint):
+    """The certificates' one time quadrature, the midpoint rule: H of every
+    frame, (n_t,); ``at_midpoint(f_mid)`` of every step n at f_mid = (f_n +
+    f_{n+1}) / 2, stacked in step order; and their integrals up to every
+    frame, 0 and then dt times each step's value added in step order, as a
+    loop adds them, so bit for bit.  No other function here forms a midpoint
+    or the entropy of a frame."""
+    entropy = np.array([relative_entropy(frame, model) for frame in traj.f])
+    steps = np.array([at_midpoint(0.5 * (traj.f[n] + traj.f[n + 1]))
+                      for n in range(traj.n_steps)])
+    integrals = np.add.accumulate(np.concatenate((np.zeros_like(steps[:1]), traj.dt * steps)))
+    return entropy, steps, integrals
+
+
 @dataclass(frozen=True)
 class EntropyBalanceResult:
     total_residual: float
@@ -445,21 +461,17 @@ def entropy_balance_check(traj, model):
     quadrature of (1/2) sum w_i w_j eta (log f' - log f), evaluated at the
     midpoint slice with the trajectory's own current and the truncated
     logarithm as safeguard: twice the :func:`~linboltz.functionals._pairing`
-    of f and log f, with no current formed.  The collision strength carries
-    the 1/eps^2 factor of rescaled runs.  A trajectory that ``model`` may not
-    certify (see :func:`_check_run`) is a ConfigError.
+    of f and log f at :func:`_ledger`'s midpoints, with no current formed.
+    The collision strength carries the 1/eps^2 factor of rescaled runs.  A
+    trajectory that ``model`` may not certify (see :func:`_check_run`) is a
+    ConfigError.
     """
     _check_run(traj, model)
     scale = 1.0 / traj.epsilon**2
-    residuals = np.empty(traj.n_steps)
-    h_prev = relative_entropy(traj.f[0], model)
-    for n in range(traj.n_steps):
-        h_next = relative_entropy(traj.f[n + 1], model)
-        f_mid = 0.5 * (traj.f[n] + traj.f[n + 1])
-        pairing = 2.0 * _pairing(f_mid, truncated_log(f_mid), model)
-        dissipation = 0.5 * scale * traj.dx * pairing
-        residuals[n] = (h_next - h_prev) - traj.dt * dissipation
-        h_prev = h_next
+    entropy, pairings, _ = _ledger(
+        traj, model, lambda f_mid: _pairing(f_mid, truncated_log(f_mid), model))
+    dissipation = 0.5 * scale * traj.dx * (2.0 * pairings)
+    residuals = np.diff(entropy) - traj.dt * dissipation
     return EntropyBalanceResult(
         total_residual=float(abs(residuals.sum())),
         per_step=residuals,
@@ -504,17 +516,16 @@ def edi_certificate(traj, model, current_scale=1.0, tol=None):
     else: frames off the model's velocity nodes, another model's fingerprint,
     or frames that one step of the named scheme does not reproduce.
 
-    Each step gathers the pair densities f_i, f_j once and forms the current
-    in place from them as (f_i - f_j) sigma_ij, :func:`current_of`'s
-    operations in its order and so its bits; R and Phi both read that one
-    current.  Its working set (see the module notes) is allocated once, after
-    :func:`require_certificate_memory` has checked it.
+    At each of :func:`_ledger`'s midpoints the pair densities f_i, f_j are
+    gathered once and the current formed in place from them as (f_i - f_j)
+    sigma_ij, :func:`current_of`'s operations in its order and so its bits;
+    R and Phi both read that one current, and the integrals are the
+    ledger's.  Its working set (see the module notes) is allocated once,
+    after :func:`require_certificate_memory` has checked it.
     """
     _check_run(traj, model)
     require_certificate_memory(traj.f.shape)
     scale = 1.0 / traj.epsilon**2
-    entropy = np.empty(traj.n_steps + 1)
-    entropy[0] = relative_entropy(traj.f[0], model)
     i, j, pair_weights = pair_triangle(model)
     kappa = model.sigma[i, j]
     # the working set, allocated once: the current xi and the pair densities,
@@ -522,27 +533,22 @@ def edi_certificate(traj, model, current_scale=1.0, tol=None):
     # threshold to its size, and 6 MB more heap then stayed untrimmed
     xi, f_i, f_j = (np.empty((traj.f.shape[1], i.size)) for _ in range(3))
 
-    dirichlet = kinematic = phi_total = 0.0
-    per_step = np.empty(traj.n_steps)
-    for n in range(traj.n_steps):
-        f_mid = 0.5 * (traj.f[n] + traj.f[n + 1])
+    def pair_pass(f_mid):
         np.take(f_mid, i, axis=1, out=f_i, mode="clip")
         np.take(f_mid, j, axis=1, out=f_j, mode="clip")
         # current_of's operations in its order, so its bits, from the gathers
         np.subtract(f_i, f_j, out=xi)
-        xi *= kappa
+        np.multiply(xi, kappa, out=xi)
         if current_scale != 1.0:
-            xi *= current_scale
-        e_val = scale * dirichlet_form(f_mid, model)
-        r_val = scale * kinematic_rate(f_mid, xi, model)
+            np.multiply(xi, current_scale, out=xi)
         # Phi over the pairs i < j, counted twice
-        phi_val = scale * traj.dx * float(np.sum(phi(kappa, f_i, f_j, xi) @ pair_weights))
-        dirichlet += traj.dt * e_val
-        kinematic += traj.dt * r_val
-        phi_total += traj.dt * phi_val
-        entropy[n + 1] = relative_entropy(traj.f[n + 1], model)
-        per_step[n] = (entropy[n + 1] - entropy[n]) + traj.dt * (e_val + r_val)
+        return (scale * dirichlet_form(f_mid, model), scale * kinematic_rate(f_mid, xi, model),
+                scale * traj.dx * float(np.sum(phi(kappa, f_i, f_j, xi) @ pair_weights)))
 
+    entropy, steps, integrals = _ledger(traj, model, pair_pass)
+    dirichlet, kinematic, phi_total = map(float, integrals[-1])
+    e, r, _ = steps.T
+    per_step = np.diff(entropy) + traj.dt * (e + r)
     h0, hT = float(entropy[0]), float(entropy[-1])
     cert = EdiCertificate(
         h_initial=h0,
@@ -620,37 +626,29 @@ def load_trajectory(directory):
 def write_certificate_csv(traj, model, cert, path):
     """One row per time slice: t, H, E, cumulative R, per-step residual.
 
-    H is the certificate's own per-frame entropy; E and R are recomputed from
-    ``traj``, each step's current in one (n_x, n_pairs) array per call.  A
-    trajectory that ``model`` may not certify is a ConfigError, raised by
-    :func:`_check_run` before anything else.  A certificate of another run is
-    a UsageError: one of another frame count, or one whose H of the first and
-    last frames differs, in any bit, from :func:`relative_entropy` of this
-    trajectory's, with which the certificate formed them."""
+    H and the residuals are the certificate's.  E at the frames is recomputed,
+    and so is R at :func:`_ledger`'s midpoints, each step's own current in one
+    (n_x, n_pairs) array per call, and summed by the ledger as the certificate's.
+    A trajectory that ``model`` may not certify is a ConfigError, raised by
+    :func:`_check_run` before anything else.  A certificate is a UsageError,
+    and no file is written, if its H of the frames differs from the ledger's
+    in any bit or in count (another run's), or its ``kinematic_value`` from
+    this R in any bit (a ``current_scale`` probe's)."""
     _check_run(traj, model)
-    if len(cert.entropy) != len(traj.f):
-        raise UsageError(f"a certificate of {len(cert.entropy)} frames is not that of "
-                         f"this trajectory of {len(traj.f)}")
-    if (cert.entropy[0], cert.entropy[-1]) != (relative_entropy(traj.f[0], model),
-                                               relative_entropy(traj.f[-1], model)):
-        raise UsageError("the certificate's entropy of the first and last frames is not "
-                         "that of this trajectory's: it certifies another run")
     scale = 1.0 / traj.epsilon**2
     current = np.empty((traj.f.shape[1], model.n_nodes * (model.n_nodes - 1) // 2))
+    entropy, _, cum_r = _ledger(traj, model, lambda f_mid: scale * kinematic_rate(
+        f_mid, current_of(f_mid, model, out=current), model))
+    if cert.entropy.shape != entropy.shape or cert.entropy.tobytes() != entropy.tobytes():
+        raise UsageError(f"the certificate's entropy of {cert.entropy.size} frames is not that of "
+                         f"this trajectory's {entropy.size} frames: it certifies another run")
+    if float(cert.kinematic_value).hex() != float(cum_r[-1]).hex():
+        raise UsageError(f"the certificate charges R = {cert.kinematic_value!r}, not this "
+                         f"run's own current's {cum_r[-1]!r}: it certifies another current")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "entropy", "dirichlet", "cumulative_r", "step_residual"])
-        cum_r = 0.0
-        for n, t in enumerate(traj.times):
-            e_val = scale * dirichlet_form(traj.f[n], model)
-            res = cert.per_step[n - 1] if n > 0 else 0.0
-            if n > 0:
-                f_mid = 0.5 * (traj.f[n - 1] + traj.f[n])
-                # summed as in edi_certificate, so the last row is its R
-                cum_r += traj.dt * (scale * kinematic_rate(
-                    f_mid, current_of(f_mid, model, out=current), model
-                ))
-            writer.writerow([
-                f"{t:.12g}", f"{cert.entropy[n]:.12g}", f"{e_val:.12g}",
-                f"{cum_r:.12g}", f"{res:.12g}",
-            ])
+        for t, h, frame, r, res in zip(traj.times, cert.entropy, traj.f, cum_r,
+                                       [0.0, *cert.per_step]):
+            e_val = scale * dirichlet_form(frame, model)
+            writer.writerow([f"{v:.12g}" for v in (t, h, e_val, r, res)])

@@ -1,3 +1,4 @@
+import collections
 import csv
 import dataclasses
 import json
@@ -22,7 +23,7 @@ from linboltz import (
     build_phonon,
     build_rayleigh,
 )
-from linboltz import kinetic
+from linboltz import functionals, kinetic
 from linboltz.diffusive import sweep
 from linboltz.kinetic import (
     Stepper,
@@ -54,9 +55,9 @@ def two_node_model(s=3.0, u=1.0):
     )
 
 
-def bump_rho(n):
+def bump_rho(n, a=0.5):
     x = (np.arange(n) + 0.5) / n
-    return 1.0 + 0.5 * np.cos(2.0 * np.pi * x)
+    return 1.0 + a * np.cos(2.0 * np.pi * x)
 
 
 CLI_DATUM_MODELS = {"lorentz": build_lorentz(LorentzSpec(8)),
@@ -775,6 +776,74 @@ class TestEdiCertificate:
         assert abs(got.max_step_residual - old["max_step_residual"]) <= 1e-15
 
 
+#: criterion 5's models and amplitudes for the gap between the two balances
+BALANCE_RUNS = {"lorentz-16": (LORENTZ_16, 0.5), "rayleigh-120": (CERTIFY_MODEL, 0.45),
+                "phonon-64": (build_phonon(PhononSpec(dim=2, n_per_axis=8)), 0.5)}
+
+
+class TestLedger:
+    """The certificates share one time quadrature, ``kinetic._ledger``."""
+
+    @pytest.mark.parametrize("name", BALANCE_RUNS)
+    def test_the_two_balances_agree_on_the_runs_own_frames(self, name, monkeypatch):
+        # at the own current E + R is the entropy balance's dissipation in
+        # exact arithmetic: the per-step residuals differ by the rounding of
+        # psi, the Dirichlet form and the pairing, three independent formulas
+        model, a = BALANCE_RUNS[name]
+        T = 0.1
+        traj = simulate(model, bump_rho(64, a), T=T, dt=2e-3)
+        bound = 1e-13 * T / traj.epsilon**2 * float(model.rates.max())
+
+        def gap():
+            edi = edi_certificate(traj, model).per_step
+            return abs(float(np.sum(edi - entropy_balance_check(traj, model).per_step)))
+
+        assert gap() <= bound
+        # psi off by 1e-8 relative must show: 42x to 464x the bound, measured
+        centered_cost = functionals._centered_cost
+
+        def off(alpha, xi, out, t):
+            bad = centered_cost(alpha, xi, out, t)
+            out *= 1.0 + 1e-8
+            return bad
+
+        monkeypatch.setattr(functionals, "_centered_cost", off)
+        assert gap() > bound
+
+    def test_each_view_makes_only_the_passes_it_needs(self, tmp_path, monkeypatch):
+        m = build_lorentz(LorentzSpec(8))
+        traj = simulate(m, bump_rho(16), T=0.05, dt=0.01)
+        assert traj.n_steps == 5
+        cert = edi_certificate(traj, m)
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("relative_entropy", "phi", "kinematic_rate", "dirichlet_form", "current_of"):
+            monkeypatch.setattr(kinetic, name, counted(name, getattr(kinetic, name)))
+        views = {
+            "balance": lambda: entropy_balance_check(traj, m),
+            "certificate": lambda: edi_certificate(traj, m),
+            "csv": lambda: write_certificate_csv(traj, m, cert, tmp_path / "c.csv"),
+        }
+        # H of each frame once in every view; the CSV's E is at the 6 frames
+        expected = {
+            "balance": {"relative_entropy": 6},
+            "certificate": {"relative_entropy": 6, "dirichlet_form": 5, "kinematic_rate": 5,
+                            "phi": 5},
+            "csv": {"relative_entropy": 6, "dirichlet_form": 6, "kinematic_rate": 5,
+                    "current_of": 5},
+        }
+        for name, view in views.items():
+            calls.clear()
+            view()
+            assert calls == expected[name], name
+
+
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
         m = two_node_model()
@@ -826,6 +895,24 @@ class TestPersistence:
             write_certificate_csv(runs[0.3], m, other, tmp_path / "cert.csv")
         assert not (tmp_path / "cert.csv").exists()
         write_certificate_csv(runs[0.6], m, other, tmp_path / "cert.csv")
+
+    @pytest.mark.parametrize("model", [LORENTZ_16, CERTIFY_MODEL, PHONON_16],
+                             ids=["lorentz-16", "rayleigh-120", "phonon-16"])
+    def test_certificate_csv_refuses_a_probe_certificate(self, tmp_path, model):
+        # it once wrote the own current's R beside the probe's residuals: on
+        # Lorentz-16 1.31237e-4, where the probe charged 5.24029e-4
+        traj = simulate(model, bump_rho(32), T=0.05, dt=0.005)
+        path = tmp_path / "cert.csv"
+        probe = edi_certificate(traj, model, current_scale=2.0)
+        with pytest.raises(UsageError, match="another current"):
+            write_certificate_csv(traj, model, probe, path)
+        assert not path.exists()
+        # the own certificate's R is the CSV's to the last bit
+        cert = edi_certificate(traj, model)
+        write_certificate_csv(traj, model, cert, path)
+        with open(path, newline="") as fh:
+            last = list(csv.DictReader(fh))[-1]
+        assert last["cumulative_r"] == f"{cert.kinematic_value:.12g}"
 
     def test_certificate_csv_agrees_with_certificate(self, tmp_path):
         m = build_lorentz(LorentzSpec(12))
